@@ -386,3 +386,136 @@ fn chaos_with_panicking_solver_keeps_healthy_streams_and_determinism() {
         assert_eq!(run(shards), baseline, "{shards} shards");
     }
 }
+
+/// The execution paths a query can take through the engine.
+#[derive(Clone, Copy, Debug)]
+enum Path {
+    Batch,
+    FusedBatch,
+    Serve,
+    FusedServe,
+}
+
+/// Cross-path differential: one seeded stream with random outages,
+/// replanning, degraded mode and a warm spec gives the same per-query
+/// digest (or the same typed error), the same fault counters and the same
+/// trace-event totals through `submit_batch` and the virtual-clock
+/// serving loop, serial and fused, on 1, 2 and 4 shards under both arena
+/// widths. `ShardBatch` and `PlaneCheckout` count drains and fused lane
+/// checkouts, so only those two kinds may differ.
+#[test]
+fn every_execution_path_agrees_on_results_counters_and_trace_counts() {
+    let system = paper_example();
+    let alloc = OrthogonalAllocation::paper_7x7();
+    let queries = chaos_batch(0xC4A05, 120, 9);
+    let horizon = queries.last().unwrap().arrival;
+    let injector = FaultInjector::random_outages(
+        0xFA21,
+        system.num_disks(),
+        0.2,
+        horizon / 3,
+        Some(horizon / 3),
+    );
+
+    type Run = (Vec<Digest>, [u64; 5], Vec<u64>);
+    let run = |path: Path, shards: usize, layout: ArenaLayout| -> Run {
+        let fused = matches!(path, Path::FusedBatch | Path::FusedServe);
+        let spec = SolverSpec::new(SolverKind::PushRelabelBinary)
+            .reuse(ReusePolicy::warm())
+            .arena_layout(layout)
+            .batch_fuse(fused)
+            .parallelism(2);
+        let mut engine = Engine::builder(&system, &alloc)
+            .solver_spec(spec)
+            .shards(shards)
+            .fault_injector(injector.clone())
+            .retry_policy(RetryPolicy {
+                max_retries: 2,
+                backoff: horizon / 10,
+            })
+            .degraded_mode(true)
+            .tracing(1 << 10)
+            .build();
+        let digests: Vec<Digest> = match path {
+            Path::Batch | Path::FusedBatch => {
+                engine.submit_batch(&queries).iter().map(digest).collect()
+            }
+            Path::Serve | Path::FusedServe => {
+                let mut config = ServeConfig::default().virtual_time();
+                if fused {
+                    config = config
+                        .batch_window(std::time::Duration::from_millis(1))
+                        .batch_max(8);
+                }
+                let report = engine.serve(config, |h| {
+                    queries
+                        .iter()
+                        .map(|q| {
+                            h.submit(
+                                QueryRequest::new(q.stream, q.buckets.clone())
+                                    .arriving_at(q.arrival),
+                            )
+                            .expect("admitted")
+                        })
+                        .collect::<Vec<Ticket>>()
+                });
+                assert_eq!(report.stats.completed, queries.len() as u64);
+                let mut by_ticket: std::collections::HashMap<Ticket, Digest> = report
+                    .unclaimed
+                    .iter()
+                    .map(|r| {
+                        let result = match &r.result {
+                            Ok(o) => Ok(o.clone()),
+                            Err(ServeError::Engine(e)) => Err(*e),
+                            Err(e) => panic!("unexpected serve error: {e}"),
+                        };
+                        (r.ticket, digest(&result))
+                    })
+                    .collect();
+                report
+                    .output
+                    .iter()
+                    .map(|t| by_ticket.remove(t).expect("every ticket resolves"))
+                    .collect()
+            }
+        };
+        let s = engine.stats();
+        assert_eq!(s.fused_batches > 0, fused, "{path:?}: fused drains engaged");
+        let counters = [
+            s.errors,
+            s.retries,
+            s.degraded_solves,
+            s.dropped_buckets,
+            s.shard_failures,
+        ];
+        let mut counts = engine.trace_counts().to_vec();
+        counts[EventKind::ShardBatch as usize] = 0;
+        counts[EventKind::PlaneCheckout as usize] = 0;
+        (digests, counters, counts)
+    };
+
+    let baseline = run(Path::Batch, 1, ArenaLayout::Wide);
+    // The scenario must exercise every fault layer it claims to.
+    let [_, retries, degraded, _, _] = baseline.1;
+    assert!(retries > 0, "no retries — recovery never replanned");
+    assert!(degraded > 0, "no degraded solves — outage never bit");
+    assert!(baseline
+        .0
+        .iter()
+        .any(|d| matches!(d, Digest::Served { .. })));
+    assert!(
+        baseline.2[EventKind::DeltaPatch as usize] > 0,
+        "warm spec never patched"
+    );
+    for layout in [ArenaLayout::Wide, ArenaLayout::Compact] {
+        for path in [Path::Batch, Path::FusedBatch, Path::Serve, Path::FusedServe] {
+            for shards in [1usize, 2, 4] {
+                assert_eq!(
+                    run(path, shards, layout),
+                    baseline,
+                    "{path:?} on {shards} shards under {layout:?}"
+                );
+            }
+        }
+    }
+}
