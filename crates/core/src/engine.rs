@@ -1,19 +1,49 @@
-//! Sharded batch retrieval engine.
+//! Sharded retrieval engine and its one per-query execution path.
 //!
 //! An [`Engine`] serves many independent query streams — think one stream
 //! per client or per tenant — over a single storage system and
 //! allocation. Each stream is a full [`SessionState`] with its own disk
 //! load feedback; streams are partitioned across shards by
 //! `stream % num_shards`, each shard owning one [`Workspace`] and the
-//! states of its streams. With more than one shard,
-//! [`Engine::submit_batch`] runs the shards on scoped worker threads.
+//! states of its streams.
 //!
-//! Because a stream lives wholly inside one shard and every shard
-//! processes its queries in input order, batch results are deterministic:
-//! the same batch produces the same outcomes for any shard count
-//! (including 1). Cross-stream interactions don't exist by construction —
-//! streams model *independent* sessions, the unit of parallelism the
-//! paper's multi-query discussion permits.
+//! ## One drain
+//!
+//! Every query runs through one function, the shard *drain*. Both
+//! front-ends feed it:
+//!
+//! * [`Engine::submit_batch`] routes a batch to its shards and drains
+//!   each shard's queries — on the calling thread for one shard, on
+//!   scoped threads for more. A batch is an online stream whose arrivals
+//!   are all known before the first drain, so it needs no admission.
+//! * [`Engine::serve`](crate::serve) drains each coalesced batch a shard
+//!   worker takes off its queue.
+//!
+//! A drain runs its items as one group on the shard workspace. With
+//! [`SolverSpec::batch_fuse`] and at least two streams in the drain, it
+//! runs one group per stream instead, concurrently on recycled lanes of
+//! the shared worker pool (only distinct streams are independent; one
+//! stream's queries are load-coupled and stay in order). Every item
+//! goes through the same three steps:
+//!
+//! 1. **prepare** (serial, on the shard) checks out the item's query span
+//!    shell from the shard's flight recorder;
+//! 2. **execute** (on the shard workspace or a lane) reads the queue wait,
+//!    arms the deadline-aware budget and solves under the engine's only
+//!    unwind guard;
+//! 3. **finish** (serial, in drain order) is the only place that counts
+//!    the item, retires its span, charges the SLO and delivers the reply —
+//!    a result slot for `submit_batch`, a channel send for `serve`.
+//!
+//! A one-group drain finishes each item as soon as it executes; a fused
+//! drain finishes its items in drain order once every lane is done.
+//!
+//! Because a stream lives wholly inside one shard and every drain keeps
+//! each stream's queries in input order, results are deterministic: the
+//! same batch produces the same outcomes for any shard count, one
+//! included, and either drain shape. Cross-stream interactions don't
+//! exist by construction — streams model *independent* sessions, the
+//! unit of parallelism the paper's multi-query discussion permits.
 //!
 //! ## Fault tolerance
 //!
@@ -29,31 +59,36 @@
 //!   ([`RetryPolicy`]); if the engine is in degraded mode it finally
 //!   falls back to a best-effort solve that serves the retrievable subset
 //!   and reports the rest in [`SessionOutcome::unservable`].
-//! * **Containment** — each query runs under `catch_unwind`, so a panic
+//! * **Containment** — execute is the single containment point: a panic
 //!   (a solver bug, a poisoned allocation) is confined to the query that
-//!   hit it: it reports [`EngineError::ShardFailed`], the panicking
-//!   stream's state is discarded (its virtual clock restarts), and every
-//!   other stream's results are returned unharmed.
+//!   hit it, even when the panic payload's own `Drop` panics again. The
+//!   query reports [`EngineError::ShardFailed`], the panicking stream's
+//!   state is discarded (its virtual clock restarts), the workspace's
+//!   poison flag is cleared, and every other query is answered unharmed.
 
 use crate::error::{EngineError, SessionError, SolveError};
 use crate::fault::{FaultInjector, HealthMap};
 use crate::obs::metrics::{Histogram, LatencySummary, MetricsRegistry};
 use crate::obs::recorder::{FlightRecorder, FlightRecorderConfig, Postmortem, RecorderStats};
 use crate::obs::slo::SloPolicy;
+use crate::obs::span::{PhaseKind, QuerySpan, SpanId, SpanOutcome};
 use crate::obs::trace::{EventKind, TraceEvent};
 use crate::schedule::SolveStats;
+use crate::serve::{Admission, ServeError, ServeResponse, ServeTally};
 use crate::session::{ReuseCounters, ReusePolicy, SessionOutcome, SessionState};
 use crate::solver::RetrievalSolver;
-use crate::spec::{AnySolver, ArenaLayout, ScheduleObjective, SolveBudget, SolverKind, SolverSpec};
+use crate::spec::{AnySolver, ScheduleObjective, SolveBudget, SolverKind, SolverSpec};
 use crate::workspace::Workspace;
 use rds_decluster::allocation::ReplicaSource;
 use rds_decluster::query::Bucket;
 use rds_flow::parallel::WorkerPool;
 use rds_storage::model::SystemConfig;
 use rds_storage::time::Micros;
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::Duration;
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
 
 /// One query of a batch: which stream it belongs to, when it arrives,
 /// and what it asks for.
@@ -94,32 +129,48 @@ impl Default for RetryPolicy {
     }
 }
 
-/// Time source for fault probes during replanning.
+/// Time source for fault probes, queue waits and deadline budgets.
 ///
-/// Batch runs probe the fault schedule on the *simulated* clock (the
-/// query's arrival plus deterministic backoff steps), so results never
-/// depend on wall time. The real-time serving loop
-/// ([`Engine::serve`](crate::serve)) instead probes the wall clock, so a
-/// disk that recovers *while a query is in flight* is observed by the
-/// retry loop — not only in simulated-clock tests.
-pub(crate) trait ProbeClock: Sync {
-    /// The current time as seen by a query that arrived at `arrival`.
-    /// Virtual clocks return `arrival` itself.
-    fn now(&self, arrival: Micros) -> Micros;
-
-    /// Blocks until `t` (real clocks only; virtual clocks return
-    /// immediately — simulated backoff needs no waiting).
-    fn wait_until(&self, t: Micros) {
-        let _ = t;
-    }
+/// Batch runs and the virtual-clock serving loop probe the fault schedule
+/// on the *simulated* clock (the query's arrival plus deterministic
+/// backoff steps), so results never depend on wall time. The real-clock
+/// serving loop ([`Engine::serve`](crate::serve)) instead reads the wall
+/// clock, so a disk that recovers *while a query is in flight* is
+/// observed by the retry loop.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum ProbeClock {
+    /// Time is wherever the query's arrival says it is; backoff never
+    /// waits.
+    Arrival,
+    /// Wall time since the serve epoch; backoff sleeps, capped at the
+    /// query's deadline.
+    Wall(Instant),
 }
 
-/// The batch-mode clock: time is wherever the query's arrival says it is.
-pub(crate) struct ArrivalClock;
+impl ProbeClock {
+    /// Wall time since the epoch, or `None` on simulated time.
+    fn wall_now(self) -> Option<Micros> {
+        match self {
+            ProbeClock::Arrival => None,
+            ProbeClock::Wall(epoch) => {
+                Some(Micros::from_micros(epoch.elapsed().as_micros() as u64))
+            }
+        }
+    }
 
-impl ProbeClock for ArrivalClock {
-    fn now(&self, arrival: Micros) -> Micros {
-        arrival
+    /// The current time as seen by a query that arrived at `arrival`.
+    fn now(self, arrival: Micros) -> Micros {
+        self.wall_now().unwrap_or(arrival)
+    }
+
+    /// Blocks until `t`, but never past `deadline` (wall clock only).
+    fn wait_until(self, t: Micros, deadline: Option<Micros>) {
+        if let Some(now) = self.wall_now() {
+            let cap = deadline.map_or(t, |d| t.min(d));
+            if cap > now {
+                std::thread::sleep(Duration::from_micros((cap - now).as_micros()));
+            }
+        }
     }
 }
 
@@ -172,8 +223,20 @@ impl EngineStats {
             0.0
         }
     }
-}
 
+    /// Adds the per-query counters of a shard tally.
+    fn add_counts(&mut self, other: &EngineStats) {
+        self.queries += other.queries;
+        self.errors += other.errors;
+        self.retries += other.retries;
+        self.degraded_solves += other.degraded_solves;
+        self.dropped_buckets += other.dropped_buckets;
+        self.shard_failures += other.shard_failures;
+        self.fused_batches += other.fused_batches;
+        self.fused_queries += other.fused_queries;
+        self.solve_stats.accumulate(&other.solve_stats);
+    }
+}
 /// A point-in-time snapshot of an [`Engine`]'s observability state:
 /// aggregate counters, quantile summaries of the latency histograms, the
 /// histograms themselves, and per-kind trace-event totals.
@@ -198,7 +261,7 @@ pub struct MetricsSnapshot {
     /// The underlying histograms.
     pub histograms: EngineMetrics,
     /// Trace-event totals by [`EventKind`] (all zeros unless tracing was
-    /// enabled with [`Engine::with_tracing`]).
+    /// enabled with [`EngineBuilder::tracing`]).
     pub trace_counts: [u64; EventKind::COUNT],
 }
 
@@ -311,54 +374,37 @@ pub struct EngineMetrics {
     pub turnaround_us: Histogram,
 }
 
-/// Counters and histograms a shard reports back from one batch run.
-#[derive(Debug, Default, Clone)]
-pub(crate) struct ShardTally {
-    pub(crate) retries: u64,
-    pub(crate) degraded_solves: u64,
-    pub(crate) dropped_buckets: u64,
-    pub(crate) shard_failures: u64,
-    pub(crate) fused_batches: u64,
-    pub(crate) fused_queries: u64,
-    pub(crate) metrics: EngineMetrics,
+impl EngineMetrics {
+    fn merge(&mut self, other: &EngineMetrics) {
+        self.solve_latency_us.merge(&other.solve_latency_us);
+        self.probes_per_solve.merge(&other.probes_per_solve);
+        self.turnaround_us.merge(&other.turnaround_us);
+    }
 }
 
-impl ShardTally {
-    pub(crate) fn accumulate(&self, stats: &mut EngineStats, metrics: &mut EngineMetrics) {
-        stats.retries += self.retries;
-        stats.degraded_solves += self.degraded_solves;
-        stats.dropped_buckets += self.dropped_buckets;
-        stats.shard_failures += self.shard_failures;
-        stats.fused_batches += self.fused_batches;
-        stats.fused_queries += self.fused_queries;
-        metrics
-            .solve_latency_us
-            .merge(&self.metrics.solve_latency_us);
-        metrics
-            .probes_per_solve
-            .merge(&self.metrics.probes_per_solve);
-        metrics.turnaround_us.merge(&self.metrics.turnaround_us);
-    }
+/// What a shard's drains counted since the last epilogue. Only
+/// [`Shard::finish`] writes it (and a fused drain its two fused counts);
+/// [`Engine::absorb_tallies`] folds it into the engine counters, and the
+/// serving loop also into its run's [`ServeStats`](crate::serve::ServeStats).
+#[derive(Debug, Default)]
+pub(crate) struct Tally {
+    /// Per-query engine counters (`batches`, `elapsed`,
+    /// `workspace_solves` and `reuse` are set by the epilogue instead).
+    pub(crate) stats: EngineStats,
+    pub(crate) metrics: EngineMetrics,
+    /// Present while a serve run lasts (batches leave it out, so their
+    /// epilogue stays cheap).
+    pub(crate) serve: Option<Box<ServeTally>>,
+}
 
-    /// Folds a per-lane tally into this shard-level one (used by the
-    /// fused drain, which tallies each lane privately and merges in
-    /// deterministic group order).
-    pub(crate) fn merge(&mut self, other: &ShardTally) {
-        self.retries += other.retries;
-        self.degraded_solves += other.degraded_solves;
-        self.dropped_buckets += other.dropped_buckets;
-        self.shard_failures += other.shard_failures;
-        self.fused_batches += other.fused_batches;
-        self.fused_queries += other.fused_queries;
-        self.metrics
-            .solve_latency_us
-            .merge(&other.metrics.solve_latency_us);
-        self.metrics
-            .probes_per_solve
-            .merge(&other.metrics.probes_per_solve);
-        self.metrics
-            .turnaround_us
-            .merge(&other.metrics.turnaround_us);
+impl Tally {
+    fn merge(&mut self, other: Tally) {
+        self.stats.add_counts(&other.stats);
+        self.metrics.merge(&other.metrics);
+        match (&mut self.serve, other.serve) {
+            (Some(into), Some(from)) => into.merge(&from),
+            (into, from) => *into = into.take().or(from),
+        }
     }
 }
 
@@ -366,8 +412,12 @@ impl ShardTally {
 /// of the streams this shard owns.
 #[derive(Debug, Default)]
 pub(crate) struct Shard {
+    /// This shard's index (`stream % num_shards`).
+    pub(crate) index: usize,
     pub(crate) workspace: Workspace,
-    pub(crate) states: HashMap<usize, SessionState>,
+    /// Stream states; `None` after a contained panic discarded one (the
+    /// stream restarts fresh on its next query).
+    pub(crate) states: HashMap<usize, Option<SessionState>>,
     /// Scratch health map, refreshed per query from the fault schedule.
     health: HealthMap,
     /// Finished [`crate::obs::span::QuerySpan`]s from the serving loop
@@ -380,6 +430,7 @@ pub(crate) struct Shard {
     /// state never allocates a new lane once the list has grown to the
     /// batch's group count.
     pub(crate) lanes: Vec<FusedLane>,
+    pub(crate) tally: Tally,
 }
 
 /// One detached solve lane of the fused batch path: a private
@@ -394,230 +445,370 @@ pub(crate) struct FusedLane {
     pub(crate) health: HealthMap,
 }
 
-/// Engine-wide fault handling knobs, shared read-only by every shard.
-pub(crate) struct FaultConfig<'f> {
-    pub(crate) injector: Option<&'f FaultInjector>,
-    pub(crate) retry: RetryPolicy,
-    pub(crate) degraded: bool,
-}
-
-/// Read-only context shared by every shard for the duration of one batch.
-pub(crate) struct BatchCtx<'c, A: ?Sized, S: ?Sized> {
+/// Read-only context shared by every shard for the duration of one
+/// `submit_batch` or `serve` call.
+pub(crate) struct DrainCtx<'c, A: ?Sized, S: ?Sized> {
     pub(crate) system: &'c SystemConfig,
     pub(crate) alloc: &'c A,
     pub(crate) solver: &'c S,
-    pub(crate) faults: FaultConfig<'c>,
+    pub(crate) injector: Option<&'c FaultInjector>,
+    pub(crate) retry: RetryPolicy,
+    pub(crate) degraded: bool,
     pub(crate) reuse: ReusePolicy,
     pub(crate) objective: ScheduleObjective,
+    /// The engine budget, armed before every solve (tightened to the
+    /// deadline under the wall clock).
+    pub(crate) budget: SolveBudget,
+    /// The pool fused drains run their groups on; `None` unless
+    /// [`SolverSpec::batch_fuse`] is on.
+    pub(crate) fuse: Option<&'c WorkerPool>,
+    pub(crate) clock: ProbeClock,
 }
 
-/// One shard's batch output: its tally plus `(original_index, result)`
-/// pairs for the queries it owned.
-type ShardOutput = (
-    ShardTally,
-    Vec<(usize, Result<SessionOutcome, EngineError>)>,
-);
+/// Where a drain delivers each item's reply.
+pub(crate) enum Replies<'r> {
+    /// `submit_batch`: results are pushed in item order.
+    Slots(&'r mut Vec<Result<SessionOutcome, EngineError>>),
+    /// The serving loop: one channel send per item, settling the
+    /// admission at the item's position.
+    Channel {
+        tx: &'r mpsc::Sender<ServeResponse>,
+        admissions: &'r [Admission],
+        record_spans: bool,
+    },
+}
 
-impl Shard {
-    /// Runs this shard's queries (given by index into `queries`) in input
-    /// order, appending `(original_index, result)` pairs to `out`.
-    fn run<A: ReplicaSource + ?Sized, S: RetrievalSolver + ?Sized>(
-        &mut self,
-        shard_idx: usize,
-        ctx: &BatchCtx<'_, A, S>,
-        queries: &[BatchQuery],
-        indices: &[usize],
-        out: &mut Vec<(usize, Result<SessionOutcome, EngineError>)>,
-    ) -> ShardTally {
-        let mut tally = ShardTally::default();
-        self.workspace.tracer.emit(TraceEvent::ShardBatch {
-            shard: shard_idx as u32,
-            queries: indices.len() as u32,
-        });
-        for &i in indices {
-            let q = &queries[i];
-            // Contain panics to the query that hit them: the poisoned
-            // stream's state is dropped (fresh clock on its next query),
-            // everything else in the batch proceeds.
-            let started = std::time::Instant::now();
-            let caught = catch_unwind(AssertUnwindSafe(|| {
-                self.run_one(ctx, q, &ArrivalClock, &mut tally)
-            }));
-            match caught {
-                Ok(result) => {
-                    tally
-                        .metrics
-                        .solve_latency_us
-                        .record(started.elapsed().as_micros() as u64);
-                    if let Ok(o) = &result {
-                        tally
-                            .metrics
-                            .probes_per_solve
-                            .record(o.outcome.stats.probes);
-                        tally
-                            .metrics
-                            .turnaround_us
-                            .record((o.completion - o.arrival).as_micros());
-                    }
-                    out.push((i, result));
-                }
-                Err(_) => {
-                    self.states.remove(&q.stream);
-                    tally.shard_failures += 1;
-                    out.push((i, Err(EngineError::ShardFailed { shard: shard_idx })));
-                }
-            }
+impl<'r> Replies<'r> {
+    fn admissions(&self) -> &'r [Admission] {
+        match self {
+            Replies::Slots(_) => &[],
+            Replies::Channel { admissions, .. } => admissions,
         }
-        tally
     }
 
-    /// Solves one query under the health in force at its arrival, with
-    /// bounded replanning and an optional degraded fallback.
-    ///
-    /// `clock` decides *when* the fault schedule is probed: batch runs use
-    /// [`ArrivalClock`] (pure simulated time — deterministic), the serving
-    /// loop passes its real clock so mid-flight health transitions are
-    /// seen by the retry loop.
-    pub(crate) fn run_one<A: ReplicaSource + ?Sized, S: RetrievalSolver + ?Sized>(
-        &mut self,
-        ctx: &BatchCtx<'_, A, S>,
-        q: &BatchQuery,
-        clock: &dyn ProbeClock,
-        tally: &mut ShardTally,
-    ) -> Result<SessionOutcome, EngineError> {
-        let state = self
-            .states
-            .entry(q.stream)
-            .or_insert_with(|| new_stream_state(ctx));
-        run_one_core(
-            ctx,
-            q,
-            state,
-            &mut self.workspace,
-            &mut self.health,
-            clock,
-            tally,
+    fn record_spans(&self) -> bool {
+        matches!(
+            self,
+            Replies::Channel {
+                record_spans: true,
+                ..
+            }
         )
     }
+}
 
-    /// Drains this shard's queries through the fused path: queries are
-    /// grouped by stream (preserving input order within a group — streams
-    /// are load-coupled through `busy_until`, so only *distinct* streams
-    /// are independent), each group runs serially on its own checked-out
-    /// [`FusedLane`], and the groups execute concurrently as one task
-    /// batch on the shared `pool`. Results and tallies are merged in
-    /// deterministic group order, so the output is bit-identical to the
-    /// serial [`Shard::run`].
-    ///
-    /// Falls back to the serial path when fewer than two stream groups
-    /// exist — there is nothing to fuse.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_fused<
+/// One drained item as the three steps see it.
+#[derive(Clone, Copy)]
+struct Item<'q> {
+    shard: usize,
+    query: &'q BatchQuery,
+    /// The admission a served item settles (`None` in a batch).
+    admission: Option<&'q Admission>,
+    /// Size of the drain the item belongs to.
+    batch_len: usize,
+}
+
+/// Replanning work one query did.
+#[derive(Clone, Copy, Debug, Default)]
+struct Replans {
+    retries: u64,
+    degraded_solves: u64,
+    dropped_buckets: u64,
+}
+
+/// What execute hands to finish: everything finish needs, so lanes
+/// carry no tally.
+struct Executed {
+    result: Result<SessionOutcome, EngineError>,
+    panicked: bool,
+    solve_us: u64,
+    queued: Micros,
+    replans: Replans,
+    span: Option<QuerySpan>,
+}
+
+impl Shard {
+    /// Drains `items` in order, delivering one reply per item to
+    /// `replies`. With a fuse pool in `ctx` and at least two streams in
+    /// the drain, the streams run concurrently on pool lanes; otherwise
+    /// the items run as one group on the shard workspace, each finished
+    /// as soon as it executes.
+    pub(crate) fn drain<A, S, Q>(
+        &mut self,
+        ctx: &DrainCtx<'_, A, S>,
+        items: &[Q],
+        replies: &mut Replies<'_>,
+    ) where
         A: ReplicaSource + Sync + ?Sized,
         S: RetrievalSolver + Sync + ?Sized,
-    >(
-        &mut self,
-        shard_idx: usize,
-        ctx: &BatchCtx<'_, A, S>,
-        queries: &[BatchQuery],
-        indices: &[usize],
-        pool: &WorkerPool,
-        lane_layout: ArenaLayout,
-        budget: SolveBudget,
-        out: &mut Vec<(usize, Result<SessionOutcome, EngineError>)>,
-    ) -> ShardTally {
-        // Group by stream, preserving both group discovery order and
-        // intra-group query order.
-        let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-        let mut group_of: HashMap<usize, usize> = HashMap::new();
-        for &i in indices {
-            let stream = queries[i].stream;
-            let g = *group_of.entry(stream).or_insert_with(|| {
-                groups.push((stream, Vec::new()));
-                groups.len() - 1
-            });
-            groups[g].1.push(i);
-        }
-        if groups.len() < 2 {
-            return self.run(shard_idx, ctx, queries, indices, out);
-        }
-
-        let mut tally = ShardTally {
-            fused_batches: 1,
-            fused_queries: indices.len() as u64,
-            ..ShardTally::default()
-        };
+        Q: Borrow<BatchQuery> + Sync,
+    {
         self.workspace.tracer.emit(TraceEvent::ShardBatch {
-            shard: shard_idx as u32,
-            queries: indices.len() as u32,
+            shard: self.index as u32,
+            queries: items.len() as u32,
         });
-        self.ensure_lanes(groups.len(), lane_layout, budget);
-
-        // Move each group's stream state out of the shard map for the
-        // duration of the drain (a stream lives in exactly one group).
-        let mut lane_states: Vec<Option<SessionState>> = groups
-            .iter()
-            .map(|(stream, _)| self.states.remove(stream))
-            .collect();
-        let mut lane_tallies: Vec<ShardTally> =
-            groups.iter().map(|_| ShardTally::default()).collect();
-        let mut lane_outs: Vec<Vec<(usize, Result<SessionOutcome, EngineError>)>> = groups
-            .iter()
-            .map(|(_, g)| Vec::with_capacity(g.len()))
-            .collect();
-
-        {
-            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = self.lanes[..groups.len()]
-                .iter_mut()
-                .zip(lane_states.iter_mut())
-                .zip(lane_tallies.iter_mut())
-                .zip(lane_outs.iter_mut())
-                .zip(groups.iter())
-                .map(|((((lane, state), lane_tally), lane_out), (_, group))| {
-                    Box::new(move || {
-                        run_lane(
-                            shard_idx, ctx, queries, group, lane, state, lane_tally, lane_out,
-                        )
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            pool.run_tasks(tasks);
-        }
-
-        // Deterministic merge in group order: states back into the map,
-        // per-lane tallies and results into the shard-level output.
-        for ((stream, _), state) in groups.iter().zip(lane_states) {
-            if let Some(state) = state {
-                self.states.insert(*stream, state);
+        if let Some(pool) = ctx.fuse {
+            // Group positions by stream: discovery order across groups,
+            // drain order within one.
+            let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
+            let mut group_at: Vec<usize> = Vec::with_capacity(items.len());
+            let mut group_of: HashMap<usize, usize> = HashMap::new();
+            for (pos, item) in items.iter().enumerate() {
+                let stream = item.borrow().stream;
+                let g = *group_of.entry(stream).or_insert_with(|| {
+                    groups.push((stream, Vec::new()));
+                    groups.len() - 1
+                });
+                groups[g].1.push(pos);
+                group_at.push(g);
+            }
+            if groups.len() >= 2 {
+                return self.drain_fused(ctx, pool, items, &groups, &group_at, replies);
             }
         }
-        for lane_tally in &lane_tallies {
-            tally.merge(lane_tally);
+        let admissions = replies.admissions();
+        let record = replies.record_spans();
+        for (pos, q) in items.iter().enumerate() {
+            let item = Item {
+                shard: self.index,
+                query: q.borrow(),
+                admission: admissions.get(pos),
+                batch_len: items.len(),
+            };
+            let span = record.then(|| self.prepare(item));
+            let state = self.states.entry(item.query.stream).or_default();
+            let done = execute(
+                ctx,
+                item,
+                &mut self.workspace,
+                &mut self.health,
+                state,
+                span,
+            );
+            self.finish(ctx, item, done, replies);
         }
-        for lane_out in lane_outs {
-            out.extend(lane_out);
-        }
-        self.absorb_lane_traces(groups.len());
-        tally
     }
 
-    /// Grows the lane free list to `n` and re-arms the first `n` lanes
-    /// with the engine budget. Lanes inherit the shard's arena layout and
-    /// run with plane sharing on; when the shard workspace has a trace
-    /// recorder, each lane gets a small private one so per-kind counts
-    /// stay exact (folded back by [`Shard::absorb_lane_traces`]).
-    pub(crate) fn ensure_lanes(&mut self, n: usize, layout: ArenaLayout, budget: SolveBudget) {
-        let record = self.workspace.recorder().is_some();
+    /// The fused drain shape: each stream group (`groups`: stream and
+    /// positions; `group_at`: group of each position) runs serially on
+    /// its own checked-out [`FusedLane`], the groups run as one task
+    /// batch on `pool`, and items finish in drain order afterwards — so
+    /// the replies are bit-identical to a one-group drain.
+    fn drain_fused<A, S, Q>(
+        &mut self,
+        ctx: &DrainCtx<'_, A, S>,
+        pool: &WorkerPool,
+        items: &[Q],
+        groups: &[(usize, Vec<usize>)],
+        group_at: &[usize],
+        replies: &mut Replies<'_>,
+    ) where
+        A: ReplicaSource + Sync + ?Sized,
+        S: RetrievalSolver + Sync + ?Sized,
+        Q: Borrow<BatchQuery> + Sync,
+    {
+        let admissions = replies.admissions();
+        let record = replies.record_spans();
+        let shard = self.index;
+        let item = move |pos: usize| Item {
+            shard,
+            query: items[pos].borrow(),
+            admission: admissions.get(pos),
+            batch_len: items.len(),
+        };
+        self.tally.stats.fused_batches += 1;
+        self.tally.stats.fused_queries += items.len() as u64;
+        let spans: Vec<Vec<QuerySpan>> = groups
+            .iter()
+            .map(|(_, group)| {
+                if record {
+                    group.iter().map(|&pos| self.prepare(item(pos))).collect()
+                } else {
+                    Vec::new()
+                }
+            })
+            .collect();
+        self.ensure_lanes(groups.len());
+        // Each stream's state moves onto its lane for the drain.
+        let mut states: Vec<Option<SessionState>> = groups
+            .iter()
+            .map(|(stream, _)| self.states.remove(stream).flatten())
+            .collect();
+        let mut done: Vec<Vec<Executed>> = groups
+            .iter()
+            .map(|(_, group)| Vec::with_capacity(group.len()))
+            .collect();
+        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = self.lanes[..groups.len()]
+            .iter_mut()
+            .zip(&mut states)
+            .zip(spans)
+            .zip(&mut done)
+            .zip(groups)
+            .map(|((((lane, state), spans), done), (_, group))| {
+                Box::new(move || {
+                    let FusedLane { workspace, health } = lane;
+                    let mut spans = spans.into_iter();
+                    for &pos in group {
+                        let span = spans.next();
+                        done.push(execute(ctx, item(pos), workspace, health, state, span));
+                    }
+                }) as Box<dyn FnOnce() + Send + '_>
+            })
+            .collect();
+        pool.run_tasks(tasks);
+
+        for ((stream, _), state) in groups.iter().zip(states) {
+            self.states.insert(*stream, state);
+        }
+        self.absorb_lane_traces(groups.len());
+        // A group's items executed in drain order, so the next item of
+        // each position's group is that position's.
+        let mut done: Vec<_> = done.into_iter().map(Vec::into_iter).collect();
+        for (pos, &g) in group_at.iter().enumerate() {
+            let executed = done[g].next().expect("every item ran on its group's lane");
+            self.finish(ctx, item(pos), executed, replies);
+        }
+    }
+
+    /// Prepare: checks out a served item's span shell from the shard's
+    /// flight recorder (only runs that record spans prepare one).
+    fn prepare(&mut self, item: Item<'_>) -> QuerySpan {
+        let a = item
+            .admission
+            .expect("spans are recorded only for served items");
+        let mut span = self.recorder.checkout();
+        span.id = SpanId(a.ticket.0);
+        span.stream = item.query.stream;
+        span.shard = item.shard;
+        span.class = a.class as usize;
+        span.arrival = item.query.arrival;
+        span.record(
+            PhaseKind::Admitted,
+            0,
+            item.query.arrival.as_micros(),
+            a.class as u64,
+        );
+        span
+    }
+
+    /// Finish: the one place that counts an item, retires its span,
+    /// charges the SLO and delivers its reply.
+    fn finish<A: ?Sized, S: ?Sized>(
+        &mut self,
+        ctx: &DrainCtx<'_, A, S>,
+        item: Item<'_>,
+        done: Executed,
+        replies: &mut Replies<'_>,
+    ) {
+        let t = &mut self.tally;
+        t.stats.queries += 1;
+        t.stats.retries += done.replans.retries;
+        t.stats.degraded_solves += done.replans.degraded_solves;
+        t.stats.dropped_buckets += done.replans.dropped_buckets;
+        t.stats.shard_failures += done.panicked as u64;
+        t.metrics.solve_latency_us.record(done.solve_us);
+        match &done.result {
+            Ok(out) => {
+                t.stats.solve_stats.accumulate(&out.outcome.stats);
+                t.metrics.probes_per_solve.record(out.outcome.stats.probes);
+                t.metrics
+                    .turnaround_us
+                    .record((out.completion - out.arrival).as_micros());
+            }
+            Err(_) => t.stats.errors += 1,
+        }
+        let tx = match replies {
+            Replies::Slots(out) => {
+                out.push(done.result);
+                return;
+            }
+            Replies::Channel { tx, .. } => *tx,
+        };
+        let a = item
+            .admission
+            .expect("every served item carries its admission");
+
+        // Simulated time stamps completions from the outcome; the wall
+        // clock reads once here.
+        let wall_now = ctx.clock.wall_now();
+        let deadline_missed = match (&done.result, a.deadline) {
+            (Ok(out), Some(d)) => wall_now.unwrap_or(out.completion) > d,
+            _ => false,
+        };
+        let turnaround = match (&done.result, wall_now) {
+            (_, Some(_)) => Micros::from_micros(a.enqueued.elapsed().as_micros() as u64),
+            (Ok(out), None) => out.completion.saturating_sub(out.arrival),
+            (Err(_), None) => Micros::ZERO,
+        };
+        let completion = match &done.result {
+            Ok(out) => out.completion,
+            Err(_) => wall_now.unwrap_or(item.query.arrival),
+        };
+        // The recorder decides retention (triggered spans always kept,
+        // healthy ones head-sampled).
+        if let Some(mut span) = done.span {
+            span.turnaround_us = turnaround.as_micros();
+            span.deadline_missed = deadline_missed;
+            span.completion = completion;
+            match &done.result {
+                Ok(_) => {
+                    span.outcome = SpanOutcome::Resolved;
+                    span.record(PhaseKind::Reply, done.solve_us, deadline_missed as u64, 0);
+                }
+                Err(_) => {
+                    span.outcome = SpanOutcome::Failed;
+                    span.record(PhaseKind::Failed, done.solve_us, 0, 0);
+                }
+            }
+            self.recorder.retire(span);
+        }
+        let serve = t
+            .serve
+            .as_deref_mut()
+            .expect("a serve run gives every shard a serve tally");
+        let slo_now = wall_now.unwrap_or(completion);
+        match &done.result {
+            Ok(_) => serve.slo.record_response(a.class, slo_now, turnaround),
+            Err(_) => serve.slo.record_unavailable(a.class, slo_now),
+        }
+        let cs = &mut serve.classes[a.class as usize];
+        cs.completed += 1;
+        cs.queue_wait_us.record(done.queued.as_micros());
+        cs.turnaround_us.record(turnaround.as_micros());
+        if deadline_missed {
+            cs.deadline_misses += 1;
+            serve.deadline_misses += 1;
+        }
+        // The receiver lives in the ServeHandle, which outlives the
+        // workers, so a send failure is unreachable; ignoring it keeps the
+        // drain unstoppable.
+        let _ = tx.send(ServeResponse {
+            ticket: a.ticket,
+            stream: item.query.stream,
+            class: a.class,
+            result: done.result.map_err(ServeError::from),
+            queued: done.queued,
+            deadline_missed,
+        });
+    }
+
+    /// Grows the lane free list to `n`. Lanes inherit the shard's arena
+    /// layout and run with plane sharing on; when the shard workspace has
+    /// a trace recorder, each lane gets a small private one so per-kind
+    /// counts stay exact (folded back by [`Shard::absorb_lane_traces`]).
+    fn ensure_lanes(&mut self, n: usize) {
         while self.lanes.len() < n {
             let mut lane = FusedLane::default();
-            lane.workspace.set_arena_layout(layout);
+            lane.workspace
+                .set_arena_layout(self.workspace.arena_layout());
             lane.workspace.set_plane_sharing(true);
             self.lanes.push(lane);
         }
-        for lane in &mut self.lanes[..n] {
-            lane.workspace.arm_budget(budget);
-            if record && lane.workspace.recorder().is_none() {
-                lane.workspace.install_recorder(64);
+        if self.workspace.recorder().is_some() {
+            for lane in &mut self.lanes[..n] {
+                if lane.workspace.recorder().is_none() {
+                    lane.workspace.install_recorder(64);
+                }
             }
         }
     }
@@ -625,16 +816,13 @@ impl Shard {
     /// Folds the first `n` lanes' trace counts into the shard recorder so
     /// per-kind totals (e.g. plane checkouts) survive with tracing on;
     /// ring contents stay per-lane (cross-lane event order is undefined).
-    pub(crate) fn absorb_lane_traces(&mut self, n: usize) {
-        let n = n.min(self.lanes.len());
+    fn absorb_lane_traces(&mut self, n: usize) {
         let Some(rec) = self.workspace.recorder_mut() else {
             return;
         };
         for lane in &mut self.lanes[..n] {
-            if let Some(lane_rec) = lane.workspace.recorder() {
-                rec.absorb_counts(lane_rec);
-            }
             if let Some(lane_rec) = lane.workspace.recorder_mut() {
+                rec.absorb_counts(lane_rec);
                 lane_rec.clear();
             }
         }
@@ -643,87 +831,110 @@ impl Shard {
 
 /// Creates the session state for a stream's first query under `ctx`'s
 /// policies.
-pub(crate) fn new_stream_state<A: ?Sized, S: ?Sized>(ctx: &BatchCtx<'_, A, S>) -> SessionState {
+fn new_stream_state<A: ?Sized, S: ?Sized>(ctx: &DrainCtx<'_, A, S>) -> SessionState {
     let mut s = SessionState::with_reuse(ctx.system.num_disks(), ctx.reuse);
     s.set_objective(ctx.objective);
     s
 }
 
-/// Runs one stream group serially on its checked-out lane: the fused
-/// counterpart of the loop body in [`Shard::run`], with identical panic
-/// containment (the poisoned stream restarts fresh on its next query;
-/// batchmates proceed).
-#[allow(clippy::too_many_arguments)]
-fn run_lane<A: ReplicaSource + ?Sized, S: RetrievalSolver + ?Sized>(
-    shard_idx: usize,
-    ctx: &BatchCtx<'_, A, S>,
-    queries: &[BatchQuery],
-    group: &[usize],
-    lane: &mut FusedLane,
+/// The engine's only unwind guard: execute runs each solve, and drops
+/// each panic payload, under it.
+fn guard<R>(f: impl FnOnce() -> R) -> std::thread::Result<R> {
+    catch_unwind(AssertUnwindSafe(f))
+}
+
+/// Execute: solves one item for `state` on the given workspace and
+/// health scratch — the shard's own or a fused lane's — under the single
+/// containment point. Queue wait and the deadline budget are read here,
+/// as the item's own solve starts.
+fn execute<A: ReplicaSource + ?Sized, S: RetrievalSolver + ?Sized>(
+    ctx: &DrainCtx<'_, A, S>,
+    item: Item<'_>,
+    workspace: &mut Workspace,
+    health: &mut HealthMap,
     state: &mut Option<SessionState>,
-    tally: &mut ShardTally,
-    out: &mut Vec<(usize, Result<SessionOutcome, EngineError>)>,
-) {
-    for &i in group {
-        let q = &queries[i];
-        let started = std::time::Instant::now();
-        let st = state.get_or_insert_with(|| new_stream_state(ctx));
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            run_one_core(
-                ctx,
-                q,
-                st,
-                &mut lane.workspace,
-                &mut lane.health,
-                &ArrivalClock,
-                tally,
-            )
-        }));
-        match caught {
-            Ok(result) => {
-                tally
-                    .metrics
-                    .solve_latency_us
-                    .record(started.elapsed().as_micros() as u64);
-                if let Ok(o) = &result {
-                    tally
-                        .metrics
-                        .probes_per_solve
-                        .record(o.outcome.stats.probes);
-                    tally
-                        .metrics
-                        .turnaround_us
-                        .record((o.completion - o.arrival).as_micros());
-                }
-                out.push((i, result));
-            }
-            Err(_) => {
-                *state = None;
-                tally.shard_failures += 1;
-                out.push((i, Err(EngineError::ShardFailed { shard: shard_idx })));
-            }
+    span: Option<QuerySpan>,
+) -> Executed {
+    let q = item.query;
+    let deadline = item.admission.and_then(|a| a.deadline);
+    // On the wall clock a solve may use at most the time left until its
+    // SLA deadline (on top of the engine budget). Simulated time defines
+    // queue wait as zero and keeps the engine budget, so results stay
+    // deterministic.
+    let mut budget = ctx.budget;
+    let mut queued = Micros::ZERO;
+    if let (ProbeClock::Wall(_), Some(a)) = (ctx.clock, item.admission) {
+        queued = Micros::from_micros(a.enqueued.elapsed().as_micros() as u64);
+        if let Some(d) = deadline {
+            let now = ctx.clock.now(q.arrival);
+            let remaining = Duration::from_micros(d.saturating_sub(now).as_micros());
+            budget.wall_clock = Some(budget.wall_clock.map_or(remaining, |b| b.min(remaining)));
         }
+    }
+    workspace.arm_budget(budget);
+    // The armed span collects the solve's bridged trace events (probes,
+    // cache hits, delta patches, budget expiry, …) on its timeline.
+    if let Some(mut span) = span {
+        span.queued_us = queued.as_micros();
+        span.record(
+            PhaseKind::Coalesced,
+            0,
+            item.batch_len as u64,
+            queued.as_micros(),
+        );
+        workspace.tracer.arm_span(span);
+    }
+
+    let mut replans = Replans::default();
+    let started = Instant::now();
+    let caught = guard(|| {
+        let st = state.get_or_insert_with(|| new_stream_state(ctx));
+        run_one_core(ctx, q, st, workspace, health, deadline, &mut replans)
+    });
+    let solve_us = started.elapsed().as_micros() as u64;
+    let (result, panicked) = match caught {
+        Ok(result) => (result, false),
+        Err(payload) => {
+            // A payload whose own `Drop` panics would unwind out of the
+            // drain: drop it under the guard too, and leak whatever that
+            // second panic carries.
+            if let Err(second) = guard(move || drop(payload)) {
+                std::mem::forget(second);
+            }
+            // The poisoned stream restarts fresh on its next query; the
+            // workspace is reclaimed; drain-mates proceed.
+            *state = None;
+            let _ = workspace.take_poisoned();
+            (Err(EngineError::ShardFailed { shard: item.shard }), true)
+        }
+    };
+    Executed {
+        result,
+        panicked,
+        solve_us,
+        queued,
+        replans,
+        span: workspace.tracer.disarm_span(),
     }
 }
 
-/// Solves one query for `state` on the given workspace/health scratch —
-/// the shared core of the serial per-shard path ([`Shard::run_one`]) and
-/// the fused lane path ([`run_lane`]).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_one_core<A: ReplicaSource + ?Sized, S: RetrievalSolver + ?Sized>(
-    ctx: &BatchCtx<'_, A, S>,
+/// Solves one query under the health in force at its arrival, with
+/// bounded replanning and an optional degraded fallback. `ctx.clock`
+/// decides *when* the fault schedule is probed: simulated time is
+/// deterministic, the wall clock sees mid-flight health transitions.
+fn run_one_core<A: ReplicaSource + ?Sized, S: RetrievalSolver + ?Sized>(
+    ctx: &DrainCtx<'_, A, S>,
     q: &BatchQuery,
     state: &mut SessionState,
     workspace: &mut Workspace,
     health: &mut HealthMap,
-    clock: &dyn ProbeClock,
-    tally: &mut ShardTally,
+    deadline: Option<Micros>,
+    replans: &mut Replans,
 ) -> Result<SessionOutcome, EngineError> {
-    let faults = &ctx.faults;
-    if let Some(inj) = faults.injector {
+    if let Some(inj) = ctx.injector {
         // On a real clock a query observed later than it arrived sees
         // the *current* health, not the health at arrival.
-        inj.health_at(clock.now(q.arrival).max(q.arrival), health);
+        inj.health_at(ctx.clock.now(q.arrival).max(q.arrival), health);
     } else {
         health.reset();
     }
@@ -746,24 +957,24 @@ pub(crate) fn run_one_core<A: ReplicaSource + ?Sized, S: RetrievalSolver + ?Size
     // and re-solve whenever the health actually changed. Only
     // infeasibility is retryable — it is the one error a recovered
     // disk can cure.
-    if let Some(inj) = faults.injector {
+    if let Some(inj) = ctx.injector {
         let mut attempt = 0u32;
-        while attempt < faults.retry.max_retries && is_infeasible(&result) {
+        while attempt < ctx.retry.max_retries && is_infeasible(&result) {
             attempt += 1;
             // Probe at the scheduled backoff step or the current real
-            // time, whichever is later. Virtual clocks never wait and
-            // report `arrival`, so batch behavior is unchanged; the
-            // serving loop's real clock sleeps out the backoff (capped
-            // by the query deadline) and sees mid-flight recoveries.
-            let target = q.arrival + faults.retry.backoff * attempt as u64;
-            clock.wait_until(target);
-            let probe = target.max(clock.now(q.arrival));
+            // time, whichever is later. Simulated time never waits and
+            // reports `arrival`; the wall clock sleeps out the backoff
+            // (capped by the query deadline) and sees mid-flight
+            // recoveries.
+            let target = q.arrival + ctx.retry.backoff * attempt as u64;
+            ctx.clock.wait_until(target, deadline);
+            let probe = target.max(ctx.clock.now(q.arrival));
             let before = health.fingerprint();
             inj.health_at(probe, health);
             if health.fingerprint() == before {
                 continue;
             }
-            tally.retries += 1;
+            replans.retries += 1;
             state.observed_health_fp = health.fingerprint();
             workspace
                 .tracer
@@ -775,13 +986,13 @@ pub(crate) fn run_one_core<A: ReplicaSource + ?Sized, S: RetrievalSolver + ?Size
     }
 
     // Last resort in degraded mode: serve what still has a replica.
-    if faults.degraded && is_infeasible(&result) {
+    if ctx.degraded && is_infeasible(&result) {
         result = state.submit_degraded_with(
             ctx.system, ctx.alloc, ctx.solver, workspace, q.arrival, &q.buckets, health,
         );
         if let Ok(o) = &result {
-            tally.degraded_solves += 1;
-            tally.dropped_buckets += o.unservable.len() as u64;
+            replans.degraded_solves += 1;
+            replans.dropped_buckets += o.unservable.len() as u64;
         }
     }
 
@@ -795,7 +1006,7 @@ fn is_infeasible(result: &Result<SessionOutcome, SessionError>) -> bool {
     )
 }
 
-/// A batch front-end that shards independent query streams across worker
+/// A front-end that shards independent query streams across worker
 /// threads, each with a persistent [`Workspace`] and per-stream
 /// [`SessionState`]s.
 pub struct Engine<'a, A: ReplicaSource + Sync, S: RetrievalSolver + Sync> {
@@ -818,14 +1029,10 @@ pub struct Engine<'a, A: ReplicaSource + Sync, S: RetrievalSolver + Sync> {
     /// The shared worker pool, when one exists (parallel solver kind
     /// and/or fused batch drains).
     pub(crate) pool: Option<WorkerPool>,
-    /// Whether batch drains take the fused path (see
+    /// Whether drains take the fused path (see
     /// [`SolverSpec::batch_fuse`]). Requires `pool`.
     pub(crate) batch_fuse: bool,
-    /// Arena layout fused lanes are configured with (mirrors the shard
-    /// workspaces).
-    pub(crate) lane_layout: ArenaLayout,
 }
-
 /// Step-by-step construction of an [`Engine`] around a [`SolverSpec`] —
 /// the unified alternative to threading a concrete solver type through
 /// [`Engine::new`]:
@@ -900,14 +1107,20 @@ impl<'a, A: ReplicaSource + Sync> EngineBuilder<'a, A> {
         self
     }
 
-    /// Installs a per-shard trace recorder of `capacity` events.
+    /// Installs a ring-buffer trace [`crate::obs::trace::Recorder`] of
+    /// `capacity` events in every shard's workspace, so solver-phase
+    /// [`TraceEvent`]s are captured. Per-kind counts stay exact even
+    /// after the ring wraps; merged counts are surfaced by
+    /// [`Engine::trace_counts`] and [`Engine::metrics_snapshot`]. No-op
+    /// without the `trace` feature.
     pub fn tracing(mut self, capacity: usize) -> Self {
         self.tracing = Some(capacity);
         self
     }
 
     /// Overrides the always-on flight-recorder retention knobs (ring
-    /// capacity, healthy head-sample size, phases per span). The default
+    /// capacity, healthy head-sample size, phases per span) of every
+    /// shard and of the admission-rejection recorder. The default
     /// [`FlightRecorderConfig`] applies when this is not called.
     pub fn flight_recorder(mut self, config: FlightRecorderConfig) -> Self {
         self.flight_recorder = Some(config);
@@ -934,31 +1147,31 @@ impl<'a, A: ReplicaSource + Sync> EngineBuilder<'a, A> {
             };
             WorkerPool::new(threads)
         });
-        let mut engine = Engine::new(self.system, self.alloc, self.spec.build(), self.shards)
-            .with_reuse(self.spec.reuse_policy())
-            .with_objective(self.spec.objective)
-            .with_budget(self.spec.budget)
-            .with_retry_policy(self.retry)
-            .with_degraded_mode(self.degraded)
-            .with_slo(self.spec.slo);
-        if let Some(injector) = self.injector {
-            engine = engine.with_fault_injector(injector);
-        }
-        if let Some(capacity) = self.tracing {
-            engine = engine.with_tracing(capacity);
-        }
-        if let Some(config) = self.flight_recorder {
-            engine = engine.with_flight_recorder(config);
-        }
+        let mut engine = Engine::new(self.system, self.alloc, self.spec.build(), self.shards);
+        engine.reuse = self.spec.reuse_policy();
+        engine.objective = self.spec.objective;
+        engine.budget = self.spec.budget;
+        engine.slo = self.spec.slo;
+        engine.retry = self.retry;
+        engine.degraded = self.degraded;
+        engine.injector = self.injector;
         for shard in &mut engine.shards {
             shard.workspace.set_arena_layout(self.spec.arena_layout);
             if let (Some(pool), true) = (&pool, parallel_kind) {
                 shard.workspace.set_worker_pool(pool.clone());
             }
+            if let Some(capacity) = self.tracing {
+                shard.workspace.install_recorder(capacity);
+            }
+            if let Some(config) = self.flight_recorder {
+                shard.recorder = FlightRecorder::new(config);
+            }
+        }
+        if let Some(config) = self.flight_recorder {
+            engine.rejections = FlightRecorder::new(config);
         }
         engine.pool = pool;
         engine.batch_fuse = self.spec.batch_fuse;
-        engine.lane_layout = self.spec.arena_layout;
         engine
     }
 }
@@ -985,12 +1198,16 @@ impl<'a, A: ReplicaSource + Sync, S: RetrievalSolver + Sync> Engine<'a, A, S> {
     /// Creates an engine with `num_shards` workers (minimum 1). Shard
     /// count only affects wall-clock time, never results.
     pub fn new(system: &'a SystemConfig, alloc: &'a A, solver: S, num_shards: usize) -> Self {
-        let num_shards = num_shards.max(1);
         Engine {
             system,
             alloc,
             solver,
-            shards: (0..num_shards).map(|_| Shard::default()).collect(),
+            shards: (0..num_shards.max(1))
+                .map(|index| Shard {
+                    index,
+                    ..Shard::default()
+                })
+                .collect(),
             stats: EngineStats::default(),
             metrics: EngineMetrics::default(),
             injector: None,
@@ -1003,49 +1220,7 @@ impl<'a, A: ReplicaSource + Sync, S: RetrievalSolver + Sync> Engine<'a, A, S> {
             rejections: FlightRecorder::default(),
             pool: None,
             batch_fuse: false,
-            lane_layout: ArenaLayout::default(),
         }
-    }
-
-    /// Arms an anytime [`SolveBudget`] in every shard workspace: a solve
-    /// whose budget expires is finalized at the best feasible bound found
-    /// so far instead of running to the exact optimum, with the gap
-    /// reported in [`SolveStats::anytime_gap`](SolveStats). The serving
-    /// loop further tightens the armed budget per query from its SLA
-    /// deadline.
-    pub fn with_budget(mut self, budget: SolveBudget) -> Self {
-        self.budget = budget;
-        for shard in &mut self.shards {
-            shard.workspace.arm_budget(budget);
-        }
-        self
-    }
-
-    /// Sets the cross-query reuse policy applied to every stream: warm
-    /// flow reuse between overlapping queries and/or a small per-stream
-    /// schedule cache. Existing streams adopt the policy immediately.
-    pub fn with_reuse(mut self, reuse: ReusePolicy) -> Self {
-        self.reuse = reuse;
-        for shard in &mut self.shards {
-            for state in shard.states.values_mut() {
-                state.set_reuse_policy(reuse);
-            }
-        }
-        self
-    }
-
-    /// Sets the schedule objective applied to every stream: schedules
-    /// keep the optimal response time but are refined toward the chosen
-    /// load shape (see [`ScheduleObjective`]). Existing streams adopt the
-    /// objective immediately; their cached schedules are invalidated.
-    pub fn with_objective(mut self, objective: ScheduleObjective) -> Self {
-        self.objective = objective;
-        for shard in &mut self.shards {
-            for state in shard.states.values_mut() {
-                state.set_objective(objective);
-            }
-        }
-        self
     }
 
     /// Installs a fault schedule: every query plans around the health in
@@ -1070,39 +1245,6 @@ impl<'a, A: ReplicaSource + Sync, S: RetrievalSolver + Sync> Engine<'a, A, S> {
     /// [`SessionOutcome::unservable`], instead of failing outright.
     pub fn with_degraded_mode(mut self, degraded: bool) -> Self {
         self.degraded = degraded;
-        self
-    }
-
-    /// Installs a ring-buffer trace [`crate::obs::trace::Recorder`] of
-    /// `capacity` events in every shard's workspace, so solver-phase
-    /// [`TraceEvent`]s are captured during batch runs. Per-kind counts
-    /// stay exact even after the ring wraps; merged counts are surfaced
-    /// by [`Engine::trace_counts`] and [`Engine::metrics_snapshot`].
-    /// No-op without the `trace` feature.
-    pub fn with_tracing(mut self, capacity: usize) -> Self {
-        for shard in &mut self.shards {
-            shard.workspace.install_recorder(capacity);
-        }
-        self
-    }
-
-    /// Sets the per-priority-class service-level objectives the serving
-    /// loop tracks (latency targets and error budgets; see
-    /// [`SloPolicy`]). Pass [`SloPolicy::disabled`] to silence all
-    /// `rds_slo_*` metrics. Batch runs ignore the policy.
-    pub fn with_slo(mut self, slo: SloPolicy) -> Self {
-        self.slo = slo;
-        self
-    }
-
-    /// Replaces every shard's flight recorder (and the admission-rejection
-    /// recorder) with an empty one using `config`. Retained spans are
-    /// discarded; call before serving.
-    pub fn with_flight_recorder(mut self, config: FlightRecorderConfig) -> Self {
-        for shard in &mut self.shards {
-            shard.recorder = FlightRecorder::new(config);
-        }
-        self.rejections = FlightRecorder::new(config);
         self
     }
 
@@ -1165,7 +1307,7 @@ impl<'a, A: ReplicaSource + Sync, S: RetrievalSolver + Sync> Engine<'a, A, S> {
     }
 
     /// The ring-buffer trace recorder of one shard, if tracing was
-    /// enabled via [`Engine::with_tracing`].
+    /// enabled via [`EngineBuilder::tracing`].
     pub fn shard_recorder(&self, shard: usize) -> Option<&crate::obs::trace::Recorder> {
         self.shards.get(shard)?.workspace.recorder()
     }
@@ -1199,6 +1341,45 @@ impl<'a, A: ReplicaSource + Sync, S: RetrievalSolver + Sync> Engine<'a, A, S> {
         }
     }
 
+    /// Splits the engine into the read-only context every drain shares
+    /// and the shards the drains mutate.
+    pub(crate) fn split(&mut self, clock: ProbeClock) -> (DrainCtx<'_, A, S>, &mut [Shard]) {
+        let ctx = DrainCtx {
+            system: self.system,
+            alloc: self.alloc,
+            solver: &self.solver,
+            injector: self.injector.as_ref(),
+            retry: self.retry,
+            degraded: self.degraded,
+            reuse: self.reuse,
+            objective: self.objective,
+            budget: self.budget,
+            fuse: self.pool.as_ref().filter(|_| self.batch_fuse),
+            clock,
+        };
+        (ctx, &mut self.shards)
+    }
+
+    /// The stats epilogue of `submit_batch` and `serve`: folds every
+    /// shard's tally into the engine counters and returns their sum.
+    pub(crate) fn absorb_tallies(&mut self, elapsed: Duration) -> Tally {
+        let mut run = Tally::default();
+        for shard in &mut self.shards {
+            run.merge(std::mem::take(&mut shard.tally));
+        }
+        self.stats.add_counts(&run.stats);
+        self.metrics.merge(&run.metrics);
+        self.stats.batches += 1;
+        self.stats.elapsed += elapsed;
+        self.stats.workspace_solves = self.shards.iter().map(|s| s.workspace.solves()).sum();
+        let mut reuse = ReuseCounters::default();
+        for state in self.shards.iter().flat_map(|s| s.states.values().flatten()) {
+            reuse.merge(&state.reuse_counters());
+        }
+        self.stats.reuse = reuse;
+        run
+    }
+
     /// Processes a batch of queries and returns one result per query, in
     /// input order. Per-query failures — non-monotone arrival on a
     /// stream, solver rejection, infeasibility under the current health,
@@ -1209,150 +1390,39 @@ impl<'a, A: ReplicaSource + Sync, S: RetrievalSolver + Sync> Engine<'a, A, S> {
         &mut self,
         queries: &[BatchQuery],
     ) -> Vec<Result<SessionOutcome, EngineError>> {
-        let started = std::time::Instant::now();
+        let started = Instant::now();
         let num_shards = self.shards.len();
-        let ctx = BatchCtx {
-            system: self.system,
-            alloc: self.alloc,
-            solver: &self.solver,
-            faults: FaultConfig {
-                injector: self.injector.as_ref(),
-                retry: self.retry,
-                degraded: self.degraded,
-            },
-            reuse: self.reuse,
-            objective: self.objective,
-        };
-
         // Route each query to its stream's home shard, preserving input
-        // order within the shard.
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); num_shards];
-        for (i, q) in queries.iter().enumerate() {
-            by_shard[q.stream % num_shards].push(i);
+        // order within the shard; each shard replies in that order.
+        let mut by_shard: Vec<Vec<&BatchQuery>> = vec![Vec::new(); num_shards];
+        for q in queries {
+            by_shard[q.stream % num_shards].push(q);
         }
-
-        // Fused drains need the shared pool; without one (or with
-        // `batch_fuse` off) every shard takes the serial path.
-        let fuse_pool = if self.batch_fuse {
-            self.pool.clone()
-        } else {
-            None
-        };
-        let lane_layout = self.lane_layout;
-        let budget = self.budget;
-
-        let mut merged: Vec<Option<Result<SessionOutcome, EngineError>>> =
-            (0..queries.len()).map(|_| None).collect();
-        let mut tallies: Vec<ShardTally> = Vec::with_capacity(num_shards);
-        if num_shards == 1 {
-            let mut out = Vec::with_capacity(queries.len());
-            let tally = match &fuse_pool {
-                Some(pool) => self.shards[0].run_fused(
-                    0,
-                    &ctx,
-                    queries,
-                    &by_shard[0],
-                    pool,
-                    lane_layout,
-                    budget,
-                    &mut out,
-                ),
-                None => self.shards[0].run(0, &ctx, queries, &by_shard[0], &mut out),
-            };
-            tallies.push(tally);
-            for (i, r) in out {
-                merged[i] = Some(r);
-            }
+        let mut replies: Vec<Vec<Result<SessionOutcome, EngineError>>> = by_shard
+            .iter()
+            .map(|items| Vec::with_capacity(items.len()))
+            .collect();
+        let (ctx, shards) = self.split(ProbeClock::Arrival);
+        if let [shard] = shards {
+            shard.drain(&ctx, &by_shard[0][..], &mut Replies::Slots(&mut replies[0]));
         } else {
             let ctx = &ctx;
-            let fuse_pool = &fuse_pool;
-            let collected: Vec<Option<ShardOutput>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .shards
-                    .iter_mut()
-                    .zip(&by_shard)
-                    .enumerate()
-                    .map(|(shard_idx, (shard, indices))| {
-                        scope.spawn(move || {
-                            let mut out = Vec::with_capacity(indices.len());
-                            // Pool dispatch is serialized across shards;
-                            // the shard threads themselves already
-                            // provide cross-shard parallelism.
-                            let tally = match fuse_pool {
-                                Some(pool) => shard.run_fused(
-                                    shard_idx,
-                                    ctx,
-                                    queries,
-                                    indices,
-                                    pool,
-                                    lane_layout,
-                                    budget,
-                                    &mut out,
-                                ),
-                                None => shard.run(shard_idx, ctx, queries, indices, &mut out),
-                            };
-                            (tally, out)
-                        })
-                    })
-                    .collect();
-                // Per-query panics are contained inside `Shard::run`; a
-                // join failure means a panic escaped that containment
-                // (e.g. in the shard's own bookkeeping). Record it as a
-                // dead worker instead of propagating — the other shards'
-                // results are still good.
-                handles.into_iter().map(|h| h.join().ok()).collect()
-            });
-            for (shard_idx, output) in collected.into_iter().enumerate() {
-                match output {
-                    Some((tally, out)) => {
-                        tallies.push(tally);
-                        for (i, r) in out {
-                            merged[i] = Some(r);
-                        }
-                    }
-                    None => {
-                        // Every query routed to the dead worker fails
-                        // typed; the shard restarts with fresh stream
-                        // states and a cleared workspace.
-                        let mut tally = ShardTally::default();
-                        tally.shard_failures += by_shard[shard_idx].len() as u64;
-                        tallies.push(tally);
-                        for &i in &by_shard[shard_idx] {
-                            merged[i] = Some(Err(EngineError::ShardFailed { shard: shard_idx }));
-                        }
-                        let shard = &mut self.shards[shard_idx];
-                        shard.states.clear();
-                        let _ = shard.workspace.take_poisoned();
-                    }
+            std::thread::scope(|scope| {
+                for ((shard, items), out) in shards.iter_mut().zip(&by_shard).zip(&mut replies) {
+                    scope.spawn(move || shard.drain(ctx, &items[..], &mut Replies::Slots(out)));
                 }
-            }
+            });
         }
-
-        let results: Vec<Result<SessionOutcome, EngineError>> = merged
-            .into_iter()
-            .map(|r| r.expect("every query routed to exactly one shard"))
+        let mut replies: Vec<_> = replies.into_iter().map(Vec::into_iter).collect();
+        let results = queries
+            .iter()
+            .map(|q| {
+                replies[q.stream % num_shards]
+                    .next()
+                    .expect("one reply per routed query")
+            })
             .collect();
-
-        self.stats.batches += 1;
-        self.stats.queries += results.len() as u64;
-        self.stats.elapsed += started.elapsed();
-        for tally in &tallies {
-            tally.accumulate(&mut self.stats, &mut self.metrics);
-        }
-        for r in &results {
-            match r {
-                Ok(out) => self.stats.solve_stats.accumulate(&out.outcome.stats),
-                Err(_) => self.stats.errors += 1,
-            }
-        }
-        self.stats.workspace_solves = self.shards.iter().map(|s| s.workspace.solves()).sum();
-        let mut reuse = ReuseCounters::default();
-        for shard in &self.shards {
-            for state in shard.states.values() {
-                reuse.merge(&state.reuse_counters());
-            }
-        }
-        self.stats.reuse = reuse;
+        self.absorb_tallies(started.elapsed());
         results
     }
 }
@@ -1365,6 +1435,7 @@ mod tests {
     use crate::network::RetrievalInstance;
     use crate::pr::PushRelabelBinary;
     use crate::schedule::RetrievalOutcome;
+    use crate::spec::ArenaLayout;
     use rds_decluster::allocation::Placement;
     use rds_decluster::orthogonal::OrthogonalAllocation;
     use rds_decluster::query::{Query, RangeQuery};
@@ -1637,6 +1708,113 @@ mod tests {
         assert_eq!(engine.stats().fused_batches, 1);
     }
 
+    /// A panic payload whose own `Drop` panics again.
+    struct Bomb;
+
+    impl Drop for Bomb {
+        fn drop(&mut self) {
+            panic!("panic payload dropped");
+        }
+    }
+
+    /// Panics with a [`Bomb`] payload on the poison bucket.
+    #[derive(Clone, Copy)]
+    struct BombOnBucket(rds_decluster::query::Bucket);
+
+    impl RetrievalSolver for BombOnBucket {
+        fn name(&self) -> &'static str {
+            "bomb-on-bucket"
+        }
+        fn solve_in(
+            &self,
+            inst: &RetrievalInstance,
+            ws: &mut Workspace,
+        ) -> Result<RetrievalOutcome, SolveError> {
+            if inst.buckets.contains(&self.0) {
+                std::panic::panic_any(Bomb);
+            }
+            PushRelabelBinary.solve_in(inst, ws)
+        }
+    }
+
+    #[test]
+    fn a_payload_that_panics_on_drop_is_contained_on_every_path() {
+        use crate::serve::{QueryRequest, ServeConfig, ServeError, Ticket};
+        let system = SystemConfig::homogeneous(CHEETAH, 5);
+        let alloc = OrthogonalAllocation::new(5, Placement::SingleSite);
+        let poison = RangeQuery::new(3, 3, 1, 1).buckets(5)[0];
+        let good = RangeQuery::new(0, 0, 1, 2).buckets(5);
+        let bad = RangeQuery::new(3, 3, 1, 1).buckets(5);
+        let queries: Vec<BatchQuery> = [(0, 0, &good), (1, 0, &bad), (2, 0, &good), (1, 5, &good)]
+            .into_iter()
+            .map(|(stream, ms, buckets)| BatchQuery {
+                stream,
+                arrival: Micros::from_millis(ms),
+                buckets: buckets.clone(),
+            })
+            .collect();
+        let engine = |shards: usize, fused: bool| {
+            let mut engine = Engine::new(&system, &alloc, BombOnBucket(poison), shards);
+            if fused {
+                engine.batch_fuse = true;
+                engine.pool = Some(WorkerPool::new(2));
+            }
+            engine
+        };
+
+        for shards in [1usize, 2] {
+            let mut e = engine(shards, false);
+            let results = e.submit_batch(&queries);
+            let failed: Vec<bool> = results.iter().map(Result::is_err).collect();
+            assert_eq!(
+                failed,
+                [false, true, false, false],
+                "batch, {shards} shards"
+            );
+            assert_eq!(
+                results[1].as_ref().unwrap_err(),
+                &EngineError::ShardFailed { shard: 1 % shards }
+            );
+            assert_eq!(e.stats().shard_failures, 1);
+        }
+
+        for (shards, fused) in [(1usize, false), (2, false), (1, true)] {
+            let mut e = engine(shards, fused);
+            let mut config = ServeConfig::default().virtual_time();
+            if fused {
+                config = config.batch_window(Duration::from_millis(1)).batch_max(4);
+            }
+            let report = e.serve(config, |h| {
+                queries
+                    .iter()
+                    .map(|q| {
+                        h.submit(
+                            QueryRequest::new(q.stream, q.buckets.clone()).arriving_at(q.arrival),
+                        )
+                        .unwrap()
+                    })
+                    .collect::<Vec<Ticket>>()
+            });
+            let tag = format!("serve, {shards} shards, fused {fused}");
+            assert_eq!(report.stats.admitted, 4, "{tag}");
+            assert_eq!(report.stats.completed, 4, "{tag}");
+            assert_eq!(report.stats.panics, 1, "{tag}");
+            assert_eq!(report.stats.errors, 1, "{tag}");
+            for r in &report.unclaimed {
+                let poisoned = r.ticket == report.output[1];
+                match &r.result {
+                    Err(ServeError::Engine(EngineError::ShardFailed { .. })) => {
+                        assert!(poisoned, "{tag}")
+                    }
+                    other => assert!(!poisoned && other.is_ok(), "{tag}: {other:?}"),
+                }
+            }
+            if fused {
+                assert_eq!(e.stats().fused_batches, 1, "{tag}");
+            }
+        }
+    }
+
     #[test]
     fn fused_trace_counts_include_lane_plane_checkouts() {
         let system = SystemConfig::homogeneous(CHEETAH, 5);
@@ -1653,10 +1831,15 @@ mod tests {
         let results = engine.submit_batch(&queries);
         assert!(results.iter().all(|r| r.is_ok()));
         let counts = engine.trace_counts();
-        assert!(
-            counts[EventKind::PlaneCheckout as usize] > 0,
-            "lane checkouts visible through the shard recorder"
-        );
+        // Without the `trace` feature the recorder is compiled out.
+        if cfg!(feature = "trace") {
+            assert!(
+                counts[EventKind::PlaneCheckout as usize] > 0,
+                "lane checkouts visible through the shard recorder"
+            );
+        } else {
+            assert_eq!(counts, [0u64; EventKind::COUNT]);
+        }
         let reg = engine.metrics_snapshot().to_registry();
         assert!(engine.stats().fused_batches >= 1);
         assert!(reg.to_prometheus().contains("rds_fuse_batches_total"));

@@ -1,10 +1,21 @@
 //! Online serving loop: admission control, deadlines, backpressure.
 //!
 //! [`Engine::serve`] turns the batch engine into a long-running scheduler:
-//! one worker per shard drains a bounded submission queue, coalescing
-//! consecutive same-stream queries onto the warm-start/delta path, while
-//! the caller submits [`QueryRequest`]s through a [`ServeHandle`] and
-//! receives [`ServeResponse`]s asynchronously.
+//! one worker per shard takes coalesced batches off a bounded submission
+//! queue, while the caller submits [`QueryRequest`]s through a
+//! [`ServeHandle`] and receives [`ServeResponse`]s asynchronously. Each
+//! batch goes through the shard drain of [`crate::engine`] — the same
+//! prepare → execute → finish path [`Engine::submit_batch`] takes, with
+//! a channel send as the reply. Consecutive same-stream queries ride the
+//! warm-start/delta path; with [`SolverSpec::batch_fuse`](crate::spec::SolverSpec::batch_fuse)
+//! distinct streams of one batch run concurrently on pool lanes.
+//!
+//! A one-group drain replies as each item finishes, so a deep batch adds
+//! no service time to its first items; a fused drain replies in drain
+//! order once its lanes are done. A solver panic — even one whose
+//! payload panics again on drop — resolves its ticket with
+//! [`EngineError::ShardFailed`]; every admitted ticket resolves exactly
+//! once.
 //!
 //! ## Admission and backpressure
 //!
@@ -25,8 +36,9 @@
 //! ## Deadlines and anytime solves
 //!
 //! A request may carry an absolute SLA deadline on the serve clock. On the
-//! real clock the worker tightens the engine's armed
-//! [`SolveBudget`] to the time remaining, so an
+//! real clock the drain tightens the engine's
+//! [`SolveBudget`](crate::spec::SolveBudget) to the time remaining as the
+//! request's solve starts, so an
 //! overrunning solve is finalized early at the best feasible bound (the
 //! achieved-vs-optimal gap lands in
 //! [`SolveStats::anytime_gap`](crate::schedule::SolveStats::anytime_gap))
@@ -42,25 +54,19 @@
 //! enforcement and fault probes all use the wall clock, so mid-flight
 //! health transitions trigger replanning.
 
-use crate::engine::{
-    new_stream_state, run_one_core, ArrivalClock, BatchCtx, BatchQuery, Engine, FaultConfig,
-    FusedLane, ProbeClock, ShardTally,
-};
+use crate::engine::{BatchQuery, DrainCtx, Engine, ProbeClock, Replies, Shard};
 use crate::error::EngineError;
 use crate::obs::metrics::{Histogram, LatencySummary, MetricsRegistry};
 use crate::obs::recorder::{FlightRecorder, RecorderStats};
-use crate::obs::slo::{SloReport, SloTrackerSet};
-use crate::obs::span::{PhaseKind, QuerySpan, RejectReason, SpanId, SpanOutcome};
+use crate::obs::slo::{SloPolicy, SloReport, SloTrackerSet};
+use crate::obs::span::{PhaseKind, RejectReason, SpanId, SpanOutcome};
 use crate::schedule::SolveStats;
-use crate::session::{SessionOutcome, SessionState};
+use crate::session::SessionOutcome;
 use crate::solver::RetrievalSolver;
-use crate::spec::{ArenaLayout, SolveBudget};
 use rds_decluster::allocation::ReplicaSource;
 use rds_decluster::query::Bucket;
-use rds_flow::parallel::WorkerPool;
 use rds_storage::time::Micros;
-use std::collections::{HashMap, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
@@ -399,33 +405,19 @@ impl ClockState {
     }
 }
 
-/// Wall-clock fault probe source for the serving loop: `now` is real
-/// elapsed time and backoff waits actually sleep, capped at the query's
-/// deadline so replanning never blocks past it.
-struct RealProbeClock<'s> {
-    clock: &'s ClockState,
-    deadline: Option<Micros>,
-}
-
-impl ProbeClock for RealProbeClock<'_> {
-    fn now(&self, _arrival: Micros) -> Micros {
-        self.clock.now()
-    }
-
-    fn wait_until(&self, t: Micros) {
-        let cap = self.deadline.map_or(t, |d| t.min(d));
-        let now = self.clock.now();
-        if cap > now {
-            std::thread::sleep(Duration::from_micros((cap - now).as_micros()));
-        }
-    }
+/// What a served reply needs beyond the query itself.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Admission {
+    pub(crate) ticket: Ticket,
+    pub(crate) class: PriorityClass,
+    pub(crate) deadline: Option<Micros>,
+    pub(crate) enqueued: Instant,
 }
 
 /// One admitted request waiting in a shard queue.
 struct Admitted {
-    ticket: Ticket,
-    req: QueryRequest,
-    enqueued: Instant,
+    query: BatchQuery,
+    admission: Admission,
 }
 
 struct QueueState {
@@ -478,7 +470,6 @@ struct Shared {
     record_spans: bool,
     counters: AdmissionCounters,
     tickets: AtomicU64,
-    slo: crate::obs::slo::SloPolicy,
     /// Spans of rejected submissions plus their availability-SLO tracker.
     /// Rejections never reach a shard, so they get their own recorder;
     /// admission is already serialized per shard, and a rejection is off
@@ -527,7 +518,7 @@ pub struct ServeHandle {
 impl ServeHandle {
     /// Synchronous admission: a [`Ticket`] promising exactly one
     /// [`ServeResponse`], or a typed [`Rejected`].
-    pub fn submit(&self, mut req: QueryRequest) -> Result<Ticket, Rejected> {
+    pub fn submit(&self, req: QueryRequest) -> Result<Ticket, Rejected> {
         let s = &*self.shared;
         s.counters.submitted.fetch_add(1, Ordering::Relaxed);
         let shard = req.stream % s.queues.len();
@@ -582,7 +573,6 @@ impl ServeHandle {
                 depth,
             });
         }
-        req.arrival = arrival;
         if s.clock.mode == ServeClock::Virtual {
             s.clock.observe_arrival(arrival);
         } else {
@@ -590,9 +580,17 @@ impl ServeHandle {
         }
         let ticket = Ticket(s.tickets.fetch_add(1, Ordering::Relaxed) + 1);
         st.items.push_back(Admitted {
-            ticket,
-            req,
-            enqueued: Instant::now(),
+            query: BatchQuery {
+                stream: req.stream,
+                arrival,
+                buckets: req.buckets,
+            },
+            admission: Admission {
+                ticket,
+                class: req.class,
+                deadline: req.deadline,
+                enqueued: Instant::now(),
+            },
         });
         s.counters
             .max_queue_depth
@@ -668,6 +666,32 @@ impl ClassServeStats {
     }
 }
 
+/// The serve-only part of a shard's drain tally during one run.
+#[derive(Debug)]
+pub(crate) struct ServeTally {
+    pub(crate) classes: [ClassServeStats; PriorityClass::COUNT],
+    pub(crate) deadline_misses: u64,
+    pub(crate) slo: SloTrackerSet,
+}
+
+impl ServeTally {
+    fn new(slo: SloPolicy) -> ServeTally {
+        ServeTally {
+            classes: Default::default(),
+            deadline_misses: 0,
+            slo: SloTrackerSet::new(slo),
+        }
+    }
+
+    pub(crate) fn merge(&mut self, other: &ServeTally) {
+        for (into, from) in self.classes.iter_mut().zip(&other.classes) {
+            into.merge(from);
+        }
+        self.deadline_misses += other.deadline_misses;
+        self.slo.merge(&other.slo);
+    }
+}
+
 /// Everything one serving run measured.
 #[derive(Clone, Debug, Default)]
 #[non_exhaustive]
@@ -704,7 +728,7 @@ pub struct ServeStats {
     /// × [`PriorityClass::ALL`].
     pub rejected_by: [[u64; PriorityClass::COUNT]; RejectReason::COUNT],
     /// Error-budget burn report for the run's
-    /// [`SloPolicy`](crate::obs::slo::SloPolicy) (responses and
+    /// [`SloPolicy`] (responses and
     /// rejections both count).
     pub slo: SloReport,
     /// Flight-recorder retention accounting merged over every shard plus
@@ -871,21 +895,6 @@ pub struct ServeReport<R> {
     pub unclaimed: Vec<ServeResponse>,
 }
 
-/// What one worker reports back from its serving loop.
-#[derive(Default)]
-struct WorkerTally {
-    shard: ShardTally,
-    classes: [ClassServeStats; PriorityClass::COUNT],
-    completed: u64,
-    errors: u64,
-    panics: u64,
-    deadline_misses: u64,
-    solve_stats: SolveStats,
-    /// Per-class SLO burn tracker (merged after the run; a dead worker's
-    /// default tracker merges as a no-op).
-    slo: SloTrackerSet,
-}
-
 impl<'a, A: ReplicaSource + Sync, S: RetrievalSolver + Sync> Engine<'a, A, S> {
     /// Runs the online serving loop: one worker per shard drains a
     /// bounded queue while `f` runs on the calling thread with a
@@ -931,7 +940,6 @@ impl<'a, A: ReplicaSource + Sync, S: RetrievalSolver + Sync> Engine<'a, A, S> {
             record_spans: config.record_spans,
             counters: AdmissionCounters::default(),
             tickets: AtomicU64::new(0),
-            slo: self.slo,
             // The engine's rejection recorder moves into the run (so its
             // configuration and already-retained spans carry over) and is
             // restored in the epilogue below.
@@ -945,63 +953,27 @@ impl<'a, A: ReplicaSource + Sync, S: RetrievalSolver + Sync> Engine<'a, A, S> {
             shared: Arc::clone(&shared),
             responses: Mutex::new(rx),
         };
-        let ctx = BatchCtx {
-            system: self.system,
-            alloc: self.alloc,
-            solver: &self.solver,
-            faults: FaultConfig {
-                injector: self.injector.as_ref(),
-                retry: self.retry,
-                degraded: self.degraded,
-            },
-            reuse: self.reuse,
-            objective: self.objective,
+        let clock = match config.clock {
+            ServeClock::Real => ProbeClock::Wall(shared.clock.epoch),
+            ServeClock::Virtual => ProbeClock::Arrival,
         };
-        let base_budget = self.budget;
-        // Fused drains need the shared pool; with `batch_fuse` off (or no
-        // pool) every drain takes the serial path.
-        let fuse = if self.batch_fuse {
-            self.pool.clone().map(|pool| FuseCtx {
-                pool,
-                layout: self.lane_layout,
-            })
-        } else {
-            None
-        };
+        for shard in &mut self.shards {
+            shard.tally.serve = Some(Box::new(ServeTally::new(self.slo)));
+        }
 
-        let (output, tallies) = std::thread::scope(|scope| {
+        let (ctx, shards) = self.split(clock);
+        let output = std::thread::scope(|scope| {
             let ctx = &ctx;
             let config = &config;
-            let shared_ref = &*shared;
-            let fuse = fuse.as_ref();
-            let workers: Vec<_> = self
-                .shards
-                .iter_mut()
-                .enumerate()
-                .map(|(shard_idx, shard)| {
-                    let tx = tx.clone();
-                    scope.spawn(move || {
-                        serve_worker(
-                            shard_idx,
-                            shard,
-                            ctx,
-                            shared_ref,
-                            config,
-                            base_budget,
-                            fuse,
-                            tx,
-                        )
-                    })
-                })
-                .collect();
+            let shared = &*shared;
+            for shard in shards.iter_mut() {
+                let tx = tx.clone();
+                scope.spawn(move || serve_worker(shard, ctx, shared, config, tx));
+            }
             drop(tx);
             let output = f(&handle);
             handle.shutdown();
-            let tallies: Vec<WorkerTally> = workers
-                .into_iter()
-                .map(|w| w.join().unwrap_or_default())
-                .collect();
-            (output, tallies)
+            output
         });
 
         // Every sender is gone, so this drains exactly the responses the
@@ -1011,16 +983,25 @@ impl<'a, A: ReplicaSource + Sync, S: RetrievalSolver + Sync> Engine<'a, A, S> {
             unclaimed.push(r);
         }
 
+        let elapsed = started.elapsed();
+        let run = self.absorb_tallies(elapsed);
+        let serve = *run.serve.expect("every shard carried a serve tally");
         let c = &shared.counters;
         let mut stats = ServeStats {
             submitted: c.submitted.load(Ordering::Relaxed),
             admitted: c.admitted.load(Ordering::Relaxed),
+            completed: run.stats.queries,
             rejected_queue_full: c.rejected_queue_full.load(Ordering::Relaxed),
             rejected_deadline: c.rejected_deadline.load(Ordering::Relaxed),
             rejected_shed: c.rejected_shed.load(Ordering::Relaxed),
             rejected_shutdown: c.rejected_shutdown.load(Ordering::Relaxed),
+            errors: run.stats.errors,
+            panics: run.stats.shard_failures,
+            deadline_misses: serve.deadline_misses,
             max_queue_depth: c.max_queue_depth.load(Ordering::Relaxed),
-            elapsed: started.elapsed(),
+            elapsed,
+            classes: serve.classes,
+            solve_stats: run.stats.solve_stats,
             ..ServeStats::default()
         };
         for (r, row) in c.rejected_by.iter().enumerate() {
@@ -1028,53 +1009,21 @@ impl<'a, A: ReplicaSource + Sync, S: RetrievalSolver + Sync> Engine<'a, A, S> {
                 stats.rejected_by[r][ci] = cell.load(Ordering::Relaxed);
             }
         }
-        let mut slo_all = SloTrackerSet::new(self.slo);
-        for tally in &tallies {
-            stats.completed += tally.completed;
-            stats.errors += tally.errors;
-            stats.panics += tally.panics;
-            stats.deadline_misses += tally.deadline_misses;
-            stats.solve_stats.accumulate(&tally.solve_stats);
-            for (into, from) in stats.classes.iter_mut().zip(&tally.classes) {
-                into.merge(from);
-            }
-            slo_all.merge(&tally.slo);
-            tally.shard.accumulate(&mut self.stats, &mut self.metrics);
-        }
         // Reclaim the rejection log: the recorder returns to the engine
         // (for `Engine::postmortem`), the rejection SLO tracker merges
         // into the run's report.
+        let mut slo = serve.slo;
         {
             let (rej_recorder, rej_slo) =
                 std::mem::take(&mut *shared.rejlog.lock().expect("rejection log mutex"));
-            slo_all.merge(&rej_slo);
+            slo.merge(&rej_slo);
             self.rejections = rej_recorder;
         }
-        stats.slo = slo_all.report();
-        let mut recorder = RecorderStats::default();
+        stats.slo = slo.report();
         for shard in &self.shards {
-            recorder.merge(&shard.recorder.stats());
+            stats.recorder.merge(&shard.recorder.stats());
         }
-        recorder.merge(&self.rejections.stats());
-        stats.recorder = recorder;
-        self.stats.batches += 1;
-        self.stats.queries += stats.completed;
-        self.stats.errors += stats.errors;
-        self.stats.elapsed += stats.elapsed;
-        self.stats.solve_stats.accumulate(&stats.solve_stats);
-        self.stats.workspace_solves = self.shards.iter().map(|s| s.workspace.solves()).sum();
-        let mut reuse = crate::session::ReuseCounters::default();
-        for shard in &self.shards {
-            for state in shard.states.values() {
-                reuse.merge(&state.reuse_counters());
-            }
-        }
-        self.stats.reuse = reuse;
-        // Per-query deadline budgets may have re-armed workspaces;
-        // restore the engine-wide budget for subsequent batch runs.
-        for shard in &mut self.shards {
-            shard.workspace.arm_budget(self.budget);
-        }
+        stats.recorder.merge(&self.rejections.stats());
 
         ServeReport {
             output,
@@ -1084,38 +1033,24 @@ impl<'a, A: ReplicaSource + Sync, S: RetrievalSolver + Sync> Engine<'a, A, S> {
     }
 }
 
-/// What a fused serve drain needs beyond the serial path: the shared
-/// worker pool and the lane arena layout.
-struct FuseCtx {
-    pool: WorkerPool,
-    layout: ArenaLayout,
-}
-
-/// One shard's serving loop: wait for work, drain a batch FIFO (same-
-/// stream runs hit the warm/delta path), resolve every item exactly once.
-#[allow(clippy::too_many_arguments)]
+/// One shard's serving loop: wait for work, take a coalesced batch FIFO
+/// and drain it; every admitted item resolves exactly once.
 fn serve_worker<A: ReplicaSource + ?Sized + Sync, S: RetrievalSolver + ?Sized + Sync>(
-    shard_idx: usize,
-    shard: &mut crate::engine::Shard,
-    ctx: &BatchCtx<'_, A, S>,
+    shard: &mut Shard,
+    ctx: &DrainCtx<'_, A, S>,
     shared: &Shared,
     config: &ServeConfig,
-    base_budget: SolveBudget,
-    fuse: Option<&FuseCtx>,
     tx: mpsc::Sender<ServeResponse>,
-) -> WorkerTally {
-    let mut tally = WorkerTally {
-        slo: SloTrackerSet::new(shared.slo),
-        ..WorkerTally::default()
-    };
-    let queue = &shared.queues[shard_idx];
-    let mut batch: Vec<Admitted> = Vec::new();
+) {
+    let queue = &shared.queues[shard.index];
+    let mut queries: Vec<BatchQuery> = Vec::new();
+    let mut admissions: Vec<Admission> = Vec::new();
     loop {
         {
             let mut st = queue.state.lock().expect("queue mutex");
             while st.items.is_empty() {
                 if !st.open {
-                    return tally;
+                    return;
                 }
                 st = queue.cv.wait(st).expect("queue mutex");
             }
@@ -1144,636 +1079,23 @@ fn serve_worker<A: ReplicaSource + ?Sized + Sync, S: RetrievalSolver + ?Sized + 
                 (None, _) => {}
             }
             let take = st.items.len().min(config.batch_max);
-            batch.extend(st.items.drain(..take));
-        }
-        let batch_len = batch.len();
-        let fused = match fuse {
-            Some(fuse) => serve_fused(
-                shard_idx,
-                shard,
-                ctx,
-                shared,
-                base_budget,
-                &mut batch,
-                fuse,
-                &tx,
-                &mut tally,
-            ),
-            None => false,
-        };
-        if !fused {
-            for item in batch.drain(..) {
-                serve_one(
-                    shard_idx,
-                    shard,
-                    ctx,
-                    shared,
-                    base_budget,
-                    item,
-                    batch_len,
-                    &tx,
-                    &mut tally,
-                );
+            for item in st.items.drain(..take) {
+                queries.push(item.query);
+                admissions.push(item.admission);
             }
         }
-    }
-}
-
-/// One fused-drain item after the serial prepare stage: its admission
-/// record plus the per-query budget, queue-wait reading and armed span
-/// shell, ready to execute on a lane.
-struct FusedPrep {
-    pos: usize,
-    item: Admitted,
-    budget: SolveBudget,
-    queued: Micros,
-    span: Option<QuerySpan>,
-}
-
-/// What a lane task reports back per item for the serial finish stage.
-struct FusedDone {
-    pos: usize,
-    ticket: Ticket,
-    stream: usize,
-    class: PriorityClass,
-    deadline: Option<Micros>,
-    arrival: Micros,
-    enqueued: Instant,
-    queued: Micros,
-    result: Result<SessionOutcome, ServeError>,
-    panicked: bool,
-    solve_us: u64,
-    span: Option<QuerySpan>,
-}
-
-/// Drains one coalesced batch through the fused path: a serial prepare
-/// stage (span shells from the shard recorder, deadline-aware budgets),
-/// parallel per-stream-group execution on checked-out lanes across the
-/// shared pool, and a serial finish stage in original drain order
-/// (retire spans, SLO accounting, responses). Results are bit-identical
-/// to the serial drain; only wall-clock and plane residency change.
-///
-/// Returns `false` — leaving the batch untouched — when fewer than two
-/// stream groups exist, so the caller falls back to the serial loop.
-#[allow(clippy::too_many_arguments)]
-fn serve_fused<A: ReplicaSource + ?Sized + Sync, S: RetrievalSolver + ?Sized + Sync>(
-    shard_idx: usize,
-    shard: &mut crate::engine::Shard,
-    ctx: &BatchCtx<'_, A, S>,
-    shared: &Shared,
-    base_budget: SolveBudget,
-    batch: &mut Vec<Admitted>,
-    fuse: &FuseCtx,
-    tx: &mpsc::Sender<ServeResponse>,
-    tally: &mut WorkerTally,
-) -> bool {
-    // Group item positions by stream: discovery order across groups,
-    // drain order within one (same-stream requests are load-coupled
-    // through the session clock, so only distinct streams run
-    // concurrently).
-    let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-    let mut group_of: HashMap<usize, usize> = HashMap::new();
-    for (pos, item) in batch.iter().enumerate() {
-        let stream = item.req.stream;
-        let g = *group_of.entry(stream).or_insert_with(|| {
-            groups.push((stream, Vec::new()));
-            groups.len() - 1
-        });
-        groups[g].1.push(pos);
-    }
-    if groups.len() < 2 {
-        return false;
-    }
-
-    let batch_len = batch.len();
-    tally.shard.fused_batches += 1;
-    tally.shard.fused_queries += batch_len as u64;
-    let real = shared.clock.mode == ServeClock::Real;
-
-    // Serial prepare, drain order: spans and budgets exactly as
-    // `serve_one` would set them up.
-    let mut preps: Vec<Option<FusedPrep>> = Vec::with_capacity(batch_len);
-    for (pos, item) in batch.drain(..).enumerate() {
-        let queued = if real {
-            Micros::from_micros(item.enqueued.elapsed().as_micros() as u64)
-        } else {
-            Micros::ZERO
-        };
-        let span = if shared.record_spans {
-            let mut span = shard.recorder.checkout();
-            span.id = SpanId(item.ticket.0);
-            span.stream = item.req.stream;
-            span.shard = shard_idx;
-            span.class = item.req.class as usize;
-            span.arrival = item.req.arrival;
-            span.queued_us = queued.as_micros();
-            span.record(
-                PhaseKind::Admitted,
-                0,
-                item.req.arrival.as_micros(),
-                item.req.class as u64,
-            );
-            span.record(
-                PhaseKind::Coalesced,
-                0,
-                batch_len as u64,
-                queued.as_micros(),
-            );
-            Some(span)
-        } else {
-            None
-        };
-        let mut budget = base_budget;
-        if real {
-            if let Some(d) = item.req.deadline {
-                let remaining =
-                    Duration::from_micros(d.saturating_sub(shared.clock.now()).as_micros());
-                budget.wall_clock = Some(budget.wall_clock.map_or(remaining, |b| b.min(remaining)));
-            }
-        }
-        preps.push(Some(FusedPrep {
-            pos,
-            item,
-            budget,
-            queued,
-            span,
-        }));
-    }
-
-    // Check out one lane and the owning stream state per group.
-    shard.ensure_lanes(groups.len(), fuse.layout, base_budget);
-    let mut lane_states: Vec<Option<SessionState>> = groups
-        .iter()
-        .map(|(stream, _)| shard.states.remove(stream))
-        .collect();
-    let mut lane_tallies: Vec<ShardTally> = groups.iter().map(|_| ShardTally::default()).collect();
-    let mut lane_dones: Vec<Vec<FusedDone>> = groups
-        .iter()
-        .map(|(_, g)| Vec::with_capacity(g.len()))
-        .collect();
-    let lane_preps: Vec<Vec<FusedPrep>> = groups
-        .iter()
-        .map(|(_, g)| {
-            g.iter()
-                .map(|&pos| preps[pos].take().expect("each position in one group"))
-                .collect()
-        })
-        .collect();
-
-    {
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = shard.lanes[..groups.len()]
-            .iter_mut()
-            .zip(lane_states.iter_mut())
-            .zip(lane_tallies.iter_mut())
-            .zip(lane_preps)
-            .zip(lane_dones.iter_mut())
-            .map(|((((lane, state), lane_tally), preps), dones)| {
-                Box::new(move || {
-                    serve_lane(
-                        shard_idx, ctx, shared, lane, state, lane_tally, preps, dones,
-                    )
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        fuse.pool.run_tasks(tasks);
-    }
-
-    // Deterministic merge in group order, then serial finish in the
-    // original drain order.
-    for ((stream, _), state) in groups.iter().zip(lane_states) {
-        if let Some(state) = state {
-            shard.states.insert(*stream, state);
-        }
-    }
-    for lane_tally in &lane_tallies {
-        tally.shard.merge(lane_tally);
-    }
-    shard.absorb_lane_traces(groups.len());
-
-    let mut dones: Vec<Option<FusedDone>> = (0..batch_len).map(|_| None).collect();
-    for lane in lane_dones {
-        for done in lane {
-            let pos = done.pos;
-            dones[pos] = Some(done);
-        }
-    }
-    for done in dones {
-        let done = done.expect("every item ran on exactly one lane");
-        finish_fused(shard, shared, done, tx, tally);
-    }
-    true
-}
-
-/// Executes one stream group serially on its lane: arm the span and
-/// budget, solve under panic containment, disarm the span — the fused
-/// counterpart of `serve_one`'s middle section.
-#[allow(clippy::too_many_arguments)]
-fn serve_lane<A: ReplicaSource + ?Sized, S: RetrievalSolver + ?Sized>(
-    shard_idx: usize,
-    ctx: &BatchCtx<'_, A, S>,
-    shared: &Shared,
-    lane: &mut FusedLane,
-    state: &mut Option<SessionState>,
-    tally: &mut ShardTally,
-    preps: Vec<FusedPrep>,
-    dones: &mut Vec<FusedDone>,
-) {
-    let real = shared.clock.mode == ServeClock::Real;
-    for prep in preps {
-        let FusedPrep {
-            pos,
-            item,
-            budget,
-            queued,
-            span,
-        } = prep;
-        let Admitted {
-            ticket,
-            req,
-            enqueued,
-        } = item;
-        let stream = req.stream;
-        let class = req.class;
-        let deadline = req.deadline;
-        let arrival = req.arrival;
-        if let Some(span) = span {
-            lane.workspace.tracer.arm_span(span);
-        }
-        lane.workspace.arm_budget(budget);
-        let q = BatchQuery {
-            stream,
-            arrival,
-            buckets: req.buckets,
-        };
-        let st = state.get_or_insert_with(|| new_stream_state(ctx));
-        let started = Instant::now();
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            if real {
-                let clock = RealProbeClock {
-                    clock: &shared.clock,
-                    deadline,
-                };
-                run_one_core(
-                    ctx,
-                    &q,
-                    st,
-                    &mut lane.workspace,
-                    &mut lane.health,
-                    &clock,
-                    tally,
-                )
-            } else {
-                run_one_core(
-                    ctx,
-                    &q,
-                    st,
-                    &mut lane.workspace,
-                    &mut lane.health,
-                    &ArrivalClock,
-                    tally,
-                )
-            }
-        }));
-        let solve_us = started.elapsed().as_micros() as u64;
-        tally.metrics.solve_latency_us.record(solve_us);
-        let (result, panicked) = match caught {
-            Ok(r) => (r.map_err(ServeError::from), false),
-            Err(_) => {
-                // Same containment as the serial path: the poisoned
-                // stream restarts fresh, the lane workspace is reclaimed,
-                // batchmates proceed.
-                *state = None;
-                let _ = lane.workspace.take_poisoned();
-                (
-                    Err(ServeError::Engine(EngineError::ShardFailed {
-                        shard: shard_idx,
-                    })),
-                    true,
-                )
-            }
-        };
-        let span = lane.workspace.tracer.disarm_span();
-        dones.push(FusedDone {
-            pos,
-            ticket,
-            stream,
-            class,
-            deadline,
-            arrival,
-            enqueued,
-            queued,
-            result,
-            panicked,
-            solve_us,
-            span,
-        });
-    }
-}
-
-/// The serial finish stage of one fused item, in original drain order:
-/// outcome stamping, span retirement, SLO and stats accounting, and the
-/// exactly-once response — `serve_one`'s tail.
-fn finish_fused(
-    shard: &mut crate::engine::Shard,
-    shared: &Shared,
-    done: FusedDone,
-    tx: &mpsc::Sender<ServeResponse>,
-    tally: &mut WorkerTally,
-) {
-    let FusedDone {
-        pos: _,
-        ticket,
-        stream,
-        class,
-        deadline,
-        arrival,
-        enqueued,
-        queued,
-        result,
-        panicked,
-        solve_us,
-        span,
-    } = done;
-    let real = shared.clock.mode == ServeClock::Real;
-    if panicked {
-        tally.panics += 1;
-        tally.shard.shard_failures += 1;
-    }
-    let deadline_missed = match (&result, deadline) {
-        (Ok(out), Some(d)) => {
-            if real {
-                shared.clock.now() > d
-            } else {
-                out.completion > d
-            }
-        }
-        _ => false,
-    };
-    let turnaround = if real {
-        Micros::from_micros(enqueued.elapsed().as_micros() as u64)
-    } else if let Ok(out) = &result {
-        out.completion.saturating_sub(out.arrival)
-    } else {
-        Micros::ZERO
-    };
-    let completion = match &result {
-        Ok(out) => out.completion,
-        Err(_) if real => shared.clock.now(),
-        Err(_) => arrival,
-    };
-    if shared.record_spans {
-        let mut span = span.unwrap_or_default();
-        span.turnaround_us = turnaround.as_micros();
-        span.deadline_missed = deadline_missed;
-        span.completion = completion;
-        match &result {
-            Ok(_) => {
-                span.outcome = SpanOutcome::Resolved;
-                span.record(PhaseKind::Reply, solve_us, deadline_missed as u64, 0);
-            }
-            Err(_) => {
-                span.outcome = SpanOutcome::Failed;
-                span.record(PhaseKind::Failed, solve_us, 0, 0);
-            }
-        }
-        shard.recorder.retire(span);
-    }
-    let slo_now = if real { shared.clock.now() } else { completion };
-    match &result {
-        Ok(_) => tally.slo.record_response(class, slo_now, turnaround),
-        Err(_) => tally.slo.record_unavailable(class, slo_now),
-    }
-    let cs = &mut tally.classes[class as usize];
-    cs.completed += 1;
-    cs.queue_wait_us.record(queued.as_micros());
-    cs.turnaround_us.record(turnaround.as_micros());
-    if deadline_missed {
-        cs.deadline_misses += 1;
-        tally.deadline_misses += 1;
-    }
-    tally.completed += 1;
-    match &result {
-        Ok(out) => {
-            tally.solve_stats.accumulate(&out.outcome.stats);
-            tally
-                .shard
-                .metrics
-                .probes_per_solve
-                .record(out.outcome.stats.probes);
-            tally
-                .shard
-                .metrics
-                .turnaround_us
-                .record((out.completion - out.arrival).as_micros());
-        }
-        Err(_) => tally.errors += 1,
-    }
-    // The receiver lives in the ServeHandle, which outlives the scope, so
-    // a send failure is unreachable; ignoring it keeps drain unstoppable.
-    let _ = tx.send(ServeResponse {
-        ticket,
-        stream,
-        class,
-        result,
-        queued,
-        deadline_missed,
-    });
-}
-
-/// Resolves one admitted request: arm the deadline-aware budget, solve
-/// under panic containment, respond exactly once.
-#[allow(clippy::too_many_arguments)]
-fn serve_one<A: ReplicaSource + ?Sized, S: RetrievalSolver + ?Sized>(
-    shard_idx: usize,
-    shard: &mut crate::engine::Shard,
-    ctx: &BatchCtx<'_, A, S>,
-    shared: &Shared,
-    base_budget: SolveBudget,
-    item: Admitted,
-    batch_len: usize,
-    tx: &mpsc::Sender<ServeResponse>,
-    tally: &mut WorkerTally,
-) {
-    let Admitted {
-        ticket,
-        req,
-        enqueued,
-    } = item;
-    let class = req.class;
-    let stream = req.stream;
-    let deadline = req.deadline;
-    let real = shared.clock.mode == ServeClock::Real;
-    let queued = if real {
-        Micros::from_micros(enqueued.elapsed().as_micros() as u64)
-    } else {
-        Micros::ZERO
-    };
-
-    // Begin this request's query span: a recycled shell from the shard's
-    // flight recorder, armed on the workspace tracer so the solve's
-    // bridged trace events (probes, cache hits, delta patches, budget
-    // expiry, …) land on its phase timeline.
-    if shared.record_spans {
-        let mut span = shard.recorder.checkout();
-        span.id = SpanId(ticket.0);
-        span.stream = stream;
-        span.shard = shard_idx;
-        span.class = class as usize;
-        span.arrival = req.arrival;
-        span.queued_us = queued.as_micros();
-        span.record(
-            PhaseKind::Admitted,
-            0,
-            req.arrival.as_micros(),
-            class as u64,
+        shard.drain(
+            ctx,
+            &queries,
+            &mut Replies::Channel {
+                tx: &tx,
+                admissions: &admissions,
+                record_spans: shared.record_spans,
+            },
         );
-        span.record(
-            PhaseKind::Coalesced,
-            0,
-            batch_len as u64,
-            queued.as_micros(),
-        );
-        shard.workspace.tracer.arm_span(span);
+        queries.clear();
+        admissions.clear();
     }
-
-    // Deadline-aware anytime budget: on the real clock, the solve may use
-    // at most the time remaining until the SLA deadline (on top of any
-    // engine-wide budget). Virtual time keeps the engine budget untouched
-    // so results stay deterministic.
-    let mut budget = base_budget;
-    if real {
-        if let Some(d) = deadline {
-            let remaining = Duration::from_micros(d.saturating_sub(shared.clock.now()).as_micros());
-            budget.wall_clock = Some(budget.wall_clock.map_or(remaining, |b| b.min(remaining)));
-        }
-    }
-    shard.workspace.arm_budget(budget);
-
-    let q = BatchQuery {
-        stream,
-        arrival: req.arrival,
-        buckets: req.buckets,
-    };
-    let started = Instant::now();
-    let caught = catch_unwind(AssertUnwindSafe(|| {
-        if real {
-            let clock = RealProbeClock {
-                clock: &shared.clock,
-                deadline,
-            };
-            shard.run_one(ctx, &q, &clock, &mut tally.shard)
-        } else {
-            shard.run_one(ctx, &q, &ArrivalClock, &mut tally.shard)
-        }
-    }));
-    tally
-        .shard
-        .metrics
-        .solve_latency_us
-        .record(started.elapsed().as_micros() as u64);
-
-    let result: Result<SessionOutcome, ServeError> = match caught {
-        Ok(r) => r.map_err(ServeError::from),
-        Err(_) => {
-            // Same containment as batch mode: the poisoned stream's state
-            // restarts, the response is a typed failure, the loop lives.
-            shard.states.remove(&stream);
-            let _ = shard.workspace.take_poisoned();
-            tally.panics += 1;
-            tally.shard.shard_failures += 1;
-            Err(ServeError::Engine(EngineError::ShardFailed {
-                shard: shard_idx,
-            }))
-        }
-    };
-
-    let deadline_missed = match (&result, deadline) {
-        (Ok(out), Some(d)) => {
-            if real {
-                shared.clock.now() > d
-            } else {
-                out.completion > d
-            }
-        }
-        _ => false,
-    };
-
-    let turnaround = if real {
-        Micros::from_micros(enqueued.elapsed().as_micros() as u64)
-    } else if let Ok(out) = &result {
-        out.completion.saturating_sub(out.arrival)
-    } else {
-        Micros::ZERO
-    };
-
-    // Finish the span: take it back off the tracer, stamp the outcome and
-    // the reply phase, then hand it to the flight recorder, which decides
-    // retention (triggered spans always kept, healthy ones head-sampled).
-    let completion = match &result {
-        Ok(out) => out.completion,
-        Err(_) if real => shared.clock.now(),
-        Err(_) => req.arrival,
-    };
-    if shared.record_spans {
-        let mut span = shard.workspace.tracer.disarm_span().unwrap_or_default();
-        let finished_us = started.elapsed().as_micros() as u64;
-        span.turnaround_us = turnaround.as_micros();
-        span.deadline_missed = deadline_missed;
-        span.completion = completion;
-        match &result {
-            Ok(_) => {
-                span.outcome = SpanOutcome::Resolved;
-                span.record(PhaseKind::Reply, finished_us, deadline_missed as u64, 0);
-            }
-            Err(_) => {
-                span.outcome = SpanOutcome::Failed;
-                span.record(PhaseKind::Failed, finished_us, 0, 0);
-            }
-        }
-        shard.recorder.retire(span);
-    }
-    let slo_now = if real { shared.clock.now() } else { completion };
-    match &result {
-        Ok(_) => tally.slo.record_response(class, slo_now, turnaround),
-        Err(_) => tally.slo.record_unavailable(class, slo_now),
-    }
-
-    let cs = &mut tally.classes[class as usize];
-    cs.completed += 1;
-    cs.queue_wait_us.record(queued.as_micros());
-    cs.turnaround_us.record(turnaround.as_micros());
-    if deadline_missed {
-        cs.deadline_misses += 1;
-        tally.deadline_misses += 1;
-    }
-    tally.completed += 1;
-    match &result {
-        Ok(out) => {
-            tally.solve_stats.accumulate(&out.outcome.stats);
-            tally
-                .shard
-                .metrics
-                .probes_per_solve
-                .record(out.outcome.stats.probes);
-            tally
-                .shard
-                .metrics
-                .turnaround_us
-                .record((out.completion - out.arrival).as_micros());
-        }
-        Err(_) => tally.errors += 1,
-    }
-
-    // The receiver lives in the ServeHandle, which outlives the scope, so
-    // a send failure is unreachable; ignoring it keeps drain unstoppable.
-    let _ = tx.send(ServeResponse {
-        ticket,
-        stream,
-        class,
-        result,
-        queued,
-        deadline_missed,
-    });
 }
 
 #[cfg(test)]
@@ -1782,6 +1104,7 @@ mod tests {
     use crate::engine::RetryPolicy;
     use crate::fault::{DiskHealth, FaultInjector};
     use crate::pr::PushRelabelBinary;
+    use crate::spec::{SolveBudget, SolverKind, SolverSpec};
     use rds_decluster::allocation::Placement;
     use rds_decluster::orthogonal::OrthogonalAllocation;
     use rds_decluster::query::{Query, RangeQuery};
@@ -1930,12 +1253,14 @@ mod tests {
     #[test]
     fn coalesced_same_stream_requests_hit_the_delta_path() {
         let (system, alloc) = setup();
-        let mut engine = Engine::new(&system, &alloc, PushRelabelBinary, 1).with_reuse(
-            crate::session::ReusePolicy {
-                warm_start: true,
-                cache_capacity: 0,
-            },
-        );
+        let mut engine = Engine::builder(&system, &alloc)
+            .solver_spec(SolverSpec::new(SolverKind::PushRelabelBinary).reuse(
+                crate::session::ReusePolicy {
+                    warm_start: true,
+                    cache_capacity: 0,
+                },
+            ))
+            .build();
         let q1 = RangeQuery::new(0, 0, 2, 3).buckets(5);
         let q2 = RangeQuery::new(0, 1, 2, 3).buckets(5);
         let report = engine.serve(ServeConfig::default().virtual_time(), |h| {
@@ -1955,8 +1280,13 @@ mod tests {
         let (system, alloc) = setup();
         // Probe budget 0 through the engine: every solve bails to its
         // feasible upper bound immediately.
-        let mut engine = Engine::new(&system, &alloc, PushRelabelBinary, 2)
-            .with_budget(SolveBudget::default().with_max_probes(0));
+        let mut engine = Engine::builder(&system, &alloc)
+            .solver_spec(
+                SolverSpec::new(SolverKind::PushRelabelBinary)
+                    .budget(SolveBudget::default().with_max_probes(0)),
+            )
+            .shards(2)
+            .build();
         let report = engine.serve(ServeConfig::default().virtual_time(), |h| {
             for s in 0..4usize {
                 let q = RangeQuery::new(s, 0, 2, 3).buckets(5);
@@ -2086,7 +1416,6 @@ mod tests {
 
     #[test]
     fn fused_serving_matches_serial_across_shard_counts() {
-        use crate::spec::{SolverKind, SolverSpec};
         let (system, alloc) = setup();
         let queries: Vec<BatchQuery> = (0..24)
             .map(|k| BatchQuery {
@@ -2198,13 +1527,15 @@ mod tests {
         // healthy_head 0 recycles every healthy span straight back to the
         // free list, so after the first checkout per shard the recorder
         // must never allocate another shell.
-        let mut engine = Engine::new(&system, &alloc, PushRelabelBinary, 2).with_flight_recorder(
-            crate::obs::recorder::FlightRecorderConfig {
+        let mut engine = Engine::builder(&system, &alloc)
+            .solver(SolverKind::PushRelabelBinary)
+            .shards(2)
+            .flight_recorder(crate::obs::recorder::FlightRecorderConfig {
                 capacity: 8,
                 healthy_head: 0,
                 max_phases: 32,
-            },
-        );
+            })
+            .build();
         let buckets = |k: usize| RangeQuery::new(k % 5, 0, 1, 2).buckets(5);
         let r1 = engine.serve(ServeConfig::default().virtual_time(), |h| {
             for k in 0..16usize {

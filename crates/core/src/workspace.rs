@@ -226,6 +226,11 @@ impl Workspace {
         self.requested = layout;
     }
 
+    /// The arena width policy set by [`Workspace::set_arena_layout`].
+    pub(crate) fn arena_layout(&self) -> ArenaLayout {
+        self.requested
+    }
+
     /// Enables or disables epoch-shared topology-plane checkout for every
     /// subsequent solve (see the `plane_sharing` field). The first staged
     /// solve after enabling Arc-shares the instance's topology; further

@@ -204,14 +204,17 @@ fn event_counts_are_identical_across_shard_counts() {
         Some(Micros::from_millis(4)),
     );
     let run = |shards: usize| {
-        let mut engine = Engine::new(&system, &alloc, PushRelabelBinary, shards)
-            .with_fault_injector(injector.clone())
-            .with_retry_policy(RetryPolicy {
+        let mut engine = Engine::builder(&system, &alloc)
+            .solver(SolverKind::PushRelabelBinary)
+            .shards(shards)
+            .fault_injector(injector.clone())
+            .retry_policy(RetryPolicy {
                 max_retries: 3,
                 backoff: Micros::from_millis(1),
             })
-            .with_degraded_mode(true)
-            .with_tracing(1 << 12);
+            .degraded_mode(true)
+            .tracing(1 << 12)
+            .build();
         let _ = engine.submit_batch(&queries);
         engine.trace_counts()
     };
@@ -253,14 +256,17 @@ fn engine_fault_events_reconcile_with_stats() {
         Micros::from_millis(3),
         Some(Micros::from_millis(4)),
     );
-    let mut engine = Engine::new(&system, &alloc, PushRelabelBinary, 2)
-        .with_fault_injector(injector)
-        .with_retry_policy(RetryPolicy {
+    let mut engine = Engine::builder(&system, &alloc)
+        .solver(SolverKind::PushRelabelBinary)
+        .shards(2)
+        .fault_injector(injector)
+        .retry_policy(RetryPolicy {
             max_retries: 3,
             backoff: Micros::from_millis(1),
         })
-        .with_degraded_mode(true)
-        .with_tracing(1 << 12);
+        .degraded_mode(true)
+        .tracing(1 << 12)
+        .build();
     let _ = engine.submit_batch(&queries);
     let counts = engine.trace_counts();
     assert_eq!(
@@ -282,7 +288,11 @@ fn engine_fault_events_reconcile_with_stats() {
 #[test]
 fn metrics_snapshot_quantiles_and_round_trip() {
     let (system, alloc, queries) = chaos_batch();
-    let mut engine = Engine::new(&system, &alloc, PushRelabelBinary, 2).with_tracing(1 << 12);
+    let mut engine = Engine::builder(&system, &alloc)
+        .solver(SolverKind::PushRelabelBinary)
+        .shards(2)
+        .tracing(1 << 12)
+        .build();
     let results = engine.submit_batch(&queries);
     assert!(results.iter().all(Result::is_ok));
 
@@ -439,7 +449,7 @@ fn warm_engine_reuse_is_shard_invariant() {
     assert_eq!(cold.stats().reuse, ReuseCounters::default());
 }
 
-/// Without `with_tracing`, the engine still measures histograms but
+/// Without `EngineBuilder::tracing`, the engine still measures histograms but
 /// reports zero trace events — the tracer stays a no-op.
 #[test]
 fn untraced_engine_has_histograms_but_no_events() {
