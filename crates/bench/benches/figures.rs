@@ -110,12 +110,15 @@ fn main() {
         ],
     );
 
-    // Figure 10: Experiment 5 — sequential vs parallel integrated solver.
+    // Figure 10: Experiment 5 — FIFO vs Hong & He discharge under
+    // Algorithm 6.
     let w = workload(ExperimentId::Exp5, Scheme::Orthogonal, QueryKind::Arbitrary);
-    let par2 = ParallelPushRelabelBinary::new(2);
     bench_pair(
         "fig10_sequential_vs_parallel",
         &w,
-        &[("sequential", &PushRelabelBinary), ("parallel-2t", &par2)],
+        &[
+            ("sequential", &PushRelabelBinary),
+            ("parallel", &ParallelPushRelabelBinary),
+        ],
     );
 }

@@ -1,11 +1,8 @@
 //! Ablation benches on the max-flow substrate itself
 //! (`cargo bench --bench flow_engines`).
 //!
-//! DESIGN.md calls out three load-bearing design choices; each gets a
-//! bench:
+//! Two load-bearing design choices from DESIGN.md each get a bench:
 //!
-//! * heuristics — FIFO push-relabel with vs without global-relabel/gap
-//!   (the paper's "exact height calculation heuristics suggested by [19]");
 //! * engines — push-relabel vs Ford-Fulkerson vs Dinic on retrieval
 //!   networks (why push-relabel is the right engine, §IV);
 //! * conservation — `resume` after a capacity increment vs a from-scratch
@@ -65,18 +62,6 @@ fn engines() {
         inst.set_caps_for_budget(&mut graph, budget);
         let mut pr = PushRelabel::new();
         bench("push-relabel", || pr.max_flow(&mut graph, s, t));
-    }
-    {
-        let mut graph = inst.graph.clone();
-        inst.set_caps_for_budget(&mut graph, budget);
-        let mut pr = PushRelabel::plain();
-        bench("push-relabel-plain", || pr.max_flow(&mut graph, s, t));
-    }
-    {
-        let mut graph = inst.graph.clone();
-        inst.set_caps_for_budget(&mut graph, budget);
-        let mut pr = rds_flow::highest_label::HighestLabelPushRelabel::new();
-        bench("push-relabel-highest", || pr.max_flow(&mut graph, s, t));
     }
     {
         let mut graph = inst.graph.clone();

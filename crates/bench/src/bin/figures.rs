@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! cargo run -p rds-bench --release --bin figures -- [--fig 5|6|7|8|9|10|summary|all]
-//!     [--full] [--ns 10,20,30] [--queries 100] [--threads 2] [--seed 2012]
+//!     [--full] [--ns 10,20,30] [--queries 100] [--seed 2012]
 //! ```
 //!
 //! Defaults run a laptop-scale sweep; `--full` switches to the paper's
@@ -16,7 +16,7 @@ use std::process::ExitCode;
 fn usage() -> ExitCode {
     eprintln!(
         "usage: figures [--fig 5|6|7|8|9|10|summary|all] [--full] [--json] \
-         [--ns 10,20,..] [--queries K] [--threads T] [--seed S] [--fig10-n N] \
+         [--ns 10,20,..] [--queries K] [--seed S] [--fig10-n N] \
          [--fig10-queries Q]"
     );
     ExitCode::FAILURE
@@ -47,10 +47,6 @@ fn main() -> ExitCode {
                 Some(q) => params.queries = q,
                 None => return usage(),
             },
-            "--threads" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(t) => params.threads = t,
-                None => return usage(),
-            },
             "--seed" => match args.next().and_then(|v| v.parse().ok()) {
                 Some(s) => params.seed = s,
                 None => return usage(),
@@ -70,8 +66,8 @@ fn main() -> ExitCode {
     if !json {
         println!(
             "# integrated max-flow retrieval — figure regeneration\n\
-             # ns={:?} queries={} threads={} seed={}\n",
-            params.ns, params.queries, params.threads, params.seed
+             # ns={:?} queries={} seed={}\n",
+            params.ns, params.queries, params.seed
         );
     }
 

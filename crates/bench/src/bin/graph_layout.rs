@@ -9,7 +9,8 @@
 //!   push-relabel, with the bounds-checked accessors that code used,
 //!   reproduced here because the refactor deleted the originals;
 //! * **shipped** — today's `FlowGraph` (offset-array CSR arena) driven by
-//!   `rds_flow::push_relabel`.
+//!   `rds_flow::push_relabel`, on the wide (`i64`) and the compact
+//!   (`i32`) arena (`compact_speedup`, also gated in CI).
 //!
 //! Push-relabel is the engine the retrieval drivers default to, and its
 //! discharge order is scattered (unlike Dinic's BFS sweeps), so it is the
@@ -20,12 +21,6 @@
 //! reusing buffers. Legacy/shipped samples are interleaved so clock drift
 //! hits both arms equally.
 //!
-//! A second panel runs one generic mini-Dinic over four synthetic layouts
-//! storing the identical residual network — per-vertex `Vec`s, linked
-//! forward-star (`first_out`/`next_out`), offset-array CSR, and CSR with
-//! `i32` cap/flow words — the microbench behind the arena's two design
-//! calls: offset-array over linked list, and `i64` flow words retained.
-//!
 //! ```text
 //! cargo run --release -p rds-bench --bin graph_layout -- [--repeat 7] [--rounds 3]
 //! ```
@@ -33,7 +28,6 @@
 //! Writes `results/graph_layout.txt` and `BENCH_graph_layout.json`.
 
 use rds_flow::graph::FlowGraph;
-use rds_flow::parallel::{ParallelPushRelabel, WorkerPool};
 use rds_util::SplitMix64;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -107,8 +101,9 @@ fn build_instance(grid: usize, seed: u64) -> Instance {
 
 // ---------------------------------------------------------------------------
 // The pre-arena stack, reproduced from the repository history: adjacency
-// as one `Vec<u32>` per vertex, bounds-checked accessors, and the Dinic
-// that ran on it. This is the "old layout" arm of the headline.
+// as one `Vec<u32>` per vertex, bounds-checked accessors, and the FIFO
+// push-relabel that ran on it. This is the "old layout" arm of the
+// headline.
 // ---------------------------------------------------------------------------
 
 mod legacy {
@@ -421,422 +416,6 @@ mod legacy {
 }
 
 // ---------------------------------------------------------------------------
-// Synthetic layout panel: four layouts, one mini-Dinic.
-// ---------------------------------------------------------------------------
-
-trait Layout {
-    const NAME: &'static str;
-    /// Cursor over the out-slots of one vertex.
-    type Cur: Copy;
-    fn new() -> Self;
-    fn rebuild(&mut self, n: usize, arcs: &[Arc]);
-    fn num_vertices(&self) -> usize;
-    fn first(&self, v: usize) -> Self::Cur;
-    fn valid(&self, c: Self::Cur) -> bool;
-    fn advance(&self, c: Self::Cur) -> Self::Cur;
-    fn edge(&self, c: Self::Cur) -> usize;
-    fn head(&self, e: usize) -> usize;
-    fn residual(&self, e: usize) -> i64;
-    fn push(&mut self, e: usize, delta: i64);
-}
-
-/// Per-vertex adjacency vectors (the old layout's shape, minus its checked
-/// accessors — the panel isolates pure layout).
-struct VecOfVecs {
-    adj: Vec<Vec<u32>>,
-    head: Vec<u32>,
-    cap: Vec<i64>,
-    flow: Vec<i64>,
-}
-
-impl Layout for VecOfVecs {
-    const NAME: &'static str = "vec_of_vecs";
-    type Cur = (u32, u32);
-
-    fn new() -> Self {
-        VecOfVecs {
-            adj: Vec::new(),
-            head: Vec::new(),
-            cap: Vec::new(),
-            flow: Vec::new(),
-        }
-    }
-
-    fn rebuild(&mut self, n: usize, arcs: &[Arc]) {
-        if self.adj.len() < n {
-            self.adj.resize_with(n, Vec::new);
-        }
-        for list in &mut self.adj[..n] {
-            list.clear();
-        }
-        self.head.clear();
-        self.cap.clear();
-        self.flow.clear();
-        for a in arcs {
-            let e = self.head.len() as u32;
-            self.adj[a.from as usize].push(e);
-            self.adj[a.to as usize].push(e + 1);
-            self.head.extend([a.to, a.from]);
-            self.cap.extend([a.cap, 0]);
-            self.flow.extend([0, 0]);
-        }
-    }
-
-    fn num_vertices(&self) -> usize {
-        self.adj.len()
-    }
-
-    #[inline(always)]
-    fn first(&self, v: usize) -> (u32, u32) {
-        (v as u32, 0)
-    }
-
-    #[inline(always)]
-    fn valid(&self, (v, k): (u32, u32)) -> bool {
-        (k as usize) < self.adj[v as usize].len()
-    }
-
-    #[inline(always)]
-    fn advance(&self, (v, k): (u32, u32)) -> (u32, u32) {
-        (v, k + 1)
-    }
-
-    #[inline(always)]
-    fn edge(&self, (v, k): (u32, u32)) -> usize {
-        self.adj[v as usize][k as usize] as usize
-    }
-
-    #[inline(always)]
-    fn head(&self, e: usize) -> usize {
-        self.head[e] as usize
-    }
-
-    #[inline(always)]
-    fn residual(&self, e: usize) -> i64 {
-        self.cap[e] - self.flow[e]
-    }
-
-    #[inline(always)]
-    fn push(&mut self, e: usize, delta: i64) {
-        self.flow[e] += delta;
-        self.flow[e ^ 1] -= delta;
-    }
-}
-
-const NONE: u32 = u32::MAX;
-
-/// The linked forward-star candidate: `first_out[v]` heads an intrusive
-/// `next_out` chain through the edge slots. All-flat storage, but each
-/// traversal step is a data-dependent load.
-struct LinkedStar {
-    first_out: Vec<u32>,
-    next_out: Vec<u32>,
-    head: Vec<u32>,
-    cap: Vec<i64>,
-    flow: Vec<i64>,
-}
-
-impl Layout for LinkedStar {
-    const NAME: &'static str = "linked_forward_star";
-    type Cur = u32;
-
-    fn new() -> Self {
-        LinkedStar {
-            first_out: Vec::new(),
-            next_out: Vec::new(),
-            head: Vec::new(),
-            cap: Vec::new(),
-            flow: Vec::new(),
-        }
-    }
-
-    fn rebuild(&mut self, n: usize, arcs: &[Arc]) {
-        self.first_out.clear();
-        self.first_out.resize(n, NONE);
-        self.next_out.clear();
-        self.next_out.resize(arcs.len() * 2, NONE);
-        self.head.clear();
-        self.head.resize(arcs.len() * 2, 0);
-        self.cap.clear();
-        self.cap.resize(arcs.len() * 2, 0);
-        self.flow.clear();
-        self.flow.resize(arcs.len() * 2, 0);
-        // Arcs are chained in reverse so traversal order matches the other
-        // layouts (ascending slot id).
-        for (i, a) in arcs.iter().enumerate().rev() {
-            let e = i * 2;
-            self.head[e] = a.to;
-            self.head[e + 1] = a.from;
-            self.cap[e] = a.cap;
-            self.next_out[e] = self.first_out[a.from as usize];
-            self.first_out[a.from as usize] = e as u32;
-            self.next_out[e + 1] = self.first_out[a.to as usize];
-            self.first_out[a.to as usize] = (e + 1) as u32;
-        }
-    }
-
-    fn num_vertices(&self) -> usize {
-        self.first_out.len()
-    }
-
-    #[inline(always)]
-    fn first(&self, v: usize) -> u32 {
-        self.first_out[v]
-    }
-
-    #[inline(always)]
-    fn valid(&self, c: u32) -> bool {
-        c != NONE
-    }
-
-    #[inline(always)]
-    fn advance(&self, c: u32) -> u32 {
-        self.next_out[c as usize]
-    }
-
-    #[inline(always)]
-    fn edge(&self, c: u32) -> usize {
-        c as usize
-    }
-
-    #[inline(always)]
-    fn head(&self, e: usize) -> usize {
-        self.head[e] as usize
-    }
-
-    #[inline(always)]
-    fn residual(&self, e: usize) -> i64 {
-        self.cap[e] - self.flow[e]
-    }
-
-    #[inline(always)]
-    fn push(&mut self, e: usize, delta: i64) {
-        self.flow[e] += delta;
-        self.flow[e ^ 1] -= delta;
-    }
-}
-
-/// The shipped layout shape: offset-array CSR (`adj_index`/`adj_list`)
-/// over flat `head`/`cap`/`flow`, counting-sorted so per-vertex order is
-/// ascending slot id. Generic over the cap/flow word to measure the `i32`
-/// variant.
-struct CsrArena<W> {
-    adj_index: Vec<u32>,
-    adj_list: Vec<u32>,
-    cursor: Vec<u32>,
-    head: Vec<u32>,
-    cap: Vec<W>,
-    flow: Vec<W>,
-}
-
-trait FlowWord: Copy + Default {
-    const NAME: &'static str;
-    fn from_i64(x: i64) -> Self;
-    fn to_i64(self) -> i64;
-    fn add(self, other: Self) -> Self;
-    fn sub(self, other: Self) -> Self;
-}
-
-impl FlowWord for i64 {
-    const NAME: &'static str = "csr_i64";
-    fn from_i64(x: i64) -> i64 {
-        x
-    }
-    fn to_i64(self) -> i64 {
-        self
-    }
-    fn add(self, o: i64) -> i64 {
-        self + o
-    }
-    fn sub(self, o: i64) -> i64 {
-        self - o
-    }
-}
-
-impl FlowWord for i32 {
-    const NAME: &'static str = "csr_i32";
-    fn from_i64(x: i64) -> i32 {
-        x as i32
-    }
-    fn to_i64(self) -> i64 {
-        self as i64
-    }
-    fn add(self, o: i32) -> i32 {
-        self + o
-    }
-    fn sub(self, o: i32) -> i32 {
-        self - o
-    }
-}
-
-impl<W: FlowWord> Layout for CsrArena<W> {
-    const NAME: &'static str = W::NAME;
-    type Cur = (u32, u32);
-
-    fn new() -> Self {
-        CsrArena {
-            adj_index: Vec::new(),
-            adj_list: Vec::new(),
-            cursor: Vec::new(),
-            head: Vec::new(),
-            cap: Vec::new(),
-            flow: Vec::new(),
-        }
-    }
-
-    fn rebuild(&mut self, n: usize, arcs: &[Arc]) {
-        let m = arcs.len() * 2;
-        self.head.clear();
-        self.cap.clear();
-        self.flow.clear();
-        for a in arcs {
-            self.head.extend([a.to, a.from]);
-            self.cap.extend([W::from_i64(a.cap), W::default()]);
-            self.flow.extend([W::default(), W::default()]);
-        }
-        // Stable counting sort of slots by owner, as FlowGraph::finalize.
-        self.adj_index.clear();
-        self.adj_index.resize(n + 1, 0);
-        for e in 0..m {
-            self.adj_index[self.head[e ^ 1] as usize + 1] += 1;
-        }
-        for v in 0..n {
-            self.adj_index[v + 1] += self.adj_index[v];
-        }
-        self.cursor.clear();
-        self.cursor.extend_from_slice(&self.adj_index[..n]);
-        self.adj_list.clear();
-        self.adj_list.resize(m, 0);
-        for e in 0..m {
-            let src = self.head[e ^ 1] as usize;
-            let slot = self.cursor[src];
-            self.adj_list[slot as usize] = e as u32;
-            self.cursor[src] = slot + 1;
-        }
-    }
-
-    fn num_vertices(&self) -> usize {
-        self.adj_index.len().saturating_sub(1)
-    }
-
-    #[inline(always)]
-    fn first(&self, v: usize) -> (u32, u32) {
-        (self.adj_index[v], self.adj_index[v + 1])
-    }
-
-    #[inline(always)]
-    fn valid(&self, (pos, end): (u32, u32)) -> bool {
-        pos < end
-    }
-
-    #[inline(always)]
-    fn advance(&self, (pos, end): (u32, u32)) -> (u32, u32) {
-        (pos + 1, end)
-    }
-
-    #[inline(always)]
-    fn edge(&self, (pos, _): (u32, u32)) -> usize {
-        self.adj_list[pos as usize] as usize
-    }
-
-    #[inline(always)]
-    fn head(&self, e: usize) -> usize {
-        self.head[e] as usize
-    }
-
-    #[inline(always)]
-    fn residual(&self, e: usize) -> i64 {
-        self.cap[e].sub(self.flow[e]).to_i64()
-    }
-
-    #[inline(always)]
-    fn push(&mut self, e: usize, delta: i64) {
-        self.flow[e] = self.flow[e].add(W::from_i64(delta));
-        self.flow[e ^ 1] = self.flow[e ^ 1].sub(W::from_i64(delta));
-    }
-}
-
-/// One Dinic to drive the whole panel.
-struct MiniDinic<C> {
-    level: Vec<u32>,
-    queue: Vec<u32>,
-    cur: Vec<C>,
-}
-
-impl<C: Copy> MiniDinic<C> {
-    fn new() -> Self {
-        MiniDinic {
-            level: Vec::new(),
-            queue: Vec::new(),
-            cur: Vec::new(),
-        }
-    }
-
-    fn max_flow<L: Layout<Cur = C>>(&mut self, g: &mut L, s: usize, t: usize) -> i64 {
-        let n = g.num_vertices();
-        self.level.clear();
-        self.level.resize(n, 0);
-        self.cur.clear();
-        self.cur.resize(n, g.first(s));
-        let mut total = 0;
-        loop {
-            self.level.fill(u32::MAX);
-            self.level[s] = 0;
-            self.queue.clear();
-            self.queue.push(s as u32);
-            let mut qh = 0;
-            while qh < self.queue.len() {
-                let v = self.queue[qh] as usize;
-                qh += 1;
-                let mut c = g.first(v);
-                while g.valid(c) {
-                    let e = g.edge(c);
-                    let w = g.head(e);
-                    if g.residual(e) > 0 && self.level[w] == u32::MAX {
-                        self.level[w] = self.level[v] + 1;
-                        self.queue.push(w as u32);
-                    }
-                    c = g.advance(c);
-                }
-            }
-            if self.level[t] == u32::MAX {
-                return total;
-            }
-            for v in 0..n {
-                self.cur[v] = g.first(v);
-            }
-            loop {
-                let pushed = self.augment(g, s, t, i64::MAX);
-                if pushed == 0 {
-                    break;
-                }
-                total += pushed;
-            }
-        }
-    }
-
-    fn augment<L: Layout<Cur = C>>(&mut self, g: &mut L, v: usize, t: usize, limit: i64) -> i64 {
-        if v == t {
-            return limit;
-        }
-        while g.valid(self.cur[v]) {
-            let c = self.cur[v];
-            let e = g.edge(c);
-            let w = g.head(e);
-            if g.residual(e) > 0 && self.level[w] == self.level[v] + 1 {
-                let pushed = self.augment(g, w, t, limit.min(g.residual(e)));
-                if pushed > 0 {
-                    g.push(e, pushed);
-                    return pushed;
-                }
-            }
-            self.cur[v] = g.advance(c);
-        }
-        0
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Measurement
 // ---------------------------------------------------------------------------
 
@@ -972,79 +551,11 @@ fn time_stacks(inst: &Instance, repeat: usize, rounds: usize) -> StackTimes {
     t
 }
 
-/// Sequential vs pool-backed parallel push-relabel on one instance, both on
-/// the wide production arena, steady-state (in-place rebuild + solve per
-/// cycle). The parallel arm reuses one shared [`WorkerPool`] across every
-/// cycle — the engine-lifecycle shape, where `EngineBuilder` spawns the
-/// pool once and all shards and solves borrow it.
-fn time_parallel_vs_seq(
-    inst: &Instance,
-    repeat: usize,
-    rounds: usize,
-    threads: usize,
-) -> (Duration, Duration) {
-    let mut seq = rds_flow::push_relabel::PushRelabel::new();
-    let mut par = ParallelPushRelabel::with_pool(WorkerPool::new(threads));
-    let mut graph = FlowGraph::<i64>::new(inst.n);
-    let mut scratch = FlowGraph::<i64>::new(0);
-    build_production(&mut graph, inst);
-    scratch.copy_from(&graph);
-    let flow = seq.max_flow(&mut scratch, inst.source, inst.sink);
-    scratch.copy_from(&graph);
-    assert_eq!(
-        par.max_flow(&mut scratch, inst.source, inst.sink),
-        flow,
-        "parallel solver lost the flow value on grid {}",
-        inst.grid
-    );
-
-    let (mut best_seq, mut best_par) = (Duration::MAX, Duration::MAX);
-    for _ in 0..repeat {
-        let started = Instant::now();
-        for _ in 0..rounds {
-            build_production(&mut graph, inst);
-            scratch.copy_from(&graph);
-            assert_eq!(seq.max_flow(&mut scratch, inst.source, inst.sink), flow);
-        }
-        best_seq = best_seq.min(started.elapsed() / rounds as u32);
-
-        let started = Instant::now();
-        for _ in 0..rounds {
-            build_production(&mut graph, inst);
-            scratch.copy_from(&graph);
-            assert_eq!(par.max_flow(&mut scratch, inst.source, inst.sink), flow);
-        }
-        best_par = best_par.min(started.elapsed() / rounds as u32);
-    }
-    (best_seq, best_par)
-}
-
-/// Best-of-`repeat` steady-state time for one panel layout (in-place
-/// rebuild + from-zero solve per cycle).
-fn time_layout<L: Layout>(inst: &Instance, repeat: usize, rounds: usize) -> (Duration, i64) {
-    let mut dinic = MiniDinic::new();
-    let mut g = L::new();
-    g.rebuild(inst.n, &inst.arcs);
-    let value = dinic.max_flow(&mut g, inst.source, inst.sink);
-    let mut best = Duration::MAX;
-    for _ in 0..repeat {
-        let started = Instant::now();
-        for _ in 0..rounds {
-            g.rebuild(inst.n, &inst.arcs);
-            let got = dinic.max_flow(&mut g, inst.source, inst.sink);
-            assert_eq!(got, value, "{} lost the flow value", L::NAME);
-        }
-        best = best.min(started.elapsed() / rounds as u32);
-    }
-    (best, value)
-}
-
 struct Rung {
     grid: usize,
     vertices: usize,
     edge_slots: usize,
     stacks: StackTimes,
-    panel: [(Duration, i64); 4],
 }
 
 fn main() -> ExitCode {
@@ -1070,38 +581,13 @@ fn main() -> ExitCode {
     for (i, &grid) in grids.iter().enumerate() {
         let inst = build_instance(grid, 0x7AB1E2 + i as u64);
         let stacks = time_stacks(&inst, repeat, rounds);
-        let panel = [
-            time_layout::<VecOfVecs>(&inst, repeat, rounds),
-            time_layout::<LinkedStar>(&inst, repeat, rounds),
-            time_layout::<CsrArena<i64>>(&inst, repeat, rounds),
-            time_layout::<CsrArena<i32>>(&inst, repeat, rounds),
-        ];
-        let v = panel[0].1;
-        assert!(
-            panel.iter().all(|&(_, pv)| pv == v) && v == stacks.flow,
-            "panel layouts disagree on grid {grid}"
-        );
         rungs.push(Rung {
             grid,
             vertices: inst.n,
             edge_slots: inst.arcs.len() * 2,
             stacks,
-            panel,
         });
     }
-
-    // Sequential vs shared-pool parallel push-relabel, production arena,
-    // at the largest (cache-pressure) rung only — the small rungs have too
-    // little concurrent excess for the pool to matter.
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(2)
-        .clamp(1, 4);
-    let par_inst = build_instance(
-        *grids.last().expect("at least one rung"),
-        0x7AB1E2 + (grids.len() - 1) as u64,
-    );
-    let (seq_112, par_112) = time_parallel_vs_seq(&par_inst, repeat, rounds, threads);
 
     let last = rungs.last().expect("at least one rung");
     let cold_speedup =
@@ -1110,9 +596,6 @@ fn main() -> ExitCode {
         last.stacks.legacy_steady.as_secs_f64() / last.stacks.shipped_steady.as_secs_f64();
     let compact_speedup =
         last.stacks.shipped_cold.as_secs_f64() / last.stacks.compact_cold.as_secs_f64();
-    let parallel_vs_seq_112 = seq_112.as_secs_f64() / par_112.as_secs_f64();
-    let linked_vs_csr = last.panel[1].0.as_secs_f64() / last.panel[2].0.as_secs_f64();
-    let i32_vs_i64 = last.panel[2].0.as_secs_f64() / last.panel[3].0.as_secs_f64();
 
     let mut report = format!(
         "# graph_layout — pre-arena stack (Vec-of-Vecs FlowGraph + its FIFO\n\
@@ -1143,43 +626,21 @@ fn main() -> ExitCode {
             r.stacks.flow,
         ));
     }
-    report.push_str(
-        "#\n\
-         # layout panel (steady, one generic mini-Dinic; the arena design bench):\n\
-         # grid   vec_of_vecs_ms  linked_star_ms  csr_i64_ms  csr_i32_ms\n",
-    );
-    for r in &rungs {
-        report.push_str(&format!(
-            "{:>6} {:>16.3} {:>15.3} {:>11.3} {:>11.3}\n",
-            r.grid,
-            ms(r.panel[0].0),
-            ms(r.panel[1].0),
-            ms(r.panel[2].0),
-            ms(r.panel[3].0),
-        ));
-    }
     report.push_str(&format!(
         "#\n\
          cold_speedup         {cold_speedup:.2}x   (legacy stack / shipped stack, cold, grid {grid})\n\
          steady_speedup       {steady_speedup:.2}x   (legacy stack / shipped stack, in-place rebuilds)\n\
-         compact_speedup      {compact_speedup:.2}x   (production stack: wide i64 arena / compact i32 arena, cold, grid {grid})\n\
-         parallel_vs_seq_112  {parallel_vs_seq_112:.2}x   (sequential {seq:.3} ms / {threads}-thread shared-pool parallel {par:.3} ms, grid {grid})\n\
-         linked_vs_csr        {linked_vs_csr:.2}x   (panel: linked forward-star / offset-array csr)\n\
-         i32_vs_i64           {i32_vs_i64:.2}x   (panel: csr i64 words / csr i32 words)\n",
+         compact_speedup      {compact_speedup:.2}x   (production stack: wide i64 arena / compact i32 arena, cold, grid {grid})\n",
         grid = last.grid,
-        seq = ms(seq_112),
-        par = ms(par_112),
     ));
     print!("{report}");
 
     let mut json = format!(
-        "{{\n  \"bench\": \"graph_layout\",\n  \"repeat\": {repeat},\n  \"rounds\": {rounds},\n  \"cold_speedup\": {cold_speedup:.3},\n  \"steady_speedup\": {steady_speedup:.3},\n  \"compact_speedup\": {compact_speedup:.3},\n  \"parallel_vs_seq_112\": {parallel_vs_seq_112:.3},\n  \"parallel_threads\": {threads},\n  \"seq_112_ms\": {seq:.4},\n  \"par_112_ms\": {par:.4},\n  \"linked_vs_csr\": {linked_vs_csr:.3},\n  \"i32_vs_i64\": {i32_vs_i64:.3},\n  \"rungs\": [\n",
-        seq = ms(seq_112),
-        par = ms(par_112),
+        "{{\n  \"bench\": \"graph_layout\",\n  \"repeat\": {repeat},\n  \"rounds\": {rounds},\n  \"cold_speedup\": {cold_speedup:.3},\n  \"steady_speedup\": {steady_speedup:.3},\n  \"compact_speedup\": {compact_speedup:.3},\n  \"rungs\": [\n",
     );
     for (i, r) in rungs.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"grid\": {}, \"vertices\": {}, \"edge_slots\": {}, \"flow\": {}, \"legacy_cold_ms\": {:.4}, \"legacy_steady_ms\": {:.4}, \"shipped_cold_ms\": {:.4}, \"shipped_steady_ms\": {:.4}, \"compact_cold_ms\": {:.4}, \"compact_steady_ms\": {:.4}, \"panel_vec_of_vecs_ms\": {:.4}, \"panel_linked_star_ms\": {:.4}, \"panel_csr_i64_ms\": {:.4}, \"panel_csr_i32_ms\": {:.4}}}{}\n",
+            "    {{\"grid\": {}, \"vertices\": {}, \"edge_slots\": {}, \"flow\": {}, \"legacy_cold_ms\": {:.4}, \"legacy_steady_ms\": {:.4}, \"shipped_cold_ms\": {:.4}, \"shipped_steady_ms\": {:.4}, \"compact_cold_ms\": {:.4}, \"compact_steady_ms\": {:.4}}}{}\n",
             r.grid,
             r.vertices,
             r.edge_slots,
@@ -1190,10 +651,6 @@ fn main() -> ExitCode {
             ms(r.stacks.shipped_steady),
             ms(r.stacks.compact_cold),
             ms(r.stacks.compact_steady),
-            ms(r.panel[0].0),
-            ms(r.panel[1].0),
-            ms(r.panel[2].0),
-            ms(r.panel[3].0),
             if i + 1 == rungs.len() { "" } else { "," },
         ));
     }

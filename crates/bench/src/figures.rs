@@ -25,8 +25,6 @@ pub struct FigureParams {
     pub queries: usize,
     /// Base RNG seed.
     pub seed: u64,
-    /// Worker threads for the parallel solver (paper: 2).
-    pub threads: usize,
     /// Grid dimension for the per-query Figure 10 (paper: 100).
     pub fig10_n: usize,
     /// Query count for Figure 10 (paper: 100).
@@ -40,7 +38,6 @@ impl Default for FigureParams {
             ns: vec![10, 20, 30, 40],
             queries: 20,
             seed: 2012,
-            threads: 2,
             fig10_n: 40,
             fig10_queries: 40,
         }
@@ -54,7 +51,6 @@ impl FigureParams {
             ns: (10..=100).step_by(10).collect(),
             queries: 1000,
             seed: 2012,
-            threads: 2,
             fig10_n: 100,
             fig10_queries: 100,
         }
@@ -287,15 +283,17 @@ pub fn fig9(p: &FigureParams) -> Vec<Table> {
         .collect()
 }
 
-/// Figure 10 — Experiment 5, fixed grid size: per-query parallel /
-/// sequential runtime ratio of the integrated push-relabel.
+/// Figure 10 — Experiment 5, fixed grid size: per-query runtime ratio of
+/// Algorithm 6 over the one-worker Hong & He discharge
+/// ([`ParallelPushRelabelBinary`]) to Algorithm 6 over FIFO push-relabel
+/// ([`PushRelabelBinary`]). The paper's ratio came from 2 threads on 8
+/// cores; this one isolates the discharge rule.
 pub fn fig10(p: &FigureParams) -> Vec<Table> {
     let subplots = [
         ("a", QueryKind::Arbitrary, Load::Load1, Scheme::Orthogonal),
         ("b", QueryKind::Range, Load::Load2, Scheme::Orthogonal),
         ("c", QueryKind::Arbitrary, Load::Load1, Scheme::Rda),
     ];
-    let par = ParallelPushRelabelBinary::new(p.threads);
     subplots
         .iter()
         .map(|&(tag, kind, load, scheme)| {
@@ -310,18 +308,17 @@ pub fn fig10(p: &FigureParams) -> Vec<Table> {
             );
             let mut t = Table::new(
                 format!(
-                    "Figure 10({tag}) — Exp 5, {}, {}, {} disks, {} threads — runtime ratio (parallel/sequential)",
+                    "Figure 10({tag}) — Exp 5, {}, {}, {} disks — runtime ratio (one-worker Hong-He / FIFO Algorithm 6)",
                     subplot_label(kind, load),
                     scheme.label(),
                     p.fig10_n,
-                    p.threads,
                 ),
-                &["query", "sequential (ms)", "parallel (ms)", "par/seq"],
+                &["query", "FIFO (ms)", "Hong-He (ms)", "ratio"],
             );
             let mut ratio_sum = 0.0;
             for (i, inst) in w.instances.iter().enumerate() {
                 let (seq_ms, seq_rt) = measure_one(&PushRelabelBinary, inst);
-                let (par_ms, par_rt) = measure_one(&par, inst);
+                let (par_ms, par_rt) = measure_one(&ParallelPushRelabelBinary, inst);
                 assert_eq!(seq_rt, par_rt, "parallel solver lost optimality");
                 ratio_sum += par_ms / seq_ms;
                 t.push_row(vec![
@@ -343,13 +340,13 @@ pub fn fig10(p: &FigureParams) -> Vec<Table> {
 }
 
 /// Headline summary: the paper's abstract-level speed-up numbers on
-/// Experiment 5 (integrated vs black box; parallel vs sequential).
+/// Experiment 5 (integrated vs black box; the PAR column is
+/// [`ParallelPushRelabelBinary`], the one-worker Hong & He discharge).
 pub fn summary(p: &FigureParams) -> Vec<Table> {
     let mut t = Table::new(
         "Summary — Exp 5, Arbitrary Load 1, Orthogonal — speed-ups vs black box",
         &["N", "BB (ms)", "INT (ms)", "PAR (ms)", "BB/INT", "BB/PAR"],
     );
-    let par = ParallelPushRelabelBinary::new(p.threads);
     for &n in &p.ns {
         let w = Workload::build(
             ExperimentId::Exp5,
@@ -362,7 +359,7 @@ pub fn summary(p: &FigureParams) -> Vec<Table> {
         );
         let bb = measure(&BlackBoxPushRelabel, &w);
         let int = measure(&PushRelabelBinary, &w);
-        let pm = measure(&par, &w);
+        let pm = measure(&ParallelPushRelabelBinary, &w);
         assert_eq!(bb.total_response, int.total_response);
         assert_eq!(bb.total_response, pm.total_response);
         t.push_row(vec![
@@ -386,7 +383,6 @@ mod tests {
             ns: vec![5],
             queries: 3,
             seed: 1,
-            threads: 2,
             fig10_n: 5,
             fig10_queries: 3,
         }

@@ -436,9 +436,7 @@ pub(crate) struct Shard {
 /// One detached solve lane of the fused batch path: a private
 /// [`Workspace`] (plane sharing on, so it checks out the instance's
 /// topology plane instead of deep-copying the arena) and a private
-/// health scratch map. Lanes never hold a [`WorkerPool`] — a fused lane
-/// runs *inside* a pool task, and dispatching on the same pool from a
-/// task would deadlock.
+/// health scratch map.
 #[derive(Debug, Default)]
 pub(crate) struct FusedLane {
     pub(crate) workspace: Workspace,
@@ -1026,12 +1024,9 @@ pub struct Engine<'a, A: ReplicaSource + Sync, S: RetrievalSolver + Sync> {
     /// Spans of submissions the serving loop *rejected* at admission
     /// (they never reach a shard, so they get their own recorder).
     pub(crate) rejections: FlightRecorder,
-    /// The shared worker pool, when one exists (parallel solver kind
-    /// and/or fused batch drains).
+    /// The worker pool fused drains run their stream groups on: `Some`
+    /// exactly when drains fuse (see [`SolverSpec::batch_fuse`]).
     pub(crate) pool: Option<WorkerPool>,
-    /// Whether drains take the fused path (see
-    /// [`SolverSpec::batch_fuse`]). Requires `pool`.
-    pub(crate) batch_fuse: bool,
 }
 /// Step-by-step construction of an [`Engine`] around a [`SolverSpec`] —
 /// the unified alternative to threading a concrete solver type through
@@ -1129,17 +1124,12 @@ impl<'a, A: ReplicaSource + Sync> EngineBuilder<'a, A> {
 
     /// Materializes the engine.
     ///
-    /// For the parallel solver kind this creates **one** shared
-    /// [`WorkerPool`] sized from [`SolverSpec::parallelism`] and installs
-    /// it in every shard workspace, so all shards (and every solve) reuse
-    /// the same worker threads instead of spawning per solve.
-    /// [`SolverSpec::batch_fuse`] also creates the pool (without
-    /// installing it in the workspaces — fused lanes must never dispatch
-    /// on the pool they run inside), so fused drains can schedule their
-    /// stream groups across it.
+    /// With [`SolverSpec::batch_fuse`] this creates **one** [`WorkerPool`]
+    /// sized from [`SolverSpec::parallelism`], shared by every shard, so
+    /// fused drains schedule their stream groups across the same worker
+    /// threads instead of spawning per drain.
     pub fn build(self) -> Engine<'a, A, AnySolver> {
-        let parallel_kind = matches!(self.spec.kind, SolverKind::ParallelPushRelabelBinary);
-        let pool = (parallel_kind || self.spec.batch_fuse).then(|| {
+        let pool = self.spec.batch_fuse.then(|| {
             let threads = if self.spec.parallelism == 0 {
                 2
             } else {
@@ -1157,9 +1147,6 @@ impl<'a, A: ReplicaSource + Sync> EngineBuilder<'a, A> {
         engine.injector = self.injector;
         for shard in &mut engine.shards {
             shard.workspace.set_arena_layout(self.spec.arena_layout);
-            if let (Some(pool), true) = (&pool, parallel_kind) {
-                shard.workspace.set_worker_pool(pool.clone());
-            }
             if let Some(capacity) = self.tracing {
                 shard.workspace.install_recorder(capacity);
             }
@@ -1171,7 +1158,6 @@ impl<'a, A: ReplicaSource + Sync> EngineBuilder<'a, A> {
             engine.rejections = FlightRecorder::new(config);
         }
         engine.pool = pool;
-        engine.batch_fuse = self.spec.batch_fuse;
         engine
     }
 }
@@ -1219,7 +1205,6 @@ impl<'a, A: ReplicaSource + Sync, S: RetrievalSolver + Sync> Engine<'a, A, S> {
             slo: SloPolicy::default(),
             rejections: FlightRecorder::default(),
             pool: None,
-            batch_fuse: false,
         }
     }
 
@@ -1354,7 +1339,7 @@ impl<'a, A: ReplicaSource + Sync, S: RetrievalSolver + Sync> Engine<'a, A, S> {
             reuse: self.reuse,
             objective: self.objective,
             budget: self.budget,
-            fuse: self.pool.as_ref().filter(|_| self.batch_fuse),
+            fuse: self.pool.as_ref(),
             clock,
         };
         (ctx, &mut self.shards)
@@ -1687,7 +1672,6 @@ mod tests {
             buckets: buckets.clone(),
         };
         let mut engine = Engine::new(&system, &alloc, PanicOnBucket(poison), 1);
-        engine.batch_fuse = true;
         engine.pool = Some(rds_flow::parallel::WorkerPool::new(2));
         let results = engine.submit_batch(&[
             mk(0, 0, &good),
@@ -1756,7 +1740,6 @@ mod tests {
         let engine = |shards: usize, fused: bool| {
             let mut engine = Engine::new(&system, &alloc, BombOnBucket(poison), shards);
             if fused {
-                engine.batch_fuse = true;
                 engine.pool = Some(WorkerPool::new(2));
             }
             engine

@@ -17,7 +17,7 @@
 //! | Algorithm 4 | `rds_flow::push_relabel::PushRelabel` — FIFO push-relabel engine |
 //! | Algorithm 5 | [`pr::PushRelabelIncremental`] — integrated incremental PR |
 //! | Algorithm 6 | [`pr::PushRelabelBinary`] — binary capacity scaling + flow conservation |
-//! | Section V | [`parallel::ParallelPushRelabelBinary`] — lock-free parallel Algorithm 6 |
+//! | Section V | [`parallel::ParallelPushRelabelBinary`] — Algorithm 6 over the Hong & He discharge (one worker) |
 //! | Baseline \[12\] | [`blackbox::BlackBoxPushRelabel`] — binary scaling, from-scratch max-flow |
 //! | Baseline \[18\] | [`blackbox::BlackBoxFordFulkerson`] — from-scratch FF per probe |
 //!

@@ -1,11 +1,14 @@
 //! Parallel integrated retrieval (paper Section V).
 //!
 //! The paper parallelizes the push/relabel operations inside Algorithm 6
-//! using the lock-free asynchronous method of Hong & He (TPDS 2011); the
-//! driver — binary capacity scaling, flow conservation, final incremental
-//! phase — is unchanged. Accordingly, this solver reuses
-//! `crate::pr`'s shared binary-scaling driver with the multithreaded
-//! [`rds_flow::parallel::ParallelPushRelabel`] engine.
+//! using the asynchronous method of Hong & He (TPDS 2011); the driver —
+//! binary capacity scaling, flow conservation, final incremental phase —
+//! is unchanged. Accordingly, this solver reuses `crate::pr`'s shared
+//! binary-scaling driver with the
+//! [`rds_flow::parallel::ParallelPushRelabel`] engine, which runs Hong &
+//! He's discharge rule (lowest-neighbour pushes, rounds of exact global
+//! relabeling) on one worker. Figure 10 compares it against the FIFO
+//! engine of [`crate::pr::PushRelabelBinary`].
 
 use crate::error::SolveError;
 use crate::network::RetrievalInstance;
@@ -14,27 +17,9 @@ use crate::schedule::{RetrievalOutcome, SolveStats};
 use crate::solver::RetrievalSolver;
 use crate::workspace::{on_graph, ArmedBudget, Workspace};
 
-/// Multithreaded Algorithm 6 (the paper evaluates 2 threads).
-#[derive(Clone, Copy, Debug)]
-pub struct ParallelPushRelabelBinary {
-    /// Number of worker threads for the push/relabel phase.
-    pub threads: usize,
-}
-
-impl Default for ParallelPushRelabelBinary {
-    fn default() -> Self {
-        ParallelPushRelabelBinary { threads: 2 }
-    }
-}
-
-impl ParallelPushRelabelBinary {
-    /// Creates a solver using `threads` workers (minimum 1).
-    pub fn new(threads: usize) -> Self {
-        ParallelPushRelabelBinary {
-            threads: threads.max(1),
-        }
-    }
-}
+/// Algorithm 6 over the Hong & He discharge (paper Section V).
+#[derive(Clone, Copy, Debug, Default)]
+pub struct ParallelPushRelabelBinary;
 
 impl RetrievalSolver for ParallelPushRelabelBinary {
     fn name(&self) -> &'static str {
@@ -49,12 +34,11 @@ impl RetrievalSolver for ParallelPushRelabelBinary {
         ws.tracer.note_solver(self.name(), false);
         let budget = ArmedBudget::start(ws.armed_budget());
         ws.begin(inst)?;
-        ws.ensure_parallel(self.threads, inst.graph.num_vertices());
+        ws.ensure_parallel(inst.graph.num_vertices());
         let mut stats = SolveStats::default();
         let result = on_graph!(ws, |g| {
-            let (_, engine) = ws.parallel.as_mut().expect("parallel engine cached");
             match binary_scaling_integrated(
-                engine,
+                &mut ws.parallel,
                 inst,
                 &mut *g,
                 &mut stats,
@@ -83,15 +67,14 @@ impl RetrievalSolver for ParallelPushRelabelBinary {
         ws.tracer.note_solver(self.name(), true);
         let budget = ArmedBudget::start(ws.armed_budget());
         let mut stats = SolveStats::default();
-        if !ws.begin_warm_parallel(inst, self.threads)? {
+        if !ws.begin_warm_parallel(inst)? {
             return Err(SolveError::DeltaUnsupported {
                 solver: self.name(),
             });
         }
         let result = on_graph!(ws, |g| {
-            let (_, engine) = ws.parallel.as_mut().expect("parallel engine cached");
             match warm_integrated(
-                engine,
+                &mut ws.parallel,
                 inst,
                 &mut *g,
                 &mut stats,
@@ -114,6 +97,7 @@ impl RetrievalSolver for ParallelPushRelabelBinary {
 mod tests {
     use super::*;
     use crate::pr::PushRelabelBinary;
+    use crate::spec::{SolverKind, SolverSpec};
     use crate::verify::{assert_outcome_valid, oracle_optimal_response};
     use rds_decluster::allocation::Placement;
     use rds_decluster::orthogonal::OrthogonalAllocation;
@@ -128,7 +112,7 @@ mod tests {
         for (r, c) in [(3usize, 2usize), (7, 7), (5, 2)] {
             let q = RangeQuery::new(0, 0, r, c);
             let inst = RetrievalInstance::build(&system, &alloc, &q.buckets(7));
-            let par = ParallelPushRelabelBinary::new(2).solve(&inst).unwrap();
+            let par = ParallelPushRelabelBinary.solve(&inst).unwrap();
             let seq = PushRelabelBinary.solve(&inst).unwrap();
             assert_eq!(par.response_time, seq.response_time, "query {r}x{c}");
             assert_outcome_valid(&inst, &par);
@@ -142,27 +126,45 @@ mod tests {
         let q = RangeQuery::new(1, 1, 5, 4);
         let inst = RetrievalInstance::build(&system, &alloc, &q.buckets(6));
         let want = oracle_optimal_response(&inst);
-        for threads in [1usize, 2, 4] {
-            let outcome = ParallelPushRelabelBinary::new(threads)
+        let reference = ParallelPushRelabelBinary.solve(&inst).unwrap();
+        for threads in [0usize, 1, 2, 4] {
+            let outcome = SolverSpec::new(SolverKind::ParallelPushRelabelBinary)
+                .parallelism(threads)
                 .solve(&inst)
                 .unwrap();
-            assert_eq!(outcome.response_time, want, "{threads} threads");
+            assert_eq!(outcome.response_time, want, "parallelism {threads}");
+            assert_eq!(
+                outcome.schedule.assignments(),
+                reference.schedule.assignments(),
+                "parallelism {threads}"
+            );
             assert_outcome_valid(&inst, &outcome);
         }
     }
 
     #[test]
     fn repeated_runs_are_deterministic_in_value() {
-        // The schedule may differ between runs (races change which replica
-        // serves a bucket) but the optimal response time never does.
+        // Every run — fresh or through one reused workspace — returns the
+        // same bucket→disk assignment at the sequential optimum.
         let system = experiment(ExperimentId::Exp5, 8, 21);
         let alloc = OrthogonalAllocation::new(8, Placement::PerSite);
         let q = RangeQuery::new(2, 3, 6, 6);
         let inst = RetrievalInstance::build(&system, &alloc, &q.buckets(8));
         let want = PushRelabelBinary.solve(&inst).unwrap().response_time;
-        for _ in 0..5 {
-            let got = ParallelPushRelabelBinary::new(2).solve(&inst).unwrap();
+        let first = ParallelPushRelabelBinary.solve(&inst).unwrap();
+        let mut ws = Workspace::new();
+        for run in 0..5 {
+            let got = if run % 2 == 0 {
+                ParallelPushRelabelBinary.solve(&inst).unwrap()
+            } else {
+                ParallelPushRelabelBinary.solve_in(&inst, &mut ws).unwrap()
+            };
             assert_eq!(got.response_time, want);
+            assert_eq!(
+                got.schedule.assignments(),
+                first.schedule.assignments(),
+                "run {run}"
+            );
             assert_outcome_valid(&inst, &got);
         }
     }
@@ -172,7 +174,7 @@ mod tests {
         let system = paper_example();
         let alloc = OrthogonalAllocation::paper_7x7();
         let inst = RetrievalInstance::build(&system, &alloc, &[]);
-        let outcome = ParallelPushRelabelBinary::default().solve(&inst).unwrap();
+        let outcome = ParallelPushRelabelBinary.solve(&inst).unwrap();
         assert_eq!(outcome.flow_value, 0);
     }
 }

@@ -142,7 +142,7 @@ pub enum SolverKind {
     /// Algorithm 6: push-relabel with binary capacity scaling and flow
     /// conservation across probes. The paper's headline algorithm.
     PushRelabelBinary,
-    /// Section V: lock-free parallel variant of Algorithm 6.
+    /// Section V: Algorithm 6 over Hong & He's push-relabel discharge.
     ParallelPushRelabelBinary,
     /// Baseline \[12\]: binary scaling over a from-scratch push-relabel.
     BlackBoxPushRelabel,
@@ -171,7 +171,7 @@ impl SolverKind {
             SolverKind::FordFulkersonIncremental => FordFulkersonIncremental.name(),
             SolverKind::PushRelabelIncremental => PushRelabelIncremental.name(),
             SolverKind::PushRelabelBinary => PushRelabelBinary.name(),
-            SolverKind::ParallelPushRelabelBinary => ParallelPushRelabelBinary::default().name(),
+            SolverKind::ParallelPushRelabelBinary => ParallelPushRelabelBinary.name(),
             SolverKind::BlackBoxPushRelabel => BlackBoxPushRelabel.name(),
             SolverKind::BlackBoxFordFulkerson => BlackBoxFordFulkerson.name(),
         }
@@ -251,10 +251,9 @@ impl ScheduleObjective {
 pub struct SolverSpec {
     /// Which algorithm to run.
     pub kind: SolverKind,
-    /// Worker threads for [`SolverKind::ParallelPushRelabelBinary`]
-    /// (`0` = the solver's default of 2, the paper's evaluation setup);
-    /// ignored by the other kinds. The engine sizes its shared worker
-    /// pool from this value.
+    /// Worker threads of the pool that fused batch drains run on
+    /// ([`SolverSpec::batch_fuse`]; `0` = 2 workers). No solver reads
+    /// it: every solve, of every kind, runs on one thread.
     pub parallelism: usize,
     /// Reuse each stream's previous flow via delta patching when the
     /// consecutive queries overlap. Kinds without delta support fall
@@ -308,8 +307,8 @@ impl SolverSpec {
         self
     }
 
-    /// Sets the worker-thread count for the parallel solver (and the
-    /// engine's shared worker pool).
+    /// Sets the worker-thread count of the fused-drain pool (see
+    /// [`SolverSpec::parallelism`]).
     pub fn parallelism(mut self, threads: usize) -> SolverSpec {
         self.parallelism = threads;
         self
@@ -392,11 +391,7 @@ impl SolverSpec {
             }
             SolverKind::PushRelabelBinary => AnySolver::PushRelabelBinary(PushRelabelBinary),
             SolverKind::ParallelPushRelabelBinary => {
-                AnySolver::ParallelPushRelabelBinary(if self.parallelism == 0 {
-                    ParallelPushRelabelBinary::default()
-                } else {
-                    ParallelPushRelabelBinary::new(self.parallelism)
-                })
+                AnySolver::ParallelPushRelabelBinary(ParallelPushRelabelBinary)
             }
             SolverKind::BlackBoxPushRelabel => AnySolver::BlackBoxPushRelabel(BlackBoxPushRelabel),
             SolverKind::BlackBoxFordFulkerson => {

@@ -20,7 +20,7 @@ use crate::obs::trace::{TraceEvent, TraceSink, Tracer};
 use crate::spec::{ArenaLayout, SolveBudget};
 use rds_flow::ford_fulkerson::AugmentingPath;
 use rds_flow::graph::FlowGraph;
-use rds_flow::parallel::{ParallelPushRelabel, WorkerPool};
+use rds_flow::parallel::ParallelPushRelabel;
 use rds_flow::push_relabel::PushRelabel;
 use std::time::Instant;
 
@@ -120,10 +120,6 @@ pub struct Workspace {
     /// rebuild-per-query paths keep their zero-steady-state-allocation
     /// contract without COW detaches.
     plane_sharing: bool,
-    /// Shared engine-wide worker pool, injected by
-    /// [`crate::engine::EngineBuilder`]; the cached parallel engine
-    /// attaches to it instead of spawning its own threads.
-    pool: Option<WorkerPool>,
     /// Sequential push-relabel engine (Algorithm 4) with its height,
     /// queue and excess arrays.
     pub(crate) engine: PushRelabel,
@@ -133,9 +129,9 @@ pub struct Workspace {
     pub(crate) stored_flows: Vec<i64>,
     /// Excess snapshot buffer paired with `stored_flows`.
     pub(crate) stored_excess: Vec<i64>,
-    /// Cached parallel engine, keyed by its worker-thread count. Kept
-    /// alive so its worker pool persists across solves.
-    pub(crate) parallel: Option<(usize, ParallelPushRelabel)>,
+    /// Hong & He push-relabel engine (paper Section V) with its height,
+    /// ring and excess arrays.
+    pub(crate) parallel: ParallelPushRelabel,
     /// Solver-phase event tracer; disabled (single-branch emits) until a
     /// sink is installed. See [`crate::obs::trace`].
     pub(crate) tracer: Tracer,
@@ -200,12 +196,11 @@ impl Workspace {
             active: ActiveWidth::Wide,
             requested: ArenaLayout::Auto,
             plane_sharing: false,
-            pool: None,
             engine: PushRelabel::new(),
             search: AugmentingPath::new(),
             stored_flows: Vec::new(),
             stored_excess: Vec::new(),
-            parallel: None,
+            parallel: ParallelPushRelabel::new(),
             tracer: Tracer::disabled(),
             warm_flows: Vec::new(),
             warm_excess: Vec::new(),
@@ -259,17 +254,6 @@ impl Workspace {
             ActiveWidth::Wide => ArenaLayout::Wide,
             ActiveWidth::Compact => ArenaLayout::Compact,
         }
-    }
-
-    /// Attaches the engine's shared [`WorkerPool`]; the cached parallel
-    /// push-relabel engine then runs its discharge workers on the pool's
-    /// threads (sized once at engine build) instead of spawning its own.
-    pub fn set_worker_pool(&mut self, pool: WorkerPool) {
-        if let Some((threads, engine)) = self.parallel.as_mut() {
-            *threads = pool.threads();
-            engine.set_pool(pool.clone());
-        }
-        self.pool = Some(pool);
     }
 
     /// Resolves the layout policy against one instance.
@@ -585,38 +569,20 @@ impl Workspace {
         Ok(true)
     }
 
-    /// Readies the cached parallel engine for a solve over `vertices`
-    /// vertices with `threads` workers: (dis)connects it from the
-    /// previous solve (excess zeroed, topology snapshot invalidated) and
-    /// attaches the shared worker pool when one matching the thread
-    /// count is installed. Callers then split-borrow
-    /// [`Workspace::parallel`] next to the active graph via [`on_graph!`].
-    pub(crate) fn ensure_parallel(&mut self, threads: usize, vertices: usize) {
-        let rebuild = match &self.parallel {
-            Some((t, _)) => *t != threads,
-            None => true,
-        };
-        if rebuild {
-            let engine = match &self.pool {
-                Some(pool) if pool.threads() == threads => {
-                    ParallelPushRelabel::with_pool(pool.clone())
-                }
-                _ => ParallelPushRelabel::new(threads),
-            };
-            self.parallel = Some((threads, engine));
-        }
-        let (_, engine) = self.parallel.as_mut().expect("parallel engine cached");
-        engine.invalidate_topology();
-        engine.reset_excess(vertices);
+    /// Readies the parallel engine for a solve over `vertices` vertices
+    /// by zeroing the excess the previous solve left behind. Callers then
+    /// split-borrow [`Workspace::parallel`] next to the active graph via
+    /// [`on_graph!`].
+    pub(crate) fn ensure_parallel(&mut self, vertices: usize) {
+        self.parallel.reset_excess(vertices);
     }
 
     /// Warm counterpart of [`Workspace::ensure_parallel`]: like
     /// [`Workspace::begin_warm`], but the staged excesses are loaded into
-    /// the cached parallel engine instead of the sequential one.
+    /// the parallel engine instead of the sequential one.
     pub(crate) fn begin_warm_parallel(
         &mut self,
         inst: &RetrievalInstance,
-        threads: usize,
     ) -> Result<bool, SolveError> {
         if !self.warm_staged {
             return Ok(false);
@@ -634,11 +600,10 @@ impl Workspace {
         self.tracer.emit(TraceEvent::SolveStart {
             query_size: inst.query_size() as u32,
         });
-        self.ensure_parallel(threads, inst.graph.num_vertices());
-        let (_, engine) = self.parallel.as_mut().expect("parallel engine cached");
+        self.ensure_parallel(inst.graph.num_vertices());
         for (v, &x) in self.warm_excess.iter().enumerate() {
             if x != 0 {
-                engine.set_excess(v, x);
+                self.parallel.set_excess(v, x);
             }
         }
         Ok(true)
@@ -797,37 +762,6 @@ mod tests {
         // And a fitting instance checks out cleanly afterwards.
         ws.begin(&small_instance()).unwrap();
         assert_eq!(ws.layout_used(), ArenaLayout::Compact);
-    }
-
-    #[test]
-    fn parallel_engine_is_cached_per_thread_count() {
-        let mut ws = Workspace::new();
-        ws.graph = FlowGraph::new(2);
-        {
-            ws.ensure_parallel(2, 2);
-            let (_, engine) = ws.parallel.as_mut().unwrap();
-            engine.set_excess(0, 7);
-        }
-        {
-            // Same thread count: same engine, but excess was reset.
-            ws.ensure_parallel(2, 2);
-            let (_, engine) = ws.parallel.as_mut().unwrap();
-            assert_eq!(engine.excess(0), 0);
-        }
-    }
-
-    #[test]
-    fn shared_pool_attaches_to_cached_engine() {
-        let mut ws = Workspace::new();
-        ws.ensure_parallel(3, 2);
-        let pool = WorkerPool::new(3);
-        ws.set_worker_pool(pool.clone());
-        // A matching ensure keeps the pool-backed engine; a mismatched
-        // thread count rebuilds without the pool.
-        ws.ensure_parallel(3, 2);
-        assert_eq!(ws.parallel.as_ref().unwrap().0, 3);
-        ws.ensure_parallel(2, 2);
-        assert_eq!(ws.parallel.as_ref().unwrap().0, 2);
     }
 
     /// An instance whose capacity bound exceeds the compact guard band: a

@@ -499,15 +499,6 @@ impl<W: ArenaIndex> FlowGraph<W> {
         self.arena.flow[e ^ 1] = W::from_i64(self.arena.flow[e ^ 1].to_i64() - delta);
     }
 
-    /// Overwrites the raw flow value of a single edge slot *without*
-    /// touching its pair. Used by the parallel solver to copy atomic flow
-    /// state back into the graph; both slots of every pair must be written
-    /// for the pairing invariant to hold afterwards.
-    #[inline]
-    pub fn set_flow_raw(&mut self, e: EdgeId, flow: i64) {
-        self.arena.flow[e] = W::from_i64(flow);
-    }
-
     /// Target vertex of edge `e`, without the release-mode bounds check.
     ///
     /// Internal fast path for solver inner loops. Callers must pass an edge
@@ -878,28 +869,6 @@ impl<W: ArenaIndex> FlowGraph<W> {
     /// Iterator over all forward edge ids.
     pub fn forward_edges(&self) -> impl Iterator<Item = EdgeId> {
         (0..self.arena.topo.head.len()).step_by(2)
-    }
-
-    /// Raw CSR offset array (`n + 1` entries). Internal view letting the
-    /// parallel engine snapshot topology with flat memcpys.
-    #[inline]
-    pub(crate) fn csr_index(&self) -> &[u32] {
-        assert!(!self.dirty, "csr_index on stale topology: call finalize()");
-        &self.arena.topo.adj_index
-    }
-
-    /// Raw CSR adjacency array (edge slots grouped by owner). Same contract
-    /// as [`FlowGraph::csr_index`].
-    #[inline]
-    pub(crate) fn csr_list(&self) -> &[u32] {
-        assert!(!self.dirty, "csr_list on stale topology: call finalize()");
-        &self.arena.topo.adj_list
-    }
-
-    /// Raw edge-target array, indexed by edge slot.
-    #[inline]
-    pub(crate) fn heads(&self) -> &[u32] {
-        &self.arena.topo.head
     }
 
     /// Whether `self` and `other` currently share one topology plane (the

@@ -271,7 +271,7 @@ mod tests {
 
     #[test]
     fn parallel_implements_trait() {
-        generic_roundtrip(ParallelPushRelabel::new(2));
+        generic_roundtrip(ParallelPushRelabel::new());
     }
 
     /// A small layered network shaped like a retrieval instance:
@@ -309,7 +309,7 @@ mod tests {
 
     #[test]
     fn retarget_capacity_parallel() {
-        surgery_retarget_resolves_overflow(ParallelPushRelabel::new(2));
+        surgery_retarget_resolves_overflow(ParallelPushRelabel::new());
     }
 
     fn surgery_detach_matches_fresh<E: IncrementalMaxFlow>(mut engine: E) {
@@ -333,7 +333,7 @@ mod tests {
 
     #[test]
     fn detach_vertex_parallel() {
-        surgery_detach_matches_fresh(ParallelPushRelabel::new(2));
+        surgery_detach_matches_fresh(ParallelPushRelabel::new());
     }
 
     #[test]

@@ -18,9 +18,9 @@
 //!   global-relabeling ("exact height") and gap heuristics of
 //!   Cherkassky-Goldberg, plus a `resume` entry point that conserves
 //!   previously computed flows after capacity increases.
-//! * [`parallel`] — a lock-free multithreaded push-relabel in the style of
-//!   Hong & He (IEEE TPDS 2011), using only atomic read-modify-write
-//!   operations (no locks, no barriers).
+//! * [`parallel`] — push-relabel with the lowest-neighbour discharge and
+//!   round-based global relabeling of Hong & He (IEEE TPDS 2011), run by
+//!   one worker, plus the [`WorkerPool`] fused batch drains run on.
 //! * [`mincost`] — minimum-cost flow on the same residual arena:
 //!   successive shortest paths with potentials, plus a negative-cycle
 //!   canceling refiner that rebalances an existing flow under linear or
@@ -53,11 +53,9 @@ pub mod decompose;
 pub mod dinic;
 pub mod ford_fulkerson;
 pub mod graph;
-pub mod highest_label;
 pub mod incremental;
 pub mod min_cut;
 pub mod mincost;
-pub mod mpmc;
 pub mod parallel;
 pub mod push_relabel;
 pub mod validate;

@@ -1,365 +1,65 @@
-//! Lock-free multithreaded push-relabel, after Hong & He, *"An Asynchronous
+//! Push-relabel with the discharge rule of Hong & He, *"An Asynchronous
 //! Multithreaded Algorithm for the Maximum Network Flow Problem with
 //! Nonblocking Global Relabeling Heuristic"* (IEEE TPDS 2011) — the
-//! parallelization the paper adopts for its parallel integrated algorithm
-//! (Section V).
+//! method the paper adopts for its parallel integrated algorithm
+//! (Section V) — run by one worker, plus the [`WorkerPool`] that fused
+//! batch drains schedule whole solves on.
 //!
-//! No locks or barriers protect push/relabel operations; the only shared
-//! mutable state consists of atomic per-edge flows, per-vertex excesses and
-//! heights, and per-worker lock-free work rings. The key safety arguments:
+//! The discharge differs from the FIFO Goldberg–Tarjan engine in
+//! [`crate::push_relabel`]:
 //!
-//! * A vertex is *owned* by at most one thread at a time (a compare-exchange
-//!   on its `queued` flag decides ownership), so its height has a single
-//!   writer and its excess a single decrementer.
-//! * Pushes on a forward edge are performed only by the owner of its source
-//!   vertex; a concurrent push on the paired reverse edge can only *increase*
-//!   the forward residual, so a residual observed before `fetch_add` never
-//!   overshoots.
-//! * Heights read during the lowest-neighbour scan may be stale; following
-//!   Hong & He, the push rule `h(u) > h(v̂)` (rather than exact equality)
-//!   remains correct because heights only increase.
+//! * an active vertex pushes to its *lowest* residual neighbour whenever
+//!   it stands above it (`h(u) > h(v̂)`, not exact equality), and
+//!   otherwise relabels to one above that neighbour;
+//! * work proceeds in rounds: an exact global relabel (reverse BFS from
+//!   the sink) seeds every active vertex, and a round ends when no vertex
+//!   is active or its relabel budget runs out;
+//! * height `n` is the phase-1 boundary: a vertex lifted there can no
+//!   longer reach the sink, and once the rounds end its excess is drained
+//!   back to the source by cancelling the inflow that carried it.
 //!
-//! # Work stealing
-//!
-//! Each worker owns one MPMC ring ([`crate::mpmc::BoundedQueue`]). A worker
-//! enqueues the vertices it activates into its *own* ring — newly activated
-//! vertices are usually neighbours of what it just discharged, so the
-//! owner-first policy keeps each thread walking a warm region of the arena.
-//! A worker whose ring runs dry steals from its peers in round-robin order
-//! (`(id + k) % threads`). Ownership of a vertex is still decided by the
-//! `queued` CAS, so stealing changes only *which* thread discharges a
-//! vertex, never whether it is discharged twice.
-//!
-//! # Shared pool
-//!
-//! The integrated retrieval driver (paper Algorithm 6) calls `resume` dozens
-//! of times per query, so worker threads live in a [`WorkerPool`] that is
-//! created **once per engine** and shared (it is cheaply cloneable) across
-//! every shard and solve; the dispatch handshake uses a mutex/condvar, but
-//! the push/relabel hot path remains lock-free as in the paper.
-//!
-//! After the workers drain the rings, any excess stranded by the safety
-//! height bound is cleared by a sequential fixup pass; on converged runs the
-//! fixup performs no pushes, so the parallel phase carries all the work.
+//! Active vertices are discharged in FIFO order, so every run is
+//! deterministic.
 
 use crate::graph::{ArenaIndex, EdgeId, FlowGraph, VertexId};
 use crate::incremental::IncrementalMaxFlow;
-use crate::mpmc::BoundedQueue;
 use crate::push_relabel::PushRelabel;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-/// Multithreaded push-relabel solver with the same incremental (`resume`)
-/// interface as the sequential [`PushRelabel`].
-///
-/// One engine instance assumes a stable graph *topology* across its
-/// `resume` calls (capacities and flows may change freely) — exactly the
-/// usage pattern of the binary capacity-scaling driver.
-#[derive(Debug)]
+/// Hong & He push-relabel with the same incremental (`resume`) interface
+/// as the sequential [`PushRelabel`].
+#[derive(Debug, Default)]
 pub struct ParallelPushRelabel {
-    /// Number of worker threads (the paper evaluates 2).
-    pub threads: usize,
     excess: Vec<i64>,
     fixup: PushRelabel,
-    topo: Option<Arc<Topology>>,
-    pool: Option<WorkerPool>,
     /// Statistics from the most recent run.
     pub last_run: ParallelRunStats,
-    /// Pushes across all runs (parallel phase + fixup), for
+    /// Pushes across all runs (discharge rounds + fixup), for
     /// [`IncrementalMaxFlow::op_counts`].
     total_pushes: u64,
     /// Relabels across all runs.
     total_relabels: u64,
-    /// Plain scratch for the single-worker fast path (see
-    /// [`ParallelPushRelabel::run_single`]): heights, queued flags, the
-    /// work ring, and the global-relabel BFS queue. Kept on the solver so
-    /// repeated `resume` calls are allocation-free.
-    seq_height: Vec<u32>,
-    seq_queued: Vec<bool>,
-    seq_ring: VecDeque<u32>,
-    seq_bfs: Vec<u32>,
+    /// Heights, queued flags, the FIFO work ring and the global-relabel
+    /// BFS queue. Kept on the solver so repeated `resume` calls are
+    /// allocation-free.
+    height: Vec<u32>,
+    queued: Vec<bool>,
+    ring: VecDeque<u32>,
+    bfs: Vec<u32>,
 }
 
-/// Telemetry from one parallel run.
+/// Telemetry from one run.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ParallelRunStats {
-    /// Pushes performed by the parallel phase (all threads).
+    /// Pushes performed by the discharge rounds.
     pub parallel_pushes: u64,
-    /// Relabels performed by the parallel phase (all threads).
+    /// Relabels performed by the discharge rounds.
     pub parallel_relabels: u64,
-    /// Pushes the sequential fixup pass had to perform (0 when the parallel
-    /// phase fully converged).
+    /// Pushes the sequential fixup pass had to perform (0 unless a round
+    /// stalled).
     pub fixup_pushes: u64,
-    /// Vertices popped from a peer's ring rather than the popper's own —
-    /// how much the work-stealing policy actually rebalanced.
-    pub steals: u64,
-}
-
-/// Immutable CSR snapshot of the graph topology, shared with the workers.
-///
-/// Every field is `u32`-indexed regardless of the arena's capacity width,
-/// so one snapshot type serves both layouts.
-#[derive(Debug)]
-struct Topology {
-    /// `adj[adj_start[v]..adj_start[v+1]]` are the edge slots out of `v`.
-    adj_start: Vec<u32>,
-    adj: Vec<u32>,
-    /// Target vertex per edge slot.
-    head: Vec<u32>,
-    num_vertices: usize,
-}
-
-impl Topology {
-    /// Snapshots the graph's CSR arrays directly — three flat memcpys, no
-    /// per-vertex walk. The workers then traverse the same layout the
-    /// sequential engines do.
-    fn from_graph<W: ArenaIndex>(g: &FlowGraph<W>) -> Topology {
-        Topology {
-            adj_start: g.csr_index().to_vec(),
-            adj: g.csr_list().to_vec(),
-            head: g.heads().to_vec(),
-            num_vertices: g.num_vertices(),
-        }
-    }
-
-    #[inline]
-    fn out_edges(&self, v: usize) -> &[u32] {
-        &self.adj[self.adj_start[v] as usize..self.adj_start[v + 1] as usize]
-    }
-}
-
-/// Per-round shared state. Push/relabel operations touch only the atomic
-/// fields — no locks. Flows, capacities and excesses are held as `i64`
-/// regardless of the source arena's width: both widths widen losslessly,
-/// and one atomic layout keeps the worker loop monomorphic.
-#[derive(Debug)]
-struct JobState {
-    topo: Arc<Topology>,
-    caps: Vec<i64>,
-    flow: Vec<AtomicI64>,
-    excess: Vec<AtomicI64>,
-    height: Vec<AtomicU32>,
-    queued: Vec<AtomicBool>,
-    /// One work ring per worker; workers push to their own ring and steal
-    /// from peers when theirs runs dry.
-    queues: Vec<BoundedQueue>,
-    /// Vertices queued or currently being discharged. Zero means quiescent.
-    active: AtomicUsize,
-    pushes: AtomicUsize,
-    relabels: AtomicUsize,
-    steals: AtomicUsize,
-    s: usize,
-    t: usize,
-    height_cap: u32,
-    /// Cumulative relabel count at which the current round is cut short
-    /// and control returns to the global relabeler (periodic relabeling).
-    relabel_limit: AtomicUsize,
-}
-
-impl JobState {
-    #[inline]
-    fn residual(&self, e: EdgeId) -> i64 {
-        self.caps[e] - self.flow[e].load(Ordering::SeqCst)
-    }
-
-    /// Enqueues `v` onto worker `id`'s ring if it is not already
-    /// owned/queued and can still reach the sink in this round (height
-    /// below the phase-1 boundary).
-    fn try_enqueue(&self, v: usize, id: usize) {
-        if v == self.s || v == self.t {
-            return;
-        }
-        if self.height[v].load(Ordering::SeqCst) >= self.height_cap {
-            return;
-        }
-        if self.queued[v]
-            .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok()
-        {
-            self.active.fetch_add(1, Ordering::SeqCst);
-            // The queued-flag CAS bounds total ring occupancy at one slot
-            // per vertex, so no ring is ever *logically* full — but the
-            // ring's full check is a lap-behind test, not an occupancy
-            // test: a consumer preempted between claiming a slot and
-            // releasing it makes a push that laps the ring fail
-            // transiently. Spin until the stalled consumer's release
-            // store lands; panicking here would kill the worker while it
-            // owns `v`, leaving `active` stuck positive and livelocking
-            // its peers.
-            while self.queues[id].push(v as u32).is_err() {
-                std::hint::spin_loop();
-            }
-        }
-    }
-
-    /// Pops the next vertex for worker `id`: its own ring first, then each
-    /// peer's in round-robin order.
-    fn pop_for(&self, id: usize) -> Option<u32> {
-        if let Some(v) = self.queues[id].pop() {
-            return Some(v);
-        }
-        let t = self.queues.len();
-        for k in 1..t {
-            if let Some(v) = self.queues[(id + k) % t].pop() {
-                self.steals.fetch_add(1, Ordering::Relaxed);
-                return Some(v);
-            }
-        }
-        None
-    }
-
-    /// Fully discharges `v`. The caller owns `v` (its `queued` flag is set);
-    /// `id` is the discharging worker, whose ring receives any vertices
-    /// this discharge activates.
-    fn discharge(&self, v: usize, id: usize) {
-        let mut local_pushes = 0usize;
-        loop {
-            let ev = self.excess[v].load(Ordering::SeqCst);
-            if ev <= 0 {
-                break;
-            }
-            if self.relabels.load(Ordering::Relaxed) >= self.relabel_limit.load(Ordering::Relaxed) {
-                break; // round budget exhausted; global relabel takes over
-            }
-            // Lowest residual neighbour (Hong & He).
-            let mut best_edge = usize::MAX;
-            let mut best_h = u32::MAX;
-            // Height first: the height array is far smaller than cap/flow,
-            // so the short-circuit skips most of the scattered residual
-            // loads. Stale heights are already tolerated (Hong & He).
-            for &e in self.topo.out_edges(v) {
-                let e = e as EdgeId;
-                let h = self.height[self.topo.head[e] as usize].load(Ordering::SeqCst);
-                if h < best_h && self.residual(e) > 0 {
-                    best_h = h;
-                    best_edge = e;
-                }
-            }
-            if best_edge == usize::MAX {
-                break; // no residual edge: stranded (fixup will handle)
-            }
-            let hv = self.height[v].load(Ordering::SeqCst);
-            if hv > best_h {
-                // Push.
-                let delta = ev.min(self.residual(best_edge));
-                if delta <= 0 {
-                    continue; // residual consumed concurrently; rescan
-                }
-                let w = self.topo.head[best_edge] as usize;
-                self.flow[best_edge].fetch_add(delta, Ordering::SeqCst);
-                self.flow[best_edge ^ 1].fetch_sub(delta, Ordering::SeqCst);
-                self.excess[v].fetch_sub(delta, Ordering::SeqCst);
-                self.excess[w].fetch_add(delta, Ordering::SeqCst);
-                local_pushes += 1;
-                self.try_enqueue(w, id);
-            } else {
-                // Relabel (single writer: the owner). The counter is kept
-                // exact so the round budget check above sees it promptly.
-                let new_h = best_h + 1;
-                self.height[v].store(new_h, Ordering::SeqCst);
-                self.relabels.fetch_add(1, Ordering::Relaxed);
-                if new_h >= self.height_cap {
-                    // Phase-1 boundary: a vertex lifted to the source
-                    // height can no longer reach the sink this round; its
-                    // excess is drained back after quiescence.
-                    break;
-                }
-            }
-        }
-        if local_pushes > 0 {
-            self.pushes.fetch_add(local_pushes, Ordering::Relaxed);
-        }
-    }
-}
-
-/// The lock-free worker loop for worker `id`: pop (own ring, then steal),
-/// discharge, re-check, repeat until the whole job is quiescent.
-fn worker_loop(job: &JobState, id: usize) {
-    loop {
-        match job.pop_for(id) {
-            Some(v) => {
-                let v = v as usize;
-                job.discharge(v, id);
-                // Release ownership, then re-check: a concurrent push may
-                // have raced with our final excess read (lost-wakeup guard).
-                job.queued[v].store(false, Ordering::SeqCst);
-                if job.excess[v].load(Ordering::SeqCst) > 0
-                    && job.height[v].load(Ordering::SeqCst) < job.height_cap
-                    && job.relabels.load(Ordering::Relaxed)
-                        < job.relabel_limit.load(Ordering::Relaxed)
-                {
-                    job.try_enqueue(v, id);
-                }
-                job.active.fetch_sub(1, Ordering::SeqCst);
-            }
-            None => {
-                if job.active.load(Ordering::SeqCst) == 0 {
-                    break;
-                }
-                std::hint::spin_loop();
-                std::thread::yield_now();
-            }
-        }
-    }
-}
-
-/// Global relabeling between rounds (the blocking counterpart of Hong &
-/// He's nonblocking heuristic): exact residual distances to `t` by reverse
-/// BFS over the job's current (atomic) flow state. Vertices that cannot
-/// reach `t` — including the source — get height `n`, the phase-1
-/// boundary, stranding their excess for this round.
-///
-/// Returns the number of vertices (other than `s`/`t`) that hold excess
-/// and can still reach the sink; the round only needs to run when this is
-/// positive. The workers are parked while this runs, so plain stores into
-/// the atomics are race-free.
-#[allow(clippy::needless_range_loop)] // the loop indexes four parallel arrays
-fn global_relabel(job: &JobState) -> usize {
-    let n = job.topo.num_vertices;
-    // Same shortcut as the single-worker path: no excess anywhere means
-    // the BFS must count zero, and the heights it would write are never
-    // observed after the round loop exits.
-    if !(0..n).any(|v| v != job.s && v != job.t && job.excess[v].load(Ordering::SeqCst) > 0) {
-        return 0;
-    }
-    const UNSEEN: u32 = u32::MAX;
-    let mut height = vec![UNSEEN; n];
-    let mut queue = Vec::with_capacity(n);
-
-    height[job.t] = 0;
-    queue.push(job.t as u32);
-    let mut head = 0;
-    while head < queue.len() {
-        let w = queue[head] as usize;
-        head += 1;
-        let dw = height[w];
-        for &e in job.topo.out_edges(w) {
-            let e = e as EdgeId;
-            let u = job.topo.head[e] as usize;
-            if height[u] == UNSEEN && job.residual(e ^ 1) > 0 && u != job.s {
-                height[u] = dw + 1;
-                queue.push(u as u32);
-            }
-        }
-    }
-    let mut reachable_excess = 0;
-    for v in 0..n {
-        let h = if height[v] == UNSEEN || v == job.s {
-            n as u32
-        } else {
-            height[v]
-        };
-        job.height[v].store(h, Ordering::SeqCst);
-        if v != job.s
-            && v != job.t
-            && h < job.height_cap
-            && job.excess[v].load(Ordering::SeqCst) > 0
-        {
-            reachable_excess += 1;
-        }
-    }
-    reachable_excess
 }
 
 /// Returns trapped excess to the source by cancelling the flow that
@@ -460,27 +160,14 @@ impl TaskBatch {
     }
 }
 
-/// What a dispatch hands the parked workers: a lock-free push/relabel
-/// round, or a batch of independent closures (fused multi-query solves).
-#[derive(Clone, Debug)]
-enum PoolJob {
-    Flow(Arc<JobState>),
-    Batch(Arc<TaskBatch>),
-}
-
-/// Persistent worker threads, parked between jobs.
+/// Persistent worker threads, parked between task batches.
 ///
 /// The pool is cheaply cloneable — clones share the same threads — so one
-/// pool created at engine build time serves every shard and every solve
-/// for the engine's lifetime: no per-solve (or per-shard) thread spawns.
-/// Jobs from concurrent callers are serialized by a dispatch lock; the
-/// push/relabel work itself happens lock-free in the worker loop, each
-/// worker keeping a stable id for the work-stealing ring layout.
-///
-/// Besides push/relabel rounds the same threads also execute closure
-/// batches ([`WorkerPool::run_tasks`]) — the fused batch-solve path
-/// schedules whole independent solves across the pool instead of
-/// parallelizing inside one solve.
+/// pool created at engine build time serves every fused batch drain for
+/// the engine's lifetime: no per-drain thread spawns. Batches from
+/// concurrent callers are serialized by a dispatch lock; each batch
+/// schedules whole independent solves across the threads
+/// ([`WorkerPool::run_tasks`]).
 ///
 /// The threads exit when the last clone is dropped.
 #[derive(Clone, Debug)]
@@ -500,7 +187,7 @@ struct PoolInner {
 
 #[derive(Debug)]
 struct PoolShared {
-    /// Serializes `run` callers: one job in flight at a time.
+    /// Serializes `run_tasks` callers: one batch in flight at a time.
     dispatch: Mutex<()>,
     state: Mutex<PoolState>,
     start: Condvar,
@@ -509,20 +196,20 @@ struct PoolShared {
 
 #[derive(Debug)]
 struct PoolState {
-    job: Option<PoolJob>,
+    batch: Option<Arc<TaskBatch>>,
     seq: u64,
     running: usize,
     shutdown: bool,
 }
 
 impl WorkerPool {
-    /// Spawns `threads` workers (minimum 1) with stable ids `0..threads`.
+    /// Spawns `threads` workers (minimum 1).
     pub fn new(threads: usize) -> WorkerPool {
         let threads = threads.max(1);
         let shared = Arc::new(PoolShared {
             dispatch: Mutex::new(()),
             state: Mutex::new(PoolState {
-                job: None,
+                batch: None,
                 seq: 0,
                 running: 0,
                 shutdown: false,
@@ -531,30 +218,27 @@ impl WorkerPool {
             done: Condvar::new(),
         });
         let handles = (0..threads)
-            .map(|id| {
+            .map(|_| {
                 let shared = Arc::clone(&shared);
                 std::thread::spawn(move || {
                     let mut last_seq = 0;
                     loop {
-                        let job = {
+                        let batch = {
                             let mut st = shared.state.lock().unwrap();
                             loop {
                                 if st.shutdown {
                                     return;
                                 }
                                 if st.seq != last_seq {
-                                    if let Some(job) = st.job.clone() {
+                                    if let Some(batch) = st.batch.clone() {
                                         last_seq = st.seq;
-                                        break job;
+                                        break batch;
                                     }
                                 }
                                 st = shared.start.wait(st).unwrap();
                             }
                         };
-                        match &job {
-                            PoolJob::Flow(job) => worker_loop(job, id),
-                            PoolJob::Batch(batch) => batch.run_worker(),
-                        }
+                        batch.run_worker();
                         let mut st = shared.state.lock().unwrap();
                         st.running -= 1;
                         if st.running == 0 {
@@ -575,18 +259,9 @@ impl WorkerPool {
         }
     }
 
-    /// Number of worker threads (and work-stealing rings) in this pool.
+    /// Number of worker threads in this pool.
     pub fn threads(&self) -> usize {
         self.inner.threads
-    }
-
-    fn run(&self, job: Arc<JobState>) {
-        debug_assert_eq!(
-            job.queues.len(),
-            self.inner.threads,
-            "job ring count must match the pool's worker count"
-        );
-        self.dispatch(PoolJob::Flow(job), None);
     }
 
     /// Runs a batch of independent closures across the pool's workers, with
@@ -601,9 +276,7 @@ impl WorkerPool {
     /// until every closure has been executed and dropped.
     ///
     /// Deadlock rule: a task must not dispatch onto the *same* pool (the
-    /// dispatch lock is held for the whole batch). The fused batch-solve
-    /// path therefore hands its per-lane solvers no pool — each fused
-    /// solve runs sequentially inside its task.
+    /// dispatch lock is held for the whole batch).
     pub fn run_tasks<'env>(&self, tasks: Vec<Box<dyn FnOnce() + Send + 'env>>) {
         match tasks.len() {
             0 => return,
@@ -648,35 +321,32 @@ impl WorkerPool {
             next: AtomicUsize::new(0),
             panics: Mutex::new(Vec::new()),
         });
-        self.dispatch(PoolJob::Batch(Arc::clone(&batch)), Some(&batch));
+        self.dispatch(&batch);
         let payload = batch.panics.lock().unwrap().drain(..).next();
         if let Some(payload) = payload {
             std::panic::resume_unwind(payload);
         }
     }
 
-    /// Hands `job` to the parked workers and blocks until all of them
-    /// report done. With `participate` set, the dispatching thread joins
-    /// the claiming loop before waiting — for task batches the caller is
-    /// an extra worker, not an idle spectator.
-    fn dispatch(&self, job: PoolJob, participate: Option<&TaskBatch>) {
+    /// Hands `batch` to the parked workers, joins the claiming loop on the
+    /// dispatching thread — the caller is an extra worker, not an idle
+    /// spectator — and blocks until every worker reports done.
+    fn dispatch(&self, batch: &Arc<TaskBatch>) {
         let shared = &self.inner.shared;
         let _dispatch = shared.dispatch.lock().unwrap();
         {
             let mut st = shared.state.lock().unwrap();
-            st.job = Some(job);
+            st.batch = Some(Arc::clone(batch));
             st.seq += 1;
             st.running = self.inner.threads;
         }
         shared.start.notify_all();
-        if let Some(batch) = participate {
-            batch.run_worker();
-        }
+        batch.run_worker();
         let mut st = shared.state.lock().unwrap();
         while st.running > 0 {
             st = shared.done.wait(st).unwrap();
         }
-        st.job = None;
+        st.batch = None;
     }
 }
 
@@ -694,58 +364,15 @@ impl Drop for PoolInner {
 }
 
 impl ParallelPushRelabel {
-    /// Creates a solver with the given worker-thread count (minimum 1).
-    /// With one thread the discharge loop runs inline — no pool, no
-    /// handshake — making the single-thread configuration a faithful
-    /// sequential baseline for speed-up measurements. With more, a
-    /// private pool is spawned lazily on first use; engines that own a
-    /// shared pool should use [`ParallelPushRelabel::with_pool`] instead.
-    pub fn new(threads: usize) -> Self {
-        ParallelPushRelabel {
-            threads: threads.max(1),
-            excess: Vec::new(),
-            fixup: PushRelabel::new(),
-            topo: None,
-            pool: None,
-            last_run: ParallelRunStats::default(),
-            total_pushes: 0,
-            total_relabels: 0,
-            seq_height: Vec::new(),
-            seq_queued: Vec::new(),
-            seq_ring: VecDeque::new(),
-            seq_bfs: Vec::new(),
-        }
-    }
-
-    /// Creates a solver that runs its rounds on an existing shared pool.
-    /// The thread count is the pool's; no threads are ever spawned by the
-    /// solver itself.
-    pub fn with_pool(pool: WorkerPool) -> Self {
-        let mut pr = ParallelPushRelabel::new(pool.threads());
-        pr.pool = Some(pool);
-        pr
-    }
-
-    /// Replaces the solver's pool with a shared one (adopting its thread
-    /// count), dropping any private pool it may have spawned.
-    pub fn set_pool(&mut self, pool: WorkerPool) {
-        self.threads = pool.threads();
-        self.pool = Some(pool);
+    /// Creates a solver; all scratch grows on first use.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     fn ensure(&mut self, n: usize) {
         if self.excess.len() < n {
             self.excess.resize(n, 0);
         }
-    }
-
-    /// Drops the cached topology snapshot. The cache is keyed only on the
-    /// vertex and edge-slot *counts*, so a caller reusing one engine
-    /// across different graphs that happen to match in size must call
-    /// this before the next run — otherwise the workers would walk the
-    /// stale adjacency structure. The worker pool is unaffected.
-    pub fn invalidate_topology(&mut self) {
-        self.topo = None;
     }
 
     fn run<W: ArenaIndex>(&mut self, g: &mut FlowGraph<W>, s: VertexId, t: VertexId) -> i64 {
@@ -768,284 +395,7 @@ impl ParallelPushRelabel {
         }
         self.excess[s] = 0;
 
-        // One worker needs none of the shared-state machinery: run the
-        // same algorithm on plain arrays, directly against the graph.
-        if self.threads == 1 {
-            return self.run_single(g, s, t);
-        }
-
-        // (Re)build the topology snapshot if the graph shape changed.
-        let rebuild = match &self.topo {
-            Some(topo) => topo.num_vertices != n || topo.head.len() != g.num_edge_slots(),
-            None => true,
-        };
-        if rebuild {
-            self.topo = Some(Arc::new(Topology::from_graph(g)));
-        }
-        let topo = Arc::clone(self.topo.as_ref().expect("topology just built"));
-
-        let workers = self.threads;
-        let job = Arc::new(JobState {
-            caps: (0..g.num_edge_slots()).map(|e| g.cap(e)).collect(),
-            flow: (0..g.num_edge_slots())
-                .map(|e| AtomicI64::new(g.flow(e)))
-                .collect(),
-            excess: self.excess.iter().map(|&x| AtomicI64::new(x)).collect(),
-            height: (0..n).map(|_| AtomicU32::new(0)).collect(),
-            queued: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            queues: (0..workers)
-                .map(|_| BoundedQueue::with_capacity(n))
-                .collect(),
-            active: AtomicUsize::new(0),
-            pushes: AtomicUsize::new(0),
-            relabels: AtomicUsize::new(0),
-            steals: AtomicUsize::new(0),
-            s,
-            t,
-            height_cap: n as u32,
-            relabel_limit: AtomicUsize::new(0),
-            topo,
-        });
-
-        // Rounds: global relabel (exact heights), then lock-free
-        // discharging until quiescent or the round's relabel budget runs
-        // out; repeat while some excess can still reach the sink. The
-        // budget plays the role of periodic global relabeling: it stops
-        // vertices from climbing one level at a time once the capacity
-        // they were aiming for is gone.
-        let round_budget = (n).max(64);
-        let mut stalled = false;
-        loop {
-            if global_relabel(&job) == 0 {
-                break;
-            }
-            let pushes_before = job.pushes.load(Ordering::Relaxed);
-            let relabels_before = job.relabels.load(Ordering::Relaxed);
-            job.relabel_limit
-                .store(relabels_before + round_budget, Ordering::Relaxed);
-            let mut seeded = 0usize;
-            for v in 0..n {
-                if v != s
-                    && v != t
-                    && job.excess[v].load(Ordering::SeqCst) > 0
-                    && job.height[v].load(Ordering::SeqCst) < job.height_cap
-                {
-                    job.queued[v].store(true, Ordering::Relaxed);
-                    job.active.fetch_add(1, Ordering::Relaxed);
-                    // Workers are parked between rounds and drain the rings
-                    // before exiting, so seeding runs single-threaded
-                    // against empty rings: unlike the racy push in
-                    // `try_enqueue`, this one can never fail. Round-robin
-                    // placement gives every worker a starting share.
-                    job.queues[seeded % workers]
-                        .push(v as u32)
-                        .expect("vertex ring sized to hold every vertex");
-                    seeded += 1;
-                }
-            }
-            if self.pool.is_none() {
-                self.pool = Some(WorkerPool::new(self.threads));
-            }
-            self.pool
-                .as_ref()
-                .expect("pool just built")
-                .run(Arc::clone(&job));
-            let no_progress = job.pushes.load(Ordering::Relaxed) == pushes_before
-                && job.relabels.load(Ordering::Relaxed) == relabels_before;
-            if no_progress {
-                // Cannot happen (a queued vertex always pushes or
-                // relabels), but guard against silently looping forever.
-                stalled = true;
-                break;
-            }
-        }
-
-        // Copy atomic state back into the graph and solver.
-        for e in 0..g.num_edge_slots() {
-            g.set_flow_raw(e, job.flow[e].load(Ordering::SeqCst));
-        }
-        for v in 0..n {
-            self.excess[v] = job.excess[v].load(Ordering::SeqCst);
-        }
-        self.excess[s] = 0;
-
-        self.last_run = ParallelRunStats {
-            parallel_pushes: job.pushes.load(Ordering::Relaxed) as u64,
-            parallel_relabels: job.relabels.load(Ordering::Relaxed) as u64,
-            fixup_pushes: 0,
-            steals: job.steals.load(Ordering::Relaxed) as u64,
-        };
-        self.total_pushes += self.last_run.parallel_pushes;
-        self.total_relabels += self.last_run.parallel_relabels;
-        self.finish_run(g, s, t, stalled)
-    }
-
-    /// The single-worker configuration of the same algorithm, on plain
-    /// state: no topology snapshot, no atomic copy-in/copy-out, no RMWs —
-    /// the discharge walks the graph's own CSR arena directly. The control
-    /// flow replicates [`global_relabel`], the seeding loop,
-    /// [`worker_loop`] and [`JobState::discharge`] decision for decision
-    /// (one worker's pops from its own ring are FIFO, exactly a
-    /// `VecDeque`), so push/relabel counts — and therefore solve digests —
-    /// are bit-identical to the pooled path run with one worker.
-    fn run_single<W: ArenaIndex>(&mut self, g: &mut FlowGraph<W>, s: VertexId, t: VertexId) -> i64 {
-        let n = g.num_vertices();
-        let height_cap = n as u32;
-        const UNSEEN: u32 = u32::MAX;
-        self.seq_height.clear();
-        self.seq_height.resize(n, 0);
-        self.seq_queued.clear();
-        self.seq_queued.resize(n, false);
-        self.seq_ring.clear();
-        let (mut pushes, mut relabels) = (0u64, 0u64);
-        let round_budget = n.max(64) as u64;
-        let mut stalled = false;
-        loop {
-            // A vertex must hold excess for the relabeling BFS to count
-            // anything, so when every unit has reached `t` (or returned to
-            // `s`) the final BFS is skipped outright: it would find zero.
-            // Heights are scratch state, dead once the loop exits.
-            let any_excess = (0..n).any(|v| v != s && v != t && self.excess[v] > 0);
-            if !any_excess {
-                break;
-            }
-            // Global relabel: exact residual distances to `t` by reverse
-            // BFS, vertices that cannot reach `t` (and the source) parked
-            // at the phase-1 boundary height `n`.
-            self.seq_height[..n].fill(UNSEEN);
-            self.seq_height[t] = 0;
-            self.seq_bfs.clear();
-            self.seq_bfs.push(t as u32);
-            let mut head = 0;
-            while head < self.seq_bfs.len() {
-                let w = self.seq_bfs[head] as usize;
-                head += 1;
-                let dw = self.seq_height[w];
-                let (lo, hi) = g.adj_bounds(w);
-                for pos in lo..hi {
-                    g.prefetch_adj(pos, hi);
-                    let e = g.adj_slot(pos);
-                    let u = g.target_fast(e);
-                    if self.seq_height[u] == UNSEEN && g.residual_fast(e ^ 1) > 0 && u != s {
-                        self.seq_height[u] = dw + 1;
-                        self.seq_bfs.push(u as u32);
-                    }
-                }
-            }
-            let mut reachable_excess = 0usize;
-            for v in 0..n {
-                if self.seq_height[v] == UNSEEN || v == s {
-                    self.seq_height[v] = height_cap;
-                } else if v != s && v != t && self.excess[v] > 0 {
-                    reachable_excess += 1;
-                }
-            }
-            if reachable_excess == 0 {
-                break;
-            }
-            let relabel_limit = relabels + round_budget;
-            for v in 0..n {
-                if v != s && v != t && self.excess[v] > 0 && self.seq_height[v] < height_cap {
-                    self.seq_queued[v] = true;
-                    self.seq_ring.push_back(v as u32);
-                }
-            }
-            let (pushes_before, relabels_before) = (pushes, relabels);
-            while let Some(v) = self.seq_ring.pop_front() {
-                let v = v as usize;
-                // Discharge `v` fully (lowest residual neighbour rule).
-                // Only `v` itself mutates its height and (net) excess while
-                // it is being discharged, so both are carried in locals and
-                // the adjacency bounds are computed once.
-                let (lo, hi) = g.adj_bounds(v);
-                let mut ev = self.excess[v];
-                let mut hv = self.seq_height[v];
-                loop {
-                    if ev <= 0 || relabels >= relabel_limit {
-                        break;
-                    }
-                    // Lowest residual neighbour. The height test runs
-                    // first — heights live in a small cache-resident array
-                    // — so the scattered cap/flow loads are paid only for
-                    // edges that would actually improve the minimum; the
-                    // conjunction commutes, so the selected edge (first
-                    // strict minimum in slot order) is unchanged.
-                    let mut best_edge = usize::MAX;
-                    let mut best_h = u32::MAX;
-                    for pos in lo..hi {
-                        g.prefetch_adj_head(pos, hi);
-                        let e = g.adj_slot(pos);
-                        let h = self.seq_height[g.target_fast(e)];
-                        if h < best_h && g.residual_fast(e) > 0 {
-                            best_h = h;
-                            best_edge = e;
-                        }
-                    }
-                    if best_edge == usize::MAX {
-                        break; // stranded; the drain pass handles it
-                    }
-                    if hv > best_h {
-                        let delta = ev.min(g.residual(best_edge));
-                        let w = g.target(best_edge);
-                        g.push(best_edge, delta);
-                        ev -= delta;
-                        self.excess[v] -= delta;
-                        self.excess[w] += delta;
-                        pushes += 1;
-                        if w != s
-                            && w != t
-                            && self.seq_height[w] < height_cap
-                            && !self.seq_queued[w]
-                        {
-                            self.seq_queued[w] = true;
-                            self.seq_ring.push_back(w as u32);
-                        }
-                    } else {
-                        hv = best_h + 1;
-                        self.seq_height[v] = hv;
-                        relabels += 1;
-                        if hv >= height_cap {
-                            break;
-                        }
-                    }
-                }
-                self.seq_queued[v] = false;
-                if self.excess[v] > 0 && self.seq_height[v] < height_cap && relabels < relabel_limit
-                {
-                    self.seq_queued[v] = true;
-                    self.seq_ring.push_back(v as u32);
-                }
-            }
-            if pushes == pushes_before && relabels == relabels_before {
-                stalled = true;
-                break;
-            }
-        }
-        self.excess[s] = 0;
-
-        self.last_run = ParallelRunStats {
-            parallel_pushes: pushes,
-            parallel_relabels: relabels,
-            fixup_pushes: 0,
-            steals: 0,
-        };
-        self.total_pushes += pushes;
-        self.total_relabels += relabels;
-        self.finish_run(g, s, t, stalled)
-    }
-
-    /// Common tail of both run paths: defensive sequential fixup when a
-    /// round made no progress (cannot happen; see the stall guard), then
-    /// the preflow-to-flow conversion.
-    fn finish_run<W: ArenaIndex>(
-        &mut self,
-        g: &mut FlowGraph<W>,
-        s: VertexId,
-        t: VertexId,
-        stalled: bool,
-    ) -> i64 {
-        let n = g.num_vertices();
-        if stalled {
+        if self.discharge_rounds(g, s, t) {
             // Defensive fallback: finish with the (two-phase) sequential
             // engine rather than risk a silently suboptimal schedule.
             for v in 0..n {
@@ -1070,6 +420,162 @@ impl ParallelPushRelabel {
         // this is linear in the stranded mass.
         drain_trapped_excess(g, &mut self.excess, s, t);
         self.excess[t]
+    }
+
+    /// The discharge rounds, on plain arrays walking the graph's own CSR
+    /// arena. Records [`ParallelPushRelabel::last_run`] and returns whether
+    /// a round stalled (made neither a push nor a relabel — cannot happen,
+    /// since a queued vertex always does one or the other, but the caller
+    /// guards against silently looping forever).
+    fn discharge_rounds<W: ArenaIndex>(
+        &mut self,
+        g: &mut FlowGraph<W>,
+        s: VertexId,
+        t: VertexId,
+    ) -> bool {
+        let n = g.num_vertices();
+        let height_cap = n as u32;
+        const UNSEEN: u32 = u32::MAX;
+        self.height.clear();
+        self.height.resize(n, 0);
+        self.queued.clear();
+        self.queued.resize(n, false);
+        self.ring.clear();
+        let (mut pushes, mut relabels) = (0u64, 0u64);
+        // The round budget plays the role of periodic global relabeling:
+        // it stops vertices from climbing one level at a time once the
+        // capacity they were aiming for is gone.
+        let round_budget = n.max(64) as u64;
+        let mut stalled = false;
+        loop {
+            // A vertex must hold excess for the relabeling BFS to count
+            // anything, so when every unit has reached `t` (or returned to
+            // `s`) the final BFS is skipped outright: it would find zero.
+            // Heights are scratch state, dead once the loop exits.
+            let any_excess = (0..n).any(|v| v != s && v != t && self.excess[v] > 0);
+            if !any_excess {
+                break;
+            }
+            // Global relabel: exact residual distances to `t` by reverse
+            // BFS, vertices that cannot reach `t` (and the source) parked
+            // at the phase-1 boundary height `n`.
+            self.height[..n].fill(UNSEEN);
+            self.height[t] = 0;
+            self.bfs.clear();
+            self.bfs.push(t as u32);
+            let mut head = 0;
+            while head < self.bfs.len() {
+                let w = self.bfs[head] as usize;
+                head += 1;
+                let dw = self.height[w];
+                let (lo, hi) = g.adj_bounds(w);
+                for pos in lo..hi {
+                    g.prefetch_adj(pos, hi);
+                    let e = g.adj_slot(pos);
+                    let u = g.target_fast(e);
+                    if self.height[u] == UNSEEN && g.residual_fast(e ^ 1) > 0 && u != s {
+                        self.height[u] = dw + 1;
+                        self.bfs.push(u as u32);
+                    }
+                }
+            }
+            let mut reachable_excess = 0usize;
+            for v in 0..n {
+                if self.height[v] == UNSEEN || v == s {
+                    self.height[v] = height_cap;
+                } else if v != s && v != t && self.excess[v] > 0 {
+                    reachable_excess += 1;
+                }
+            }
+            if reachable_excess == 0 {
+                break;
+            }
+            let relabel_limit = relabels + round_budget;
+            for v in 0..n {
+                if v != s && v != t && self.excess[v] > 0 && self.height[v] < height_cap {
+                    self.queued[v] = true;
+                    self.ring.push_back(v as u32);
+                }
+            }
+            let (pushes_before, relabels_before) = (pushes, relabels);
+            while let Some(v) = self.ring.pop_front() {
+                let v = v as usize;
+                // Discharge `v` fully (lowest residual neighbour rule).
+                // Only `v` itself mutates its height and (net) excess while
+                // it is being discharged, so both are carried in locals and
+                // the adjacency bounds are computed once.
+                let (lo, hi) = g.adj_bounds(v);
+                let mut ev = self.excess[v];
+                let mut hv = self.height[v];
+                loop {
+                    if ev <= 0 || relabels >= relabel_limit {
+                        break;
+                    }
+                    // Lowest residual neighbour. The height test runs
+                    // first — heights live in a small cache-resident array
+                    // — so the scattered cap/flow loads are paid only for
+                    // edges that would actually improve the minimum; the
+                    // conjunction commutes, so the selected edge (first
+                    // strict minimum in slot order) is unchanged.
+                    let mut best_edge = usize::MAX;
+                    let mut best_h = u32::MAX;
+                    for pos in lo..hi {
+                        g.prefetch_adj_head(pos, hi);
+                        let e = g.adj_slot(pos);
+                        let h = self.height[g.target_fast(e)];
+                        if h < best_h && g.residual_fast(e) > 0 {
+                            best_h = h;
+                            best_edge = e;
+                        }
+                    }
+                    if best_edge == usize::MAX {
+                        break; // stranded; the drain pass handles it
+                    }
+                    if hv > best_h {
+                        let delta = ev.min(g.residual(best_edge));
+                        let w = g.target(best_edge);
+                        g.push(best_edge, delta);
+                        ev -= delta;
+                        self.excess[v] -= delta;
+                        self.excess[w] += delta;
+                        pushes += 1;
+                        if w != s && w != t && self.height[w] < height_cap && !self.queued[w] {
+                            self.queued[w] = true;
+                            self.ring.push_back(w as u32);
+                        }
+                    } else {
+                        // Relabel. A vertex lifted to the phase-1 boundary
+                        // can no longer reach the sink this round; its
+                        // excess is drained back after the rounds end.
+                        hv = best_h + 1;
+                        self.height[v] = hv;
+                        relabels += 1;
+                        if hv >= height_cap {
+                            break;
+                        }
+                    }
+                }
+                self.queued[v] = false;
+                if self.excess[v] > 0 && self.height[v] < height_cap && relabels < relabel_limit {
+                    self.queued[v] = true;
+                    self.ring.push_back(v as u32);
+                }
+            }
+            if pushes == pushes_before && relabels == relabels_before {
+                stalled = true;
+                break;
+            }
+        }
+        self.excess[s] = 0;
+
+        self.last_run = ParallelRunStats {
+            parallel_pushes: pushes,
+            parallel_relabels: relabels,
+            fixup_pushes: 0,
+        };
+        self.total_pushes += pushes;
+        self.total_relabels += relabels;
+        stalled
     }
 
     /// Computes a maximum flow from scratch (zeroing any existing flow).
@@ -1162,21 +668,7 @@ mod tests {
     #[test]
     fn clrs_single_thread() {
         let (mut g, s, t) = clrs();
-        assert_eq!(ParallelPushRelabel::new(1).max_flow(&mut g, s, t), 23);
-        assert_valid_flow(&g, s, t);
-    }
-
-    #[test]
-    fn clrs_two_threads() {
-        let (mut g, s, t) = clrs();
-        assert_eq!(ParallelPushRelabel::new(2).max_flow(&mut g, s, t), 23);
-        assert_valid_flow(&g, s, t);
-    }
-
-    #[test]
-    fn clrs_four_threads() {
-        let (mut g, s, t) = clrs();
-        assert_eq!(ParallelPushRelabel::new(4).max_flow(&mut g, s, t), 23);
+        assert_eq!(ParallelPushRelabel::new().max_flow(&mut g, s, t), 23);
         assert_valid_flow(&g, s, t);
     }
 
@@ -1192,7 +684,7 @@ mod tests {
         g.add_edge(3, 5, 20);
         g.add_edge(4, 3, 7);
         g.add_edge(4, 5, 4);
-        assert_eq!(ParallelPushRelabel::new(2).max_flow(&mut g, 0, 5), 23);
+        assert_eq!(ParallelPushRelabel::new().max_flow(&mut g, 0, 5), 23);
         assert_valid_flow(&g, 0, 5);
     }
 
@@ -1213,7 +705,7 @@ mod tests {
             }
             let mut oracle = g.clone();
             let want = dinic::max_flow(&mut oracle, 0, n - 1);
-            let got = ParallelPushRelabel::new(2).max_flow(&mut g, 0, n - 1);
+            let got = ParallelPushRelabel::new().max_flow(&mut g, 0, n - 1);
             assert_eq!(got, want, "case {case}");
             assert_valid_flow(&g, 0, n - 1);
         }
@@ -1225,7 +717,7 @@ mod tests {
         g.add_edge(0, 1, 10);
         let bottleneck = g.add_edge(1, 2, 3);
         g.add_edge(2, 3, 10);
-        let mut pr = ParallelPushRelabel::new(2);
+        let mut pr = ParallelPushRelabel::new();
         assert_eq!(pr.max_flow(&mut g, 0, 3), 3);
         g.set_cap(bottleneck, 8);
         assert_eq!(pr.resume(&mut g, 0, 3), 8);
@@ -1250,7 +742,7 @@ mod tests {
                 g.add_edge(u, v, rng.gen_range(0..3));
             }
         }
-        let mut pr = ParallelPushRelabel::new(2);
+        let mut pr = ParallelPushRelabel::new();
         pr.max_flow(&mut g, 0, n - 1);
         for _ in 0..12 {
             let e = sink_edges[rng.gen_range(0..sink_edges.len())];
@@ -1264,44 +756,8 @@ mod tests {
     }
 
     #[test]
-    fn pool_survives_many_rounds() {
-        // Exercises the park/dispatch handshake far more times than any
-        // single retrieval solve does.
-        let mut g: FlowGraph = FlowGraph::new(3);
-        let e0 = g.add_edge(0, 1, 1);
-        g.add_edge(1, 2, 10_000);
-        let mut pr = ParallelPushRelabel::new(2);
-        assert_eq!(pr.max_flow(&mut g, 0, 2), 1);
-        for want in 2..200 {
-            g.set_cap(e0, want);
-            assert_eq!(pr.resume(&mut g, 0, 2), want);
-        }
-    }
-
-    #[test]
-    fn shared_pool_across_solvers() {
-        // One pool, two engines: the engines dispatch alternately onto the
-        // same threads (the per-engine configuration of rds-core).
-        let pool = WorkerPool::new(2);
-        let mut a = ParallelPushRelabel::with_pool(pool.clone());
-        let mut b = ParallelPushRelabel::with_pool(pool.clone());
-        assert_eq!(a.threads, 2);
-        for round in 0..8 {
-            let (mut g1, s, t) = clrs();
-            assert_eq!(a.max_flow(&mut g1, s, t), 23, "round {round}");
-            a.reset_excess(g1.num_vertices());
-            a.invalidate_topology();
-            let (mut g2, s2, t2) = clrs();
-            assert_eq!(b.max_flow(&mut g2, s2, t2), 23, "round {round}");
-            b.reset_excess(g2.num_vertices());
-            b.invalidate_topology();
-        }
-        assert_eq!(pool.threads(), 2);
-    }
-
-    #[test]
     fn topology_rebuild_on_new_graph_shape() {
-        let mut pr = ParallelPushRelabel::new(2);
+        let mut pr = ParallelPushRelabel::new();
         let mut g1: FlowGraph = FlowGraph::new(3);
         g1.add_edge(0, 1, 4);
         g1.add_edge(1, 2, 4);
@@ -1314,28 +770,6 @@ mod tests {
         g2.add_edge(2, 3, 2);
         g2.add_edge(3, 4, 3);
         assert_eq!(pr.max_flow(&mut g2, 0, 4), 3);
-    }
-
-    #[test]
-    fn invalidate_topology_allows_same_size_reuse() {
-        // Two graphs with identical vertex/edge counts but different
-        // shapes: the size-keyed cache cannot tell them apart, so the
-        // caller invalidates between runs.
-        let mut pr = ParallelPushRelabel::new(2);
-        let mut g1: FlowGraph = FlowGraph::new(4);
-        g1.add_edge(0, 1, 3);
-        g1.add_edge(1, 3, 2);
-        g1.add_edge(0, 2, 1);
-        g1.add_edge(2, 3, 5);
-        assert_eq!(pr.max_flow(&mut g1, 0, 3), 3);
-        let mut g2: FlowGraph = FlowGraph::new(4);
-        g2.add_edge(0, 2, 6);
-        g2.add_edge(2, 1, 6);
-        g2.add_edge(1, 3, 4);
-        g2.add_edge(0, 3, 1);
-        pr.invalidate_topology();
-        pr.reset_excess(4);
-        assert_eq!(pr.max_flow(&mut g2, 0, 3), 5);
     }
 
     #[test]
@@ -1389,10 +823,7 @@ mod tests {
         assert!(result.is_err(), "panic must re-raise on the dispatcher");
         // The batch drains fully before the re-raise.
         assert_eq!(done.load(Ordering::SeqCst), 7);
-        // The pool survives: both flow jobs and fresh batches still run.
-        let (mut g, s, t) = clrs();
-        let mut pr = ParallelPushRelabel::with_pool(pool.clone());
-        assert_eq!(pr.max_flow(&mut g, s, t), 23);
+        // The pool survives: fresh batches still run.
         let mut again = 0usize;
         pool.run_tasks(
             (0..4)
@@ -1404,129 +835,10 @@ mod tests {
     }
 
     #[test]
-    fn flow_jobs_and_task_batches_interleave_on_one_pool() {
-        let pool = WorkerPool::new(2);
-        let mut pr = ParallelPushRelabel::with_pool(pool.clone());
-        for round in 0..4 {
-            let (mut g, s, t) = clrs();
-            assert_eq!(pr.max_flow(&mut g, s, t), 23, "round {round}");
-            pr.reset_excess(g.num_vertices());
-            pr.invalidate_topology();
-            let mut sums = [0u64; 6];
-            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = sums
-                .iter_mut()
-                .enumerate()
-                .map(|(i, slot)| {
-                    Box::new(move || *slot = (0..=i as u64).sum()) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            pool.run_tasks(tasks);
-            for (i, &v) in sums.iter().enumerate() {
-                assert_eq!(v, (i as u64 * (i as u64 + 1)) / 2);
-            }
-        }
-    }
-
-    #[test]
     fn stats_recorded() {
         let (mut g, s, t) = clrs();
-        let mut pr = ParallelPushRelabel::new(2);
+        let mut pr = ParallelPushRelabel::new();
         pr.max_flow(&mut g, s, t);
         assert!(pr.last_run.parallel_pushes > 0);
-    }
-
-    /// Sanitizer-style stress of the work-stealing rings: `T` threads
-    /// hammer `T` rings with the exact access pattern of the discharge
-    /// loop — push to your own ring, pop your own first, steal from peers
-    /// — and every pushed value must be popped exactly once. Run under
-    /// `cargo +nightly miri test` or TSan this doubles as a data-race
-    /// check on the ring's release/acquire protocol.
-    #[test]
-    fn stealing_rings_never_lose_or_duplicate() {
-        use std::sync::atomic::AtomicU64;
-        const T: usize = 4;
-        const PER_THREAD: u32 = 2_000;
-        let rings: Arc<Vec<BoundedQueue>> =
-            Arc::new((0..T).map(|_| BoundedQueue::with_capacity(64)).collect());
-        let produced = Arc::new(AtomicUsize::new(0));
-        let consumed_sum = Arc::new(AtomicU64::new(0));
-        let consumed_count = Arc::new(AtomicUsize::new(0));
-        let handles: Vec<_> = (0..T)
-            .map(|id| {
-                let rings = Arc::clone(&rings);
-                let produced = Arc::clone(&produced);
-                let consumed_sum = Arc::clone(&consumed_sum);
-                let consumed_count = Arc::clone(&consumed_count);
-                std::thread::spawn(move || {
-                    let mut next = (id as u32) * PER_THREAD;
-                    let end = next + PER_THREAD;
-                    loop {
-                        // Produce into our own ring (spin on transient full,
-                        // as try_enqueue does).
-                        if next < end {
-                            while rings[id].push(next).is_err() {
-                                // Ring full: drain one element ourselves so
-                                // progress is guaranteed even if peers lag.
-                                if let Some(v) = rings[id].pop() {
-                                    consumed_sum.fetch_add(v as u64, Ordering::Relaxed);
-                                    consumed_count.fetch_add(1, Ordering::Relaxed);
-                                }
-                                std::hint::spin_loop();
-                            }
-                            next += 1;
-                            produced.fetch_add(1, Ordering::Relaxed);
-                        }
-                        // Consume: own ring first, then steal round-robin.
-                        let mut v = rings[id].pop();
-                        if v.is_none() {
-                            for k in 1..T {
-                                v = rings[(id + k) % T].pop();
-                                if v.is_some() {
-                                    break;
-                                }
-                            }
-                        }
-                        if let Some(v) = v {
-                            consumed_sum.fetch_add(v as u64, Ordering::Relaxed);
-                            consumed_count.fetch_add(1, Ordering::Relaxed);
-                        } else if next >= end
-                            && produced.load(Ordering::SeqCst) == T * PER_THREAD as usize
-                            && consumed_count.load(Ordering::SeqCst) == T * PER_THREAD as usize
-                        {
-                            break;
-                        } else if next >= end {
-                            std::thread::yield_now();
-                        }
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let total = (T as u32 * PER_THREAD) as u64;
-        // Sum of 0..total: every value seen exactly once.
-        assert_eq!(consumed_count.load(Ordering::SeqCst) as u64, total);
-        assert_eq!(consumed_sum.load(Ordering::SeqCst), total * (total - 1) / 2);
-    }
-
-    #[test]
-    fn steals_are_counted_on_imbalanced_seeds() {
-        // A wide star forces many active vertices; with 4 workers the
-        // round-robin seed plus stealing should keep everyone busy. The
-        // assertion is weak (steals is a counter, not a guarantee) but
-        // pins the field's wiring.
-        let n = 202;
-        let mut g: FlowGraph = FlowGraph::new(n);
-        for v in 1..n - 1 {
-            g.add_edge(0, v, 3);
-            g.add_edge(v, n - 1, 2);
-        }
-        let mut pr = ParallelPushRelabel::new(4);
-        let want = 2 * (n as i64 - 2);
-        assert_eq!(pr.max_flow(&mut g, 0, n - 1), want);
-        assert_valid_flow(&g, 0, n - 1);
-        // last_run.steals is recorded (possibly zero on a lucky schedule).
-        let _ = pr.last_run.steals;
     }
 }

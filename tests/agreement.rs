@@ -22,7 +22,7 @@ fn solvers() -> Vec<Box<dyn RetrievalSolver>> {
         Box::new(PushRelabelBinary),
         Box::new(BlackBoxPushRelabel),
         Box::new(BlackBoxFordFulkerson),
-        Box::new(ParallelPushRelabelBinary::new(2)),
+        Box::new(ParallelPushRelabelBinary),
     ]
 }
 
@@ -215,5 +215,5 @@ fn total_response_over_query_batch_matches() {
     assert!(reference > Micros::ZERO);
     assert_eq!(total(&BlackBoxPushRelabel), reference);
     assert_eq!(total(&FordFulkersonIncremental), reference);
-    assert_eq!(total(&ParallelPushRelabelBinary::new(2)), reference);
+    assert_eq!(total(&ParallelPushRelabelBinary), reference);
 }

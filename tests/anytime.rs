@@ -52,15 +52,8 @@ fn generous_budget_is_bit_identical_to_unbudgeted() {
         let inst =
             RetrievalInstance::build(&system, &alloc, &RangeQuery::new(0, 0, r, c).buckets(n));
 
-        // One worker thread keeps the parallel solver's work-stealing
-        // discharge order (hence its push/relabel counts) deterministic,
-        // so the bit-identity assertion below stays meaningful.
-        let plain = SolverSpec::new(kind).parallelism(1).solve(&inst).unwrap();
-        let budgeted = SolverSpec::new(kind)
-            .parallelism(1)
-            .budget(generous)
-            .solve(&inst)
-            .unwrap();
+        let plain = SolverSpec::new(kind).solve(&inst).unwrap();
+        let budgeted = SolverSpec::new(kind).budget(generous).solve(&inst).unwrap();
 
         assert_eq!(
             plain.schedule,
@@ -163,9 +156,7 @@ fn sessions_respect_the_armed_budget_on_the_delta_path() {
         SolverKind::PushRelabelBinary,
         SolverKind::ParallelPushRelabelBinary,
     ] {
-        // As above: one worker pins the work-stealing discharge order so
-        // the two sessions' schedules can be compared bit-for-bit.
-        let solver = SolverSpec::new(kind).warm_start(true).parallelism(1);
+        let solver = SolverSpec::new(kind).warm_start(true);
         let generous = SolveBudget::default().with_max_probes(u64::MAX / 2);
 
         let mut plain = RetrievalSession::new(&system, &alloc, solver.build());

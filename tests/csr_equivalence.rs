@@ -104,11 +104,9 @@ fn layout_digest(layout: ArenaLayout) -> (u64, usize) {
             } else {
                 (&inst, want)
             };
-            // One worker thread keeps the parallel solver's discharge order
-            // (hence its push/relabel counts) deterministic. Solving via
-            // the spec (not the built `AnySolver`) is what carries the
-            // forced arena layout into the workspace.
-            let spec = SolverSpec::new(kind).parallelism(1).arena_layout(layout);
+            // Solving via the spec (not the built `AnySolver`) is what
+            // carries the forced arena layout into the workspace.
+            let spec = SolverSpec::new(kind).arena_layout(layout);
             let a = spec.solve(inst).expect("feasible instance");
             let b = spec.solve(inst).expect("feasible instance");
             assert_eq!(a.response_time, want, "{} lost optimality", kind.name());

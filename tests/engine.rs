@@ -16,7 +16,7 @@ fn generalized_solvers() -> Vec<Box<dyn RetrievalSolver + Sync>> {
         Box::new(FordFulkersonIncremental),
         Box::new(BlackBoxPushRelabel),
         Box::new(BlackBoxFordFulkerson),
-        Box::new(ParallelPushRelabelBinary::new(2)),
+        Box::new(ParallelPushRelabelBinary),
     ]
 }
 
@@ -90,8 +90,10 @@ fn sessions_stay_optimal_per_step_on_table_ii() {
     }
 }
 
-/// Engine output over Table II is bit-identical for any shard count, and
-/// matches a plain single-stream session where streams coincide.
+/// Engine output over Table II — response times, completions and full
+/// bucket→disk assignments — is bit-identical for any shard count under
+/// every generalized solver kind, and matches a plain single-stream
+/// session where streams coincide.
 #[test]
 fn engine_is_deterministic_across_shard_counts_on_table_ii() {
     let system = paper_example();
@@ -107,29 +109,45 @@ fn engine_is_deterministic_across_shard_counts_on_table_ii() {
             });
         }
     }
-    let run = |shards: usize| -> Vec<(Micros, Micros)> {
-        let mut engine = Engine::new(&system, &alloc, PushRelabelBinary, shards);
+    let run = |kind: SolverKind, shards: usize| -> Vec<(Micros, Micros, Schedule)> {
+        let mut engine = Engine::builder(&system, &alloc)
+            .solver(kind)
+            .shards(shards)
+            .build();
         engine
             .submit_batch(&queries)
             .into_iter()
             .map(|r| {
                 let o = r.unwrap();
-                (o.outcome.response_time, o.completion)
+                (o.outcome.response_time, o.completion, o.outcome.schedule)
             })
             .collect()
     };
-    let baseline = run(1);
-    for shards in [2usize, 3, 5, 16] {
-        assert_eq!(run(shards), baseline, "{shards} shards");
-    }
+    for kind in SolverKind::ALL {
+        if kind == SolverKind::FordFulkersonBasic {
+            continue; // Table II is heterogeneous: not a generalized solver
+        }
+        let baseline = run(kind, 1);
+        for shards in [2usize, 3, 5, 16] {
+            assert_eq!(
+                run(kind, shards),
+                baseline,
+                "{} on {shards} shards",
+                kind.name()
+            );
+        }
 
-    // Stream 0's sub-trace matches a standalone session fed the same
-    // queries.
-    let mut session = RetrievalSession::new(&system, &alloc, PushRelabelBinary);
-    for (q, &(rt, completion)) in queries.iter().zip(&baseline).filter(|(q, _)| q.stream == 0) {
-        let out = session.submit(q.arrival, &q.buckets).unwrap();
-        assert_eq!(out.outcome.response_time, rt);
-        assert_eq!(out.completion, completion);
+        // Stream 0's sub-trace matches a standalone session fed the same
+        // queries.
+        let mut session = RetrievalSession::new(&system, &alloc, SolverSpec::new(kind).build());
+        for (q, (rt, completion, schedule)) in
+            queries.iter().zip(&baseline).filter(|(q, _)| q.stream == 0)
+        {
+            let out = session.submit(q.arrival, &q.buckets).unwrap();
+            assert_eq!(out.outcome.response_time, *rt, "{}", kind.name());
+            assert_eq!(out.completion, *completion, "{}", kind.name());
+            assert_eq!(&out.outcome.schedule, schedule, "{}", kind.name());
+        }
     }
 }
 

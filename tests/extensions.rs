@@ -33,7 +33,7 @@ fn three_copies_across_three_sites() {
 
     let pr = PushRelabelBinary.solve(&inst).unwrap();
     let ff = FordFulkersonIncremental.solve(&inst).unwrap();
-    let par = ParallelPushRelabelBinary::new(2).solve(&inst).unwrap();
+    let par = ParallelPushRelabelBinary.solve(&inst).unwrap();
     assert_eq!(pr.response_time, ff.response_time);
     assert_eq!(pr.response_time, par.response_time);
     assert_eq!(pr.response_time, oracle_optimal_response(&inst));

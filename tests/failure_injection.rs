@@ -21,7 +21,7 @@ fn generalized_solvers() -> Vec<Box<dyn RetrievalSolver>> {
         Box::new(FordFulkersonIncremental),
         Box::new(BlackBoxPushRelabel),
         Box::new(BlackBoxFordFulkerson),
-        Box::new(ParallelPushRelabelBinary::new(2)),
+        Box::new(ParallelPushRelabelBinary),
     ]
 }
 
@@ -138,7 +138,7 @@ fn empty_query_across_all_solvers() {
         &PushRelabelIncremental,
         &FordFulkersonIncremental,
         &BlackBoxPushRelabel,
-        &ParallelPushRelabelBinary::new(2),
+        &ParallelPushRelabelBinary,
     ] {
         let outcome = solver.solve(&inst).unwrap();
         assert_eq!(outcome.flow_value, 0, "{}", solver.name());

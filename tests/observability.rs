@@ -39,7 +39,7 @@ fn events_reconcile_with_solve_stats_for_every_solver() {
         Box::new(FordFulkersonIncremental),
         Box::new(BlackBoxPushRelabel),
         Box::new(BlackBoxFordFulkerson),
-        Box::new(ParallelPushRelabelBinary::new(2)),
+        Box::new(ParallelPushRelabelBinary),
     ];
     let inst = table_ii_instance(5, 4);
     for solver in &solvers {

@@ -106,9 +106,7 @@ fn compact_and_wide_agree_on_random_instances_under_random_health() {
             } else {
                 (&system, &health)
             };
-            // One worker thread keeps the parallel solver's work-stealing
-            // discharge order (hence its op counts) deterministic.
-            let solver = SolverSpec::new(kind).parallelism(1);
+            let solver = SolverSpec::new(kind);
             let mut compact = RetrievalSession::new(system, &alloc, solver.build())
                 .arena_layout(ArenaLayout::Compact);
             let mut wide = RetrievalSession::new(system, &alloc, solver.build())
@@ -169,7 +167,7 @@ fn warm_sessions_agree_across_widths() {
         SolverKind::ParallelPushRelabelBinary,
         SolverKind::FordFulkersonIncremental,
     ] {
-        let solver = SolverSpec::new(kind).parallelism(1).warm_start(true);
+        let solver = SolverSpec::new(kind).warm_start(true);
         let mut compact =
             RetrievalSession::with_reuse(&system, &alloc, solver.build(), solver.reuse_policy())
                 .arena_layout(ArenaLayout::Compact);
@@ -230,7 +228,7 @@ fn serve_span_digests_agree_across_widths() {
         let mut digests: Option<std::collections::BTreeMap<u64, u64>> = None;
         for layout in [ArenaLayout::Compact, ArenaLayout::Wide] {
             let mut engine = Engine::builder(&system, &alloc)
-                .solver_spec(SolverSpec::new(kind).parallelism(1).arena_layout(layout))
+                .solver_spec(SolverSpec::new(kind).arena_layout(layout))
                 .shards(2)
                 .build();
             engine.serve(ServeConfig::default().virtual_time(), |h| {
