@@ -137,6 +137,83 @@ fn layout_digest(layout: ArenaLayout) -> (u64, usize) {
     (digest, solved)
 }
 
+/// Digest of paper-scale outcomes: Experiment 5 systems with Orthogonal
+/// allocation at N = 60 and N = 100, Load 1 arbitrary queries (each
+/// bucket with probability ½, 1,800 and 5,000 buckets), solved by the
+/// four kinds whose work grows with adjacency length — Algorithm 6 on
+/// both discharges, the black-box binary search and the incremental
+/// Ford-Fulkerson — under both arena widths. Covers `(response_time,
+/// pushes, relabels, probes, increments, resume_calls)` and the full
+/// bucket → disk assignment of every solve. Captured on the id-major
+/// arena, before the position-major rewrite; must never drift.
+const PAPER_GOLDEN: u64 = 0x5edb733859840bbd;
+
+/// Experiment 5 instances at the paper's scale, where adjacency lists run
+/// to hundreds of slots (the GOLDEN grids above stop at a few): disks own
+/// one slot per stored query bucket and the source one per bucket.
+fn paper_scale_instances() -> Vec<RetrievalInstance> {
+    let mut out = Vec::new();
+    for (n, seed, queries) in [(60usize, 0x005E_ED60_u64, 2usize), (100, 0x05EE_D100, 1)] {
+        let system = experiment(ExperimentId::Exp5, n, seed);
+        let alloc = ReplicaMap::build(&OrthogonalAllocation::new(n, Placement::PerSite));
+        let mut gen = QueryGenerator::new(n, QueryKind::Arbitrary, Load::Load1, seed ^ 0xA11);
+        for _ in 0..queries {
+            let buckets = gen.next_query().buckets(n);
+            out.push(RetrievalInstance::build(&system, &alloc, &buckets));
+        }
+    }
+    out
+}
+
+/// Every decision of the paper-scale solves, digested: op counts,
+/// response times and assignments for each (instance, kind, width).
+#[test]
+fn paper_scale_decisions_match_the_id_major_arena() {
+    let kinds = [
+        SolverKind::PushRelabelBinary,
+        SolverKind::ParallelPushRelabelBinary,
+        SolverKind::BlackBoxPushRelabel,
+        SolverKind::FordFulkersonIncremental,
+    ];
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    for inst in paper_scale_instances() {
+        let mut response = None;
+        for layout in [ArenaLayout::Wide, ArenaLayout::Compact] {
+            for kind in kinds {
+                let out = SolverSpec::new(kind)
+                    .arena_layout(layout)
+                    .solve(&inst)
+                    .expect("paper-scale instances are feasible");
+                assert_eq!(out.stats.arena_layout, layout);
+                assert_eq!(
+                    *response.get_or_insert(out.response_time),
+                    out.response_time,
+                    "{} disagrees on the optimum",
+                    kind.name()
+                );
+                for word in [
+                    out.response_time.0,
+                    out.stats.pushes,
+                    out.stats.relabels,
+                    out.stats.probes,
+                    out.stats.increments,
+                    out.stats.resume_calls,
+                ] {
+                    digest = fnv1a(digest, word);
+                }
+                for &(b, disk) in out.schedule.assignments() {
+                    digest = fnv1a(digest, (b.row as u64) << 32 | b.col as u64);
+                    digest = fnv1a(digest, disk as u64);
+                }
+            }
+        }
+    }
+    assert_eq!(
+        digest, PAPER_GOLDEN,
+        "paper-scale outcome digest drifted: got {digest:#x}"
+    );
+}
+
 /// CSR and legacy traversal orders yield identical max-flow values and
 /// identical `SolveStats` operation counts for all seven `SolverKind`s on
 /// 200 random instances, on the wide (`i64`) arena.
