@@ -8,7 +8,8 @@
 //!   (`adj: Vec<Vec<u32>>`, one heap vector per vertex) and its FIFO
 //!   push-relabel, with the bounds-checked accessors that code used,
 //!   reproduced here because the refactor deleted the originals;
-//! * **shipped** — today's `FlowGraph` (offset-array CSR arena) driven by
+//! * **shipped** — today's `FlowGraph` (position-major CSR arena, built
+//!   through one appender as the retrieval builders do) driven by
 //!   `rds_flow::push_relabel`, on the wide (`i64`) and the compact
 //!   (`i32`) arena (`compact_speedup`, also gated in CI).
 //!
@@ -444,8 +445,9 @@ fn build_production<W: rds_flow::graph::ArenaIndex>(g: &mut FlowGraph<W>, inst: 
     // topology bound (see `RetrievalInstance::rebuild_with_health`);
     // the bench knows the arc count exactly.
     g.reserve_edges(inst.arcs.len());
+    let mut arcs = g.appender();
     for a in &inst.arcs {
-        g.add_edge(a.from as usize, a.to as usize, a.cap);
+        arcs.add_edge(a.from as usize, a.to as usize, a.cap);
     }
     g.finalize();
 }

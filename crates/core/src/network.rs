@@ -222,9 +222,11 @@ impl RetrievalInstance {
         self.max_copies = 0;
         self.dead_arcs = 0;
 
+        // One copy-on-write check of the topology plane for the whole
+        // build instead of one per edge.
+        let mut graph = self.graph.appender();
         for (i, &b) in buckets.iter().enumerate() {
-            self.bucket_edges
-                .push(self.graph.add_edge(source, 1 + i, 1));
+            self.bucket_edges.push(graph.add_edge(source, 1 + i, 1));
             let reps = alloc.replicas(b);
             assert!(!reps.is_empty(), "bucket {b} has no replicas");
             self.max_copies = self.max_copies.max(reps.len());
@@ -242,7 +244,7 @@ impl RetrievalInstance {
                 if !seen[..seen_len].contains(&d) {
                     seen[seen_len] = d;
                     seen_len += 1;
-                    self.graph.add_edge(1 + i, q + 1 + d, 1);
+                    graph.add_edge(1 + i, q + 1 + d, 1);
                     self.replicas_per_disk[d] += 1;
                 }
             }
@@ -251,7 +253,7 @@ impl RetrievalInstance {
             }
         }
         self.disk_edges
-            .extend((0..n).map(|j| self.graph.add_edge(q + 1 + j, sink, 0)));
+            .extend((0..n).map(|j| graph.add_edge(q + 1 + j, sink, 0)));
         self.graph.finalize();
         Ok(())
     }

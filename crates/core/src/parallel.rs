@@ -42,7 +42,6 @@ impl RetrievalSolver for ParallelPushRelabelBinary {
                 inst,
                 &mut *g,
                 &mut stats,
-                &mut ws.stored_flows,
                 &mut ws.stored_excess,
                 &mut ws.tracer,
                 budget,

@@ -124,7 +124,6 @@ impl RetrievalSolver for PushRelabelBinary {
                 inst,
                 g,
                 &mut stats,
-                &mut ws.stored_flows,
                 &mut ws.stored_excess,
                 &mut ws.tracer,
                 budget,
@@ -294,16 +293,15 @@ fn resume_traced<W: ArenaIndex, E: IncrementalMaxFlow<W>>(
 }
 
 /// The full Algorithm 6 driver, generic over the max-flow engine. The
-/// `stored_flows`/`stored_excess` buffers hold the `StoreFlows` rollback
-/// state; passing them in (from a [`Workspace`]) makes the per-probe
-/// snapshots allocation-free.
-#[allow(clippy::too_many_arguments)]
+/// `StoreFlows` rollback state is the graph's flow checkpoint
+/// ([`FlowGraph::checkpoint_flows`]) plus the `stored_excess` buffer;
+/// passing that in (from a [`Workspace`]) makes the per-probe snapshots
+/// allocation-free. Both are one slice copy each way.
 pub(crate) fn binary_scaling_integrated<W: ArenaIndex, E: IncrementalMaxFlow<W>>(
     engine: &mut E,
     inst: &RetrievalInstance,
     g: &mut FlowGraph<W>,
     stats: &mut SolveStats,
-    stored_flows: &mut Vec<i64>,
     stored_excess: &mut Vec<i64>,
     tracer: &mut Tracer,
     budget: ArmedBudget,
@@ -321,7 +319,7 @@ pub(crate) fn binary_scaling_integrated<W: ArenaIndex, E: IncrementalMaxFlow<W>>
     // `StoreFlows` state: flow and excess of the most recent *failed*
     // probe (a preflow that stays feasible for every budget above its
     // probe point). Initially the zero state.
-    g.store_flows_into(stored_flows);
+    g.checkpoint_flows();
     stored_excess.clear();
     stored_excess.resize(n, 0);
 
@@ -355,14 +353,14 @@ pub(crate) fn binary_scaling_integrated<W: ArenaIndex, E: IncrementalMaxFlow<W>>
         if flow != q {
             // No solution at t_mid (lines 30-33): keep the state we just
             // computed — it stays feasible for all larger budgets.
-            g.store_flows_into(stored_flows);
+            g.checkpoint_flows();
             engine.excess_snapshot_into(n, stored_excess);
             t_min = t_mid;
         } else {
             // Solution found but possibly not optimal (lines 34-37):
             // shrink from above and roll back to the last failed state so
             // the smaller capacities of future probes are respected.
-            g.restore_flows(stored_flows);
+            g.rollback_flows();
             engine.restore_excess(stored_excess);
             t_max = t_mid;
         }
@@ -370,7 +368,7 @@ pub(crate) fn binary_scaling_integrated<W: ArenaIndex, E: IncrementalMaxFlow<W>>
 
     // Lines 38-42: roll back, fix capacities at t_min, finish with the
     // incremental phase.
-    g.restore_flows(stored_flows);
+    g.rollback_flows();
     engine.restore_excess(stored_excess);
     inst.set_caps_for_budget(g, t_min);
     incremental_phase(engine, inst, g, stats, tracer, budget, Some((t_min, t_max)))

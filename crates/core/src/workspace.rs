@@ -39,7 +39,7 @@ pub(crate) enum ActiveWidth {
 /// Runs `$body` against the workspace's active graph, binding `$g` to
 /// `&mut $ws.graph` (wide) or `&mut $ws.graph32` (compact). The borrow
 /// is field-precise, so the body may still use the workspace's *other*
-/// fields (`$ws.engine`, `$ws.tracer`, `$ws.stored_flows`, ...) — only
+/// fields (`$ws.engine`, `$ws.tracer`, `$ws.stored_excess`, ...) — only
 /// whole-`$ws` method calls are off-limits inside the body.
 macro_rules! on_graph {
     ($ws:expr, |$g:ident| $body:expr) => {
@@ -125,9 +125,8 @@ pub struct Workspace {
     pub(crate) engine: PushRelabel,
     /// Reusable DFS state for the Ford-Fulkerson solvers.
     pub(crate) search: AugmentingPath,
-    /// `StoreFlows` snapshot buffer (Algorithm 6 line 31).
-    pub(crate) stored_flows: Vec<i64>,
-    /// Excess snapshot buffer paired with `stored_flows`.
+    /// Excess half of the `StoreFlows` snapshot (Algorithm 6 line 31);
+    /// the flow half is the active graph's own flow checkpoint.
     pub(crate) stored_excess: Vec<i64>,
     /// Hong & He push-relabel engine (paper Section V) with its height,
     /// ring and excess arrays.
@@ -198,7 +197,6 @@ impl Workspace {
             plane_sharing: false,
             engine: PushRelabel::new(),
             search: AugmentingPath::new(),
-            stored_flows: Vec::new(),
             stored_excess: Vec::new(),
             parallel: ParallelPushRelabel::new(),
             tracer: Tracer::disabled(),
@@ -256,19 +254,31 @@ impl Workspace {
         }
     }
 
-    /// Resolves the layout policy against one instance.
-    fn select_width(&self, inst: &RetrievalInstance) -> ActiveWidth {
-        match self.requested {
-            ArenaLayout::Wide => ActiveWidth::Wide,
-            ArenaLayout::Compact => ActiveWidth::Compact,
-            _ => {
-                if compact_capacity_fits(peak_edge_capacity(inst).0) {
-                    ActiveWidth::Compact
-                } else {
-                    ActiveWidth::Wide
-                }
-            }
+    /// Resolves the layout policy against one instance. The instance's
+    /// capacity bound is computed at most once per staging: it picks the
+    /// width under `Auto` and guards a forced `Compact`.
+    fn select_width(&mut self, inst: &RetrievalInstance) -> Result<(), SolveError> {
+        if self.requested == ArenaLayout::Wide {
+            self.active = ActiveWidth::Wide;
+            return Ok(());
         }
+        let (bound, edge) = peak_edge_capacity(inst);
+        let fits = compact_capacity_fits(bound);
+        self.active = if fits || self.requested == ArenaLayout::Compact {
+            ActiveWidth::Compact
+        } else {
+            ActiveWidth::Wide
+        };
+        if fits || self.active == ActiveWidth::Wide {
+            return Ok(());
+        }
+        // Only a forced Compact gets here (Auto widened); it surfaces the
+        // typed error instead of wrapping.
+        Err(SolveError::ArenaOverflow {
+            edge,
+            value: bound,
+            width: "i32",
+        })
     }
 
     /// Copies `inst`'s network into the scratch graph of the selected
@@ -283,19 +293,7 @@ impl Workspace {
     /// never shrink, so those two marks bound every buffer length) must
     /// copy in with **zero** graph allocations.
     fn stage_graph(&mut self, inst: &RetrievalInstance) -> Result<(), SolveError> {
-        self.active = self.select_width(inst);
-        if self.active == ActiveWidth::Compact {
-            let (bound, edge) = peak_edge_capacity(inst);
-            if !compact_capacity_fits(bound) {
-                // Unreachable under Auto (the selector widened); a forced
-                // Compact surfaces the typed error instead of wrapping.
-                return Err(SolveError::ArenaOverflow {
-                    edge,
-                    value: bound,
-                    width: "i32",
-                });
-            }
-        }
+        self.select_width(inst)?;
         let wi = match self.active {
             ActiveWidth::Wide => 0,
             ActiveWidth::Compact => 1,

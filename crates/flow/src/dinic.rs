@@ -58,13 +58,8 @@ impl Dinic {
             head += 1;
             let (lo, hi) = g.adj_bounds(v);
             for pos in lo..hi {
-                // Level-first rejection: most edges point at vertices the
-                // BFS already reached, so only the `head` word is needed —
-                // prefetch just that line and leave cap/flow alone.
-                g.prefetch_adj_head(pos, hi);
-                let e = g.adj_slot(pos);
-                let w = g.target_fast(e);
-                if self.level[w] < 0 && g.residual_fast(e) > 0 {
+                let w = g.target_at(pos);
+                if self.level[w] < 0 && g.residual_at(pos) > 0 {
                     self.level[w] = self.level[v] + 1;
                     self.queue.push(w as u32);
                 }
@@ -87,15 +82,12 @@ impl Dinic {
         let (lo, hi) = g.adj_bounds(v);
         while lo + (self.iter[v] as u32) < hi {
             let pos = lo + self.iter[v] as u32;
-            // The DFS tests residual before level, so it needs the full
-            // per-edge state of upcoming slots.
-            g.prefetch_adj(pos, hi);
-            let e = g.adj_slot(pos);
-            let w = g.target_fast(e);
-            if g.residual_fast(e) > 0 && self.level[w] == self.level[v] + 1 {
-                let pushed = self.block(g, w, t, limit.min(g.residual_fast(e)));
+            let w = g.target_at(pos);
+            let residual = g.residual_at(pos);
+            if residual > 0 && self.level[w] == self.level[v] + 1 {
+                let pushed = self.block(g, w, t, limit.min(residual));
                 if pushed > 0 {
-                    g.push(e, pushed);
+                    g.push_at(pos, pushed);
                     return pushed;
                 }
             }

@@ -74,6 +74,7 @@ impl AugmentingPath {
         to: VertexId,
         blocked: Option<VertexId>,
     ) -> Option<&[EdgeId]> {
+        assert!(g.is_finalized(), "dfs on stale topology: call finalize()");
         self.begin(g.num_vertices());
         self.path.clear();
         self.stack.clear();
@@ -86,15 +87,15 @@ impl AugmentingPath {
         self.visited[from] = self.generation;
         self.stack.push((from, 0));
         while let Some(&mut (v, ref mut idx)) = self.stack.last_mut() {
-            let edges = g.out_edges(v);
+            let (lo, hi) = g.adj_bounds(v);
             let mut advanced = false;
-            while *idx < edges.len() {
-                let e = edges[*idx] as EdgeId;
+            while lo as usize + *idx < hi as usize {
+                let pos = lo + *idx as u32;
                 *idx += 1;
-                let w = g.target_fast(e);
-                if g.residual_fast(e) > 0 && self.visited[w] != self.generation {
+                let w = g.target_at(pos);
+                if g.residual_at(pos) > 0 && self.visited[w] != self.generation {
                     self.visited[w] = self.generation;
-                    self.path.push(e);
+                    self.path.push(g.edge_at(pos));
                     if w == to {
                         return Some(&self.path);
                     }
@@ -119,6 +120,7 @@ impl AugmentingPath {
         from: VertexId,
         to: VertexId,
     ) -> Option<Vec<EdgeId>> {
+        assert!(g.is_finalized(), "bfs on stale topology: call finalize()");
         self.begin(g.num_vertices());
         let n = g.num_vertices();
         self.parent.clear();
@@ -130,12 +132,12 @@ impl AugmentingPath {
         while head < self.queue.len() {
             let v = self.queue[head] as usize;
             head += 1;
-            for &e in g.out_edges(v) {
-                let e = e as EdgeId;
-                let w = g.target_fast(e);
-                if g.residual_fast(e) > 0 && self.visited[w] != self.generation {
+            let (lo, hi) = g.adj_bounds(v);
+            for pos in lo..hi {
+                let w = g.target_at(pos);
+                if g.residual_at(pos) > 0 && self.visited[w] != self.generation {
                     self.visited[w] = self.generation;
-                    self.parent[w] = e;
+                    self.parent[w] = g.edge_at(pos);
                     if w == to {
                         let mut path = Vec::new();
                         let mut cur = to;

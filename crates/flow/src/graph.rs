@@ -13,29 +13,37 @@
 //!
 //! # Layout
 //!
-//! All per-edge state lives in flat structure-of-arrays buffers owned by a
-//! [`GraphArena`]: `head`/`cap`/`flow` indexed by edge slot, plus the CSR
-//! adjacency pair `adj_index` (one offset per vertex, length `n + 1`) and
-//! `adj_list` (edge slots grouped by owning vertex). A vertex's outgoing
-//! slots are the contiguous range `adj_list[adj_index[v]..adj_index[v + 1]]`
-//! — one cache-friendly slice instead of the former per-vertex `Vec`
-//! (a heap allocation and pointer chase per vertex on every hot loop).
+//! The arena is *position-major*. A vertex owns the contiguous range of
+//! adjacency positions `adj_index[v]..adj_index[v + 1]`, and every residual
+//! slot's state lives at its position: `target[p]`, `cap[p]`, `flow[p]`,
+//! plus `mate[p]`, the position of the paired slot. A solver walking a
+//! vertex's arcs therefore reads four arrays in order instead of chasing an
+//! edge id into scattered per-id arrays, and a push updates `flow[p]` and
+//! `flow[mate[p]]` without touching an id at all.
 //!
-//! Topology mutation ([`FlowGraph::add_edge`]) appends to the edge arrays
-//! and marks the CSR index stale; [`FlowGraph::finalize`] rebuilds it with a
-//! *stable* counting sort in `O(n + m)` using only reused buffers. Stability
-//! matters: per-vertex slot order stays exactly the insertion order the old
-//! `Vec<Vec<u32>>` layout produced, so every solver's traversal order — and
-//! its operation counts — are unchanged. Solver entry points (which take
-//! `&mut FlowGraph`) finalize automatically; [`FlowGraph::out_edges`] panics
-//! on a stale index rather than returning stale adjacency.
+//! Edge ids remain the public handle. `id_at[p]` is the edge id stored at
+//! position `p` (so [`FlowGraph::out_edges`] is a slice of it) and
+//! `pos_of[e]` the position of edge `e`; the id accessors
+//! ([`FlowGraph::cap`], [`FlowGraph::flow`], [`FlowGraph::push`], ...)
+//! go through `pos_of`, the crate's solver walks use positions directly.
+//!
+//! Topology mutation ([`FlowGraph::add_edge`]) appends a slot pair at
+//! positions equal to its ids and marks the CSR index stale;
+//! [`FlowGraph::finalize`] groups the slots by owning vertex with a
+//! *stable* counting sort in `O(n + m)` and moves every slot's state to its
+//! new position, using only reused buffers. Stability matters: per-vertex
+//! position order is exactly ascending edge id — the insertion order the
+//! old `Vec<Vec<u32>>` layout produced — so every solver's traversal order,
+//! and its operation counts, are unchanged. Solver entry points (which take
+//! `&mut FlowGraph`) finalize automatically; [`FlowGraph::out_edges`]
+//! panics on a stale index rather than returning stale adjacency.
 //!
 //! # Width
 //!
 //! The capacity/flow arrays are generic over an [`ArenaIndex`] width: `i64`
 //! (the default, and the width of every public snapshot) or `i32` (the
-//! *compact* layout — half the per-edge cache footprint, which the
-//! graph_layout bench measures at ~1.25x on paper-scale instances). The
+//! *compact* layout — half the per-slot cap/flow footprint, which the
+//! graph_layout bench measures at ~1.2x on paper-scale instances). The
 //! width is monomorphized — no dyn dispatch anywhere on the hot path — and
 //! every accessor keeps an `i64` signature: values widen on load and narrow
 //! (debug-checked) on store, so solver code is width-oblivious. Safety rests
@@ -147,24 +155,42 @@ impl std::error::Error for WidthOverflow {}
 /// The immutable half of a CSR arena: everything that describes the
 /// network *shape* and nothing that a solve mutates.
 ///
-/// `head`, `adj_index` and `adj_list` are width-free (`u32` regardless of
-/// the capacity width), so one plane can back both the wide and the
-/// compact arena. Planes are held behind an [`std::sync::Arc`] and shared
-/// copy-on-write: [`FlowGraph::checkout_plane_from`] shares a finalized
-/// plane in O(1), and any later topology mutation on either side
-/// ([`FlowGraph::add_edge`], [`FlowGraph::reset`], [`FlowGraph::finalize`]
-/// after new edges) detaches a private copy first — a detach counts as an
+/// Every array is width-free (`u32` regardless of the capacity width), so
+/// one plane can back both the wide and the compact arena. Planes are held
+/// behind an [`std::sync::Arc`] and shared copy-on-write:
+/// [`FlowGraph::checkout_plane_from`] shares a finalized plane in O(1), and
+/// any later topology mutation on either side ([`FlowGraph::add_edge`],
+/// [`FlowGraph::reset`], [`FlowGraph::finalize`] after new edges) detaches
+/// a private copy first — a detach counts as an
 /// [`GraphArena::allocation_events`] event, which is how the serving
 /// layers pin "the epoch plane was never invalidated in steady state".
+///
+/// Finalized, all four per-slot arrays have one entry per slot. While
+/// appends are pending, `target` and `pos_of` cover every slot, `id_at`
+/// and `mate` only the slots of the last finalize, and every appended slot
+/// sits at the position equal to its id.
 #[derive(Clone, Debug, Default)]
 pub struct TopologyPlane {
-    /// `head[e]` is the target vertex of edge slot `e`. The owning (source)
-    /// vertex of `e` is `head[e ^ 1]`.
-    head: Vec<u32>,
-    /// CSR offsets: vertex `v` owns `adj_list[adj_index[v]..adj_index[v+1]]`.
+    /// `target[p]` is the head vertex of the slot at position `p`.
+    target: Vec<u32>,
+    /// `mate[p]` is the position of the paired slot (`e ^ 1` in ids).
+    mate: Vec<u32>,
+    /// CSR offsets: vertex `v` owns positions `adj_index[v]..adj_index[v+1]`.
     adj_index: Vec<u32>,
-    /// Edge slots grouped by owning vertex, insertion order within a vertex.
-    adj_list: Vec<u32>,
+    /// `id_at[p]` is the edge id at position `p`; ascending within a vertex.
+    id_at: Vec<u32>,
+    /// `pos_of[e]` is the position of edge id `e` (inverse of `id_at`).
+    pos_of: Vec<u32>,
+}
+
+impl TopologyPlane {
+    fn capacity(&self) -> usize {
+        self.target.capacity()
+            + self.mate.capacity()
+            + self.adj_index.capacity()
+            + self.id_at.capacity()
+            + self.pos_of.capacity()
+    }
 }
 
 /// Returns the plane for mutation, detaching a private copy first when it
@@ -184,10 +210,9 @@ fn topo_mut<'a>(
 /// The flat reusable buffers backing a [`FlowGraph`].
 ///
 /// The arena is split into two planes: the topology plane
-/// ([`TopologyPlane`]: `head`/`adj_index`/`adj_list`, immutable per epoch
-/// and shareable across graphs of *either* width) and the per-query
-/// capacity/flow plane (`cap`/`flow`, private to this arena and mutated by
-/// every solve).
+/// ([`TopologyPlane`], immutable per epoch and shareable across graphs of
+/// *either* width) and the per-query capacity/flow plane (`cap`/`flow`,
+/// position-ordered, private to this arena and mutated by every solve).
 ///
 /// The arena never shrinks: [`FlowGraph::reset`] and
 /// [`FlowGraph::copy_from`] clear lengths but keep capacity, so a rebuild of
@@ -201,10 +226,15 @@ pub struct GraphArena<W: ArenaIndex = i64> {
     /// The shared-or-private topology plane. `Clone` on the arena shares it
     /// (copy-on-write); deep copies go through [`FlowGraph::copy_from`].
     topo: std::sync::Arc<TopologyPlane>,
-    /// Capacity of each edge slot. Reverse slots have capacity 0.
+    /// Capacity of the slot at each position. Reverse slots have capacity 0.
     cap: Vec<W>,
-    /// Current flow on each edge slot; `flow[e ^ 1] == -flow[e]`.
+    /// Flow of the slot at each position; `flow[mate[p]] == -flow[p]`.
     flow: Vec<W>,
+    /// The flow plane saved by [`FlowGraph::checkpoint_flows`].
+    checkpoint: Vec<W>,
+    /// Where [`FlowGraph::finalize`] parks the flows of a graph that
+    /// already carries flow while their positions move.
+    spare: Vec<W>,
     /// Counting-sort cursors, reused across [`FlowGraph::finalize`] calls.
     cursor: Vec<u32>,
     /// Number of buffer growth events since construction.
@@ -224,29 +254,17 @@ impl<W: ArenaIndex> GraphArena<W> {
     /// is counted in full even when it is shared with other arenas).
     pub fn reserved_bytes(&self) -> usize {
         use std::mem::size_of;
-        (self.topo.head.capacity() + self.topo.adj_index.capacity())
-            .saturating_add(self.topo.adj_list.capacity() + self.cursor.capacity())
-            * size_of::<u32>()
-            + (self.cap.capacity() + self.flow.capacity()) * size_of::<W>()
+        (self.topo.capacity() + self.cursor.capacity()) * size_of::<u32>()
+            + (self.cap.capacity()
+                + self.flow.capacity()
+                + self.checkpoint.capacity()
+                + self.spare.capacity())
+                * size_of::<W>()
     }
 }
 
-/// Issues a best-effort read prefetch for the cache line holding `*ptr`.
-/// Purely a cache hint — no architectural side effects, so instrumented
-/// operation counts and traversal digests are unchanged by its presence.
-#[inline(always)]
-fn prefetch_read<T>(ptr: *const T) {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: prefetch never faults, even on invalid addresses.
-    unsafe {
-        core::arch::x86_64::_mm_prefetch(ptr as *const i8, core::arch::x86_64::_MM_HINT_T0)
-    };
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = ptr;
-}
-
-/// A directed flow network with mutable capacities and explicit flow state,
-/// stored in a CSR residual arena.
+/// A flow network with mutable capacities and explicit flow state,
+/// stored in a position-major CSR residual arena.
 ///
 /// The graph is append-only in topology (vertices and edges can be added,
 /// never removed); capacities and flows are mutable. This matches the
@@ -260,8 +278,46 @@ pub struct FlowGraph<W: ArenaIndex = i64> {
     arena: GraphArena<W>,
     /// Number of vertices (authoritative; `adj_index` tracks it lazily).
     n: usize,
-    /// Whether `adj_index`/`adj_list` are stale relative to the edge arrays.
+    /// Whether the CSR index is stale relative to the appended slots.
     dirty: bool,
+}
+
+/// Appends edges to a [`FlowGraph`] under a single copy-on-write check of
+/// its topology plane, taken when the appender is created
+/// ([`FlowGraph::appender`]). Network builders that add thousands of
+/// edges in a row use it instead of [`FlowGraph::add_edge`], which pays
+/// the check (two atomic operations on the plane's `Arc`) per edge.
+#[derive(Debug)]
+pub struct EdgeAppender<'a, W: ArenaIndex = i64> {
+    topo: &'a mut TopologyPlane,
+    cap: &'a mut Vec<W>,
+    flow: &'a mut Vec<W>,
+    grows: &'a mut u64,
+    dirty: &'a mut bool,
+    n: usize,
+}
+
+impl<W: ArenaIndex> EdgeAppender<'_, W> {
+    /// [`FlowGraph::add_edge`] on the borrowed graph: same ids, same
+    /// panics, same staleness marking.
+    pub fn add_edge(&mut self, u: VertexId, v: VertexId, cap: i64) -> EdgeId {
+        assert!(u < self.n, "source vertex {u} out of range");
+        assert!(v < self.n, "target vertex {v} out of range");
+        assert!(cap >= 0, "negative capacity {cap}");
+        let t = &mut *self.topo;
+        let e = t.target.len();
+        let before = t.target.capacity() + t.pos_of.capacity();
+        // Appended slots sit at the positions equal to their ids until the
+        // next finalize moves them into their owners' ranges.
+        t.target.extend_from_slice(&[v as u32, u as u32]);
+        t.pos_of.extend_from_slice(&[e as u32, e as u32 + 1]);
+        *self.grows += (t.target.capacity() + t.pos_of.capacity() != before) as u64;
+        self.cap
+            .extend_from_slice(&[W::from_i64(cap), W::default()]);
+        self.flow.extend_from_slice(&[W::default(); 2]);
+        *self.dirty = true;
+        e
+    }
 }
 
 impl<W: ArenaIndex> FlowGraph<W> {
@@ -278,12 +334,16 @@ impl<W: ArenaIndex> FlowGraph<W> {
         let mut g = FlowGraph {
             arena: GraphArena {
                 topo: std::sync::Arc::new(TopologyPlane {
-                    head: Vec::with_capacity(2 * edges),
+                    target: Vec::with_capacity(2 * edges),
+                    mate: Vec::with_capacity(2 * edges),
                     adj_index: Vec::with_capacity(n + 1),
-                    adj_list: Vec::with_capacity(2 * edges),
+                    id_at: Vec::with_capacity(2 * edges),
+                    pos_of: Vec::with_capacity(2 * edges),
                 }),
                 cap: Vec::with_capacity(2 * edges),
                 flow: Vec::with_capacity(2 * edges),
+                checkpoint: Vec::new(),
+                spare: Vec::new(),
                 cursor: Vec::with_capacity(n),
                 grows: 0,
             },
@@ -303,13 +363,13 @@ impl<W: ArenaIndex> FlowGraph<W> {
     /// Number of directed edge slots (twice the number of added edges).
     #[inline]
     pub fn num_edge_slots(&self) -> usize {
-        self.arena.topo.head.len()
+        self.arena.topo.target.len()
     }
 
     /// Number of forward edges added via [`FlowGraph::add_edge`].
     #[inline]
     pub fn num_edges(&self) -> usize {
-        self.arena.topo.head.len() / 2
+        self.arena.topo.target.len() / 2
     }
 
     /// The backing buffer arena (allocation telemetry).
@@ -340,12 +400,14 @@ impl<W: ArenaIndex> FlowGraph<W> {
     }
 
     /// Pre-sizes the arena for at least `edges` forward edges (twice that
-    /// many slots), so a cold build pays one allocation per array instead
-    /// of doubling growth, and a steady-state rebuild under the bound pays
-    /// none. Callers that know their topology ahead (the retrieval network
-    /// builders do: `q` bucket arcs, at most `MAX_COPIES` replica arcs per
-    /// bucket, one arc per disk) should call this right after
-    /// [`FlowGraph::reset`].
+    /// many slots), so a cold build pays one allocation per appended array
+    /// instead of doubling growth, and a steady-state rebuild under the
+    /// bound pays none. Callers that know their topology ahead (the
+    /// retrieval network builders do: `q` bucket arcs, at most
+    /// `MAX_COPIES` replica arcs per bucket, one arc per disk) should call
+    /// this right after [`FlowGraph::reset`]. The arrays that
+    /// [`FlowGraph::finalize`] fills are sized there, to the edge count
+    /// actually added.
     pub fn reserve_edges(&mut self, edges: usize) {
         let slots = edges * 2;
         let a = &mut self.arena;
@@ -356,12 +418,28 @@ impl<W: ArenaIndex> FlowGraph<W> {
             v.reserve(slots.saturating_sub(v.len()))
         });
         let t = topo_mut(&mut a.topo, &mut a.grows);
-        track_grow(&mut a.grows, &mut t.head, |v| {
+        track_grow(&mut a.grows, &mut t.target, |v| {
             v.reserve(slots.saturating_sub(v.len()))
         });
-        track_grow(&mut a.grows, &mut t.adj_list, |v| {
+        track_grow(&mut a.grows, &mut t.pos_of, |v| {
             v.reserve(slots.saturating_sub(v.len()))
         });
+    }
+
+    /// Borrows the graph for a run of [`EdgeAppender::add_edge`] calls,
+    /// detaching a shared topology plane once, up front (counted in
+    /// [`GraphArena::allocation_events`] like any detach).
+    pub fn appender(&mut self) -> EdgeAppender<'_, W> {
+        let a = &mut self.arena;
+        let topo = topo_mut(&mut a.topo, &mut a.grows);
+        EdgeAppender {
+            topo,
+            cap: &mut a.cap,
+            flow: &mut a.flow,
+            grows: &mut a.grows,
+            dirty: &mut self.dirty,
+            n: self.n,
+        }
     }
 
     /// Adds a forward edge `u -> v` with capacity `cap` and its paired
@@ -373,28 +451,14 @@ impl<W: ArenaIndex> FlowGraph<W> {
     ///
     /// Panics if `u` or `v` is out of range or `cap < 0`.
     pub fn add_edge(&mut self, u: VertexId, v: VertexId, cap: i64) -> EdgeId {
-        assert!(u < self.n, "source vertex {u} out of range");
-        assert!(v < self.n, "target vertex {v} out of range");
-        assert!(cap >= 0, "negative capacity {cap}");
-        let a = &mut self.arena;
-        let t = topo_mut(&mut a.topo, &mut a.grows);
-        let e = t.head.len();
-        let before = t.head.capacity();
-        t.head.push(v as u32);
-        t.head.push(u as u32);
-        a.grows += (t.head.capacity() != before) as u64;
-        a.cap.push(W::from_i64(cap));
-        a.cap.push(W::default());
-        a.flow.push(W::default());
-        a.flow.push(W::default());
-        self.dirty = true;
-        e
+        self.appender().add_edge(u, v, cap)
     }
 
     /// Rebuilds the CSR adjacency index after topology changes, preserving
     /// per-vertex insertion order (stable counting sort, `O(n + m)`, no
-    /// allocations once the arena has grown to size). Idempotent and cheap
-    /// when the index is already current.
+    /// allocations once the arena has grown to size), and moves every
+    /// slot's target, capacity and flow to its new position. Idempotent and
+    /// cheap when the index is already current.
     ///
     /// Solver entry points call this automatically; only callers that read
     /// [`FlowGraph::out_edges`] directly after [`FlowGraph::add_edge`] need
@@ -406,56 +470,95 @@ impl<W: ArenaIndex> FlowGraph<W> {
         let n = self.n;
         let a = &mut self.arena;
         let t = topo_mut(&mut a.topo, &mut a.grows);
-        let m = t.head.len();
-        let before = t.adj_index.capacity() + t.adj_list.capacity() + a.cursor.capacity();
+        let m = t.target.len();
+        let before = t.capacity() + a.cursor.capacity() + a.spare.capacity();
+        // Count slots per owning vertex. The owner of slot e is the target
+        // of e ^ 1, so the owners are the targets, counted over all slots.
         t.adj_index.clear();
         t.adj_index.resize(n + 1, 0);
-        // Count slots per owning vertex; the owner of slot e is head[e ^ 1].
-        for e in 0..m {
-            t.adj_index[t.head[e ^ 1] as usize + 1] += 1;
+        for &v in &t.target {
+            t.adj_index[v as usize + 1] += 1;
         }
         for v in 0..n {
             t.adj_index[v + 1] += t.adj_index[v];
         }
         a.cursor.clear();
         a.cursor.extend_from_slice(&t.adj_index[..n]);
-        // Stable placement pass: ascending slot id within each vertex. The
-        // scattered writes go through spare capacity so the buffer is not
-        // zeroed first — every position in `0..m` is written exactly once
-        // (the per-vertex counts sum to `m`), which is what makes the
-        // `set_len` below sound.
-        t.adj_list.clear();
-        t.adj_list.reserve(m);
-        let spare = t.adj_list.spare_capacity_mut();
-        for e in 0..m {
-            let src = t.head[e ^ 1] as usize;
-            let slot = a.cursor[src];
-            spare[slot as usize].write(e as u32);
-            a.cursor[src] = slot + 1;
+        // Flow is zero on every freshly built network; a graph that already
+        // carries flow parks it in `spare`, in edge-id order, while the
+        // positions move. Either way the flow plane is then free to stage
+        // capacities.
+        let carries_flow = a.flow.iter().fold(0, |any, f| any | f.to_i64()) != 0;
+        if carries_flow {
+            a.spare.clear();
+            a.spare.extend(t.pos_of.iter().map(|&p| a.flow[p as usize]));
         }
-        // SAFETY: the placement pass above initialized all `m` entries.
-        unsafe { t.adj_list.set_len(m) };
-        a.grows +=
-            (t.adj_index.capacity() + t.adj_list.capacity() + a.cursor.capacity() != before) as u64;
+        // Stable placement, ascending id within each owner: every slot gets
+        // its new position in `pos_of`, and `id_at`/`mate` their final
+        // entries there. Capacities are staged at the new positions in the
+        // flow plane until the old cap plane has been read in full.
+        t.id_at.resize(m, 0);
+        t.mate.resize(m, 0);
+        for (k, pair) in t.pos_of.chunks_exact_mut(2).enumerate() {
+            let (pf, pr) = (pair[0] as usize, pair[1] as usize);
+            // The forward slot belongs to its reverse slot's target, and
+            // the reverse slot to the forward slot's.
+            let nf = take_cursor(&mut a.cursor, t.target[pr]);
+            let nr = take_cursor(&mut a.cursor, t.target[pf]);
+            pair[0] = nf;
+            pair[1] = nr;
+            t.id_at[nf as usize] = 2 * k as u32;
+            t.id_at[nr as usize] = 2 * k as u32 + 1;
+            t.mate[nf as usize] = nr;
+            t.mate[nr as usize] = nf;
+            a.flow[nf as usize] = a.cap[pf];
+            a.flow[nr as usize] = a.cap[pr];
+        }
+        // The staged plane becomes the cap plane; the old one is free to
+        // take the flows back (every position is written) or zeros.
+        std::mem::swap(&mut a.cap, &mut a.flow);
+        if carries_flow {
+            for (&p, &f) in t.pos_of.iter().zip(&a.spare) {
+                a.flow[p as usize] = f;
+            }
+        } else {
+            a.flow.fill(W::default());
+        }
+        // A slot's target is the owner of its mate.
+        for v in 0..n {
+            let range = t.adj_index[v] as usize..t.adj_index[v + 1] as usize;
+            for &q in &t.mate[range] {
+                t.target[q as usize] = v as u32;
+            }
+        }
+        // A checkpoint is position-ordered, so it dies with the old layout.
+        a.checkpoint.clear();
+        a.grows += (t.capacity() + a.cursor.capacity() + a.spare.capacity() != before) as u64;
         self.dirty = false;
+    }
+
+    /// Position of edge `e`.
+    #[inline(always)]
+    fn pos(&self, e: EdgeId) -> usize {
+        self.arena.topo.pos_of[e] as usize
     }
 
     /// Target vertex of edge `e`.
     #[inline]
     pub fn target(&self, e: EdgeId) -> VertexId {
-        self.arena.topo.head[e] as usize
+        self.arena.topo.target[self.pos(e)] as usize
     }
 
     /// Source vertex of edge `e` (the target of its reverse edge).
     #[inline]
     pub fn source(&self, e: EdgeId) -> VertexId {
-        self.arena.topo.head[e ^ 1] as usize
+        self.target(e ^ 1)
     }
 
     /// Capacity of edge `e`.
     #[inline]
     pub fn cap(&self, e: EdgeId) -> i64 {
-        self.arena.cap[e].to_i64()
+        self.arena.cap[self.pos(e)].to_i64()
     }
 
     /// Sets the capacity of edge `e`.
@@ -467,19 +570,21 @@ impl<W: ArenaIndex> FlowGraph<W> {
     #[inline]
     pub fn set_cap(&mut self, e: EdgeId, cap: i64) {
         debug_assert!(cap >= 0, "negative capacity {cap}");
-        self.arena.cap[e] = W::from_i64(cap);
+        let p = self.pos(e);
+        self.arena.cap[p] = W::from_i64(cap);
     }
 
     /// Current flow on edge `e` (negative on reverse edges).
     #[inline]
     pub fn flow(&self, e: EdgeId) -> i64 {
-        self.arena.flow[e].to_i64()
+        self.arena.flow[self.pos(e)].to_i64()
     }
 
     /// Residual capacity of edge `e`: `cap(e) - flow(e)`.
     #[inline]
     pub fn residual(&self, e: EdgeId) -> i64 {
-        self.arena.cap[e].to_i64() - self.arena.flow[e].to_i64()
+        let p = self.pos(e);
+        self.arena.cap[p].to_i64() - self.arena.flow[p].to_i64()
     }
 
     /// Pushes `delta` units of flow along edge `e`, updating the paired
@@ -495,129 +600,111 @@ impl<W: ArenaIndex> FlowGraph<W> {
             "push of {delta} exceeds residual {} on edge {e}",
             self.residual(e)
         );
-        self.arena.flow[e] = W::from_i64(self.arena.flow[e].to_i64() + delta);
-        self.arena.flow[e ^ 1] = W::from_i64(self.arena.flow[e ^ 1].to_i64() - delta);
+        let (p, q) = (self.pos(e), self.pos(e ^ 1));
+        let flow = &mut self.arena.flow;
+        flow[p] = W::from_i64(flow[p].to_i64() + delta);
+        flow[q] = W::from_i64(flow[q].to_i64() - delta);
     }
 
-    /// Target vertex of edge `e`, without the release-mode bounds check.
-    ///
-    /// Internal fast path for solver inner loops. Callers must pass an edge
-    /// id obtained from [`FlowGraph::out_edges`] of this graph (those are
-    /// valid by construction); the `debug_assert!` checks the contract in
-    /// debug builds, where every test suite runs.
-    #[inline(always)]
-    pub(crate) fn target_fast(&self, e: EdgeId) -> VertexId {
-        debug_assert!(e < self.arena.topo.head.len(), "edge {e} out of range");
-        // SAFETY: guarded by the documented contract + debug_assert above.
-        unsafe { *self.arena.topo.head.get_unchecked(e) as usize }
-    }
-
-    /// Residual capacity of edge `e`, without release-mode bounds checks.
-    /// Same contract as [`FlowGraph::target_fast`].
-    #[inline(always)]
-    pub(crate) fn residual_fast(&self, e: EdgeId) -> i64 {
-        debug_assert!(e < self.arena.cap.len(), "edge {e} out of range");
-        // SAFETY: guarded by the documented contract + debug_assert above.
-        unsafe {
-            self.arena.cap.get_unchecked(e).to_i64() - self.arena.flow.get_unchecked(e).to_i64()
-        }
-    }
-
-    /// [`FlowGraph::push`] without release-mode bounds checks. Same contract
-    /// as [`FlowGraph::target_fast`]; the residual-overflow `debug_assert!`
-    /// of `push` applies unchanged.
-    #[inline(always)]
-    pub(crate) fn push_fast(&mut self, e: EdgeId, delta: i64) {
-        debug_assert!(e < self.arena.flow.len(), "edge {e} out of range");
-        debug_assert!(
-            delta <= self.residual(e),
-            "push of {delta} exceeds residual {} on edge {e}",
-            self.residual(e)
-        );
-        // SAFETY: guarded by the documented contract + debug_assert above;
-        // e ^ 1 is in range whenever e is, because slots come in pairs.
-        unsafe {
-            let f = self.arena.flow.get_unchecked(e).to_i64() + delta;
-            *self.arena.flow.get_unchecked_mut(e) = W::from_i64(f);
-            let r = self.arena.flow.get_unchecked(e ^ 1).to_i64() - delta;
-            *self.arena.flow.get_unchecked_mut(e ^ 1) = W::from_i64(r);
-        }
-    }
-
-    /// Adjacency bounds of vertex `v` as absolute `adj_list` positions
-    /// `[lo, hi)`, without release-mode bounds checks.
+    /// Adjacency bounds of vertex `v` as absolute positions `[lo, hi)`,
+    /// without release-mode bounds checks.
     ///
     /// Solver inner loops hoist this pair once per vertex visit and then
-    /// walk slots with [`FlowGraph::adj_slot`]: topology is frozen for the
-    /// whole solve, so the bounds cannot move, and re-deriving the
-    /// `out_edges` slice per arc would re-pay the staleness check and two
-    /// index loads each time. Same contract as [`FlowGraph::target_fast`]
-    /// (finalized graph, `v` in range), checked by `debug_assert!` where
-    /// every test suite runs.
+    /// walk positions with the `*_at` accessors: topology is frozen for the
+    /// whole solve, so the bounds cannot move. The graph must be finalized
+    /// and `v` in range; every position in `[lo, hi)` is then a valid
+    /// argument to the `*_at` accessors. Both conditions are checked by
+    /// `debug_assert!`, which every test suite runs with.
     #[inline(always)]
     pub(crate) fn adj_bounds(&self, v: VertexId) -> (u32, u32) {
+        let idx = &self.arena.topo.adj_index;
         debug_assert!(!self.dirty, "adj_bounds on stale topology: call finalize()");
+        debug_assert!(v + 1 < idx.len(), "vertex {v} out of range");
+        // SAFETY: `v + 1 < adj_index.len()`: a finalized graph's index has
+        // `n + 1` entries (reset and finalize size it, add_vertex extends
+        // it) and crate callers pass vertices below `num_vertices()`. The
+        // debug_assert above restates it.
+        unsafe { (*idx.get_unchecked(v), *idx.get_unchecked(v + 1)) }
+    }
+
+    /// Debug check shared by the `*_at` accessors: `p` came from
+    /// [`FlowGraph::adj_bounds`] on this still-finalized graph.
+    #[inline(always)]
+    fn debug_check_pos(&self, p: u32) {
         debug_assert!(
-            v + 1 < self.arena.topo.adj_index.len(),
-            "vertex {v} out of range"
+            !self.dirty,
+            "position walk on stale topology: call finalize()"
         );
-        // SAFETY: guarded by the documented contract + debug_assert above.
+        debug_assert!(
+            (p as usize) < self.arena.topo.target.len(),
+            "adjacency position {p} out of range"
+        );
+    }
+
+    /// Edge id at position `p` (a `[lo, hi)` position of
+    /// [`FlowGraph::adj_bounds`]).
+    #[inline(always)]
+    pub(crate) fn edge_at(&self, p: u32) -> EdgeId {
+        self.debug_check_pos(p);
+        self.arena.topo.id_at[p as usize] as EdgeId
+    }
+
+    /// Target vertex of the slot at position `p`, without the
+    /// release-mode bounds check.
+    #[inline(always)]
+    pub(crate) fn target_at(&self, p: u32) -> VertexId {
+        self.debug_check_pos(p);
+        // SAFETY: `p` lies in an `adj_bounds` range of this finalized
+        // graph, and finalize counts every slot into `adj_index`, so
+        // `p < adj_index[n] == target.len()`. `debug_check_pos` restates it.
+        unsafe { *self.arena.topo.target.get_unchecked(p as usize) as VertexId }
+    }
+
+    /// Position of the slot paired with the one at `p`.
+    #[inline(always)]
+    pub(crate) fn mate_at(&self, p: u32) -> u32 {
+        self.debug_check_pos(p);
+        // SAFETY: `p < target.len()` as in `target_at`, and finalize sizes
+        // `mate` to `target.len()`.
+        unsafe { *self.arena.topo.mate.get_unchecked(p as usize) }
+    }
+
+    /// Residual capacity of the slot at position `p`, without release-mode
+    /// bounds checks.
+    #[inline(always)]
+    pub(crate) fn residual_at(&self, p: u32) -> i64 {
+        self.debug_check_pos(p);
+        debug_assert!((p as usize) < self.arena.flow.len());
+        let p = p as usize;
+        // SAFETY: `p < target.len()` as in `target_at`, and `cap` and
+        // `flow` hold one value per slot, `target.len()` of them.
         unsafe {
-            (
-                *self.arena.topo.adj_index.get_unchecked(v),
-                *self.arena.topo.adj_index.get_unchecked(v + 1),
-            )
+            self.arena.cap.get_unchecked(p).to_i64() - self.arena.flow.get_unchecked(p).to_i64()
         }
     }
 
-    /// Edge id stored at absolute adjacency position `pos`, without
-    /// release-mode bounds checks. `pos` must lie inside a `[lo, hi)` pair
-    /// returned by [`FlowGraph::adj_bounds`] on this (still finalized)
-    /// graph.
+    /// [`FlowGraph::push`] on the slot at position `p`: moves `delta` units
+    /// onto it and off its mate, without release-mode bounds checks. The
+    /// residual-overflow `debug_assert!` of `push` applies unchanged.
     #[inline(always)]
-    pub(crate) fn adj_slot(&self, pos: u32) -> EdgeId {
-        debug_assert!(!self.dirty, "adj_slot on stale topology: call finalize()");
+    pub(crate) fn push_at(&mut self, p: u32, delta: i64) {
         debug_assert!(
-            (pos as usize) < self.arena.topo.adj_list.len(),
-            "adjacency position {pos} out of range"
+            delta <= self.residual_at(p),
+            "push of {delta} exceeds residual {} at position {p}",
+            self.residual_at(p)
         );
-        // SAFETY: guarded by the documented contract + debug_assert above.
-        unsafe { *self.arena.topo.adj_list.get_unchecked(pos as usize) as EdgeId }
-    }
-
-    /// Prefetches the per-edge state (`head`/`cap`/`flow`) of the edge a
-    /// few adjacency positions ahead of `pos`, hiding the dependent-load
-    /// latency of `adj_list[pos] -> edge arrays` in the discharge and
-    /// global-relabel walks. `hi` is the walk bound from
-    /// [`FlowGraph::adj_bounds`]. Purely a cache hint (see
-    /// [`prefetch_read`]); a no-op on non-x86_64 targets.
-    #[inline(always)]
-    pub(crate) fn prefetch_adj(&self, pos: u32, hi: u32) {
-        const DIST: u32 = 16;
-        let p = pos.wrapping_add(DIST);
-        if p < hi {
-            debug_assert!((p as usize) < self.arena.topo.adj_list.len());
-            // SAFETY: p < hi <= adj_list.len() per the adj_bounds contract.
-            let e = unsafe { *self.arena.topo.adj_list.get_unchecked(p as usize) } as usize;
-            prefetch_read(self.arena.cap.as_ptr().wrapping_add(e));
-            prefetch_read(self.arena.flow.as_ptr().wrapping_add(e));
-            prefetch_read(self.arena.topo.head.as_ptr().wrapping_add(e));
-        }
-    }
-
-    /// [`FlowGraph::prefetch_adj`] for walks that test the *target* before
-    /// touching edge state (the lowest-neighbour scan): fetches only the
-    /// `head` word, keeping the cap/flow lines out of the way of scans
-    /// that will reject most edges on height alone.
-    #[inline(always)]
-    pub(crate) fn prefetch_adj_head(&self, pos: u32, hi: u32) {
-        const DIST: u32 = 16;
-        let p = pos.wrapping_add(DIST);
-        if p < hi {
-            debug_assert!((p as usize) < self.arena.topo.adj_list.len());
-            // SAFETY: p < hi <= adj_list.len() per the adj_bounds contract.
-            let e = unsafe { *self.arena.topo.adj_list.get_unchecked(p as usize) } as usize;
-            prefetch_read(self.arena.topo.head.as_ptr().wrapping_add(e));
+        let q = self.mate_at(p) as usize;
+        let p = p as usize;
+        debug_assert!(q < self.arena.flow.len());
+        let flow = &mut self.arena.flow;
+        // SAFETY: `p < flow.len()` as in `residual_at`; `q` is a `mate`
+        // entry, and finalize writes only positions below `target.len()`
+        // (== `flow.len()`) there.
+        unsafe {
+            let f = flow.get_unchecked(p).to_i64() + delta;
+            *flow.get_unchecked_mut(p) = W::from_i64(f);
+            let r = flow.get_unchecked(q).to_i64() - delta;
+            *flow.get_unchecked_mut(q) = W::from_i64(r);
         }
     }
 
@@ -632,9 +719,8 @@ impl<W: ArenaIndex> FlowGraph<W> {
     #[inline]
     pub fn out_edges(&self, v: VertexId) -> &[u32] {
         assert!(!self.dirty, "out_edges on stale topology: call finalize()");
-        let lo = self.arena.topo.adj_index[v] as usize;
-        let hi = self.arena.topo.adj_index[v + 1] as usize;
-        &self.arena.topo.adj_list[lo..hi]
+        let t = &self.arena.topo;
+        &t.id_at[t.adj_index[v] as usize..t.adj_index[v + 1] as usize]
     }
 
     /// Out-degree counting only *forward* edges (even ids), i.e. edges added
@@ -666,25 +752,62 @@ impl<W: ArenaIndex> FlowGraph<W> {
 
     /// Resets all flow values to zero, keeping topology and capacities.
     pub fn zero_flows(&mut self) {
-        self.arena.flow.iter_mut().for_each(|f| *f = W::default());
+        self.arena.flow.fill(W::default());
     }
 
-    /// Snapshot of the current flow state (for `StoreFlows`, Algorithm 6).
-    /// Always widened to `i64` so snapshots are width-portable.
+    /// Snapshot of the current flow state, indexed by edge id. Always
+    /// widened to `i64` so snapshots are width-portable.
     ///
     /// Allocates a fresh vector; steady-state callers use
     /// [`FlowGraph::store_flows_into`] with a reused buffer instead.
     pub fn store_flows(&self) -> Vec<i64> {
-        self.arena.flow.iter().map(|f| f.to_i64()).collect()
+        let mut buf = Vec::new();
+        self.store_flows_into(&mut buf);
+        buf
     }
 
-    /// Writes the current flow state into `buf`, reusing its allocation —
-    /// the allocation-free counterpart of [`FlowGraph::store_flows`] for
-    /// callers that snapshot repeatedly (the binary capacity-scaling
-    /// driver stores state on every failed probe).
+    /// Writes the current flow state, indexed by edge id, into `buf`,
+    /// reusing its allocation — the allocation-free counterpart of
+    /// [`FlowGraph::store_flows`] for callers that keep snapshots across
+    /// topology changes (warm sessions).
     pub fn store_flows_into(&self, buf: &mut Vec<i64>) {
+        let flow = &self.arena.flow;
         buf.clear();
-        buf.extend(self.arena.flow.iter().map(|f| f.to_i64()));
+        buf.extend(
+            self.arena
+                .topo
+                .pos_of
+                .iter()
+                .map(|&p| flow[p as usize].to_i64()),
+        );
+    }
+
+    /// Saves the flow plane (`StoreFlows`, Algorithm 6) inside the arena:
+    /// one native-width, position-ordered slice copy. Only the next
+    /// [`FlowGraph::rollback_flows`] reads it; a topology change or a new
+    /// cap/flow plane discards it.
+    pub fn checkpoint_flows(&mut self) {
+        let a = &mut self.arena;
+        track_grow(&mut a.grows, &mut a.checkpoint, |c| {
+            c.clear();
+            c.extend_from_slice(&a.flow);
+        });
+    }
+
+    /// Restores the flow plane saved by [`FlowGraph::checkpoint_flows`]
+    /// (`RestoreFlows`, Algorithm 6).
+    ///
+    /// # Panics
+    ///
+    /// Panics if no checkpoint of the current plane exists.
+    pub fn rollback_flows(&mut self) {
+        let a = &mut self.arena;
+        assert_eq!(
+            a.checkpoint.len(),
+            a.flow.len(),
+            "rollback_flows without a checkpoint of this plane"
+        );
+        a.flow.copy_from_slice(&a.checkpoint);
     }
 
     /// Makes `self` a copy of `other`, reusing existing allocations
@@ -695,18 +818,8 @@ impl<W: ArenaIndex> FlowGraph<W> {
         let (a, b) = (&mut self.arena, &other.arena);
         track_grow(&mut a.grows, &mut a.cap, |v| v.clone_from(&b.cap));
         track_grow(&mut a.grows, &mut a.flow, |v| v.clone_from(&b.flow));
-        // A plane already shared with the source is bit-identical by the
-        // copy-on-write invariant — skip the deep topology copy.
-        if !std::sync::Arc::ptr_eq(&a.topo, &b.topo) {
-            let t = topo_mut(&mut a.topo, &mut a.grows);
-            track_grow(&mut a.grows, &mut t.head, |v| v.clone_from(&b.topo.head));
-            track_grow(&mut a.grows, &mut t.adj_index, |v| {
-                v.clone_from(&b.topo.adj_index)
-            });
-            track_grow(&mut a.grows, &mut t.adj_list, |v| {
-                v.clone_from(&b.topo.adj_list)
-            });
-        }
+        a.checkpoint.clear();
+        copy_topology(a, b);
         self.n = other.n;
         self.dirty = other.dirty;
     }
@@ -720,40 +833,11 @@ impl<W: ArenaIndex> FlowGraph<W> {
         &mut self,
         other: &FlowGraph<V>,
     ) -> Result<(), WidthOverflow> {
-        if W::MAX < V::MAX {
-            for (e, (c, f)) in other.arena.cap.iter().zip(&other.arena.flow).enumerate() {
-                for value in [c.to_i64(), f.to_i64()] {
-                    if W::try_from_i64(value).is_none() {
-                        return Err(WidthOverflow {
-                            edge: e,
-                            value,
-                            width: W::NAME,
-                        });
-                    }
-                }
-            }
-        }
-        let (a, b) = (&mut self.arena, &other.arena);
-        track_grow(&mut a.grows, &mut a.cap, |v| {
-            v.clear();
-            v.extend(b.cap.iter().map(|c| W::from_i64(c.to_i64())));
-        });
-        track_grow(&mut a.grows, &mut a.flow, |v| {
-            v.clear();
-            v.extend(b.flow.iter().map(|f| W::from_i64(f.to_i64())));
-        });
+        check_fits::<W, V>(other)?;
+        narrow_planes(&mut self.arena, &other.arena);
         // Cross-width copies still deep-copy the (width-free) topology
         // unless it is already shared, same as `copy_from`.
-        if !std::sync::Arc::ptr_eq(&a.topo, &b.topo) {
-            let t = topo_mut(&mut a.topo, &mut a.grows);
-            track_grow(&mut a.grows, &mut t.head, |v| v.clone_from(&b.topo.head));
-            track_grow(&mut a.grows, &mut t.adj_index, |v| {
-                v.clone_from(&b.topo.adj_index)
-            });
-            track_grow(&mut a.grows, &mut t.adj_list, |v| {
-                v.clone_from(&b.topo.adj_list)
-            });
-        }
+        copy_topology(&mut self.arena, &other.arena);
         self.n = other.n;
         self.dirty = other.dirty;
         Ok(())
@@ -766,6 +850,7 @@ impl<W: ArenaIndex> FlowGraph<W> {
         let a = &mut self.arena;
         a.cap.clear();
         a.flow.clear();
+        a.checkpoint.clear();
         // A shared topology plane is about to be invalidated: detach to a
         // fresh private plane instead of deep-cloning contents we would
         // clear anyway. The detach (epoch invalidation) counts as a growth
@@ -775,8 +860,10 @@ impl<W: ArenaIndex> FlowGraph<W> {
             a.grows += 1;
         }
         let t = std::sync::Arc::get_mut(&mut a.topo).expect("plane is private here");
-        t.head.clear();
-        t.adj_list.clear();
+        t.target.clear();
+        t.mate.clear();
+        t.id_at.clear();
+        t.pos_of.clear();
         track_grow(&mut a.grows, &mut t.adj_index, |idx| {
             idx.clear();
             idx.resize(n + 1, 0);
@@ -785,11 +872,11 @@ impl<W: ArenaIndex> FlowGraph<W> {
         self.dirty = false;
     }
 
-    /// Restores a flow snapshot taken with [`FlowGraph::store_flows`]
-    /// (`RestoreFlows`, Algorithm 6). Snapshots are `i64` regardless of the
-    /// graph width; values are narrowed debug-checked (snapshots taken from
-    /// a graph of this width always fit — use
-    /// [`FlowGraph::try_restore_flows`] when that is not known).
+    /// Restores a flow snapshot taken with [`FlowGraph::store_flows`].
+    /// Snapshots are `i64` regardless of the graph width; values are
+    /// narrowed debug-checked (snapshots taken from a graph of this width
+    /// always fit — use [`FlowGraph::try_restore_flows`] when that is not
+    /// known).
     ///
     /// # Panics
     ///
@@ -800,8 +887,9 @@ impl<W: ArenaIndex> FlowGraph<W> {
             self.arena.flow.len(),
             "flow snapshot does not match graph topology"
         );
-        for (dst, &src) in self.arena.flow.iter_mut().zip(snapshot) {
-            *dst = W::from_i64(src);
+        let a = &mut self.arena;
+        for (&p, &src) in a.topo.pos_of.iter().zip(snapshot) {
+            a.flow[p as usize] = W::from_i64(src);
         }
     }
 
@@ -828,9 +916,7 @@ impl<W: ArenaIndex> FlowGraph<W> {
                 });
             }
         }
-        for (dst, &src) in self.arena.flow.iter_mut().zip(snapshot) {
-            *dst = W::from_i64(src);
-        }
+        self.restore_flows(snapshot);
         Ok(())
     }
 
@@ -840,27 +926,25 @@ impl<W: ArenaIndex> FlowGraph<W> {
     /// count inflow positively, reverse slots carry the paired outflow
     /// negated).
     pub fn net_inflow(&self, v: VertexId) -> i64 {
+        let (t, flow) = (&self.arena.topo, &self.arena.flow);
         if self.dirty {
             let v = v as u32;
-            return self
-                .arena
-                .topo
-                .head
+            return t
+                .target
                 .iter()
-                .zip(&self.arena.flow)
+                .zip(flow)
                 .filter(|&(&h, _)| h == v)
                 .map(|(_, f)| f.to_i64())
                 .sum();
         }
-        self.out_edges(v)
-            .iter()
-            .map(|&e| {
-                let e = e as usize;
-                if e % 2 == 1 {
+        let (lo, hi) = (t.adj_index[v] as usize, t.adj_index[v + 1] as usize);
+        (lo..hi)
+            .map(|p| {
+                if t.id_at[p] % 2 == 1 {
                     // reverse slot: the paired forward edge points at v
-                    self.arena.flow[e ^ 1].to_i64()
+                    flow[t.mate[p] as usize].to_i64()
                 } else {
-                    -self.arena.flow[e].to_i64()
+                    -flow[p].to_i64()
                 }
             })
             .sum()
@@ -868,7 +952,7 @@ impl<W: ArenaIndex> FlowGraph<W> {
 
     /// Iterator over all forward edge ids.
     pub fn forward_edges(&self) -> impl Iterator<Item = EdgeId> {
-        (0..self.arena.topo.head.len()).step_by(2)
+        (0..self.arena.topo.target.len()).step_by(2)
     }
 
     /// Whether `self` and `other` currently share one topology plane (the
@@ -879,10 +963,10 @@ impl<W: ArenaIndex> FlowGraph<W> {
     }
 
     /// Checks out `other`'s finalized topology plane by reference (an O(1)
-    /// `Arc` share — no head/adjacency copy) and copies only its
-    /// capacity/flow planes, width-checked. This is the per-query staging
-    /// path of the epoch-shared arena: the shape is borrowed from the
-    /// epoch's instance, the mutable planes are private to this graph.
+    /// `Arc` share — no adjacency copy) and copies only its capacity/flow
+    /// planes, width-checked. This is the per-query staging path of the
+    /// epoch-shared arena: the shape is borrowed from the epoch's instance,
+    /// the mutable planes are private to this graph.
     ///
     /// On [`WidthOverflow`] `self` is left untouched (validation runs
     /// before any write), exactly like [`FlowGraph::try_copy_from`].
@@ -901,34 +985,84 @@ impl<W: ArenaIndex> FlowGraph<W> {
             other.is_finalized(),
             "checkout_plane_from on stale topology: call finalize()"
         );
-        if W::MAX < V::MAX {
-            for (e, (c, f)) in other.arena.cap.iter().zip(&other.arena.flow).enumerate() {
-                for value in [c.to_i64(), f.to_i64()] {
-                    if W::try_from_i64(value).is_none() {
-                        return Err(WidthOverflow {
-                            edge: e,
-                            value,
-                            width: W::NAME,
-                        });
-                    }
-                }
-            }
-        }
+        check_fits::<W, V>(other)?;
         let (a, b) = (&mut self.arena, &other.arena);
         if !std::sync::Arc::ptr_eq(&a.topo, &b.topo) {
             a.topo = std::sync::Arc::clone(&b.topo);
         }
-        track_grow(&mut a.grows, &mut a.cap, |v| {
-            v.clear();
-            v.extend(b.cap.iter().map(|c| W::from_i64(c.to_i64())));
-        });
-        track_grow(&mut a.grows, &mut a.flow, |v| {
-            v.clear();
-            v.extend(b.flow.iter().map(|f| W::from_i64(f.to_i64())));
-        });
+        narrow_planes(a, b);
         self.n = other.n;
         self.dirty = false;
         Ok(())
+    }
+}
+
+/// Returns vertex `v`'s next free position and advances its cursor.
+#[inline(always)]
+fn take_cursor(cursor: &mut [u32], v: u32) -> u32 {
+    let c = &mut cursor[v as usize];
+    *c += 1;
+    *c - 1
+}
+
+/// Fails with the offending value of the lowest edge id (capacity before
+/// flow) when `other`'s cap/flow planes do not fit width `W`; a no-op when
+/// `W` is at least as wide as `V`.
+fn check_fits<W: ArenaIndex, V: ArenaIndex>(other: &FlowGraph<V>) -> Result<(), WidthOverflow> {
+    if W::MAX >= V::MAX {
+        return Ok(());
+    }
+    let b = &other.arena;
+    let fits = |x: &V| W::try_from_i64(x.to_i64()).is_some();
+    if b.cap.iter().chain(&b.flow).all(fits) {
+        return Ok(());
+    }
+    // Slow path: report in edge-id order, as callers index by id.
+    for (e, &p) in b.topo.pos_of.iter().enumerate() {
+        for value in [b.cap[p as usize], b.flow[p as usize]] {
+            if !fits(&value) {
+                return Err(WidthOverflow {
+                    edge: e,
+                    value: value.to_i64(),
+                    width: W::NAME,
+                });
+            }
+        }
+    }
+    unreachable!("a value that does not fit belongs to some edge")
+}
+
+/// Copies `b`'s cap/flow planes into `a`, narrowing (already checked) and
+/// discarding `a`'s checkpoint, which described the replaced plane.
+fn narrow_planes<W: ArenaIndex, V: ArenaIndex>(a: &mut GraphArena<W>, b: &GraphArena<V>) {
+    track_grow(&mut a.grows, &mut a.cap, |v| {
+        v.clear();
+        v.extend(b.cap.iter().map(|c| W::from_i64(c.to_i64())));
+    });
+    track_grow(&mut a.grows, &mut a.flow, |v| {
+        v.clear();
+        v.extend(b.flow.iter().map(|f| W::from_i64(f.to_i64())));
+    });
+    a.checkpoint.clear();
+}
+
+/// Deep-copies `b`'s topology plane into `a`'s, unless the two already
+/// share one — a shared plane is bit-identical by the copy-on-write
+/// invariant.
+fn copy_topology<W: ArenaIndex, V: ArenaIndex>(a: &mut GraphArena<W>, b: &GraphArena<V>) {
+    if std::sync::Arc::ptr_eq(&a.topo, &b.topo) {
+        return;
+    }
+    let t = topo_mut(&mut a.topo, &mut a.grows);
+    let s = &*b.topo;
+    for (dst, src) in [
+        (&mut t.target, &s.target),
+        (&mut t.mate, &s.mate),
+        (&mut t.adj_index, &s.adj_index),
+        (&mut t.id_at, &s.id_at),
+        (&mut t.pos_of, &s.pos_of),
+    ] {
+        track_grow(&mut a.grows, dst, |v| v.clone_from(src));
     }
 }
 
@@ -1336,6 +1470,110 @@ mod tests {
         // bit-identical (ptr-equal) rather than detaching it.
         assert!(ws.shares_topology_with(&src));
         assert_eq!(ws.out_edges(0), src.out_edges(0));
+    }
+
+    /// The position-major invariants: `pos_of`/`id_at` are inverse,
+    /// `mate` pairs `e` with `e ^ 1`, a vertex's range holds exactly its
+    /// slots in ascending id, and each slot's state sits at its position.
+    fn assert_layout(g: &FlowGraph) {
+        let t = &*g.arena.topo;
+        for e in 0..g.num_edge_slots() {
+            let p = t.pos_of[e] as usize;
+            assert_eq!(t.id_at[p] as usize, e);
+            assert_eq!(t.mate[p], t.pos_of[e ^ 1]);
+            assert_eq!(g.target_at(p as u32), g.target(e));
+            assert_eq!(g.residual_at(p as u32), g.residual(e));
+        }
+        for v in 0..g.num_vertices() {
+            let (lo, hi) = g.adj_bounds(v);
+            let ids: Vec<u32> = (lo..hi).map(|p| g.edge_at(p) as u32).collect();
+            assert!(ids.windows(2).all(|w| w[0] < w[1]));
+            assert!(ids.iter().all(|&e| g.source(e as usize) == v));
+        }
+    }
+
+    #[test]
+    fn finalize_places_every_slot_at_its_position() {
+        let mut g = diamond();
+        assert_layout(&g);
+        // Appends after finalize, on a graph carrying flow: the flow must
+        // follow its edge through the move.
+        g.push(0, 2);
+        g.push(4, 2);
+        let e = g.add_edge(0, 3, 4);
+        g.add_edge(3, 1, 1);
+        g.push(e, 3);
+        let flows = g.store_flows();
+        g.finalize();
+        assert_layout(&g);
+        assert_eq!(g.store_flows(), flows);
+        assert_eq!(g.net_inflow(3), 5);
+    }
+
+    #[test]
+    fn push_at_moves_flow_onto_the_mate() {
+        let mut g = diamond();
+        let p = g.arena.topo.pos_of[4];
+        g.push_at(p, 2);
+        assert_eq!(g.flow(4), 2);
+        assert_eq!(g.flow(5), -2);
+        assert_eq!(g.residual_at(g.mate_at(p)), 2);
+    }
+
+    #[test]
+    fn appender_matches_add_edge_and_detaches_once() {
+        let src = diamond();
+        let mut g: FlowGraph = FlowGraph::new(0);
+        g.checkout_plane_from(&src).unwrap();
+        // The copy-on-write detach happens once, when the appender is
+        // taken; the appends themselves never check the plane again.
+        let events = g.arena().allocation_events();
+        let _ = g.appender();
+        assert_eq!(g.arena().allocation_events(), events + 1);
+        assert!(!g.shares_topology_with(&src));
+        assert!(g.is_finalized(), "an unused appender changes nothing");
+        let mut app = g.appender();
+        assert_eq!(app.add_edge(0, 3, 1), 8);
+        assert_eq!(app.add_edge(1, 2, 1), 10);
+        assert!(!g.is_finalized());
+        assert_eq!(src.num_edges(), 4);
+        g.finalize();
+        let mut h = diamond();
+        h.add_edge(0, 3, 1);
+        h.add_edge(1, 2, 1);
+        h.finalize();
+        for v in 0..4 {
+            assert_eq!(g.out_edges(v), h.out_edges(v));
+        }
+        assert_layout(&g);
+    }
+
+    #[test]
+    fn checkpoint_rolls_back_the_flow_plane() {
+        let mut g = diamond();
+        g.push(0, 1);
+        g.checkpoint_flows();
+        g.push(2, 2);
+        g.push(4, 1);
+        g.rollback_flows();
+        assert_eq!(g.store_flows(), vec![1, -1, 0, 0, 0, 0, 0, 0]);
+        // Rolling back twice restores the same state.
+        g.push(6, 2);
+        g.rollback_flows();
+        assert_eq!(g.flow(6), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "without a checkpoint")]
+    fn rollback_after_a_topology_change_panics() {
+        // The checkpoint is taken with the appended slots at their
+        // pre-finalize positions; finalize moves them, so it must not
+        // survive even though the slot count is unchanged.
+        let mut g = diamond();
+        g.add_edge(0, 3, 1);
+        g.checkpoint_flows();
+        g.finalize();
+        g.rollback_flows();
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub trait IncrementalMaxFlow<W: ArenaIndex = i64> {
     fn set_excess(&mut self, v: VertexId, x: i64);
 
     /// Snapshot of the excesses of vertices `0..n`, paired with
-    /// `FlowGraph::store_flows` by drivers that roll state back
+    /// `FlowGraph::checkpoint_flows` by drivers that roll state back
     /// (`StoreFlows`/`RestoreFlows` of the paper's Algorithm 6). Engines
     /// that leave excess trapped at stranded vertices (the parallel
     /// phase-1 engine) rely on the full vector being restored, not just
@@ -46,18 +46,11 @@ pub trait IncrementalMaxFlow<W: ArenaIndex = i64> {
     /// allocation — the allocation-free counterpart of
     /// [`IncrementalMaxFlow::excess_snapshot`] for drivers that snapshot
     /// on every failed probe.
-    fn excess_snapshot_into(&self, n: usize, buf: &mut Vec<i64>) {
-        buf.clear();
-        buf.extend((0..n).map(|v| self.excess(v)));
-    }
+    fn excess_snapshot_into(&self, n: usize, buf: &mut Vec<i64>);
 
     /// Restores a snapshot taken with
     /// [`IncrementalMaxFlow::excess_snapshot`].
-    fn restore_excess(&mut self, snap: &[i64]) {
-        for (v, &x) in snap.iter().enumerate() {
-            self.set_excess(v, x);
-        }
-    }
+    fn restore_excess(&mut self, snap: &[i64]);
 
     /// Cumulative `(pushes, relabels)` performed by this engine since
     /// construction. Monotonically non-decreasing across runs, so drivers
@@ -231,6 +224,14 @@ impl<W: ArenaIndex> IncrementalMaxFlow<W> for crate::push_relabel::PushRelabel {
 
     fn set_excess(&mut self, v: VertexId, x: i64) {
         crate::push_relabel::PushRelabel::set_excess(self, v, x)
+    }
+
+    fn excess_snapshot_into(&self, n: usize, buf: &mut Vec<i64>) {
+        crate::push_relabel::PushRelabel::excess_snapshot_into(self, n, buf)
+    }
+
+    fn restore_excess(&mut self, snap: &[i64]) {
+        crate::push_relabel::PushRelabel::restore_excess(self, snap)
     }
 
     fn op_counts(&self) -> (u64, u64) {

@@ -9,7 +9,9 @@
 //! * [`graph::FlowGraph`] — a compact residual-graph arena with paired
 //!   forward/reverse edges and mutable capacities, designed so that flow
 //!   state can be conserved while capacities change between solver runs
-//!   (the *integrated* usage pattern at the heart of the paper).
+//!   (the *integrated* usage pattern at the heart of the paper). Slots
+//!   are stored by adjacency position, so the solvers below walk each
+//!   vertex's arcs in memory order; edge ids remain the public handle.
 //! * [`ford_fulkerson`] — DFS- and BFS-based augmenting-path maximum flow
 //!   (Ford-Fulkerson / Edmonds-Karp).
 //! * [`dinic`] — Dinic's blocking-flow algorithm, used in this workspace as

@@ -213,6 +213,7 @@ impl CycleCanceler {
         hub: VertexId,
         max_cycles: u64,
     ) -> RefineStats {
+        g.finalize();
         let mut stats = RefineStats::default();
         while stats.cycles < max_cycles
             && self.cancel_via_hub(g, costs, hub, &mut stats, max_cycles)
@@ -246,14 +247,14 @@ impl CycleCanceler {
         // steady-state cost of re-verifying an already-optimal flow.
         let mut min_open = i64::MAX;
         let mut min_close = i64::MAX;
-        for &slot in g.out_edges(hub) {
-            let e = slot as EdgeId;
-            if g.residual(e) > 0 {
+        let (hub_lo, hub_hi) = g.adj_bounds(hub);
+        for pos in hub_lo..hub_hi {
+            let e = g.edge_at(pos);
+            if g.residual_at(pos) > 0 {
                 min_open = min_open.min(slot_cost(g, costs, e));
             }
-            let p = e ^ 1;
-            if g.residual(p) > 0 {
-                min_close = min_close.min(slot_cost(g, costs, p));
+            if g.residual_at(g.mate_at(pos)) > 0 {
+                min_close = min_close.min(slot_cost(g, costs, e ^ 1));
             }
         }
         if min_open == i64::MAX || min_close == i64::MAX || min_open + min_close >= 0 {
@@ -269,9 +270,9 @@ impl CycleCanceler {
         // First hops worth exploring: a hop of cost `c` can only open a
         // negative segment if `c + min_close < 0`.
         self.sources.clear();
-        for &slot in g.out_edges(hub) {
-            let e = slot as EdgeId;
-            if g.residual(e) > 0 {
+        for pos in hub_lo..hub_hi {
+            if g.residual_at(pos) > 0 {
+                let e = g.edge_at(pos);
                 let c = slot_cost(g, costs, e);
                 if c + min_close < 0 {
                     self.sources.push((c, e as u32));
@@ -302,12 +303,13 @@ impl CycleCanceler {
             while i < self.frontier.len() {
                 let u = self.frontier[i] as usize;
                 i += 1;
-                for &slot in g.out_edges(u) {
-                    let e = slot as EdgeId;
-                    let v = g.target(e);
-                    if v == hub || g.residual(e) <= 0 || self.dist[v] != i64::MAX {
+                let (lo, hi) = g.adj_bounds(u);
+                for pos in lo..hi {
+                    let v = g.target_at(pos);
+                    if v == hub || g.residual_at(pos) <= 0 || self.dist[v] != i64::MAX {
                         continue;
                     }
+                    let e = g.edge_at(pos);
                     debug_assert_eq!(
                         slot_cost(g, costs, e),
                         0,
@@ -324,12 +326,14 @@ impl CycleCanceler {
         // the hub's out-slots. A negative closing sum is a negative
         // cycle: hub →(tree path)→ u →(arc)→ hub.
         self.closers.clear();
-        for &slot in g.out_edges(hub) {
-            let p = (slot as EdgeId) ^ 1;
-            let u = g.source(p);
-            if g.residual(p) <= 0 || self.dist[u] == i64::MAX {
+        for pos in hub_lo..hub_hi {
+            // The partner of the hub's slot at `pos` runs from that
+            // slot's target back into the hub.
+            let u = g.target_at(pos);
+            if g.residual_at(g.mate_at(pos)) <= 0 || self.dist[u] == i64::MAX {
                 continue;
             }
+            let p = g.edge_at(pos) ^ 1;
             let total = self.dist[u] + slot_cost(g, costs, p);
             if total < 0 {
                 self.closers.push((total, p as u32));

@@ -384,12 +384,12 @@ impl ParallelPushRelabel {
         // resume, Algorithm 5 lines 4-10) and cancel flow into the source
         // (circulation through s would otherwise pin capacity and break
         // label validity — see the sequential engine for the argument).
-        for i in 0..g.out_edges(s).len() {
-            let e = g.out_edges(s)[i] as EdgeId;
-            let delta = g.residual(e);
+        let (lo, hi) = g.adj_bounds(s);
+        for pos in lo..hi {
+            let delta = g.residual_at(pos);
             if delta > 0 {
-                let v = g.target(e);
-                g.push(e, delta);
+                let v = g.target_at(pos);
+                g.push_at(pos, delta);
                 self.excess[v] += delta;
             }
         }
@@ -470,10 +470,8 @@ impl ParallelPushRelabel {
                 let dw = self.height[w];
                 let (lo, hi) = g.adj_bounds(w);
                 for pos in lo..hi {
-                    g.prefetch_adj(pos, hi);
-                    let e = g.adj_slot(pos);
-                    let u = g.target_fast(e);
-                    if self.height[u] == UNSEEN && g.residual_fast(e ^ 1) > 0 && u != s {
+                    let u = g.target_at(pos);
+                    if self.height[u] == UNSEEN && g.residual_at(g.mate_at(pos)) > 0 && u != s {
                         self.height[u] = dw + 1;
                         self.bfs.push(u as u32);
                     }
@@ -511,30 +509,27 @@ impl ParallelPushRelabel {
                     if ev <= 0 || relabels >= relabel_limit {
                         break;
                     }
-                    // Lowest residual neighbour. The height test runs
-                    // first — heights live in a small cache-resident array
-                    // — so the scattered cap/flow loads are paid only for
-                    // edges that would actually improve the minimum; the
-                    // conjunction commutes, so the selected edge (first
-                    // strict minimum in slot order) is unchanged.
-                    let mut best_edge = usize::MAX;
+                    // Lowest residual neighbour: the first strict minimum
+                    // in position (= slot) order. The height test runs
+                    // first, so cap/flow are read only for slots that would
+                    // improve the minimum; the conjunction commutes, so the
+                    // selected slot is the same either way.
+                    let mut best_pos = u32::MAX;
                     let mut best_h = u32::MAX;
                     for pos in lo..hi {
-                        g.prefetch_adj_head(pos, hi);
-                        let e = g.adj_slot(pos);
-                        let h = self.height[g.target_fast(e)];
-                        if h < best_h && g.residual_fast(e) > 0 {
+                        let h = self.height[g.target_at(pos)];
+                        if h < best_h && g.residual_at(pos) > 0 {
                             best_h = h;
-                            best_edge = e;
+                            best_pos = pos;
                         }
                     }
-                    if best_edge == usize::MAX {
+                    if best_pos == u32::MAX {
                         break; // stranded; the drain pass handles it
                     }
                     if hv > best_h {
-                        let delta = ev.min(g.residual(best_edge));
-                        let w = g.target(best_edge);
-                        g.push(best_edge, delta);
+                        let delta = ev.min(g.residual_at(best_pos));
+                        let w = g.target_at(best_pos);
+                        g.push_at(best_pos, delta);
                         ev -= delta;
                         self.excess[v] -= delta;
                         self.excess[w] += delta;
@@ -610,6 +605,17 @@ impl ParallelPushRelabel {
         self.excess[v] = x;
     }
 
+    /// [`IncrementalMaxFlow::excess_snapshot_into`] as one slice copy.
+    pub(crate) fn excess_snapshot_into(&self, n: usize, buf: &mut Vec<i64>) {
+        crate::push_relabel::copy_excess(&self.excess, n, buf);
+    }
+
+    /// [`IncrementalMaxFlow::restore_excess`] as one slice copy.
+    pub(crate) fn restore_excess(&mut self, snap: &[i64]) {
+        self.ensure(snap.len());
+        self.excess[..snap.len()].copy_from_slice(snap);
+    }
+
     /// Zeroes the excesses of vertices `0..n` (see
     /// [`IncrementalMaxFlow::reset_excess`]).
     pub fn reset_excess(&mut self, n: usize) {
@@ -638,6 +644,14 @@ impl<W: ArenaIndex> IncrementalMaxFlow<W> for ParallelPushRelabel {
 
     fn set_excess(&mut self, v: VertexId, x: i64) {
         ParallelPushRelabel::set_excess(self, v, x)
+    }
+
+    fn excess_snapshot_into(&self, n: usize, buf: &mut Vec<i64>) {
+        ParallelPushRelabel::excess_snapshot_into(self, n, buf)
+    }
+
+    fn restore_excess(&mut self, snap: &[i64]) {
+        ParallelPushRelabel::restore_excess(self, snap)
     }
 
     fn op_counts(&self) -> (u64, u64) {

@@ -14,7 +14,7 @@
 //! the source and sink has zero excess — exactly the invariant the paper's
 //! Algorithm 5 relies on when it conserves flows between runs.
 
-use crate::graph::{ArenaIndex, EdgeId, FlowGraph, VertexId};
+use crate::graph::{ArenaIndex, FlowGraph, VertexId};
 use std::collections::VecDeque;
 
 /// Operation counters, exposed for benchmarks and solve statistics.
@@ -58,6 +58,14 @@ impl Default for PushRelabel {
     }
 }
 
+/// Copies `excess[..n]` into `buf`, reading vertices past the end of
+/// `excess` (not yet seen by the engine) as 0.
+pub(crate) fn copy_excess(excess: &[i64], n: usize, buf: &mut Vec<i64>) {
+    buf.clear();
+    buf.extend_from_slice(&excess[..n.min(excess.len())]);
+    buf.resize(n, 0);
+}
+
 /// Amount of edge-scan work between global relabeling passes, as a multiple
 /// of the edge count (Cherkassky-Goldberg recommend a small constant).
 const GLOBAL_RELABEL_WORK_FACTOR: u64 = 6;
@@ -90,6 +98,19 @@ impl PushRelabel {
     pub fn set_excess(&mut self, v: VertexId, x: i64) {
         self.ensure(v + 1);
         self.excess[v] = x;
+    }
+
+    /// [`crate::incremental::IncrementalMaxFlow::excess_snapshot_into`]
+    /// as one slice copy.
+    pub(crate) fn excess_snapshot_into(&self, n: usize, buf: &mut Vec<i64>) {
+        copy_excess(&self.excess, n, buf);
+    }
+
+    /// [`crate::incremental::IncrementalMaxFlow::restore_excess`] as one
+    /// slice copy.
+    pub(crate) fn restore_excess(&mut self, snap: &[i64]) {
+        self.ensure(snap.len());
+        self.excess[..snap.len()].copy_from_slice(snap);
     }
 
     /// Current height of vertex `v`.
@@ -168,32 +189,20 @@ impl PushRelabel {
         // only be circulation through s (t-to-s components would need
         // outflow at t, which push-relabel never creates); cancelling it
         // keeps the zero-height relabeling valid and frees capacity that
-        // a resume after capacity increases may need.
-        for i in 0..g.out_edges(s).len() {
-            let e = g.out_edges(s)[i] as EdgeId;
-            let delta = g.residual(e);
-            if e.is_multiple_of(2) {
-                if delta > 0 {
-                    let v = g.target(e);
-                    g.push(e, delta);
-                    self.excess[v] += delta;
-                }
-            } else if delta > 0 {
-                // Reverse slot: its pair is a forward edge (v -> s)
-                // carrying `delta` units; push them back onto v.
-                let v = g.target(e);
-                g.push(e, delta);
+        // a resume after capacity increases may need. A reverse slot's
+        // residual is the flow its forward pair (v -> s) carries, so one
+        // rule covers both kinds of slot.
+        let (lo, hi) = g.adj_bounds(s);
+        for pos in lo..hi {
+            let delta = g.residual_at(pos);
+            if delta > 0 {
+                let v = g.target_at(pos);
+                g.push_at(pos, delta);
                 self.excess[v] += delta;
             }
         }
-        // Heights reset (Alg. 5 l.11-13); excess[s] cleared (l.14).
-        self.height.iter_mut().for_each(|h| *h = 0);
-        self.height[s] = n as u32;
+        // excess[s] cleared (Alg. 5 l.14).
         self.excess[s] = 0;
-        self.cur_arc.iter_mut().for_each(|a| *a = 0);
-        self.height_count.iter_mut().for_each(|c| *c = 0);
-        self.height_count[0] = (n - 1) as u32;
-        self.height_count[n] += 1;
 
         // Queue every active vertex (not only the freshly saturated ones:
         // restored flow snapshots may leave other vertices with excess).
@@ -204,7 +213,17 @@ impl PushRelabel {
             }
         }
 
-        if !self.queue.is_empty() {
+        if self.queue.is_empty() {
+            // Heights reset (Alg. 5 l.11-13). Only needed when no discharge
+            // follows: a global relabel rewrites every height, current arc
+            // and gap counter before the first discharge.
+            self.height.iter_mut().for_each(|h| *h = 0);
+            self.height[s] = n as u32;
+            self.cur_arc.iter_mut().for_each(|a| *a = 0);
+            self.height_count.iter_mut().for_each(|c| *c = 0);
+            self.height_count[0] = (n - 1) as u32;
+            self.height_count[n] += 1;
+        } else {
             self.global_relabel(g, s, t);
         }
         self.work = 0;
@@ -234,9 +253,9 @@ impl PushRelabel {
     ) {
         let n = g.num_vertices() as u32;
         // Topology is frozen during a solve, so the CSR bounds of `v` are
-        // loaded once; the loop then walks `adj_list` by absolute position
-        // (`cur_arc` stays a relative offset so relabels still reset it
-        // to 0). `v`'s own excess, height, and arc cursor live in locals
+        // loaded once; the loop then walks `v`'s slots by absolute position,
+        // reading target, capacity and flow in order (`cur_arc` stays a
+        // relative offset so relabels still reset it to 0). `v`'s own excess, height, and arc cursor live in locals
         // across the loop: a push never targets `v` itself (admissibility
         // requires `height[v] == height[w] + 1`), and `relabel` — the one
         // call that can move them (`apply_gap` may lift `v` again) — is
@@ -260,13 +279,12 @@ impl PushRelabel {
                 }
                 continue;
             }
-            g.prefetch_adj(pos, hi);
-            let e = g.adj_slot(pos);
             self.work += 1;
-            let w = g.target_fast(e);
-            if g.residual_fast(e) > 0 && hv == self.height[w] + 1 {
-                let delta = ev.min(g.residual_fast(e));
-                g.push_fast(e, delta);
+            let w = g.target_at(pos);
+            let residual = g.residual_at(pos);
+            if residual > 0 && hv == self.height[w] + 1 {
+                let delta = ev.min(residual);
+                g.push_at(pos, delta);
                 ev -= delta;
                 self.excess[w] += delta;
                 self.stats.pushes += 1;
@@ -292,10 +310,8 @@ impl PushRelabel {
         // compared against the relabel threshold).
         self.work += (hi - lo) as u64;
         for pos in lo..hi {
-            g.prefetch_adj(pos, hi);
-            let e = g.adj_slot(pos);
-            if g.residual_fast(e) > 0 {
-                min_h = min_h.min(self.height[g.target_fast(e)]);
+            if g.residual_at(pos) > 0 {
+                min_h = min_h.min(self.height[g.target_at(pos)]);
             }
         }
         if min_h == u32::MAX {
@@ -351,8 +367,9 @@ impl PushRelabel {
         self.height.iter_mut().for_each(|h| *h = UNSEEN);
 
         // Reverse BFS from t: vertex u is at distance d+1 from t if some
-        // residual edge (u, w) exists with w at distance d. Out-slot `e` of
-        // w pointing at u corresponds to edge `e ^ 1` from u to w.
+        // residual edge (u, w) exists with w at distance d. The slot of w
+        // at `pos` pointing at u is paired with the slot of edge (u, w),
+        // at `mate_at(pos)`.
         self.bfs_queue.clear();
         self.height[t] = 0;
         self.bfs_queue.push(t as u32);
@@ -363,10 +380,8 @@ impl PushRelabel {
             let dw = self.height[w];
             let (lo, hi) = g.adj_bounds(w);
             for pos in lo..hi {
-                g.prefetch_adj(pos, hi);
-                let e = g.adj_slot(pos);
-                let u = g.target_fast(e);
-                if self.height[u] == UNSEEN && g.residual_fast(e ^ 1) > 0 && u != s {
+                let u = g.target_at(pos);
+                if self.height[u] == UNSEEN && g.residual_at(g.mate_at(pos)) > 0 && u != s {
                     self.height[u] = dw + 1;
                     self.bfs_queue.push(u as u32);
                 }
@@ -386,10 +401,8 @@ impl PushRelabel {
             let dw = self.height[w];
             let (lo, hi) = g.adj_bounds(w);
             for pos in lo..hi {
-                g.prefetch_adj(pos, hi);
-                let e = g.adj_slot(pos);
-                let u = g.target_fast(e);
-                if self.height[u] == UNSEEN && g.residual_fast(e ^ 1) > 0 {
+                let u = g.target_at(pos);
+                if self.height[u] == UNSEEN && g.residual_at(g.mate_at(pos)) > 0 {
                     self.height[u] = dw + 1;
                     self.bfs_queue.push(u as u32);
                 }
