@@ -255,7 +255,8 @@ impl PushRelabel {
         // Topology is frozen during a solve, so the CSR bounds of `v` are
         // loaded once; the loop then walks `v`'s slots by absolute position,
         // reading target, capacity and flow in order (`cur_arc` stays a
-        // relative offset so relabels still reset it to 0). `v`'s own excess, height, and arc cursor live in locals
+        // relative offset so relabels still reset it to 0). `v`'s own
+        // excess, height, and arc cursor live in locals
         // across the loop: a push never targets `v` itself (admissibility
         // requires `height[v] == height[w] + 1`), and `relabel` — the one
         // call that can move them (`apply_gap` may lift `v` again) — is
