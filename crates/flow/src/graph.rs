@@ -43,7 +43,7 @@
 //! The capacity/flow arrays are generic over an [`ArenaIndex`] width: `i64`
 //! (the default, and the width of every public snapshot) or `i32` (the
 //! *compact* layout — half the per-slot cap/flow footprint, which the
-//! graph_layout bench measures at ~1.2x on paper-scale instances). The
+//! graph_layout bench measures at ~1.4x on paper-scale instances). The
 //! width is monomorphized — no dyn dispatch anywhere on the hot path — and
 //! every accessor keeps an `i64` signature: values widen on load and narrow
 //! (debug-checked) on store, so solver code is width-oblivious. Safety rests

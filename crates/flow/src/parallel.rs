@@ -605,17 +605,6 @@ impl ParallelPushRelabel {
         self.excess[v] = x;
     }
 
-    /// [`IncrementalMaxFlow::excess_snapshot_into`] as one slice copy.
-    pub(crate) fn excess_snapshot_into(&self, n: usize, buf: &mut Vec<i64>) {
-        crate::push_relabel::copy_excess(&self.excess, n, buf);
-    }
-
-    /// [`IncrementalMaxFlow::restore_excess`] as one slice copy.
-    pub(crate) fn restore_excess(&mut self, snap: &[i64]) {
-        self.ensure(snap.len());
-        self.excess[..snap.len()].copy_from_slice(snap);
-    }
-
     /// Zeroes the excesses of vertices `0..n` (see
     /// [`IncrementalMaxFlow::reset_excess`]).
     pub fn reset_excess(&mut self, n: usize) {
@@ -647,11 +636,12 @@ impl<W: ArenaIndex> IncrementalMaxFlow<W> for ParallelPushRelabel {
     }
 
     fn excess_snapshot_into(&self, n: usize, buf: &mut Vec<i64>) {
-        ParallelPushRelabel::excess_snapshot_into(self, n, buf)
+        crate::push_relabel::copy_excess(&self.excess, n, buf);
     }
 
     fn restore_excess(&mut self, snap: &[i64]) {
-        ParallelPushRelabel::restore_excess(self, snap)
+        self.ensure(snap.len());
+        self.excess[..snap.len()].copy_from_slice(snap);
     }
 
     fn op_counts(&self) -> (u64, u64) {
