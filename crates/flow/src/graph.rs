@@ -158,7 +158,9 @@ impl std::error::Error for WidthOverflow {}
 /// Every array is width-free (`u32` regardless of the capacity width), so
 /// one plane can back both the wide and the compact arena. Planes are held
 /// behind an [`std::sync::Arc`] and shared copy-on-write:
-/// [`FlowGraph::checkout_plane_from`] shares a finalized plane in O(1), and
+/// [`FlowGraph::checkout_plane_from`] shares a finalized plane in O(1),
+/// [`FlowGraph::copy_from`] shares one whenever a deep copy would have to
+/// allocate, and
 /// any later topology mutation on either side ([`FlowGraph::add_edge`],
 /// [`FlowGraph::reset`], [`FlowGraph::finalize`] after new edges) detaches
 /// a private copy first — a detach counts as an
@@ -190,6 +192,15 @@ impl TopologyPlane {
             + self.adj_index.capacity()
             + self.id_at.capacity()
             + self.pos_of.capacity()
+    }
+
+    /// Whether every array can take a copy of `other`'s without growing.
+    fn can_hold(&self, other: &TopologyPlane) -> bool {
+        self.target.capacity() >= other.target.len()
+            && self.mate.capacity() >= other.mate.len()
+            && self.adj_index.capacity() >= other.adj_index.len()
+            && self.id_at.capacity() >= other.id_at.len()
+            && self.pos_of.capacity() >= other.pos_of.len()
     }
 }
 
@@ -400,30 +411,26 @@ impl<W: ArenaIndex> FlowGraph<W> {
     }
 
     /// Pre-sizes the arena for at least `edges` forward edges (twice that
-    /// many slots), so a cold build pays one allocation per appended array
+    /// many slots), so a cold build pays one allocation per per-slot array
     /// instead of doubling growth, and a steady-state rebuild under the
     /// bound pays none. Callers that know their topology ahead (the
     /// retrieval network builders do: `q` bucket arcs, at most
     /// `MAX_COPIES` replica arcs per bucket, one arc per disk) should call
-    /// this right after [`FlowGraph::reset`]. The arrays that
-    /// [`FlowGraph::finalize`] fills are sized there, to the edge count
-    /// actually added.
+    /// this right after [`FlowGraph::reset`].
     pub fn reserve_edges(&mut self, edges: usize) {
         let slots = edges * 2;
         let a = &mut self.arena;
-        track_grow(&mut a.grows, &mut a.cap, |v| {
-            v.reserve(slots.saturating_sub(v.len()))
-        });
-        track_grow(&mut a.grows, &mut a.flow, |v| {
-            v.reserve(slots.saturating_sub(v.len()))
-        });
         let t = topo_mut(&mut a.topo, &mut a.grows);
-        track_grow(&mut a.grows, &mut t.target, |v| {
-            v.reserve(slots.saturating_sub(v.len()))
-        });
-        track_grow(&mut a.grows, &mut t.pos_of, |v| {
-            v.reserve(slots.saturating_sub(v.len()))
-        });
+        for buf in [&mut t.target, &mut t.mate, &mut t.id_at, &mut t.pos_of] {
+            track_grow(&mut a.grows, buf, |v| {
+                v.reserve(slots.saturating_sub(v.len()))
+            });
+        }
+        for buf in [&mut a.cap, &mut a.flow] {
+            track_grow(&mut a.grows, buf, |v| {
+                v.reserve(slots.saturating_sub(v.len()))
+            });
+        }
     }
 
     /// Borrows the graph for a run of [`EdgeAppender::add_edge`] calls,
@@ -811,9 +818,13 @@ impl<W: ArenaIndex> FlowGraph<W> {
     }
 
     /// Makes `self` a copy of `other`, reusing existing allocations
-    /// (including the CSR adjacency buffers) instead of allocating a fresh
-    /// graph as `clone` would. Copies the finalization state too: copying a
-    /// finalized graph yields a finalized graph.
+    /// instead of allocating a fresh graph as `clone` would. The topology
+    /// plane is deep-copied into `self`'s own when that plane is private
+    /// and large enough; otherwise `other`'s plane is shared copy-on-write
+    /// (as `clone` shares it) rather than allocated anew, so a copy into a
+    /// fresh graph allocates only its capacity/flow planes. Copies the
+    /// finalization state too: copying a finalized graph yields a
+    /// finalized graph.
     pub fn copy_from(&mut self, other: &FlowGraph<W>) {
         let (a, b) = (&mut self.arena, &other.arena);
         track_grow(&mut a.grows, &mut a.cap, |v| v.clone_from(&b.cap));
@@ -835,8 +846,8 @@ impl<W: ArenaIndex> FlowGraph<W> {
     ) -> Result<(), WidthOverflow> {
         check_fits::<W, V>(other)?;
         narrow_planes(&mut self.arena, &other.arena);
-        // Cross-width copies still deep-copy the (width-free) topology
-        // unless it is already shared, same as `copy_from`.
+        // The topology plane is width-free: it is deep-copied or shared
+        // exactly as in `copy_from`.
         copy_topology(&mut self.arena, &other.arena);
         self.n = other.n;
         self.dirty = other.dirty;
@@ -1046,15 +1057,23 @@ fn narrow_planes<W: ArenaIndex, V: ArenaIndex>(a: &mut GraphArena<W>, b: &GraphA
     a.checkpoint.clear();
 }
 
-/// Deep-copies `b`'s topology plane into `a`'s, unless the two already
-/// share one — a shared plane is bit-identical by the copy-on-write
-/// invariant.
+/// Deep-copies `b`'s topology plane into `a`'s private plane when that
+/// plane can take it without growing; otherwise shares `b`'s plane
+/// copy-on-write, as `clone` does, since a deep copy would allocate
+/// anyway. Either way the planes are bit-identical afterwards: a shared
+/// plane is by the copy-on-write invariant.
 fn copy_topology<W: ArenaIndex, V: ArenaIndex>(a: &mut GraphArena<W>, b: &GraphArena<V>) {
     if std::sync::Arc::ptr_eq(&a.topo, &b.topo) {
         return;
     }
-    let t = topo_mut(&mut a.topo, &mut a.grows);
     let s = &*b.topo;
+    let t = match std::sync::Arc::get_mut(&mut a.topo) {
+        Some(t) if t.can_hold(s) => t,
+        _ => {
+            a.topo = std::sync::Arc::clone(&b.topo);
+            return;
+        }
+    };
     for (dst, src) in [
         (&mut t.target, &s.target),
         (&mut t.mate, &s.mate),
@@ -1062,7 +1081,7 @@ fn copy_topology<W: ArenaIndex, V: ArenaIndex>(a: &mut GraphArena<W>, b: &GraphA
         (&mut t.id_at, &s.id_at),
         (&mut t.pos_of, &s.pos_of),
     ] {
-        track_grow(&mut a.grows, dst, |v| v.clone_from(src));
+        dst.clone_from(src);
     }
 }
 
@@ -1470,6 +1489,61 @@ mod tests {
         // bit-identical (ptr-equal) rather than detaching it.
         assert!(ws.shares_topology_with(&src));
         assert_eq!(ws.out_edges(0), src.out_edges(0));
+    }
+
+    #[test]
+    fn copy_from_shares_a_plane_it_cannot_hold() {
+        let mut src = diamond();
+        // A fresh graph's plane cannot take the copy without allocating,
+        // so it shares the source's, and copies only the cap/flow planes.
+        let mut fresh: FlowGraph = FlowGraph::new(0);
+        fresh.copy_from(&src);
+        assert!(fresh.shares_topology_with(&src));
+        let mut compact = FlowGraph::<i32>::new(0);
+        compact.try_copy_from(&src).expect("small values fit i32");
+        assert!(compact.shares_topology_with(&src));
+        // A private plane that is large enough takes a deep copy.
+        let mut sized: FlowGraph = FlowGraph::new(4);
+        sized.reserve_edges(8);
+        let events = sized.arena().allocation_events();
+        sized.copy_from(&src);
+        assert!(!sized.shares_topology_with(&src));
+        assert_eq!(sized.arena().allocation_events(), events);
+        // Mutating the source detaches it; the sharer keeps the old plane.
+        src.add_edge(0, 3, 1);
+        src.finalize();
+        assert!(!fresh.shares_topology_with(&src));
+        assert_eq!(fresh.num_edges(), 4);
+        for v in 0..4 {
+            assert_eq!(fresh.out_edges(v), sized.out_edges(v));
+            assert_eq!(compact.out_edges(v), sized.out_edges(v));
+        }
+    }
+
+    #[test]
+    fn rebuilds_under_the_reserved_bound_are_allocation_free() {
+        // Reserve once and build a small graph; a larger one, still under
+        // the bound, must then grow no buffer, neither in the appends nor
+        // in finalize.
+        let build = |g: &mut FlowGraph, edges: usize| {
+            g.reset(4);
+            let mut app = g.appender();
+            for k in 0..edges {
+                app.add_edge(k % 3, 3, 1);
+            }
+            g.finalize();
+        };
+        let mut g: FlowGraph = FlowGraph::new(4);
+        g.reserve_edges(16);
+        build(&mut g, 4);
+        let events = g.arena().allocation_events();
+        build(&mut g, 16);
+        build(&mut g, 9);
+        assert_eq!(
+            g.arena().allocation_events(),
+            events,
+            "a rebuild under the reserved bound grew a buffer"
+        );
     }
 
     /// The position-major invariants: `pos_of`/`id_at` are inverse,
