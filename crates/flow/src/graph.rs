@@ -411,26 +411,35 @@ impl<W: ArenaIndex> FlowGraph<W> {
     }
 
     /// Pre-sizes the arena for at least `edges` forward edges (twice that
-    /// many slots), so a cold build pays one allocation per per-slot array
-    /// instead of doubling growth, and a steady-state rebuild under the
-    /// bound pays none. Callers that know their topology ahead (the
-    /// retrieval network builders do: `q` bucket arcs, at most
+    /// many slots), so a cold build pays one allocation per appended array
+    /// instead of doubling growth. Callers that know their topology ahead
+    /// (the retrieval network builders do: `q` bucket arcs, at most
     /// `MAX_COPIES` replica arcs per bucket, one arc per disk) should call
     /// this right after [`FlowGraph::reset`].
+    ///
+    /// The two arrays that [`FlowGraph::finalize`] fills (`id_at`, `mate`)
+    /// are not reserved here but grow to the edge count actually added,
+    /// so a rebuild allocates only when it adds more edges than every
+    /// earlier one. Reserving them to the bound as well would hold memory
+    /// that retrieval networks, which add far fewer replica arcs than
+    /// `MAX_COPIES` allows, never use, and in a long-running server much
+    /// of it ends up resident.
     pub fn reserve_edges(&mut self, edges: usize) {
         let slots = edges * 2;
         let a = &mut self.arena;
+        track_grow(&mut a.grows, &mut a.cap, |v| {
+            v.reserve(slots.saturating_sub(v.len()))
+        });
+        track_grow(&mut a.grows, &mut a.flow, |v| {
+            v.reserve(slots.saturating_sub(v.len()))
+        });
         let t = topo_mut(&mut a.topo, &mut a.grows);
-        for buf in [&mut t.target, &mut t.mate, &mut t.id_at, &mut t.pos_of] {
-            track_grow(&mut a.grows, buf, |v| {
-                v.reserve(slots.saturating_sub(v.len()))
-            });
-        }
-        for buf in [&mut a.cap, &mut a.flow] {
-            track_grow(&mut a.grows, buf, |v| {
-                v.reserve(slots.saturating_sub(v.len()))
-            });
-        }
+        track_grow(&mut a.grows, &mut t.target, |v| {
+            v.reserve(slots.saturating_sub(v.len()))
+        });
+        track_grow(&mut a.grows, &mut t.pos_of, |v| {
+            v.reserve(slots.saturating_sub(v.len()))
+        });
     }
 
     /// Borrows the graph for a run of [`EdgeAppender::add_edge`] calls,
@@ -1503,8 +1512,7 @@ mod tests {
         compact.try_copy_from(&src).expect("small values fit i32");
         assert!(compact.shares_topology_with(&src));
         // A private plane that is large enough takes a deep copy.
-        let mut sized: FlowGraph = FlowGraph::new(4);
-        sized.reserve_edges(8);
+        let mut sized = diamond();
         let events = sized.arena().allocation_events();
         sized.copy_from(&src);
         assert!(!sized.shares_topology_with(&src));
@@ -1521,10 +1529,9 @@ mod tests {
     }
 
     #[test]
-    fn rebuilds_under_the_reserved_bound_are_allocation_free() {
-        // Reserve once and build a small graph; a larger one, still under
-        // the bound, must then grow no buffer, neither in the appends nor
-        // in finalize.
+    fn rebuilds_no_larger_than_an_earlier_one_are_allocation_free() {
+        // After a build at the high-water size, rebuilds of that size or
+        // smaller grow no buffer, neither in the appends nor in finalize.
         let build = |g: &mut FlowGraph, edges: usize| {
             g.reset(4);
             let mut app = g.appender();
@@ -1535,14 +1542,15 @@ mod tests {
         };
         let mut g: FlowGraph = FlowGraph::new(4);
         g.reserve_edges(16);
-        build(&mut g, 4);
-        let events = g.arena().allocation_events();
         build(&mut g, 16);
+        let events = g.arena().allocation_events();
+        build(&mut g, 4);
         build(&mut g, 9);
+        build(&mut g, 16);
         assert_eq!(
             g.arena().allocation_events(),
             events,
-            "a rebuild under the reserved bound grew a buffer"
+            "a rebuild no larger than an earlier one grew a buffer"
         );
     }
 
