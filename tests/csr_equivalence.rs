@@ -13,6 +13,11 @@
 //! instances, captured on the pre-CSR adjacency-of-Vecs layout. A digest
 //! mismatch means some solver visited edges in a different order than it
 //! did on the legacy layout.
+//!
+//! `GOLDEN_BY_KIND` and `PAPER_GOLDEN_BY_KIND` split the same words into
+//! one FNV-1a chain per kind. Every solve runs in a fresh `Workspace`
+//! (`SolverSpec::solve`), so no kind's digest depends on another kind's,
+//! and a kind can leave the suite without disturbing the others' values.
 
 use rds_util::SplitMix64;
 use replicated_retrieval::core::spec::{ArenaLayout, SolverKind, SolverSpec};
@@ -23,6 +28,19 @@ use replicated_retrieval::prelude::*;
 /// (seed 0xC5A, 200 instances, all seven kinds, single-threaded parallel
 /// solver). Captured before the CSR rewrite; must never drift.
 const GOLDEN: u64 = 0x6ecdd97cd44fd538;
+
+/// [`GOLDEN`]'s words split by kind: one FNV-1a chain per kind over the
+/// same 200 instances, in `SolverKind::ALL` order. Captured with the
+/// combined digest passing; both widths must match every entry.
+const GOLDEN_BY_KIND: &[(&str, u64)] = &[
+    ("FF-basic", 0x4024e3c1a5e1486f),
+    ("FF-incremental", 0x6296e596df887a0c),
+    ("PR-incremental", 0x2e2bf3e47c9cd0a9),
+    ("PR-binary", 0xa9eb42b18c3e5d7c),
+    ("PR-binary-parallel", 0xf32a537c994f329f),
+    ("BB-PR", 0xb17afda600da40b4),
+    ("BB-FF", 0xc56bbf6bf57416cd),
+];
 
 fn arb_system(n: usize, seed: u64) -> SystemConfig {
     experiment(ExperimentId::ALL[(seed % 5) as usize], n, seed)
@@ -64,14 +82,36 @@ fn assert_legacy_adjacency_order(g: &replicated_retrieval::flow::FlowGraph) {
     }
 }
 
-/// Runs the full 200-instance × 7-kind sweep with the arena width forced
-/// to `layout`, returning the FNV-1a outcome digest and the solve count.
-/// Both widths must reproduce [`GOLDEN`] bit-for-bit: the monomorphized
-/// `i32` arena changes only the storage width of the capacity/flow
-/// arrays, never the adjacency enumeration or the traversal order.
-fn layout_digest(layout: ArenaLayout) -> (u64, usize) {
+/// FNV-1a offset basis: the starting value of every digest chain.
+const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Asserts one pinned digest per kind, in order, each equal to its entry
+/// in `want`.
+fn assert_per_kind(got: &[(&str, u64)], want: &[(&str, u64)], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: one pinned digest per kind");
+    for (&(name, digest), &(want_name, want_digest)) in got.iter().zip(want) {
+        assert_eq!(name, want_name, "{what}: kinds out of order");
+        assert_eq!(
+            digest, want_digest,
+            "{what}: {name} digest drifted: got {digest:#x}"
+        );
+    }
+}
+
+/// Runs the full 200-instance sweep over every kind with the arena width
+/// forced to `layout`, returning the combined FNV-1a outcome digest, the
+/// per-kind digests (in `SolverKind::ALL` order) and the solve count.
+/// Both widths must reproduce [`GOLDEN`] and [`GOLDEN_BY_KIND`]
+/// bit-for-bit: the monomorphized `i32` arena changes only the storage
+/// width of the capacity/flow arrays, never the adjacency enumeration or
+/// the traversal order.
+fn layout_digest(layout: ArenaLayout) -> (u64, Vec<(&'static str, u64)>, usize) {
     let mut rng = SplitMix64::seed_from_u64(0xC5A);
-    let mut digest = 0xcbf2_9ce4_8422_2325u64; // FNV-1a offset basis
+    let mut digest = FNV_BASIS;
+    let mut per_kind: Vec<(&'static str, u64)> = SolverKind::ALL
+        .iter()
+        .map(|k| (k.name(), FNV_BASIS))
+        .collect();
     let mut solved = 0usize;
     let mut instances = 0usize;
     while instances < 200 {
@@ -98,7 +138,7 @@ fn layout_digest(layout: ArenaLayout) -> (u64, usize) {
         let want = oracle_optimal_response(&inst);
         let want_basic = oracle_optimal_response(&basic_inst);
 
-        for kind in SolverKind::ALL {
+        for (k, kind) in SolverKind::ALL.into_iter().enumerate() {
             let (inst, want) = if kind == SolverKind::FordFulkersonBasic {
                 (&basic_inst, want_basic)
             } else {
@@ -130,11 +170,12 @@ fn layout_digest(layout: ArenaLayout) -> (u64, usize) {
                 a.stats.maxflow_calls,
             ] {
                 digest = fnv1a(digest, word);
+                per_kind[k].1 = fnv1a(per_kind[k].1, word);
             }
             solved += 1;
         }
     }
-    (digest, solved)
+    (digest, per_kind, solved)
 }
 
 /// Digest of paper-scale outcomes: Experiment 5 systems with Orthogonal
@@ -147,6 +188,24 @@ fn layout_digest(layout: ArenaLayout) -> (u64, usize) {
 /// bucket → disk assignment of every solve. Captured on the id-major
 /// arena, before the position-major rewrite; must never drift.
 const PAPER_GOLDEN: u64 = 0x5edb733859840bbd;
+
+/// [`PAPER_GOLDEN`]'s words split by kind: one FNV-1a chain per kind over
+/// the same instances and both widths, in the order of
+/// [`PAPER_KINDS`]. Captured with the combined digest passing.
+const PAPER_GOLDEN_BY_KIND: &[(&str, u64)] = &[
+    ("PR-binary", 0xdb615169276363f5),
+    ("PR-binary-parallel", 0xc11451c9652bc449),
+    ("BB-PR", 0x4af777705cc018a5),
+    ("FF-incremental", 0xf43e49c7002e6681),
+];
+
+/// The kinds digested at paper scale.
+const PAPER_KINDS: &[SolverKind] = &[
+    SolverKind::PushRelabelBinary,
+    SolverKind::ParallelPushRelabelBinary,
+    SolverKind::BlackBoxPushRelabel,
+    SolverKind::FordFulkersonIncremental,
+];
 
 /// Experiment 5 instances at the paper's scale, where adjacency lists run
 /// to hundreds of slots (the GOLDEN grids above stop at a few): disks own
@@ -169,17 +228,13 @@ fn paper_scale_instances() -> Vec<RetrievalInstance> {
 /// response times and assignments for each (instance, kind, width).
 #[test]
 fn paper_scale_decisions_match_the_id_major_arena() {
-    let kinds = [
-        SolverKind::PushRelabelBinary,
-        SolverKind::ParallelPushRelabelBinary,
-        SolverKind::BlackBoxPushRelabel,
-        SolverKind::FordFulkersonIncremental,
-    ];
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut digest = FNV_BASIS;
+    let mut per_kind: Vec<(&'static str, u64)> =
+        PAPER_KINDS.iter().map(|k| (k.name(), FNV_BASIS)).collect();
     for inst in paper_scale_instances() {
         let mut response = None;
         for layout in [ArenaLayout::Wide, ArenaLayout::Compact] {
-            for kind in kinds {
+            for (k, &kind) in PAPER_KINDS.iter().enumerate() {
                 let out = SolverSpec::new(kind)
                     .arena_layout(layout)
                     .solve(&inst)
@@ -200,10 +255,13 @@ fn paper_scale_decisions_match_the_id_major_arena() {
                     out.stats.resume_calls,
                 ] {
                     digest = fnv1a(digest, word);
+                    per_kind[k].1 = fnv1a(per_kind[k].1, word);
                 }
                 for &(b, disk) in out.schedule.assignments() {
-                    digest = fnv1a(digest, (b.row as u64) << 32 | b.col as u64);
-                    digest = fnv1a(digest, disk as u64);
+                    for word in [(b.row as u64) << 32 | b.col as u64, disk as u64] {
+                        digest = fnv1a(digest, word);
+                        per_kind[k].1 = fnv1a(per_kind[k].1, word);
+                    }
                 }
             }
         }
@@ -212,6 +270,7 @@ fn paper_scale_decisions_match_the_id_major_arena() {
         digest, PAPER_GOLDEN,
         "paper-scale outcome digest drifted: got {digest:#x}"
     );
+    assert_per_kind(&per_kind, PAPER_GOLDEN_BY_KIND, "paper scale");
 }
 
 /// CSR and legacy traversal orders yield identical max-flow values and
@@ -219,22 +278,24 @@ fn paper_scale_decisions_match_the_id_major_arena() {
 /// 200 random instances, on the wide (`i64`) arena.
 #[test]
 fn all_solver_kinds_match_legacy_layout_on_random_instances() {
-    let (digest, solved) = layout_digest(ArenaLayout::Wide);
+    let (digest, per_kind, solved) = layout_digest(ArenaLayout::Wide);
     assert_eq!(solved, 200 * SolverKind::ALL.len());
     assert_eq!(
         digest, GOLDEN,
         "wide-arena outcome digest drifted from the legacy layout: got {digest:#x}"
     );
+    assert_per_kind(&per_kind, GOLDEN_BY_KIND, "wide arena");
 }
 
 /// The compact (`i32`) arena reproduces the identical golden digest: width
 /// monomorphization must not perturb traversal order or operation counts.
 #[test]
 fn compact_arena_matches_legacy_layout_digest() {
-    let (digest, solved) = layout_digest(ArenaLayout::Compact);
+    let (digest, per_kind, solved) = layout_digest(ArenaLayout::Compact);
     assert_eq!(solved, 200 * SolverKind::ALL.len());
     assert_eq!(
         digest, GOLDEN,
         "compact-arena outcome digest drifted from the legacy layout: got {digest:#x}"
     );
+    assert_per_kind(&per_kind, GOLDEN_BY_KIND, "compact arena");
 }
