@@ -271,17 +271,12 @@ pub fn solve_degraded<S: RetrievalSolver + ?Sized, A: ReplicaSource + ?Sized>(
     health: &HealthMap,
     ws: &mut Workspace,
 ) -> Result<PartialSchedule, SolveError> {
+    crate::network::check_on_grid(alloc, buckets).map_err(|u| u.infeasible(buckets.len()))?;
     let mut servable = Vec::new();
     let mut unservable = Vec::new();
     partition_by_health(alloc, buckets, health, &mut servable, &mut unservable);
-    let inst =
-        RetrievalInstance::build_with_health(system, alloc, &servable, health).map_err(|u| {
-            SolveError::Infeasible {
-                bucket: Some(u.bucket),
-                delivered: 0,
-                required: buckets.len() as i64,
-            }
-        })?;
+    let inst = RetrievalInstance::build_with_health(system, alloc, &servable, health)
+        .map_err(|u| u.infeasible(buckets.len()))?;
     let outcome = solver.solve_in(&inst, ws)?;
     if !unservable.is_empty() {
         ws.tracer

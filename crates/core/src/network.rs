@@ -22,12 +22,42 @@ use rds_flow::graph::{ArenaIndex, EdgeId, FlowGraph, VertexId};
 use rds_storage::model::{Disk, SystemConfig};
 use rds_storage::time::Micros;
 
-/// A bucket whose every replica sits on a failed disk — retrieval is
-/// impossible until a disk recovers.
+/// A bucket with no replica to read: every replica sits on a failed disk
+/// (retrieval is impossible until a disk recovers), or the bucket lies
+/// off the allocation's grid and has no replica at all.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct UnavailableBucket {
     /// The unreachable bucket.
     pub bucket: Bucket,
+}
+
+impl UnavailableBucket {
+    /// The solve-level form of this failure: a query of `required`
+    /// buckets is infeasible at this bucket.
+    pub(crate) fn infeasible(self, required: usize) -> crate::error::SolveError {
+        crate::error::SolveError::Infeasible {
+            bucket: Some(self.bucket),
+            delivered: 0,
+            required: required as i64,
+        }
+    }
+}
+
+/// Rejects the first of `buckets` whose row or column is at least
+/// `alloc.grid_size()`. Such a bucket has no replica, and a table-backed
+/// allocation must never be indexed with it.
+pub(crate) fn check_on_grid<A: ReplicaSource + ?Sized>(
+    alloc: &A,
+    buckets: &[Bucket],
+) -> Result<(), UnavailableBucket> {
+    let n = alloc.grid_size();
+    match buckets
+        .iter()
+        .find(|b| b.row as usize >= n || b.col as usize >= n)
+    {
+        Some(&bucket) => Err(UnavailableBucket { bucket }),
+        None => Ok(()),
+    }
 }
 
 impl std::fmt::Display for UnavailableBucket {
@@ -76,7 +106,7 @@ impl RetrievalInstance {
     /// # Panics
     ///
     /// Panics if the allocation addresses more disks than the system has,
-    /// or any bucket has no replica.
+    /// or any bucket has no replica or lies off the allocation's grid.
     pub fn build<A: ReplicaSource + ?Sized>(
         system: &SystemConfig,
         alloc: &A,
@@ -111,7 +141,8 @@ impl RetrievalInstance {
     /// plans around the faults.
     ///
     /// Returns `Err` with the first bucket whose replicas are *all*
-    /// offline (retrieval impossible).
+    /// offline or that lies off the allocation's grid (retrieval
+    /// impossible).
     pub fn build_with_health<A: ReplicaSource + ?Sized>(
         system: &SystemConfig,
         alloc: &A,
@@ -142,12 +173,12 @@ impl RetrievalInstance {
     /// without per-query allocation.
     ///
     /// Semantically identical to [`RetrievalInstance::build`]: afterwards
-    /// the instance is indistinguishable from a freshly built one.
+    /// the instance is indistinguishable from a freshly built one. A
+    /// bucket with no replica, or off the allocation's grid, is `Err`.
     ///
     /// # Panics
     ///
-    /// Panics if the allocation addresses more disks than the system has,
-    /// or any bucket has no replica (same contract as `build`).
+    /// Panics if the allocation addresses more disks than the system has.
     pub fn rebuild_in<A: ReplicaSource + ?Sized>(
         &mut self,
         system: &SystemConfig,
@@ -186,6 +217,7 @@ impl RetrievalInstance {
             alloc.num_disks(),
             system.num_disks()
         );
+        check_on_grid(alloc, buckets)?;
         let q = buckets.len();
         let n = system.num_disks();
         // Vertex ids are implicit: 0 = source, 1..=q buckets, q+1..=q+n
@@ -228,7 +260,9 @@ impl RetrievalInstance {
         for (i, &b) in buckets.iter().enumerate() {
             self.bucket_edges.push(graph.add_edge(source, 1 + i, 1));
             let reps = alloc.replicas(b);
-            assert!(!reps.is_empty(), "bucket {b} has no replicas");
+            if reps.is_empty() {
+                return Err(UnavailableBucket { bucket: b });
+            }
             self.max_copies = self.max_copies.max(reps.len());
             // Deduplicate replica disks (a bucket stored twice on one disk
             // still needs only one retrieval path).
@@ -276,9 +310,10 @@ impl RetrievalInstance {
     /// (capacity zeroed, counted in [`RetrievalInstance::dead_arcs`]) and
     /// fresh arcs for the new bucket's surviving replicas are appended.
     /// `changed` receives the patched slot indices. Returns `Err` if a
-    /// new bucket has no surviving replica; the instance is then in an
-    /// unspecified (but safe) state and must be rebuilt before use —
-    /// same contract as [`RetrievalInstance::rebuild_with_health`].
+    /// new bucket has no surviving replica or lies off the allocation's
+    /// grid; the instance is then in an unspecified (but safe) state and
+    /// must be rebuilt before use — same contract as
+    /// [`RetrievalInstance::rebuild_with_health`].
     pub fn patch_buckets<A: ReplicaSource + ?Sized>(
         &mut self,
         alloc: &A,
@@ -291,6 +326,7 @@ impl RetrievalInstance {
             self.query_size(),
             "patch_buckets requires an equal-size query (vertex layout is |Q|-dependent)"
         );
+        check_on_grid(alloc, buckets)?;
         let q = self.query_size();
         let n = self.num_disks();
         changed.clear();
@@ -333,7 +369,9 @@ impl RetrievalInstance {
                 .expect("equal sizes: one bucket per free slot");
             let v = self.bucket_vertex(i);
             let reps = alloc.replicas(b);
-            assert!(!reps.is_empty(), "bucket {b} has no replicas");
+            if reps.is_empty() {
+                return Err(UnavailableBucket { bucket: b });
+            }
             self.max_copies = self.max_copies.max(reps.len());
             let mut seen = [usize::MAX; rds_decluster::allocation::MAX_COPIES];
             let mut seen_len = 0;

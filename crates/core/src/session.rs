@@ -22,7 +22,7 @@
 
 use crate::error::{SessionError, SolveError};
 use crate::fault::{self, HealthMap};
-use crate::network::RetrievalInstance;
+use crate::network::{self, RetrievalInstance};
 use crate::obs::span::PhaseKind;
 use crate::obs::trace::TraceEvent;
 use crate::schedule::{RetrievalOutcome, SolveStats};
@@ -389,6 +389,10 @@ impl SessionState {
             });
         }
         self.now = arrival;
+        // A bucket off the allocation's grid has no replica: reject it
+        // before any lookup indexes the allocation with it.
+        network::check_on_grid(alloc, buckets)
+            .map_err(|u| SessionError::Solve(u.infeasible(buckets.len())))?;
 
         // Partition out buckets that lost every replica. With no offline
         // disks this is skipped entirely — the healthy path copies
@@ -496,11 +500,7 @@ impl SessionState {
             if let Err(u) = rebuilt {
                 self.instance = None;
                 self.warm = None;
-                return Err(SessionError::Solve(SolveError::Infeasible {
-                    bucket: Some(u.bucket),
-                    delivered: 0,
-                    required: buckets.len() as i64,
-                }));
+                return Err(SessionError::Solve(u.infeasible(buckets.len())));
             }
             self.health_fp = fp;
             // Edge ids changed under the rebuild; the captured flow no

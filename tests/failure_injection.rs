@@ -331,3 +331,155 @@ fn huge_network_delay_dominates() {
     let far_total: u64 = counts[3..].iter().sum();
     assert_eq!(far_total, 0, "distant site must be unused");
 }
+
+/// Buckets off the 7×7 Table II grid: past the last column, past the
+/// last row, and past both.
+const OFF_GRID: [(u32, u32); 3] = [(0, 7), (7, 0), (9, 9)];
+
+/// Whether `err` is the typed infeasibility that names bucket `b`.
+fn infeasible_at(err: &SolveError, b: Bucket) -> bool {
+    matches!(err, SolveError::Infeasible { bucket: Some(x), .. } if *x == b)
+}
+
+/// Whether an engine-level failure wraps [`infeasible_at`].
+fn engine_infeasible_at(err: &EngineError, b: Bucket) -> bool {
+    matches!(err, EngineError::Session(SessionError::Solve(e)) if infeasible_at(e, b))
+}
+
+/// Runs every off-grid bucket, behind two on-grid ones, through the
+/// instance builders, the session (strict and best-effort),
+/// `solve_degraded`, `submit_batch` and `Engine::serve`, with all disks
+/// up and with disk 0 offline. Every path reports the off-grid bucket as
+/// typed infeasibility, never a schedule, a panic or a failed shard.
+fn off_grid_paths<A: ReplicaSource + Sync>(alloc: &A) {
+    let system = paper_example();
+    let valid = vec![Bucket::new(0, 0), Bucket::new(1, 1), Bucket::new(2, 2)];
+    for offline in [None, Some(0usize)] {
+        let health = HealthMap::with_offline(offline.as_slice());
+        for (row, col) in OFF_GRID {
+            let off = Bucket::new(row, col);
+            let query = vec![Bucket::new(0, 0), Bucket::new(1, 1), off];
+            let case = format!("bucket {off}, offline {offline:?}");
+
+            let err =
+                RetrievalInstance::build_with_health(&system, alloc, &query, &health).unwrap_err();
+            assert_eq!(err.bucket, off, "build: {case}");
+            let mut inst =
+                RetrievalInstance::build_with_health(&system, alloc, &valid, &health).unwrap();
+            let err = inst
+                .patch_buckets(alloc, &query, &health, &mut Vec::new())
+                .unwrap_err();
+            assert_eq!(err.bucket, off, "patch: {case}");
+
+            let mut state = SessionState::new(system.num_disks());
+            let mut ws = Workspace::new();
+            for best_effort in [false, true] {
+                let submit = if best_effort {
+                    SessionState::submit_degraded_with::<A, PushRelabelBinary>
+                } else {
+                    SessionState::submit_with_health::<A, PushRelabelBinary>
+                };
+                let err = submit(
+                    &mut state,
+                    &system,
+                    alloc,
+                    &PushRelabelBinary,
+                    &mut ws,
+                    Micros::ZERO,
+                    &query,
+                    &health,
+                )
+                .unwrap_err();
+                assert!(
+                    matches!(&err, SessionError::Solve(e) if infeasible_at(e, off)),
+                    "session (best effort {best_effort}): {case}: {err:?}"
+                );
+            }
+            // The session stays usable.
+            let ok = state
+                .submit_with_health(
+                    &system,
+                    alloc,
+                    &PushRelabelBinary,
+                    &mut ws,
+                    Micros::ZERO,
+                    &valid,
+                    &health,
+                )
+                .unwrap();
+            assert_eq!(ok.outcome.flow_value, 3, "{case}");
+
+            let err = solve_degraded(
+                &PushRelabelBinary,
+                &system,
+                alloc,
+                &query,
+                &health,
+                &mut Workspace::new(),
+            )
+            .unwrap_err();
+            assert!(infeasible_at(&err, off), "solve_degraded: {case}: {err:?}");
+
+            // One stream submits the off-grid query between two valid
+            // ones; a second stream runs valid queries alongside.
+            let batch: Vec<BatchQuery> = [(0, 0, &valid), (0, 1, &query), (0, 2, &valid)]
+                .into_iter()
+                .chain([(1, 0, &valid), (1, 1, &valid)])
+                .map(|(stream, t, buckets)| BatchQuery {
+                    stream,
+                    arrival: Micros::from_millis(t),
+                    buckets: buckets.clone(),
+                })
+                .collect();
+            let engine = || {
+                let engine = Engine::new(&system, alloc, PushRelabelBinary, 2);
+                match offline {
+                    Some(_) => engine
+                        .with_fault_injector(FaultInjector::pinned(&health))
+                        .with_degraded_mode(true),
+                    None => engine,
+                }
+            };
+            let results = engine().submit_batch(&batch);
+            for (i, r) in results.iter().enumerate() {
+                match r {
+                    Err(e) if i == 1 => {
+                        assert!(engine_infeasible_at(e, off), "submit_batch: {case}: {e:?}")
+                    }
+                    Ok(o) if i != 1 => assert_eq!(o.outcome.flow_value, 3, "{case}"),
+                    other => panic!("submit_batch item {i}: {case}: {other:?}"),
+                }
+            }
+
+            let report = engine().serve(ServeConfig::default().virtual_time(), |h| {
+                batch
+                    .iter()
+                    .map(|q| {
+                        let req =
+                            QueryRequest::new(q.stream, q.buckets.clone()).arriving_at(q.arrival);
+                        h.submit(req).unwrap()
+                    })
+                    .collect::<Vec<Ticket>>()
+            });
+            assert_eq!(report.unclaimed.len(), batch.len(), "{case}");
+            for r in &report.unclaimed {
+                let i = report.output.iter().position(|&t| t == r.ticket).unwrap();
+                match &r.result {
+                    Err(ServeError::Engine(e)) if i == 1 => {
+                        assert!(engine_infeasible_at(e, off), "serve: {case}: {e:?}")
+                    }
+                    Ok(o) if i != 1 => assert_eq!(o.outcome.flow_value, 3, "{case}"),
+                    other => panic!("serve item {i}: {case}: {other:?}"),
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn off_grid_buckets_are_typed_infeasibility_on_every_path() {
+    // The dense Table II replica table, and the allocation that computes
+    // replicas arithmetically.
+    off_grid_paths(&ReplicaMap::build(&OrthogonalAllocation::paper_7x7()));
+    off_grid_paths(&OrthogonalAllocation::paper_7x7());
+}
