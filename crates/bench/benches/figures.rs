@@ -8,7 +8,6 @@
 use rds_bench::harness::{Scheme, Workload};
 use rds_core::blackbox::BlackBoxPushRelabel;
 use rds_core::ff::{FordFulkersonBasic, FordFulkersonIncremental};
-use rds_core::parallel::ParallelPushRelabelBinary;
 use rds_core::pr::{PushRelabelBinary, PushRelabelIncremental};
 use rds_core::solver::RetrievalSolver;
 use rds_decluster::load::{Load, QueryKind};
@@ -107,18 +106,6 @@ fn main() {
             ("black-box", &BlackBoxPushRelabel),
             ("integrated", &PushRelabelBinary),
             ("integrated-incremental", &PushRelabelIncremental),
-        ],
-    );
-
-    // Figure 10: Experiment 5 — FIFO vs Hong & He discharge under
-    // Algorithm 6.
-    let w = workload(ExperimentId::Exp5, Scheme::Orthogonal, QueryKind::Arbitrary);
-    bench_pair(
-        "fig10_sequential_vs_parallel",
-        &w,
-        &[
-            ("sequential", &PushRelabelBinary),
-            ("parallel", &ParallelPushRelabelBinary),
         ],
     );
 }

@@ -2,12 +2,14 @@
 //! section.
 //!
 //! ```text
-//! cargo run -p rds-bench --release --bin figures -- [--fig 5|6|7|8|9|10|summary|all]
+//! cargo run -p rds-bench --release --bin figures -- [--fig 5|6|7|8|9|summary|all]
 //!     [--full] [--ns 10,20,30] [--queries 100] [--seed 2012]
 //! ```
 //!
 //! Defaults run a laptop-scale sweep; `--full` switches to the paper's
 //! scale (N up to 100, 1000 queries per point — hours of runtime).
+//! Figure 10 (the parallel algorithm of Section V) is not reproduced; see
+//! EXPERIMENTS.md.
 
 use rds_bench::figures::{self, FigureParams};
 use rds_bench::report::{to_json, Table};
@@ -15,9 +17,8 @@ use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: figures [--fig 5|6|7|8|9|10|summary|all] [--full] [--json] \
-         [--ns 10,20,..] [--queries K] [--seed S] [--fig10-n N] \
-         [--fig10-queries Q]"
+        "usage: figures [--fig 5|6|7|8|9|summary|all] [--full] [--json] \
+         [--ns 10,20,..] [--queries K] [--seed S]"
     );
     ExitCode::FAILURE
 }
@@ -51,14 +52,6 @@ fn main() -> ExitCode {
                 Some(s) => params.seed = s,
                 None => return usage(),
             },
-            "--fig10-n" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => params.fig10_n = n,
-                None => return usage(),
-            },
-            "--fig10-queries" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(q) => params.fig10_queries = q,
-                None => return usage(),
-            },
             _ => return usage(),
         }
     }
@@ -78,7 +71,6 @@ fn main() -> ExitCode {
             "7" => Some(figures::fig7(&params)),
             "8" => Some(figures::fig8(&params)),
             "9" => Some(figures::fig9(&params)),
-            "10" => Some(figures::fig10(&params)),
             "summary" => Some(figures::summary(&params)),
             other => {
                 eprintln!("unknown figure: {other}");
@@ -88,7 +80,7 @@ fn main() -> ExitCode {
     };
 
     let names: Vec<&str> = if which == "all" {
-        vec!["5", "6", "7", "8", "9", "10", "summary"]
+        vec!["5", "6", "7", "8", "9", "summary"]
     } else {
         vec![which.as_str()]
     };

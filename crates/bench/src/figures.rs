@@ -1,16 +1,16 @@
-//! One entry point per paper figure (5-10), each regenerating the same
-//! series the paper plots.
+//! One entry point per paper figure (5-9), each regenerating the same
+//! series the paper plots. Figure 10 (the parallel algorithm of Section
+//! V) is not reproduced; see EXPERIMENTS.md.
 //!
 //! Every figure compares solver *execution times*; all solvers are also
 //! cross-checked to report the same total optimal response time per
 //! workload (the validation the paper performs over its 1000-query runs,
 //! §VI-F) — a mismatch panics.
 
-use crate::harness::{measure, measure_one, Scheme, Workload};
+use crate::harness::{measure, Scheme, Workload};
 use crate::report::{fmt_ms, fmt_ratio, Table};
 use rds_core::blackbox::BlackBoxPushRelabel;
 use rds_core::ff::{FordFulkersonBasic, FordFulkersonIncremental};
-use rds_core::parallel::ParallelPushRelabelBinary;
 use rds_core::pr::PushRelabelBinary;
 use rds_core::solver::RetrievalSolver;
 use rds_decluster::load::{Load, QueryKind};
@@ -25,10 +25,6 @@ pub struct FigureParams {
     pub queries: usize,
     /// Base RNG seed.
     pub seed: u64,
-    /// Grid dimension for the per-query Figure 10 (paper: 100).
-    pub fig10_n: usize,
-    /// Query count for Figure 10 (paper: 100).
-    pub fig10_queries: usize,
 }
 
 impl Default for FigureParams {
@@ -38,8 +34,6 @@ impl Default for FigureParams {
             ns: vec![10, 20, 30, 40],
             queries: 20,
             seed: 2012,
-            fig10_n: 40,
-            fig10_queries: 40,
         }
     }
 }
@@ -51,8 +45,6 @@ impl FigureParams {
             ns: (10..=100).step_by(10).collect(),
             queries: 1000,
             seed: 2012,
-            fig10_n: 100,
-            fig10_queries: 100,
         }
     }
 }
@@ -283,69 +275,12 @@ pub fn fig9(p: &FigureParams) -> Vec<Table> {
         .collect()
 }
 
-/// Figure 10 — Experiment 5, fixed grid size: per-query runtime ratio of
-/// Algorithm 6 over the one-worker Hong & He discharge
-/// ([`ParallelPushRelabelBinary`]) to Algorithm 6 over FIFO push-relabel
-/// ([`PushRelabelBinary`]). The paper's ratio came from 2 threads on 8
-/// cores; this one isolates the discharge rule.
-pub fn fig10(p: &FigureParams) -> Vec<Table> {
-    let subplots = [
-        ("a", QueryKind::Arbitrary, Load::Load1, Scheme::Orthogonal),
-        ("b", QueryKind::Range, Load::Load2, Scheme::Orthogonal),
-        ("c", QueryKind::Arbitrary, Load::Load1, Scheme::Rda),
-    ];
-    subplots
-        .iter()
-        .map(|&(tag, kind, load, scheme)| {
-            let w = Workload::build(
-                ExperimentId::Exp5,
-                scheme,
-                kind,
-                load,
-                p.fig10_n,
-                p.fig10_queries,
-                p.seed,
-            );
-            let mut t = Table::new(
-                format!(
-                    "Figure 10({tag}) — Exp 5, {}, {}, {} disks — runtime ratio (one-worker Hong-He / FIFO Algorithm 6)",
-                    subplot_label(kind, load),
-                    scheme.label(),
-                    p.fig10_n,
-                ),
-                &["query", "FIFO (ms)", "Hong-He (ms)", "ratio"],
-            );
-            let mut ratio_sum = 0.0;
-            for (i, inst) in w.instances.iter().enumerate() {
-                let (seq_ms, seq_rt) = measure_one(&PushRelabelBinary, inst);
-                let (par_ms, par_rt) = measure_one(&ParallelPushRelabelBinary, inst);
-                assert_eq!(seq_rt, par_rt, "parallel solver lost optimality");
-                ratio_sum += par_ms / seq_ms;
-                t.push_row(vec![
-                    i.to_string(),
-                    fmt_ms(seq_ms),
-                    fmt_ms(par_ms),
-                    fmt_ratio(par_ms / seq_ms),
-                ]);
-            }
-            t.push_row(vec![
-                "avg".into(),
-                String::new(),
-                String::new(),
-                fmt_ratio(ratio_sum / w.instances.len().max(1) as f64),
-            ]);
-            t
-        })
-        .collect()
-}
-
 /// Headline summary: the paper's abstract-level speed-up numbers on
-/// Experiment 5 (integrated vs black box; the PAR column is
-/// [`ParallelPushRelabelBinary`], the one-worker Hong & He discharge).
+/// Experiment 5 (integrated vs black box).
 pub fn summary(p: &FigureParams) -> Vec<Table> {
     let mut t = Table::new(
         "Summary — Exp 5, Arbitrary Load 1, Orthogonal — speed-ups vs black box",
-        &["N", "BB (ms)", "INT (ms)", "PAR (ms)", "BB/INT", "BB/PAR"],
+        &["N", "BB (ms)", "INT (ms)", "BB/INT"],
     );
     for &n in &p.ns {
         let w = Workload::build(
@@ -357,18 +292,12 @@ pub fn summary(p: &FigureParams) -> Vec<Table> {
             p.queries,
             p.seed ^ (n as u64),
         );
-        let bb = measure(&BlackBoxPushRelabel, &w);
-        let int = measure(&PushRelabelBinary, &w);
-        let pm = measure(&ParallelPushRelabelBinary, &w);
-        assert_eq!(bb.total_response, int.total_response);
-        assert_eq!(bb.total_response, pm.total_response);
+        let (bb, int) = duel(&BlackBoxPushRelabel, &PushRelabelBinary, &w);
         t.push_row(vec![
             n.to_string(),
-            fmt_ms(bb.avg_runtime_ms),
-            fmt_ms(int.avg_runtime_ms),
-            fmt_ms(pm.avg_runtime_ms),
-            fmt_ratio(bb.avg_runtime_ms / int.avg_runtime_ms),
-            fmt_ratio(bb.avg_runtime_ms / pm.avg_runtime_ms),
+            fmt_ms(bb),
+            fmt_ms(int),
+            fmt_ratio(bb / int),
         ]);
     }
     vec![t]
@@ -383,8 +312,6 @@ mod tests {
             ns: vec![5],
             queries: 3,
             seed: 1,
-            fig10_n: 5,
-            fig10_queries: 3,
         }
     }
 
@@ -417,14 +344,6 @@ mod tests {
     #[test]
     fn fig9_runs() {
         assert_eq!(fig9(&tiny()).len(), 3);
-    }
-
-    #[test]
-    fn fig10_has_per_query_rows_plus_average() {
-        let t = fig10(&tiny());
-        assert_eq!(t.len(), 3);
-        assert_eq!(t[0].rows.len(), 3 + 1);
-        assert_eq!(t[0].rows.last().unwrap()[0], "avg");
     }
 
     #[test]

@@ -128,15 +128,6 @@ pub fn measure(solver: &dyn RetrievalSolver, workload: &Workload) -> Measurement
     }
 }
 
-/// Times `solver` on a single instance (used by the per-query Figure 10).
-pub fn measure_one(solver: &dyn RetrievalSolver, inst: &RetrievalInstance) -> (f64, Micros) {
-    let start = Instant::now();
-    let outcome = solver
-        .solve(inst)
-        .expect("benchmark instances are feasible");
-    (start.elapsed().as_secs_f64() * 1e3, outcome.response_time)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -81,7 +81,7 @@ use crate::spec::{AnySolver, ScheduleObjective, SolveBudget, SolverKind, SolverS
 use crate::workspace::Workspace;
 use rds_decluster::allocation::ReplicaSource;
 use rds_decluster::query::Bucket;
-use rds_flow::parallel::WorkerPool;
+use rds_flow::WorkerPool;
 use rds_storage::model::SystemConfig;
 use rds_storage::time::Micros;
 use std::borrow::Borrow;
@@ -1672,7 +1672,7 @@ mod tests {
             buckets: buckets.clone(),
         };
         let mut engine = Engine::new(&system, &alloc, PanicOnBucket(poison), 1);
-        engine.pool = Some(rds_flow::parallel::WorkerPool::new(2));
+        engine.pool = Some(rds_flow::WorkerPool::new(2));
         let results = engine.submit_batch(&[
             mk(0, 0, &good),
             mk(1, 0, &bad),

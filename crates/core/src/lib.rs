@@ -17,13 +17,15 @@
 //! | Algorithm 4 | `rds_flow::push_relabel::PushRelabel` — FIFO push-relabel engine |
 //! | Algorithm 5 | [`pr::PushRelabelIncremental`] — integrated incremental PR |
 //! | Algorithm 6 | [`pr::PushRelabelBinary`] — binary capacity scaling + flow conservation |
-//! | Section V | [`parallel::ParallelPushRelabelBinary`] — Algorithm 6 over the Hong & He discharge (one worker) |
 //! | Baseline \[12\] | [`blackbox::BlackBoxPushRelabel`] — binary scaling, from-scratch max-flow |
 //! | Baseline \[18\] | [`blackbox::BlackBoxFordFulkerson`] — from-scratch FF per probe |
 //!
 //! All solvers implement [`solver::RetrievalSolver`] and return identical
 //! optimal response times (they differ only in execution time), which the
-//! test suite verifies extensively.
+//! test suite verifies extensively. Section V's parallel Algorithm 6 (Hong
+//! & He's discharge on many threads) is not part of this crate: on a
+//! 2-core host it ran slower than the FIFO engine (EXPERIMENTS.md,
+//! Figure 10).
 //!
 //! Solvers are fallible (`Result<RetrievalOutcome, SolveError>`) and run
 //! inside a reusable [`workspace::Workspace`] via
@@ -59,7 +61,6 @@ pub mod ff;
 pub mod increment;
 pub mod network;
 pub mod obs;
-pub mod parallel;
 pub mod pr;
 pub mod prelude;
 pub(crate) mod refine;

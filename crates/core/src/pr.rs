@@ -8,10 +8,6 @@
 //!   disk's per-bucket cost, **conserving flows across probes** (storing
 //!   the flow state of failed probes, restoring it after successful ones);
 //!   then the incremental phase of Algorithm 5 finds the exact optimum.
-//!
-//! The `binary_scaling_integrated` driver is generic over any
-//! [`IncrementalMaxFlow`] engine, so the sequential and the parallel
-//! (Section V) solvers share one implementation.
 
 use crate::error::SolveError;
 use crate::increment::MinCostIncrementer;
@@ -21,7 +17,8 @@ use crate::schedule::{RetrievalOutcome, SolveStats};
 use crate::solver::RetrievalSolver;
 use crate::workspace::{on_graph, ArmedBudget, Workspace};
 use rds_flow::graph::{ArenaIndex, FlowGraph};
-use rds_flow::incremental::{cancel_path, retarget_capacity, IncrementalMaxFlow};
+use rds_flow::incremental::{cancel_path, retarget_capacity};
+use rds_flow::push_relabel::PushRelabel;
 use rds_storage::time::Micros;
 
 /// Algorithm 5 standalone: integrated incremental push-relabel from zero
@@ -218,8 +215,8 @@ pub(crate) fn budget_work(stats: &SolveStats) -> u64 {
 /// `t* ≤ t_max` — so the live preflow stays valid. Returns
 /// `Ok(Some(lower_bound))` for such a bail-out, `Ok(None)` for a run to
 /// the exact optimum.
-pub(crate) fn incremental_phase<W: ArenaIndex, E: IncrementalMaxFlow<W>>(
-    engine: &mut E,
+pub(crate) fn incremental_phase<W: ArenaIndex>(
+    engine: &mut PushRelabel,
     inst: &RetrievalInstance,
     g: &mut FlowGraph<W>,
     stats: &mut SolveStats,
@@ -273,8 +270,8 @@ pub(crate) fn incremental_phase<W: ArenaIndex, E: IncrementalMaxFlow<W>>(
 /// One flow-conserving resume with its push/relabel work attributed: the
 /// engine's cumulative operation counters are differenced around the call,
 /// folded into `stats`, and emitted as a [`TraceEvent::RelabelPass`].
-fn resume_traced<W: ArenaIndex, E: IncrementalMaxFlow<W>>(
-    engine: &mut E,
+fn resume_traced<W: ArenaIndex>(
+    engine: &mut PushRelabel,
     g: &mut FlowGraph<W>,
     s: rds_flow::graph::VertexId,
     t: rds_flow::graph::VertexId,
@@ -292,13 +289,13 @@ fn resume_traced<W: ArenaIndex, E: IncrementalMaxFlow<W>>(
     flow
 }
 
-/// The full Algorithm 6 driver, generic over the max-flow engine. The
+/// The full Algorithm 6 driver. The
 /// `StoreFlows` rollback state is the graph's flow checkpoint
 /// ([`FlowGraph::checkpoint_flows`]) plus the `stored_excess` buffer;
 /// passing that in (from a [`Workspace`]) makes the per-probe snapshots
 /// allocation-free. Both are one slice copy each way.
-pub(crate) fn binary_scaling_integrated<W: ArenaIndex, E: IncrementalMaxFlow<W>>(
-    engine: &mut E,
+pub(crate) fn binary_scaling_integrated<W: ArenaIndex>(
+    engine: &mut PushRelabel,
     inst: &RetrievalInstance,
     g: &mut FlowGraph<W>,
     stats: &mut SolveStats,
@@ -380,8 +377,8 @@ pub(crate) fn binary_scaling_integrated<W: ArenaIndex, E: IncrementalMaxFlow<W>>
 /// path through the residual graph returns the unit's excess from the sink
 /// to the source, where the resume re-routes it through the slot's new
 /// replica arcs. Returns the number of units cancelled.
-fn cancel_stale_units<W: ArenaIndex, E: IncrementalMaxFlow<W>>(
-    engine: &mut E,
+fn cancel_stale_units<W: ArenaIndex>(
+    engine: &mut PushRelabel,
     inst: &RetrievalInstance,
     g: &mut FlowGraph<W>,
     changed: &[usize],
@@ -414,8 +411,8 @@ fn cancel_stale_units<W: ArenaIndex, E: IncrementalMaxFlow<W>>(
 /// smaller capacities orphan into disk-vertex excess (the warm equivalent
 /// of [`RetrievalInstance::set_caps_for_budget`], which assumes the caller
 /// will discard or roll back the flow).
-fn retarget_caps<W: ArenaIndex, E: IncrementalMaxFlow<W>>(
-    engine: &mut E,
+fn retarget_caps<W: ArenaIndex>(
+    engine: &mut PushRelabel,
     inst: &RetrievalInstance,
     g: &mut FlowGraph<W>,
     t: Micros,
@@ -430,13 +427,13 @@ fn retarget_caps<W: ArenaIndex, E: IncrementalMaxFlow<W>>(
 /// `StoreFlows`/`RestoreFlows` snapshots, the warm driver never snapshots:
 /// each probe *retargets* the disk capacities in place, draining orphaned
 /// flow into disk excess that the next resume re-routes. Push-relabel
-/// correctness needs only a valid preflow, so the surgery is safe for any
-/// flow-conserving engine. With `binary` false this is the warm Algorithm
+/// correctness needs only a valid preflow, so the surgery is safe. With
+/// `binary` false this is the warm Algorithm
 /// 5: skip the probes and run the incremental phase from the
 /// min-cost-prefix capacities at `t_min`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn warm_integrated<W: ArenaIndex, E: IncrementalMaxFlow<W>>(
-    engine: &mut E,
+pub(crate) fn warm_integrated<W: ArenaIndex>(
+    engine: &mut PushRelabel,
     inst: &RetrievalInstance,
     g: &mut FlowGraph<W>,
     stats: &mut SolveStats,

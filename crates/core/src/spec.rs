@@ -1,7 +1,7 @@
 //! Unified solver selection: [`SolverKind`], [`SolverSpec`] and the
 //! [`AnySolver`] dispatch type.
 //!
-//! The seven solver structs all implement
+//! The six solver structs all implement
 //! [`RetrievalSolver`], but picking one at
 //! runtime previously meant threading a generic parameter (or a `Box<dyn>`)
 //! through every layer. [`SolverKind`] names each algorithm as plain data,
@@ -15,7 +15,6 @@ use crate::error::SolveError;
 use crate::ff::{FordFulkersonBasic, FordFulkersonIncremental};
 use crate::network::RetrievalInstance;
 use crate::obs::slo::SloPolicy;
-use crate::parallel::ParallelPushRelabelBinary;
 use crate::pr::{PushRelabelBinary, PushRelabelIncremental};
 use crate::schedule::RetrievalOutcome;
 use crate::solver::RetrievalSolver;
@@ -123,7 +122,7 @@ impl ArenaLayout {
     }
 }
 
-/// Names one of the seven retrieval algorithms.
+/// Names one of the six retrieval algorithms.
 ///
 /// All kinds compute the same optimal response time; they differ in
 /// execution cost and in whether they can delta-solve a warm workspace
@@ -142,8 +141,6 @@ pub enum SolverKind {
     /// Algorithm 6: push-relabel with binary capacity scaling and flow
     /// conservation across probes. The paper's headline algorithm.
     PushRelabelBinary,
-    /// Section V: Algorithm 6 over Hong & He's push-relabel discharge.
-    ParallelPushRelabelBinary,
     /// Baseline \[12\]: binary scaling over a from-scratch push-relabel.
     BlackBoxPushRelabel,
     /// Baseline \[18\]: from-scratch Ford-Fulkerson per probe.
@@ -152,12 +149,11 @@ pub enum SolverKind {
 
 impl SolverKind {
     /// Every kind, in the paper's presentation order.
-    pub const ALL: [SolverKind; 7] = [
+    pub const ALL: [SolverKind; 6] = [
         SolverKind::FordFulkersonBasic,
         SolverKind::FordFulkersonIncremental,
         SolverKind::PushRelabelIncremental,
         SolverKind::PushRelabelBinary,
-        SolverKind::ParallelPushRelabelBinary,
         SolverKind::BlackBoxPushRelabel,
         SolverKind::BlackBoxFordFulkerson,
     ];
@@ -171,7 +167,6 @@ impl SolverKind {
             SolverKind::FordFulkersonIncremental => FordFulkersonIncremental.name(),
             SolverKind::PushRelabelIncremental => PushRelabelIncremental.name(),
             SolverKind::PushRelabelBinary => PushRelabelBinary.name(),
-            SolverKind::ParallelPushRelabelBinary => ParallelPushRelabelBinary.name(),
             SolverKind::BlackBoxPushRelabel => BlackBoxPushRelabel.name(),
             SolverKind::BlackBoxFordFulkerson => BlackBoxFordFulkerson.name(),
         }
@@ -390,9 +385,6 @@ impl SolverSpec {
                 AnySolver::PushRelabelIncremental(PushRelabelIncremental)
             }
             SolverKind::PushRelabelBinary => AnySolver::PushRelabelBinary(PushRelabelBinary),
-            SolverKind::ParallelPushRelabelBinary => {
-                AnySolver::ParallelPushRelabelBinary(ParallelPushRelabelBinary)
-            }
             SolverKind::BlackBoxPushRelabel => AnySolver::BlackBoxPushRelabel(BlackBoxPushRelabel),
             SolverKind::BlackBoxFordFulkerson => {
                 AnySolver::BlackBoxFordFulkerson(BlackBoxFordFulkerson)
@@ -407,7 +399,7 @@ impl From<SolverKind> for SolverSpec {
     }
 }
 
-/// Enum dispatch over the seven concrete solvers.
+/// Enum dispatch over the six concrete solvers.
 ///
 /// Unlike `Box<dyn RetrievalSolver>` this is `Copy`-cheap, `Send + Sync`
 /// by construction, and needs no allocation — the engine clones one per
@@ -423,8 +415,6 @@ pub enum AnySolver {
     PushRelabelIncremental(PushRelabelIncremental),
     /// See [`SolverKind::PushRelabelBinary`].
     PushRelabelBinary(PushRelabelBinary),
-    /// See [`SolverKind::ParallelPushRelabelBinary`].
-    ParallelPushRelabelBinary(ParallelPushRelabelBinary),
     /// See [`SolverKind::BlackBoxPushRelabel`].
     BlackBoxPushRelabel(BlackBoxPushRelabel),
     /// See [`SolverKind::BlackBoxFordFulkerson`].
@@ -438,7 +428,6 @@ macro_rules! dispatch {
             AnySolver::FordFulkersonIncremental($s) => $body,
             AnySolver::PushRelabelIncremental($s) => $body,
             AnySolver::PushRelabelBinary($s) => $body,
-            AnySolver::ParallelPushRelabelBinary($s) => $body,
             AnySolver::BlackBoxPushRelabel($s) => $body,
             AnySolver::BlackBoxFordFulkerson($s) => $body,
         }
@@ -453,7 +442,6 @@ impl AnySolver {
             AnySolver::FordFulkersonIncremental(_) => SolverKind::FordFulkersonIncremental,
             AnySolver::PushRelabelIncremental(_) => SolverKind::PushRelabelIncremental,
             AnySolver::PushRelabelBinary(_) => SolverKind::PushRelabelBinary,
-            AnySolver::ParallelPushRelabelBinary(_) => SolverKind::ParallelPushRelabelBinary,
             AnySolver::BlackBoxPushRelabel(_) => SolverKind::BlackBoxPushRelabel,
             AnySolver::BlackBoxFordFulkerson(_) => SolverKind::BlackBoxFordFulkerson,
         }
@@ -507,7 +495,6 @@ mod tests {
                 "FF-incremental",
                 "PR-incremental",
                 "PR-binary",
-                "PR-binary-parallel",
                 "BB-PR",
                 "BB-FF",
             ]
@@ -518,17 +505,14 @@ mod tests {
     fn delta_support_matrix() {
         use SolverKind::*;
         for kind in SolverKind::ALL {
-            let expected = matches!(
-                kind,
-                PushRelabelIncremental | PushRelabelBinary | ParallelPushRelabelBinary
-            );
+            let expected = matches!(kind, PushRelabelIncremental | PushRelabelBinary);
             assert_eq!(kind.supports_delta(), expected, "{}", kind.name());
         }
     }
 
     #[test]
     fn spec_builder_sets_knobs() {
-        let spec = SolverSpec::new(SolverKind::ParallelPushRelabelBinary)
+        let spec = SolverSpec::new(SolverKind::PushRelabelIncremental)
             .parallelism(2)
             .warm_start(true)
             .cache_capacity(4)

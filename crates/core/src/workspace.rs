@@ -20,7 +20,6 @@ use crate::obs::trace::{TraceEvent, TraceSink, Tracer};
 use crate::spec::{ArenaLayout, SolveBudget};
 use rds_flow::ford_fulkerson::AugmentingPath;
 use rds_flow::graph::FlowGraph;
-use rds_flow::parallel::ParallelPushRelabel;
 use rds_flow::push_relabel::PushRelabel;
 use std::time::Instant;
 
@@ -120,17 +119,14 @@ pub struct Workspace {
     /// rebuild-per-query paths keep their zero-steady-state-allocation
     /// contract without COW detaches.
     plane_sharing: bool,
-    /// Sequential push-relabel engine (Algorithm 4) with its height,
-    /// queue and excess arrays.
+    /// Push-relabel engine (Algorithm 4) with its height, queue and
+    /// excess arrays.
     pub(crate) engine: PushRelabel,
     /// Reusable DFS state for the Ford-Fulkerson solvers.
     pub(crate) search: AugmentingPath,
     /// Excess half of the `StoreFlows` snapshot (Algorithm 6 line 31);
     /// the flow half is the active graph's own flow checkpoint.
     pub(crate) stored_excess: Vec<i64>,
-    /// Hong & He push-relabel engine (paper Section V) with its height,
-    /// ring and excess arrays.
-    pub(crate) parallel: ParallelPushRelabel,
     /// Solver-phase event tracer; disabled (single-branch emits) until a
     /// sink is installed. See [`crate::obs::trace`].
     pub(crate) tracer: Tracer,
@@ -198,7 +194,6 @@ impl Workspace {
             engine: PushRelabel::new(),
             search: AugmentingPath::new(),
             stored_excess: Vec::new(),
-            parallel: ParallelPushRelabel::new(),
             tracer: Tracer::disabled(),
             warm_flows: Vec::new(),
             warm_excess: Vec::new(),
@@ -533,7 +528,7 @@ impl Workspace {
 
     /// Warm counterpart of [`Workspace::begin`]: copies the (patched)
     /// instance network, then loads the staged warm flow into the scratch
-    /// graph and the staged excesses into the sequential engine. Returns
+    /// graph and the staged excesses into the engine. Returns
     /// `Ok(false)` — leaving the workspace untouched — when no warm state
     /// is staged, and [`SolveError::ArenaOverflow`] when the stream no
     /// longer fits a forced compact arena (warm state is dropped; the
@@ -564,46 +559,6 @@ impl Workspace {
         self.tracer.emit(TraceEvent::SolveStart {
             query_size: inst.query_size() as u32,
         });
-        Ok(true)
-    }
-
-    /// Readies the parallel engine for a solve over `vertices` vertices
-    /// by zeroing the excess the previous solve left behind. Callers then
-    /// split-borrow [`Workspace::parallel`] next to the active graph via
-    /// [`on_graph!`].
-    pub(crate) fn ensure_parallel(&mut self, vertices: usize) {
-        self.parallel.reset_excess(vertices);
-    }
-
-    /// Warm counterpart of [`Workspace::ensure_parallel`]: like
-    /// [`Workspace::begin_warm`], but the staged excesses are loaded into
-    /// the parallel engine instead of the sequential one.
-    pub(crate) fn begin_warm_parallel(
-        &mut self,
-        inst: &RetrievalInstance,
-    ) -> Result<bool, SolveError> {
-        if !self.warm_staged {
-            return Ok(false);
-        }
-        self.warm_staged = false;
-        self.solves += 1;
-        self.poisoned = true;
-        if let Err(e) = self
-            .stage_graph(inst)
-            .and_then(|()| self.restore_warm_flows())
-        {
-            self.poisoned = false;
-            return Err(e);
-        }
-        self.tracer.emit(TraceEvent::SolveStart {
-            query_size: inst.query_size() as u32,
-        });
-        self.ensure_parallel(inst.graph.num_vertices());
-        for (v, &x) in self.warm_excess.iter().enumerate() {
-            if x != 0 {
-                self.parallel.set_excess(v, x);
-            }
-        }
         Ok(true)
     }
 }

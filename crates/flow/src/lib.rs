@@ -20,9 +20,9 @@
 //!   global-relabeling ("exact height") and gap heuristics of
 //!   Cherkassky-Goldberg, plus a `resume` entry point that conserves
 //!   previously computed flows after capacity increases.
-//! * [`parallel`] — push-relabel with the lowest-neighbour discharge and
-//!   round-based global relabeling of Hong & He (IEEE TPDS 2011), run by
-//!   one worker, plus the [`WorkerPool`] fused batch drains run on.
+//! * [`incremental`] — residual-network surgery on a loaded flow
+//!   (capacity retargeting, path cancellation) for warm delta solves.
+//! * [`pool`] — the [`WorkerPool`] fused batch drains run on.
 //! * [`mincost`] — minimum-cost flow on the same residual arena:
 //!   successive shortest paths with potentials, plus a negative-cycle
 //!   canceling refiner that rebalances an existing flow under linear or
@@ -58,11 +58,10 @@ pub mod graph;
 pub mod incremental;
 pub mod min_cut;
 pub mod mincost;
-pub mod parallel;
+pub mod pool;
 pub mod push_relabel;
 pub mod validate;
 
 pub use graph::{ArenaIndex, EdgeId, FlowGraph, VertexId, WidthOverflow};
-pub use incremental::IncrementalMaxFlow;
 pub use mincost::{ArcCost, CycleCanceler, RefineStats};
-pub use parallel::WorkerPool;
+pub use pool::WorkerPool;

@@ -58,14 +58,6 @@ impl Default for PushRelabel {
     }
 }
 
-/// Copies `excess[..n]` into `buf`, reading vertices past the end of
-/// `excess` (not yet seen by the engine) as 0.
-pub(crate) fn copy_excess(excess: &[i64], n: usize, buf: &mut Vec<i64>) {
-    buf.clear();
-    buf.extend_from_slice(&excess[..n.min(excess.len())]);
-    buf.resize(n, 0);
-}
-
 /// Amount of edge-scan work between global relabeling passes, as a multiple
 /// of the edge count (Cherkassky-Goldberg recommend a small constant).
 const GLOBAL_RELABEL_WORK_FACTOR: u64 = 6;
@@ -100,15 +92,20 @@ impl PushRelabel {
         self.excess[v] = x;
     }
 
-    /// [`crate::incremental::IncrementalMaxFlow::excess_snapshot_into`]
-    /// as one slice copy.
-    pub(crate) fn excess_snapshot_into(&self, n: usize, buf: &mut Vec<i64>) {
-        copy_excess(&self.excess, n, buf);
+    /// Writes the excesses of vertices `0..n` into `buf` as one slice
+    /// copy, reusing its allocation. Paired with
+    /// [`FlowGraph::checkpoint_flows`] by drivers that roll state back
+    /// (`StoreFlows`/`RestoreFlows` of the paper's Algorithm 6). Vertices
+    /// the engine has not seen yet read as 0.
+    pub fn excess_snapshot_into(&self, n: usize, buf: &mut Vec<i64>) {
+        buf.clear();
+        buf.extend_from_slice(&self.excess[..n.min(self.excess.len())]);
+        buf.resize(n, 0);
     }
 
-    /// [`crate::incremental::IncrementalMaxFlow::restore_excess`] as one
-    /// slice copy.
-    pub(crate) fn restore_excess(&mut self, snap: &[i64]) {
+    /// Restores a snapshot taken with
+    /// [`PushRelabel::excess_snapshot_into`] as one slice copy.
+    pub fn restore_excess(&mut self, snap: &[i64]) {
         self.ensure(snap.len());
         self.excess[..snap.len()].copy_from_slice(snap);
     }
@@ -118,15 +115,17 @@ impl PushRelabel {
         self.height.get(v).copied().unwrap_or(0)
     }
 
-    /// Cumulative `(pushes, relabels)` since construction. Inherent (not
-    /// just on [`crate::incremental::IncrementalMaxFlow`]) so graph-less
-    /// call sites need no width annotation.
+    /// Cumulative `(pushes, relabels)` since construction. Monotonically
+    /// non-decreasing across runs, so drivers attribute work to a phase
+    /// by differencing before/after.
     pub fn op_counts(&self) -> (u64, u64) {
         (self.stats.pushes, self.stats.relabels)
     }
 
-    /// Zeroes the excesses of vertices `0..n` (see
-    /// [`crate::incremental::IncrementalMaxFlow::reset_excess`]).
+    /// Zeroes the excesses of vertices `0..n`, preparing a reused engine
+    /// for an unrelated problem that starts from a zero-flow graph via
+    /// [`PushRelabel::resume`]. Without this, excess left at the sink by
+    /// the previous solve would be double-counted.
     pub fn reset_excess(&mut self, n: usize) {
         self.ensure(n);
         for e in self.excess.iter_mut().take(n) {
@@ -486,6 +485,30 @@ mod tests {
         g.set_cap(bottleneck, 7);
         assert_eq!(pr.resume(&mut g, s, t), 7);
         crate::validate::assert_valid_flow(&g, s, t);
+    }
+
+    #[test]
+    fn excess_snapshots_round_trip_through_resume() {
+        let mut engine = PushRelabel::new();
+        let mut g: FlowGraph = FlowGraph::new(3);
+        let e0 = g.add_edge(0, 1, 2);
+        g.add_edge(1, 2, 10);
+        assert_eq!(engine.max_flow(&mut g, 0, 2), 2);
+        assert_eq!(engine.excess(2), 2);
+        g.set_cap(e0, 5);
+        assert_eq!(engine.resume(&mut g, 0, 2), 5);
+        let mut buf = Vec::new();
+        engine.excess_snapshot_into(3, &mut buf);
+        assert_eq!(buf, [0, 0, 5]);
+        engine.set_excess(2, 0);
+        assert_eq!(engine.excess(2), 0);
+        engine.restore_excess(&buf);
+        assert_eq!(engine.excess(2), 5);
+        // A reset engine solves a fresh zero-flow problem via resume as if
+        // it were new.
+        engine.reset_excess(3);
+        g.zero_flows();
+        assert_eq!(engine.resume(&mut g, 0, 2), 5);
     }
 
     #[test]

@@ -1,16 +1,12 @@
-//! Parallel integrated retrieval (paper Section V).
+//! Integrated vs black-box retrieval on one workload.
 //!
-//! Runs the same Experiment-5-style workload through the sequential
-//! integrated solver (Algorithm 6 over FIFO push-relabel), its parallel
-//! formulation (Algorithm 6 over Hong & He's discharge, run by one
-//! worker), and the black-box baseline, reporting wall-clock time and
-//! verifying that every solver returns the same optimal response time.
-//!
-//! Note: the paper measured 2 threads on an 8-core Xeon; here the
-//! parallel kind shows the cost of its discharge rule, not a speed-up.
+//! Runs the same Experiment-5-style workload through the integrated
+//! solver (Algorithm 6 over FIFO push-relabel) and the black-box baseline,
+//! reporting wall-clock time and verifying that both return the same
+//! optimal response times.
 //!
 //! ```text
-//! cargo run --release --example parallel_retrieval
+//! cargo run --release --example solver_agreement
 //! ```
 
 use replicated_retrieval::prelude::*;
@@ -40,10 +36,6 @@ fn main() {
     let solvers: Vec<(String, Box<dyn RetrievalSolver>)> = vec![
         ("black-box PR [12]".into(), Box::new(BlackBoxPushRelabel)),
         ("integrated PR (Alg 6)".into(), Box::new(PushRelabelBinary)),
-        (
-            "parallel PR (Sec V)".into(),
-            Box::new(ParallelPushRelabelBinary),
-        ),
     ];
 
     let mut reference: Option<Micros> = None;

@@ -8,15 +8,14 @@
 //! convenience:
 //!
 //! * [`flow`] — general maximum-flow substrate (residual graphs,
-//!   Ford-Fulkerson, Dinic, sequential and parallel push-relabel).
+//!   Ford-Fulkerson, Dinic, FIFO push-relabel, min-cost refinement).
 //! * [`storage`] — storage-system model: disks, sites, network delays,
 //!   initial loads, fixed-point time arithmetic and the experiment
 //!   configurations of the paper's Table IV.
 //! * [`decluster`] — replicated declustering schemes (RDA, dependent
 //!   periodic, orthogonal), query types and query-load generators.
 //! * [`core`] — the paper's contribution: retrieval flow networks and the
-//!   integrated / black-box retrieval algorithms (Algorithms 1–6 plus the
-//!   parallel variant).
+//!   integrated / black-box retrieval algorithms (Algorithms 1–6).
 //!
 //! ## Quickstart
 //!
@@ -81,7 +80,6 @@ pub mod prelude {
         obs::slo::{SloPolicy, SloReport, SloTarget},
         obs::span::{PhaseKind, PhaseRecord, QuerySpan, RejectReason, SpanId, SpanOutcome},
         obs::trace::{EventKind, Recorder, TraceEvent, TraceSink, Tracer},
-        parallel::ParallelPushRelabelBinary,
         pr::{PushRelabelBinary, PushRelabelIncremental},
         schedule::{RetrievalOutcome, Schedule, SolveStats},
         serve::{

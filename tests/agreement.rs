@@ -10,7 +10,6 @@
 use rds_util::SplitMix64;
 use replicated_retrieval::core::blackbox::{BlackBoxFordFulkerson, BlackBoxPushRelabel};
 use replicated_retrieval::core::ff::FordFulkersonIncremental;
-use replicated_retrieval::core::parallel::ParallelPushRelabelBinary;
 use replicated_retrieval::core::pr::{PushRelabelBinary, PushRelabelIncremental};
 use replicated_retrieval::core::verify::{assert_outcome_valid, oracle_optimal_response};
 use replicated_retrieval::prelude::*;
@@ -22,7 +21,6 @@ fn solvers() -> Vec<Box<dyn RetrievalSolver>> {
         Box::new(PushRelabelBinary),
         Box::new(BlackBoxPushRelabel),
         Box::new(BlackBoxFordFulkerson),
-        Box::new(ParallelPushRelabelBinary),
     ]
 }
 
@@ -215,5 +213,4 @@ fn total_response_over_query_batch_matches() {
     assert!(reference > Micros::ZERO);
     assert_eq!(total(&BlackBoxPushRelabel), reference);
     assert_eq!(total(&FordFulkersonIncremental), reference);
-    assert_eq!(total(&ParallelPushRelabelBinary), reference);
 }

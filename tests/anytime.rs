@@ -154,7 +154,6 @@ fn sessions_respect_the_armed_budget_on_the_delta_path() {
     for kind in [
         SolverKind::PushRelabelIncremental,
         SolverKind::PushRelabelBinary,
-        SolverKind::ParallelPushRelabelBinary,
     ] {
         let solver = SolverSpec::new(kind).warm_start(true);
         let generous = SolveBudget::default().with_max_probes(u64::MAX / 2);

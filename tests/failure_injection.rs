@@ -3,7 +3,6 @@
 
 use replicated_retrieval::core::blackbox::{BlackBoxFordFulkerson, BlackBoxPushRelabel};
 use replicated_retrieval::core::ff::FordFulkersonIncremental;
-use replicated_retrieval::core::parallel::ParallelPushRelabelBinary;
 use replicated_retrieval::core::pr::{PushRelabelBinary, PushRelabelIncremental};
 use replicated_retrieval::core::verify::{
     assert_outcome_valid, assert_partial_outcome_valid, oracle_optimal_response,
@@ -21,7 +20,6 @@ fn generalized_solvers() -> Vec<Box<dyn RetrievalSolver>> {
         Box::new(FordFulkersonIncremental),
         Box::new(BlackBoxPushRelabel),
         Box::new(BlackBoxFordFulkerson),
-        Box::new(ParallelPushRelabelBinary),
     ]
 }
 
@@ -138,7 +136,6 @@ fn empty_query_across_all_solvers() {
         &PushRelabelIncremental,
         &FordFulkersonIncremental,
         &BlackBoxPushRelabel,
-        &ParallelPushRelabelBinary,
     ] {
         let outcome = solver.solve(&inst).unwrap();
         assert_eq!(outcome.flow_value, 0, "{}", solver.name());

@@ -7,7 +7,6 @@ use std::sync::{Arc, Mutex};
 
 use replicated_retrieval::core::blackbox::{BlackBoxFordFulkerson, BlackBoxPushRelabel};
 use replicated_retrieval::core::ff::{FordFulkersonBasic, FordFulkersonIncremental};
-use replicated_retrieval::core::parallel::ParallelPushRelabelBinary;
 use replicated_retrieval::core::pr::{PushRelabelBinary, PushRelabelIncremental};
 use replicated_retrieval::prelude::*;
 use replicated_retrieval::storage::specs;
@@ -39,7 +38,6 @@ fn events_reconcile_with_solve_stats_for_every_solver() {
         Box::new(FordFulkersonIncremental),
         Box::new(BlackBoxPushRelabel),
         Box::new(BlackBoxFordFulkerson),
-        Box::new(ParallelPushRelabelBinary),
     ];
     let inst = table_ii_instance(5, 4);
     for solver in &solvers {
