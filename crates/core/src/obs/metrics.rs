@@ -8,8 +8,8 @@
 //! range with ≤2x relative error, mergeable across shards by addition,
 //! and quantile-queryable without storing samples. A [`MetricsRegistry`]
 //! names counters, gauges and histograms, snapshots to plain data, and
-//! round-trips through Prometheus text exposition format and JSON (both
-//! emitted and parsed here, dependency-free).
+//! exports to Prometheus text exposition format and JSON (dependency-free
+//! string builders).
 //!
 //! Everything is plain owned data: no atomics, no globals. The engine
 //! merges per-shard histograms after each batch, so recording stays
@@ -435,128 +435,6 @@ impl MetricsRegistry {
         out
     }
 
-    /// Parses text produced by [`MetricsRegistry::to_prometheus`] back
-    /// into a registry. Supports exactly the subset emitted there (which
-    /// is valid Prometheus exposition format); returns a description of
-    /// the first malformed line otherwise.
-    pub fn parse_prometheus(text: &str) -> Result<MetricsRegistry, String> {
-        let mut reg = MetricsRegistry::new();
-        // name -> declared type, from the # TYPE comments.
-        let mut types: BTreeMap<String, String> = BTreeMap::new();
-        // Histogram reassembly state: cumulative counts per bucket bound.
-        let mut hist_prev: BTreeMap<String, u64> = BTreeMap::new();
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            if let Some(rest) = line.strip_prefix("# TYPE ") {
-                let mut it = rest.split_whitespace();
-                let (Some(name), Some(ty)) = (it.next(), it.next()) else {
-                    return Err(format!("malformed TYPE line: {line}"));
-                };
-                types.insert(name.to_string(), ty.to_string());
-                continue;
-            }
-            if let Some(rest) = line.strip_prefix("# HELP ") {
-                let (name, text) = rest.split_once(' ').unwrap_or((rest, ""));
-                reg.set_help(name, text);
-                continue;
-            }
-            if line.starts_with('#') {
-                continue;
-            }
-            let (key, value) = line
-                .rsplit_once(' ')
-                .ok_or_else(|| format!("malformed sample line: {line}"))?;
-            if let Some((name, label)) = key.split_once('{') {
-                // Histogram bucket sample: <base>_bucket{le="<bound>"}.
-                if let Some(base) = name.strip_suffix("_bucket") {
-                    if types.get(base).map(String::as_str) == Some("histogram") {
-                        let bound = label
-                            .strip_prefix("le=\"")
-                            .and_then(|l| l.strip_suffix("\"}"))
-                            .ok_or_else(|| format!("unsupported label set: {line}"))?;
-                        if bound == "+Inf" {
-                            continue; // redundant with _count
-                        }
-                        let bound: u64 =
-                            bound.parse().map_err(|_| format!("bad le bound: {line}"))?;
-                        let cum: u64 = value.parse().map_err(|_| format!("bad value: {line}"))?;
-                        let prev = hist_prev.entry(base.to_string()).or_insert(0);
-                        let delta = cum
-                            .checked_sub(*prev)
-                            .ok_or_else(|| format!("non-cumulative bucket: {line}"))?;
-                        *prev = cum;
-                        reg.histogram_mut(base).buckets[bucket_index(bound)] += delta;
-                        continue;
-                    }
-                }
-                // Labeled counter/gauge sample: store the full series key.
-                if !valid_series(key) {
-                    return Err(format!("unsupported labeled sample: {line}"));
-                }
-                match types.get(name).map(String::as_str) {
-                    Some("counter") => {
-                        let v: u64 = value.parse().map_err(|_| format!("bad value: {line}"))?;
-                        reg.inc_counter(key, v);
-                    }
-                    Some("gauge") => {
-                        let v: i64 = value.parse().map_err(|_| format!("bad value: {line}"))?;
-                        reg.set_gauge(key, v);
-                    }
-                    _ => return Err(format!("unsupported labeled sample: {line}")),
-                }
-                continue;
-            }
-            let value_u = || {
-                value
-                    .parse::<u64>()
-                    .map_err(|_| format!("bad value: {line}"))
-            };
-            if let Some(base) = key.strip_suffix("_sum") {
-                if types.get(base).map(String::as_str) == Some("histogram") {
-                    reg.histogram_mut(base).sum = value_u()?;
-                    continue;
-                }
-            }
-            if let Some(base) = key.strip_suffix("_count") {
-                if types.get(base).map(String::as_str) == Some("histogram") {
-                    reg.histogram_mut(base).count = value_u()?;
-                    continue;
-                }
-            }
-            if let Some(base) = key.strip_suffix("_min") {
-                if types.get(base).map(String::as_str) == Some("histogram") {
-                    reg.histogram_mut(base).min = value_u()?;
-                    continue;
-                }
-            }
-            if let Some(base) = key.strip_suffix("_max") {
-                if types.get(base).map(String::as_str) == Some("histogram") {
-                    reg.histogram_mut(base).max = value_u()?;
-                    continue;
-                }
-            }
-            match types.get(key).map(String::as_str) {
-                Some("counter") => {
-                    let v = value_u()?;
-                    reg.inc_counter(key, v);
-                }
-                Some("gauge") => {
-                    let v: i64 = value.parse().map_err(|_| format!("bad value: {line}"))?;
-                    reg.set_gauge(key, v);
-                }
-                other => {
-                    return Err(format!(
-                        "sample {key} has no/unknown TYPE declaration ({other:?})"
-                    ))
-                }
-            }
-        }
-        Ok(reg)
-    }
-
     /// Renders the registry as a JSON object:
     /// `{"counters": {..}, "gauges": {..}, "histograms": {name:
     /// {"count": n, "sum": s, "buckets": [[index, count], ..]}}}`, plus a
@@ -590,8 +468,8 @@ impl MetricsRegistry {
             first = false;
             let _ = write!(out, "\"{name}\":{{\"count\":{},\"sum\":{},", h.count, h.sum);
             if h.count > 0 {
-                // Skipped when empty: the min sentinel (u64::MAX) has no
-                // JSON integer representation the parser accepts.
+                // Skipped when empty: the min sentinel (u64::MAX) is not
+                // a sample.
                 let _ = write!(out, "\"min\":{},\"max\":{},", h.min, h.max);
             }
             out.push_str("\"buckets\":[");
@@ -624,99 +502,10 @@ impl MetricsRegistry {
         out.push('}');
         out
     }
-
-    /// Parses JSON produced by [`MetricsRegistry::to_json`] back into a
-    /// registry (supports exactly that shape, whitespace-tolerant).
-    pub fn parse_json(text: &str) -> Result<MetricsRegistry, String> {
-        let mut p = JsonParser::new(text);
-        let mut reg = MetricsRegistry::new();
-        p.expect('{')?;
-        loop {
-            let section = p.string()?;
-            if !matches!(
-                section.as_str(),
-                "counters" | "gauges" | "histograms" | "help"
-            ) {
-                return Err(format!("unknown section {section:?}"));
-            }
-            p.expect(':')?;
-            p.expect('{')?;
-            if !p.peek_is('}') {
-                loop {
-                    let name = p.string()?;
-                    p.expect(':')?;
-                    match section.as_str() {
-                        "counters" => {
-                            let v = p.integer()?;
-                            reg.inc_counter(&name, v as u64);
-                        }
-                        "gauges" => {
-                            let v = p.integer()?;
-                            reg.set_gauge(&name, v);
-                        }
-                        "help" => {
-                            let text = p.string()?;
-                            reg.set_help(&name, &text);
-                        }
-                        "histograms" => {
-                            p.expect('{')?;
-                            let h = reg.histogram_mut(&name);
-                            loop {
-                                let field = p.string()?;
-                                p.expect(':')?;
-                                match field.as_str() {
-                                    "count" => h.count = p.integer()? as u64,
-                                    "sum" => h.sum = p.integer()? as u64,
-                                    "min" => h.min = p.integer()? as u64,
-                                    "max" => h.max = p.integer()? as u64,
-                                    "buckets" => {
-                                        p.expect('[')?;
-                                        if !p.peek_is(']') {
-                                            loop {
-                                                p.expect('[')?;
-                                                let i = p.integer()? as usize;
-                                                p.expect(',')?;
-                                                let c = p.integer()? as u64;
-                                                p.expect(']')?;
-                                                if i >= NUM_BUCKETS {
-                                                    return Err(format!("bucket index {i}"));
-                                                }
-                                                h.buckets[i] += c;
-                                                if !p.comma_or(']')? {
-                                                    break;
-                                                }
-                                            }
-                                        } else {
-                                            p.expect(']')?;
-                                        }
-                                    }
-                                    other => return Err(format!("unknown field {other:?}")),
-                                }
-                                if !p.comma_or('}')? {
-                                    break;
-                                }
-                            }
-                        }
-                        other => return Err(format!("unknown section {other:?}")),
-                    }
-                    if !p.comma_or('}')? {
-                        break;
-                    }
-                }
-            } else {
-                p.expect('}')?;
-            }
-            if !p.comma_or('}')? {
-                break;
-            }
-        }
-        p.end()?;
-        Ok(reg)
-    }
 }
 
 /// Escapes `"` and `\` for embedding in a JSON string literal (the only
-/// escapes this module's emitters produce and its parser accepts).
+/// escapes this module's emitters produce).
 fn escape_json(s: &str) -> std::borrow::Cow<'_, str> {
     if !s.contains(['"', '\\']) {
         return std::borrow::Cow::Borrowed(s);
@@ -731,180 +520,39 @@ fn escape_json(s: &str) -> std::borrow::Cow<'_, str> {
     std::borrow::Cow::Owned(out)
 }
 
-/// Validates that `text` is one well-formed JSON value in the dialect
-/// this module emits and parses: objects, arrays, strings (with `\"` and
-/// `\\` escapes) and integers, with arbitrary whitespace. Other exporters
-/// (e.g. the Chrome trace writer in [`crate::obs::export`]) use this to
-/// assert they stay inside the parseable subset.
-pub fn parse_json_value(text: &str) -> Result<(), String> {
-    let mut p = JsonParser::new(text);
-    p.value()?;
-    p.end()
-}
-
-/// Minimal JSON tokenizer for [`MetricsRegistry::parse_json`]: supports
-/// the object/array/string/integer subset that `to_json` emits.
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    fn new(text: &'a str) -> JsonParser<'a> {
-        JsonParser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
+/// Asserts that every counter, every gauge and every histogram's count
+/// and sum in `reg` appears with its value in `prom` and `json`, its
+/// Prometheus and JSON exports — the check for registries whose timings
+/// rule out pinned text.
+#[cfg(test)]
+pub(crate) fn assert_exported(reg: &MetricsRegistry, prom: &str, json: &str) {
+    let lines: Vec<&str> = prom.lines().collect();
+    let has_line =
+        |line: String| assert!(lines.contains(&line.as_str()), "Prometheus lacks {line}");
+    let has_json = |key: &str, value: String| {
+        let entry = format!("\"{}\":{value}", escape_json(key));
+        assert!(
+            [',', '}']
+                .iter()
+                .any(|end| json.contains(&format!("{entry}{end}"))),
+            "JSON lacks {entry}"
+        );
+    };
+    for (key, v) in reg.counters() {
+        has_line(format!("{key} {v}"));
+        has_json(key, v.to_string());
     }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
+    for (key, v) in reg.gauges() {
+        has_line(format!("{key} {v}"));
+        has_json(key, v.to_string());
     }
-
-    fn peek_is(&mut self, c: char) -> bool {
-        self.skip_ws();
-        self.bytes.get(self.pos) == Some(&(c as u8))
-    }
-
-    fn expect(&mut self, c: char) -> Result<(), String> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&(c as u8)) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected {c:?} at byte {}, found {:?}",
-                self.pos,
-                self.bytes.get(self.pos).map(|&b| b as char)
-            ))
-        }
-    }
-
-    /// Consumes `,` (returning true) or `close` (returning false).
-    fn comma_or(&mut self, close: char) -> Result<bool, String> {
-        self.skip_ws();
-        match self.bytes.get(self.pos) {
-            Some(b',') => {
-                self.pos += 1;
-                Ok(true)
-            }
-            Some(&b) if b == close as u8 => {
-                self.pos += 1;
-                Ok(false)
-            }
-            other => Err(format!(
-                "expected ',' or {close:?} at byte {}, found {:?}",
-                self.pos,
-                other.map(|&b| b as char)
-            )),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect('"')?;
-        let start = self.pos;
-        let mut escaped = false;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b'"' {
-                let raw =
-                    std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
-                self.pos += 1;
-                return Ok(if escaped {
-                    // Undo the `\"` / `\\` escapes escape_json produced.
-                    let mut s = String::with_capacity(raw.len());
-                    let mut chars = raw.chars();
-                    while let Some(c) = chars.next() {
-                        s.push(if c == '\\' {
-                            chars.next().ok_or("dangling escape")?
-                        } else {
-                            c
-                        });
-                    }
-                    s
-                } else {
-                    raw.to_string()
-                });
-            }
-            if b == b'\\' {
-                match self.bytes.get(self.pos + 1) {
-                    Some(b'"') | Some(b'\\') => {
-                        escaped = true;
-                        self.pos += 1;
-                    }
-                    _ => return Err("unsupported escape sequence".to_string()),
-                }
-            }
-            self.pos += 1;
-        }
-        Err("unterminated string".to_string())
-    }
-
-    /// Consumes one JSON value of the supported dialect (object, array,
-    /// string, integer), discarding its content.
-    fn value(&mut self) -> Result<(), String> {
-        self.skip_ws();
-        match self.bytes.get(self.pos) {
-            Some(b'{') => {
-                self.pos += 1;
-                if self.peek_is('}') {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                loop {
-                    self.string()?;
-                    self.expect(':')?;
-                    self.value()?;
-                    if !self.comma_or('}')? {
-                        return Ok(());
-                    }
-                }
-            }
-            Some(b'[') => {
-                self.pos += 1;
-                if self.peek_is(']') {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                loop {
-                    self.value()?;
-                    if !self.comma_or(']')? {
-                        return Ok(());
-                    }
-                }
-            }
-            Some(b'"') => self.string().map(|_| ()),
-            _ => self.integer().map(|_| ()),
-        }
-    }
-
-    fn integer(&mut self) -> Result<i64, String> {
-        self.skip_ws();
-        let start = self.pos;
-        if self.bytes.get(self.pos) == Some(&b'-') {
-            self.pos += 1;
-        }
-        while self.bytes.get(self.pos).is_some_and(|b| b.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| format!("expected integer at byte {start}"))
-    }
-
-    fn end(&mut self) -> Result<(), String> {
-        self.skip_ws();
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(format!("trailing data at byte {}", self.pos))
-        }
+    for (name, h) in reg.histograms() {
+        has_line(format!("{name}_count {}", h.count()));
+        has_line(format!("{name}_sum {}", h.sum()));
+        has_json(
+            name,
+            format!("{{\"count\":{},\"sum\":{}", h.count(), h.sum()),
+        );
     }
 }
 
@@ -1028,38 +676,53 @@ mod tests {
         reg
     }
 
+    /// `sample_registry()` in Prometheus text format.
+    const SAMPLE_PROMETHEUS: &str = r#"# TYPE rds_errors_total counter
+rds_errors_total 3
+# TYPE rds_queries_total counter
+rds_queries_total 42
+# TYPE rds_shards gauge
+rds_shards 4
+# TYPE rds_solve_latency_us histogram
+rds_solve_latency_us_bucket{le="15"} 2
+rds_solve_latency_us_bucket{le="127"} 3
+rds_solve_latency_us_bucket{le="2047"} 5
+rds_solve_latency_us_bucket{le="131071"} 6
+rds_solve_latency_us_bucket{le="+Inf"} 6
+rds_solve_latency_us_sum 93101
+rds_solve_latency_us_count 6
+rds_solve_latency_us_min 9
+rds_solve_latency_us_max 90000
+"#;
+
+    /// `sample_registry()` as JSON.
+    const SAMPLE_JSON: &str = r#"{"counters":{"rds_errors_total":3,"rds_queries_total":42},"gauges":{"rds_shards":4},"histograms":{"rds_solve_latency_us":{"count":6,"sum":93101,"min":9,"max":90000,"buckets":[[3,2],[6,1],[10,2],[16,1]]}}}"#;
+
     #[test]
-    fn prometheus_round_trips() {
+    fn sample_registry_exports_pinned_text() {
         let reg = sample_registry();
-        let text = reg.to_prometheus();
-        assert!(text.contains("# TYPE rds_queries_total counter"));
-        assert!(text.contains("rds_queries_total 42"));
-        assert!(text.contains("# TYPE rds_solve_latency_us histogram"));
-        assert!(text.contains("rds_solve_latency_us_bucket{le=\"+Inf\"} 6"));
-        let parsed = MetricsRegistry::parse_prometheus(&text).unwrap();
-        assert_eq!(parsed, reg);
+        let (prom, json) = (reg.to_prometheus(), reg.to_json());
+        assert_eq!(prom, SAMPLE_PROMETHEUS);
+        assert_eq!(json, SAMPLE_JSON);
+        assert_exported(&reg, &prom, &json);
     }
 
     #[test]
-    fn json_round_trips() {
+    #[should_panic(expected = "Prometheus lacks rds_queries_total 42")]
+    fn assert_exported_catches_a_wrong_value() {
         let reg = sample_registry();
-        let json = reg.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        let parsed = MetricsRegistry::parse_json(&json).unwrap();
-        assert_eq!(parsed, reg);
-        // Whitespace tolerance.
-        let spaced = json.replace(':', ": ").replace(',', ",\n");
-        assert_eq!(MetricsRegistry::parse_json(&spaced).unwrap(), reg);
+        let prom = reg.to_prometheus().replace(" 42", " 41");
+        assert_exported(&reg, &prom, &reg.to_json());
     }
 
     #[test]
-    fn empty_registry_round_trips() {
+    fn empty_registry_exports_pinned_text() {
         let reg = MetricsRegistry::new();
+        assert_eq!(reg.to_prometheus(), "");
         assert_eq!(
-            MetricsRegistry::parse_prometheus(&reg.to_prometheus()).unwrap(),
-            reg
+            reg.to_json(),
+            r#"{"counters":{},"gauges":{},"histograms":{}}"#
         );
-        assert_eq!(MetricsRegistry::parse_json(&reg.to_json()).unwrap(), reg);
     }
 
     fn labeled_registry() -> MetricsRegistry {
@@ -1086,9 +749,27 @@ mod tests {
         reg
     }
 
+    /// `labeled_registry()` plus help text with a quote and a backslash,
+    /// in Prometheus text format: one `# TYPE` header per base name, and
+    /// help for a name with no series last.
+    const LABELED_PROMETHEUS: &str = r#"# HELP rds_serve_rejected_total Rejections by reason and class
+# TYPE rds_serve_rejected_total counter
+rds_serve_rejected_total{class="batch",reason="queue_full"} 7
+rds_serve_rejected_total{class="standard",reason="shed_low_priority"} 2
+# TYPE rds_serve_rejected_total_audits counter
+rds_serve_rejected_total_audits 1
+# TYPE rds_slo_latency_burn_milli gauge
+rds_slo_latency_burn_milli{class="interactive",window="fast"} 1500
+# HELP rds_quote contains "quotes" and a \ backslash
+"#;
+
+    /// The same registry as JSON, with `"` and `\` escaped.
+    const LABELED_JSON: &str = r#"{"counters":{"rds_serve_rejected_total_audits":1,"rds_serve_rejected_total{class=\"batch\",reason=\"queue_full\"}":7,"rds_serve_rejected_total{class=\"standard\",reason=\"shed_low_priority\"}":2},"gauges":{"rds_slo_latency_burn_milli{class=\"interactive\",window=\"fast\"}":1500},"histograms":{},"help":{"rds_quote":"contains \"quotes\" and a \\ backslash","rds_serve_rejected_total":"Rejections by reason and class"}}"#;
+
     #[test]
-    fn labels_are_sorted_and_round_trip_prometheus() {
-        let reg = labeled_registry();
+    fn labeled_registry_exports_pinned_text() {
+        let mut reg = labeled_registry();
+        reg.set_help("rds_quote", "contains \"quotes\" and a \\ backslash");
         // Label order at insertion is irrelevant.
         assert_eq!(
             reg.counter_labeled(
@@ -1097,50 +778,10 @@ mod tests {
             ),
             Some(7)
         );
-        let text = reg.to_prometheus();
-        assert!(text.contains("# HELP rds_serve_rejected_total Rejections by reason and class"));
-        assert!(text.contains("rds_serve_rejected_total{class=\"batch\",reason=\"queue_full\"} 7"));
-        // One TYPE header per base name, even with multiple series.
-        assert_eq!(
-            text.matches("# TYPE rds_serve_rejected_total counter")
-                .count(),
-            1
-        );
-        let parsed = MetricsRegistry::parse_prometheus(&text).unwrap();
-        assert_eq!(parsed, reg);
-    }
-
-    #[test]
-    fn labels_and_help_round_trip_json() {
-        let mut reg = labeled_registry();
-        reg.set_help("rds_quote", "contains \"quotes\" and a \\ backslash");
-        let json = reg.to_json();
-        let parsed = MetricsRegistry::parse_json(&json).unwrap();
-        assert_eq!(parsed, reg);
-        assert_eq!(
-            parsed.help("rds_quote"),
-            Some("contains \"quotes\" and a \\ backslash")
-        );
-    }
-
-    #[test]
-    fn dangling_help_survives_prometheus_round_trip() {
-        let mut reg = MetricsRegistry::new();
-        reg.set_help("rds_future_metric", "declared but never sampled");
-        let text = reg.to_prometheus();
-        assert!(text.contains("# HELP rds_future_metric declared but never sampled"));
-        assert_eq!(MetricsRegistry::parse_prometheus(&text).unwrap(), reg);
-    }
-
-    #[test]
-    fn parse_json_value_accepts_the_emitted_dialect() {
-        parse_json_value("{\"a\": [1, 2, {\"b\": \"c\"}], \"d\": -5}").unwrap();
-        parse_json_value("  [ ]  ").unwrap();
-        parse_json_value("\"with \\\"escape\\\"\"").unwrap();
-        assert!(parse_json_value("{\"a\":}").is_err());
-        assert!(parse_json_value("[1,]").is_err());
-        assert!(parse_json_value("true").is_err());
-        assert!(parse_json_value("{} trailing").is_err());
+        let (prom, json) = (reg.to_prometheus(), reg.to_json());
+        assert_eq!(prom, LABELED_PROMETHEUS);
+        assert_eq!(json, LABELED_JSON);
+        assert_exported(&reg, &prom, &json);
     }
 
     #[test]
@@ -1151,14 +792,5 @@ mod tests {
         assert!(!valid_series("rds_ok{a=1}"));
         assert!(!valid_series("rds_ok{a=\"quote\\\"inside\"}"));
         assert!(!valid_series("{a=\"1\"}"));
-    }
-
-    #[test]
-    fn parsers_reject_garbage() {
-        assert!(MetricsRegistry::parse_prometheus("oops 1").is_err());
-        assert!(MetricsRegistry::parse_prometheus("# TYPE x counter\nx notanumber").is_err());
-        assert!(MetricsRegistry::parse_json("{").is_err());
-        assert!(MetricsRegistry::parse_json("{\"bogus\":{}}").is_err());
-        assert!(MetricsRegistry::parse_json("").is_err());
     }
 }

@@ -34,7 +34,7 @@
 //! * [`metrics`] — monotonic counters, gauges and fixed-bucket (log2)
 //!   latency histograms, with optional `{label="value"}` series and
 //!   `# HELP` text, assembled into a [`metrics::MetricsRegistry`] that
-//!   snapshots to plain structs and round-trips as Prometheus text or
+//!   snapshots to plain structs and exports as Prometheus text or
 //!   JSON. The batch [`crate::engine::Engine`] feeds per-query solve
 //!   times, probes-per-solve and queue→completion times into histograms
 //!   and surfaces p50/p95/p99 through

@@ -1603,12 +1603,20 @@ mod tests {
             SpanOutcome::Rejected(RejectReason::ShuttingDown)
         ));
         let trace = pm.to_chrome_trace();
-        crate::obs::metrics::parse_json_value(&trace).expect("chrome trace is valid JSON");
+        // One complete event per retained span, one instant per phase.
+        assert_eq!(
+            trace.matches("\"ph\": \"X\"").count(),
+            pm.all_spans().count()
+        );
+        assert_eq!(
+            trace.matches("\"ph\": \"i\"").count(),
+            pm.all_spans().map(|s| s.phases().len()).sum::<usize>()
+        );
         let statusz = pm.to_statusz();
         assert!(statusz.contains("DEADLINE-MISSED"));
 
-        // SLO burn metrics reach both exposition formats, and the labeled
-        // rejection counter round-trips.
+        // SLO burn metrics and the labeled rejection counter reach both
+        // exposition formats with their values.
         let reg = report.stats.to_registry();
         assert_eq!(
             reg.counter_labeled(
@@ -1621,7 +1629,6 @@ mod tests {
         assert!(prom.contains("rds_slo_latency_burn_milli"));
         let json = reg.to_json();
         assert!(json.contains("rds_slo_latency_burn_milli"));
-        let round = MetricsRegistry::parse_prometheus(&prom).unwrap();
-        assert_eq!(round, reg);
+        crate::obs::metrics::assert_exported(&reg, &prom, &json);
     }
 }

