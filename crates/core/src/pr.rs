@@ -289,11 +289,11 @@ fn resume_traced<W: ArenaIndex>(
     flow
 }
 
-/// The full Algorithm 6 driver. The
-/// `StoreFlows` rollback state is the graph's flow checkpoint
-/// ([`FlowGraph::checkpoint_flows`]) plus the `stored_excess` buffer;
-/// passing that in (from a [`Workspace`]) makes the per-probe snapshots
-/// allocation-free. Both are one slice copy each way.
+/// The full Algorithm 6 driver. The `StoreFlows` rollback state is the
+/// graph's flow checkpoint ([`FlowGraph::checkpoint_flows`]) plus the
+/// `stored_excess` buffer; passing that in (from a [`Workspace`]) makes
+/// the per-probe snapshots allocation-free. Both are one slice copy each
+/// way.
 pub(crate) fn binary_scaling_integrated<W: ArenaIndex>(
     engine: &mut PushRelabel,
     inst: &RetrievalInstance,
@@ -428,9 +428,8 @@ fn retarget_caps<W: ArenaIndex>(
 /// each probe *retargets* the disk capacities in place, draining orphaned
 /// flow into disk excess that the next resume re-routes. Push-relabel
 /// correctness needs only a valid preflow, so the surgery is safe. With
-/// `binary` false this is the warm Algorithm
-/// 5: skip the probes and run the incremental phase from the
-/// min-cost-prefix capacities at `t_min`.
+/// `binary` false this is the warm Algorithm 5: skip the probes and run
+/// the incremental phase from the min-cost-prefix capacities at `t_min`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn warm_integrated<W: ArenaIndex>(
     engine: &mut PushRelabel,
