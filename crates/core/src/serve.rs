@@ -290,7 +290,8 @@ pub enum ServeClock {
 #[derive(Clone, Debug)]
 #[non_exhaustive]
 pub struct ServeConfig {
-    /// Maximum queued requests per shard before [`Rejected::QueueFull`].
+    /// Maximum queued requests per shard before [`Rejected::QueueFull`]
+    /// (0 serves as 1).
     pub queue_capacity: usize,
     /// Queue depth at which sheddable classes get
     /// [`Rejected::ShedLowPriority`]; `None` disables shedding.
@@ -306,7 +307,7 @@ pub struct ServeConfig {
     /// [`ServeHandle::recv`] before either submitting `batch_max`
     /// requests to a shard or returning from the serve closure.
     pub batch_window: Option<Duration>,
-    /// Maximum requests drained per wakeup.
+    /// Maximum requests drained per wakeup (0 serves as 1).
     pub batch_max: usize,
     /// The serve clock (default [`ServeClock::Real`]).
     pub clock: ServeClock,
@@ -334,7 +335,7 @@ impl Default for ServeConfig {
 impl ServeConfig {
     /// Sets the per-shard queue capacity.
     pub fn queue_capacity(mut self, capacity: usize) -> ServeConfig {
-        self.queue_capacity = capacity.max(1);
+        self.queue_capacity = capacity;
         self
     }
 
@@ -353,7 +354,7 @@ impl ServeConfig {
 
     /// Sets the per-wakeup drain limit.
     pub fn batch_max(mut self, max: usize) -> ServeConfig {
-        self.batch_max = max.max(1);
+        self.batch_max = max;
         self
     }
 
@@ -930,6 +931,13 @@ impl<'a, A: ReplicaSource + Sync, S: RetrievalSolver + Sync> Engine<'a, A, S> {
         config: ServeConfig,
         f: impl FnOnce(&ServeHandle) -> R,
     ) -> ServeReport<R> {
+        // The fields are public, so a zero can arrive past the setters: a
+        // zero `batch_max` would drain nothing on every wakeup, forever.
+        let config = ServeConfig {
+            queue_capacity: config.queue_capacity.max(1),
+            batch_max: config.batch_max.max(1),
+            ..config
+        };
         let started = Instant::now();
         let num_shards = self.shards.len();
         let shared = Arc::new(Shared {

@@ -138,3 +138,41 @@ fn drain_serves_the_backlog_admitted_before_shutdown() {
         assert!(report.unclaimed.iter().all(|r| r.result.is_ok()));
     }
 }
+
+/// A `batch_max` or `queue_capacity` of 0, set through `ServeConfig`'s
+/// public fields, must still admit and answer every request, as with
+/// both at 1. The serve runs on its own thread so that a worker stuck on
+/// empty drains fails the test in seconds instead of stalling it.
+#[test]
+fn zeroed_batch_max_and_queue_capacity_still_serve() {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let server = std::thread::spawn(move || {
+        let system = SystemConfig::homogeneous(replicated_retrieval::storage::specs::CHEETAH, 5);
+        let alloc = OrthogonalAllocation::new(5, Placement::SingleSite);
+        let mut engine = Engine::new(&system, &alloc, PushRelabelBinary, 1);
+        for zero_capacity in [false, true] {
+            let mut config = ServeConfig::default().virtual_time();
+            config.batch_max = 0;
+            if zero_capacity {
+                config.queue_capacity = 0;
+            }
+            let report = engine.serve(config, |h| h.submit(QueryRequest::new(0, tiny_query(0))));
+            let served = report.output.is_ok()
+                && report.stats.completed == 1
+                && report.unclaimed.len() == 1
+                && report.unclaimed[0].result.is_ok();
+            let _ = tx.send((zero_capacity, served));
+        }
+    });
+    for zero_capacity in [false, true] {
+        let got = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("serve returned within 10 s");
+        assert_eq!(
+            got,
+            (zero_capacity, true),
+            "queue capacity 0: {zero_capacity}"
+        );
+    }
+    server.join().expect("serve thread");
+}
