@@ -12,24 +12,22 @@
 //!   [`crate::network::RetrievalInstance::rebuild_with_health`] prunes
 //!   offline replicas and scales degraded disk parameters, so **every**
 //!   solver transparently plans around faults.
-//! * [`solve_degraded`] / [`PartialSchedule`] — when a requested bucket
-//!   has lost all of its replicas, a strict solve reports
-//!   [`crate::error::SolveError::Infeasible`] naming the bucket; the
-//!   degraded path instead retrieves the servable subset optimally and
-//!   returns the unservable buckets alongside.
+//! * Best-effort retrieval — when a requested bucket has lost all of its
+//!   replicas, a strict solve reports
+//!   [`crate::error::SolveError::Infeasible`] naming the bucket;
+//!   [`crate::session::RetrievalSession::submit_degraded`] (and the
+//!   engine's degraded mode, which runs the same path) instead retrieves
+//!   the servable subset optimally and reports the unservable buckets in
+//!   [`crate::session::SessionOutcome::unservable`].
 //! * [`FaultInjector`] — a deterministic outage/recovery schedule in
 //!   simulated time (seeded through [`rds_util::SplitMix64`] for random
 //!   schedules). Health at time `t` is a pure function of the schedule,
 //!   so chaos runs are reproducible for any shard count or thread
 //!   interleaving.
 
-use crate::error::SolveError;
-use crate::network::RetrievalInstance;
-use crate::solver::RetrievalSolver;
-use crate::workspace::Workspace;
 use rds_decluster::allocation::ReplicaSource;
 use rds_decluster::query::Bucket;
-use rds_storage::model::{Disk, SystemConfig};
+use rds_storage::model::Disk;
 use rds_storage::time::Micros;
 use rds_util::SplitMix64;
 
@@ -199,37 +197,6 @@ impl HealthMap {
     }
 }
 
-/// A best-effort retrieval result under faults: the optimal schedule over
-/// the buckets that still have a live replica, plus the buckets that have
-/// none.
-#[must_use]
-#[derive(Clone, Debug)]
-pub struct PartialSchedule {
-    /// Solver outcome over the servable subset (empty schedule when no
-    /// bucket is servable). Optimal *for that subset*.
-    pub outcome: crate::schedule::RetrievalOutcome,
-    /// Requested buckets whose every replica is offline, in request
-    /// order.
-    pub unservable: Vec<Bucket>,
-}
-
-impl PartialSchedule {
-    /// True when every requested bucket was retrieved.
-    pub fn is_complete(&self) -> bool {
-        self.unservable.is_empty()
-    }
-
-    /// Number of buckets retrieved.
-    pub fn served(&self) -> usize {
-        self.outcome.schedule.len()
-    }
-
-    /// Number of buckets dropped for lack of a live replica.
-    pub fn dropped(&self) -> usize {
-        self.unservable.len()
-    }
-}
-
 /// Splits `buckets` into (servable, unservable) under `health`: a bucket
 /// is unservable when every one of its replicas sits on an offline disk.
 /// Both output buffers are cleared first; request order is preserved.
@@ -253,42 +220,6 @@ pub fn partition_by_health<A: ReplicaSource + ?Sized>(
             unservable.push(b);
         }
     }
-}
-
-/// Best-effort retrieval under faults: solves the servable subset of
-/// `buckets` optimally (offline replicas pruned, degraded disks scaled)
-/// and reports the unservable remainder instead of failing the whole
-/// query.
-///
-/// Returns `Err` only for solver-internal failures on the servable
-/// subset; losing buckets to outages is *not* an error here — that is the
-/// point of the degraded path.
-pub fn solve_degraded<S: RetrievalSolver + ?Sized, A: ReplicaSource + ?Sized>(
-    solver: &S,
-    system: &SystemConfig,
-    alloc: &A,
-    buckets: &[Bucket],
-    health: &HealthMap,
-    ws: &mut Workspace,
-) -> Result<PartialSchedule, SolveError> {
-    crate::network::check_on_grid(alloc, buckets).map_err(|u| u.infeasible(buckets.len()))?;
-    let mut servable = Vec::new();
-    let mut unservable = Vec::new();
-    partition_by_health(alloc, buckets, health, &mut servable, &mut unservable);
-    let inst = RetrievalInstance::build_with_health(system, alloc, &servable, health)
-        .map_err(|u| u.infeasible(buckets.len()))?;
-    let outcome = solver.solve_in(&inst, ws)?;
-    if !unservable.is_empty() {
-        ws.tracer
-            .emit(crate::obs::trace::TraceEvent::DegradedServe {
-                served: outcome.schedule.len() as u32,
-                dropped: unservable.len() as u32,
-            });
-    }
-    Ok(PartialSchedule {
-        outcome,
-        unservable,
-    })
 }
 
 /// One scheduled health transition in simulated time.
@@ -426,6 +357,7 @@ impl FaultInjector {
 mod tests {
     use super::*;
     use crate::pr::PushRelabelBinary;
+    use crate::session::RetrievalSession;
     use crate::verify::assert_partial_outcome_valid;
     use rds_decluster::orthogonal::OrthogonalAllocation;
     use rds_decluster::query::{Query, RangeQuery};
@@ -564,7 +496,7 @@ mod tests {
     }
 
     #[test]
-    fn solve_degraded_serves_what_it_can() {
+    fn degraded_submit_serves_what_it_can() {
         let system = paper_example();
         let alloc = OrthogonalAllocation::paper_7x7();
         let buckets = RangeQuery::new(0, 0, 3, 2).buckets(7);
@@ -573,64 +505,48 @@ mod tests {
         let b = Bucket::new(0, 0);
         let dead: Vec<usize> = alloc.replicas(b).iter().collect();
         let health = HealthMap::with_offline(&dead);
-        let partial = solve_degraded(
-            &PushRelabelBinary,
-            &system,
-            &alloc,
-            &buckets,
-            &health,
-            &mut Workspace::new(),
-        )
-        .unwrap();
-        assert!(!partial.is_complete());
-        assert_eq!(partial.unservable, vec![b]);
-        assert_eq!(partial.served() + partial.dropped(), buckets.len());
-        assert_partial_outcome_valid(&system, &alloc, &health, &buckets, &partial);
+        let out = RetrievalSession::new(&system, &alloc, PushRelabelBinary)
+            .submit_degraded(Micros::ZERO, &buckets, &health)
+            .unwrap();
+        assert!(!out.is_complete());
+        assert_eq!(out.unservable, vec![b]);
+        assert_eq!(
+            out.outcome.schedule.len() + out.unservable.len(),
+            buckets.len()
+        );
+        assert_partial_outcome_valid(&system, &alloc, &health, &buckets, &out);
     }
 
     #[test]
-    fn solve_degraded_with_all_disks_down_serves_nothing() {
+    fn degraded_submit_with_all_disks_down_serves_nothing() {
         let system = paper_example();
         let alloc = OrthogonalAllocation::paper_7x7();
         let buckets = RangeQuery::new(0, 0, 2, 2).buckets(7);
         let health = HealthMap::with_offline(&(0..14).collect::<Vec<_>>());
-        let partial = solve_degraded(
-            &PushRelabelBinary,
-            &system,
-            &alloc,
-            &buckets,
-            &health,
-            &mut Workspace::new(),
-        )
-        .unwrap();
-        assert_eq!(partial.served(), 0);
-        assert_eq!(partial.dropped(), buckets.len());
-        assert_eq!(partial.outcome.response_time, Micros::ZERO);
-        assert_partial_outcome_valid(&system, &alloc, &health, &buckets, &partial);
+        let out = RetrievalSession::new(&system, &alloc, PushRelabelBinary)
+            .submit_degraded(Micros::ZERO, &buckets, &health)
+            .unwrap();
+        assert_eq!(out.outcome.schedule.len(), 0);
+        assert_eq!(out.unservable.len(), buckets.len());
+        assert_eq!(out.outcome.response_time, Micros::ZERO);
+        assert_partial_outcome_valid(&system, &alloc, &health, &buckets, &out);
     }
 
     #[test]
-    fn solve_degraded_with_no_faults_is_a_full_solve() {
+    fn degraded_submit_with_no_faults_is_a_full_solve() {
         let system = paper_example();
         let alloc = OrthogonalAllocation::paper_7x7();
         let buckets = RangeQuery::new(0, 0, 3, 2).buckets(7);
         let health = HealthMap::all_healthy();
-        let mut ws = Workspace::new();
-        let partial = solve_degraded(
-            &PushRelabelBinary,
-            &system,
-            &alloc,
-            &buckets,
-            &health,
-            &mut ws,
-        )
-        .unwrap();
-        assert!(partial.is_complete());
+        let out = RetrievalSession::new(&system, &alloc, PushRelabelBinary)
+            .submit_degraded(Micros::ZERO, &buckets, &health)
+            .unwrap();
+        assert!(out.is_complete());
         let full = crate::solver::RetrievalSolver::solve(
             &PushRelabelBinary,
-            &RetrievalInstance::build(&system, &alloc, &buckets),
+            &crate::network::RetrievalInstance::build(&system, &alloc, &buckets),
         )
         .unwrap();
-        assert_eq!(partial.outcome.response_time, full.response_time);
+        assert_eq!(out.outcome.response_time, full.response_time);
     }
 }

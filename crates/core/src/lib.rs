@@ -76,9 +76,7 @@ pub use engine::{
     BatchQuery, Engine, EngineBuilder, EngineMetrics, EngineStats, MetricsSnapshot, RetryPolicy,
 };
 pub use error::{EngineError, SessionError, SolveError};
-pub use fault::{
-    solve_degraded, DiskHealth, FaultEvent, FaultInjector, HealthMap, PartialSchedule,
-};
+pub use fault::{DiskHealth, FaultEvent, FaultInjector, HealthMap};
 pub use network::RetrievalInstance;
 pub use obs::metrics::{Histogram, LatencySummary, MetricsRegistry};
 pub use obs::recorder::{FlightRecorder, FlightRecorderConfig, Postmortem, RecorderStats};

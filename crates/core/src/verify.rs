@@ -6,9 +6,10 @@
 //! optimum oracle (linear scan of candidate budgets with a Dinic max-flow,
 //! sharing no code with the solvers under test).
 
-use crate::fault::{HealthMap, PartialSchedule};
+use crate::fault::HealthMap;
 use crate::network::RetrievalInstance;
 use crate::schedule::RetrievalOutcome;
+use crate::session::SessionOutcome;
 use rds_decluster::allocation::ReplicaSource;
 use rds_decluster::query::Bucket;
 use rds_flow::dinic::Dinic;
@@ -81,21 +82,25 @@ pub fn assert_outcome_valid(inst: &RetrievalInstance, outcome: &RetrievalOutcome
     );
 }
 
-/// Asserts the validity of a best-effort [`PartialSchedule`] produced
-/// under `health` for the request `requested`:
+/// Asserts the validity of a best-effort
+/// ([`RetrievalSession::submit_degraded`](crate::session::RetrievalSession::submit_degraded))
+/// outcome produced under `health` for the request `requested`:
 ///
 /// * served and unservable buckets partition the request, in order;
 /// * every unservable bucket truly has all replicas offline, and every
 ///   served bucket has at least one live replica;
 /// * no served bucket is assigned to an offline disk;
 /// * the embedded outcome passes [`assert_outcome_valid`] against the
-///   instance rebuilt from the servable subset under the same health.
+///   instance rebuilt from the servable subset under the same health —
+///   which presents the system's own initial loads, so `partial` must
+///   come from a submit that found every disk idle (e.g. a session's
+///   first).
 pub fn assert_partial_outcome_valid<A: ReplicaSource + ?Sized>(
     system: &SystemConfig,
     alloc: &A,
     health: &HealthMap,
     requested: &[Bucket],
-    partial: &PartialSchedule,
+    partial: &SessionOutcome,
 ) {
     let served: Vec<Bucket> = partial
         .outcome

@@ -70,9 +70,7 @@ pub mod prelude {
             RetryPolicy,
         },
         error::{EngineError, SessionError, SolveError},
-        fault::{
-            solve_degraded, DiskHealth, FaultEvent, FaultInjector, HealthMap, PartialSchedule,
-        },
+        fault::{DiskHealth, FaultEvent, FaultInjector, HealthMap},
         ff::{FordFulkersonBasic, FordFulkersonIncremental},
         network::{RetrievalInstance, UnavailableBucket},
         obs::metrics::{Histogram, LatencySummary, MetricsRegistry},

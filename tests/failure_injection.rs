@@ -253,7 +253,7 @@ fn all_replicas_down_is_typed_infeasibility_for_every_solver() {
 }
 
 #[test]
-fn solve_degraded_serves_the_survivors_for_every_solver() {
+fn degraded_submit_serves_the_survivors_for_every_solver() {
     let system = paper_example();
     let alloc = OrthogonalAllocation::paper_7x7();
     let buckets = RangeQuery::new(0, 0, 2, 3).buckets(7);
@@ -263,20 +263,16 @@ fn solve_degraded_serves_the_survivors_for_every_solver() {
     let health = HealthMap::with_offline(&dead);
 
     for solver in generalized_solvers() {
-        let mut ws = Workspace::new();
-        let partial = replicated_retrieval::core::fault::solve_degraded(
-            solver.as_ref(),
-            &system,
-            &alloc,
-            &buckets,
-            &health,
-            &mut ws,
-        )
-        .unwrap();
+        let partial = RetrievalSession::new(&system, &alloc, solver.as_ref())
+            .submit_degraded(Micros::ZERO, &buckets, &health)
+            .unwrap();
         assert_partial_outcome_valid(&system, &alloc, &health, &buckets, &partial);
         assert!(!partial.is_complete(), "{}", solver.name());
         assert!(partial.unservable.contains(&buckets[1]));
-        assert_eq!(partial.served() + partial.dropped(), buckets.len());
+        assert_eq!(
+            partial.outcome.schedule.len() + partial.unservable.len(),
+            buckets.len()
+        );
     }
 }
 
@@ -345,7 +341,7 @@ fn engine_infeasible_at(err: &EngineError, b: Bucket) -> bool {
 
 /// Runs every off-grid bucket, behind two on-grid ones, through the
 /// instance builders, the session (strict and best-effort),
-/// `solve_degraded`, `submit_batch` and `Engine::serve`, with all disks
+/// `submit_batch` and `Engine::serve`, with all disks
 /// up and with disk 0 offline. Every path reports the off-grid bucket as
 /// typed infeasibility, never a schedule, a panic or a failed shard.
 fn off_grid_paths<A: ReplicaSource + Sync>(alloc: &A) {
@@ -405,17 +401,6 @@ fn off_grid_paths<A: ReplicaSource + Sync>(alloc: &A) {
                 )
                 .unwrap();
             assert_eq!(ok.outcome.flow_value, 3, "{case}");
-
-            let err = solve_degraded(
-                &PushRelabelBinary,
-                &system,
-                alloc,
-                &query,
-                &health,
-                &mut Workspace::new(),
-            )
-            .unwrap_err();
-            assert!(infeasible_at(&err, off), "solve_degraded: {case}: {err:?}");
 
             // One stream submits the off-grid query between two valid
             // ones; a second stream runs valid queries alongside.
