@@ -118,7 +118,10 @@ fn run_engine(
     let started = Instant::now();
     let mut spec = SolverSpec::new(SolverKind::PushRelabelBinary);
     if warm {
-        spec = spec.warm_start(true).cache_capacity(32);
+        spec = spec.reuse(ReusePolicy {
+            warm_start: true,
+            cache_capacity: 32,
+        });
     }
     let builder = Engine::builder(system, alloc).solver_spec(spec);
     let mut engine = builder.build();
@@ -191,7 +194,7 @@ fn main() -> ExitCode {
          # warm-path optimality verified per step against the oracle.\n\
          #\n\
          # rebuild: Engine, reuse off — instance rebuilt per query.\n\
-         # warm:    SolverSpec::new(..).warm_start(true).cache_capacity(32)\n\
+         # warm:    SolverSpec::new(..).reuse(ReusePolicy {{ warm_start: true, cache_capacity: 32 }})\n\
          #\n\
          # best of {repeat} runs:\n\
          rebuild_ms         {cold_ms:.3}\n\

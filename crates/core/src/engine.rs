@@ -70,14 +70,13 @@ use crate::error::{EngineError, SessionError, SolveError};
 use crate::fault::{FaultInjector, HealthMap};
 use crate::obs::metrics::{Histogram, LatencySummary, MetricsRegistry};
 use crate::obs::recorder::{FlightRecorder, FlightRecorderConfig, Postmortem, RecorderStats};
-use crate::obs::slo::SloPolicy;
 use crate::obs::span::{PhaseKind, QuerySpan, SpanId, SpanOutcome};
 use crate::obs::trace::{EventKind, TraceEvent};
 use crate::schedule::SolveStats;
 use crate::serve::{Admission, ServeError, ServeResponse, ServeTally};
-use crate::session::{ReuseCounters, ReusePolicy, SessionOutcome, SessionState};
+use crate::session::{ReuseCounters, SessionOutcome, SessionState};
 use crate::solver::RetrievalSolver;
-use crate::spec::{AnySolver, ScheduleObjective, SolveBudget, SolverKind, SolverSpec};
+use crate::spec::{AnySolver, SolverKind, SolverSpec};
 use crate::workspace::Workspace;
 use rds_decluster::allocation::ReplicaSource;
 use rds_decluster::query::Bucket;
@@ -452,11 +451,9 @@ pub(crate) struct DrainCtx<'c, A: ?Sized, S: ?Sized> {
     pub(crate) injector: Option<&'c FaultInjector>,
     pub(crate) retry: RetryPolicy,
     pub(crate) degraded: bool,
-    pub(crate) reuse: ReusePolicy,
-    pub(crate) objective: ScheduleObjective,
-    /// The engine budget, armed before every solve (tightened to the
-    /// deadline under the wall clock).
-    pub(crate) budget: SolveBudget,
+    /// The engine's solve policy. Its budget is armed before every solve
+    /// (tightened to the deadline under the wall clock).
+    pub(crate) spec: &'c SolverSpec,
     /// The pool fused drains run their groups on; `None` unless
     /// [`SolverSpec::batch_fuse`] is on.
     pub(crate) fuse: Option<&'c WorkerPool>,
@@ -827,14 +824,6 @@ impl Shard {
     }
 }
 
-/// Creates the session state for a stream's first query under `ctx`'s
-/// policies.
-fn new_stream_state<A: ?Sized, S: ?Sized>(ctx: &DrainCtx<'_, A, S>) -> SessionState {
-    let mut s = SessionState::with_reuse(ctx.system.num_disks(), ctx.reuse);
-    s.set_objective(ctx.objective);
-    s
-}
-
 /// The engine's only unwind guard: execute runs each solve, and drops
 /// each panic payload, under it.
 fn guard<R>(f: impl FnOnce() -> R) -> std::thread::Result<R> {
@@ -859,7 +848,7 @@ fn execute<A: ReplicaSource + ?Sized, S: RetrievalSolver + ?Sized>(
     // SLA deadline (on top of the engine budget). Simulated time defines
     // queue wait as zero and keeps the engine budget, so results stay
     // deterministic.
-    let mut budget = ctx.budget;
+    let mut budget = ctx.spec.budget;
     let mut queued = Micros::ZERO;
     if let (ProbeClock::Wall(_), Some(a)) = (ctx.clock, item.admission) {
         queued = Micros::from_micros(a.enqueued.elapsed().as_micros() as u64);
@@ -886,7 +875,8 @@ fn execute<A: ReplicaSource + ?Sized, S: RetrievalSolver + ?Sized>(
     let mut replans = Replans::default();
     let started = Instant::now();
     let caught = guard(|| {
-        let st = state.get_or_insert_with(|| new_stream_state(ctx));
+        let st =
+            state.get_or_insert_with(|| SessionState::from_spec(ctx.system.num_disks(), ctx.spec));
         run_one_core(ctx, q, st, workspace, health, deadline, &mut replans)
     });
     let solve_us = started.elapsed().as_micros() as u64;
@@ -1017,10 +1007,10 @@ pub struct Engine<'a, A: ReplicaSource + Sync, S: RetrievalSolver + Sync> {
     pub(crate) injector: Option<FaultInjector>,
     pub(crate) retry: RetryPolicy,
     pub(crate) degraded: bool,
-    pub(crate) reuse: ReusePolicy,
-    pub(crate) objective: ScheduleObjective,
-    pub(crate) budget: SolveBudget,
-    pub(crate) slo: SloPolicy,
+    /// The solve policy: every stream's reuse and objective, the budget,
+    /// and the SLOs the serving loop tracks. An engine around a
+    /// caller-supplied solver ([`Engine::new`]) runs the default policy.
+    pub(crate) spec: SolverSpec,
     /// Spans of submissions the serving loop *rejected* at admission
     /// (they never reach a shard, so they get their own recorder).
     pub(crate) rejections: FlightRecorder,
@@ -1057,22 +1047,14 @@ pub struct EngineBuilder<'a, A: ReplicaSource + Sync> {
     alloc: &'a A,
     spec: SolverSpec,
     shards: usize,
-    retry: RetryPolicy,
-    degraded: bool,
-    injector: Option<FaultInjector>,
     tracing: Option<usize>,
     flight_recorder: Option<FlightRecorderConfig>,
 }
 
 impl<'a, A: ReplicaSource + Sync> EngineBuilder<'a, A> {
-    /// Selects the algorithm ([`SolverKind::PushRelabelBinary`] is the
-    /// default), keeping the other solver knobs.
-    pub fn solver(mut self, kind: SolverKind) -> Self {
-        self.spec.kind = kind;
-        self
-    }
-
-    /// Replaces the whole [`SolverSpec`] (kind and knobs).
+    /// Sets the [`SolverSpec`]: the kind and the whole solve policy
+    /// (default: [`SolverKind::PushRelabelBinary`] under
+    /// [`SolverSpec::new`]'s policy).
     pub fn solver_spec(mut self, spec: SolverSpec) -> Self {
         self.spec = spec;
         self
@@ -1084,30 +1066,11 @@ impl<'a, A: ReplicaSource + Sync> EngineBuilder<'a, A> {
         self
     }
 
-    /// Replanning policy for infeasible queries.
-    pub fn retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// Enables the best-effort degraded fallback.
-    pub fn degraded_mode(mut self, degraded: bool) -> Self {
-        self.degraded = degraded;
-        self
-    }
-
-    /// Installs a fault schedule.
-    pub fn fault_injector(mut self, injector: FaultInjector) -> Self {
-        self.injector = Some(injector);
-        self
-    }
-
     /// Installs a ring-buffer trace [`crate::obs::trace::Recorder`] of
     /// `capacity` events in every shard's workspace, so solver-phase
     /// [`TraceEvent`]s are captured. Per-kind counts stay exact even
     /// after the ring wraps; merged counts are surfaced by
-    /// [`Engine::trace_counts`] and [`Engine::metrics_snapshot`]. No-op
-    /// without the `trace` feature.
+    /// [`Engine::trace_counts`] and [`Engine::metrics_snapshot`].
     pub fn tracing(mut self, capacity: usize) -> Self {
         self.tracing = Some(capacity);
         self
@@ -1122,7 +1085,10 @@ impl<'a, A: ReplicaSource + Sync> EngineBuilder<'a, A> {
         self
     }
 
-    /// Materializes the engine.
+    /// Materializes the engine. Fault handling (injector, retries,
+    /// degraded mode) is set on the built engine, by
+    /// [`Engine::with_fault_injector`], [`Engine::with_retry_policy`] and
+    /// [`Engine::with_degraded_mode`].
     ///
     /// With [`SolverSpec::batch_fuse`] this creates **one** [`WorkerPool`]
     /// sized from [`SolverSpec::parallelism`], shared by every shard, so
@@ -1138,13 +1104,7 @@ impl<'a, A: ReplicaSource + Sync> EngineBuilder<'a, A> {
             WorkerPool::new(threads)
         });
         let mut engine = Engine::new(self.system, self.alloc, self.spec.build(), self.shards);
-        engine.reuse = self.spec.reuse_policy();
-        engine.objective = self.spec.objective;
-        engine.budget = self.spec.budget;
-        engine.slo = self.spec.slo;
-        engine.retry = self.retry;
-        engine.degraded = self.degraded;
-        engine.injector = self.injector;
+        engine.spec = self.spec;
         for shard in &mut engine.shards {
             shard.workspace.set_arena_layout(self.spec.arena_layout);
             if let Some(capacity) = self.tracing {
@@ -1171,9 +1131,6 @@ impl<'a, A: ReplicaSource + Sync> Engine<'a, A, AnySolver> {
             alloc,
             spec: SolverSpec::new(SolverKind::PushRelabelBinary),
             shards: 1,
-            retry: RetryPolicy::default(),
-            degraded: false,
-            injector: None,
             tracing: None,
             flight_recorder: None,
         }
@@ -1199,10 +1156,7 @@ impl<'a, A: ReplicaSource + Sync, S: RetrievalSolver + Sync> Engine<'a, A, S> {
             injector: None,
             retry: RetryPolicy::default(),
             degraded: false,
-            reuse: ReusePolicy::default(),
-            objective: ScheduleObjective::default(),
-            budget: SolveBudget::UNLIMITED,
-            slo: SloPolicy::default(),
+            spec: SolverSpec::new(SolverKind::PushRelabelBinary),
             rejections: FlightRecorder::default(),
             pool: None,
         }
@@ -1336,9 +1290,7 @@ impl<'a, A: ReplicaSource + Sync, S: RetrievalSolver + Sync> Engine<'a, A, S> {
             injector: self.injector.as_ref(),
             retry: self.retry,
             degraded: self.degraded,
-            reuse: self.reuse,
-            objective: self.objective,
-            budget: self.budget,
+            spec: &self.spec,
             fuse: self.pool.as_ref(),
             clock,
         };
@@ -1420,6 +1372,7 @@ mod tests {
     use crate::network::RetrievalInstance;
     use crate::pr::PushRelabelBinary;
     use crate::schedule::RetrievalOutcome;
+    use crate::session::ReusePolicy;
     use crate::spec::ArenaLayout;
     use rds_decluster::allocation::Placement;
     use rds_decluster::orthogonal::OrthogonalAllocation;
@@ -1814,15 +1767,10 @@ mod tests {
         let results = engine.submit_batch(&queries);
         assert!(results.iter().all(|r| r.is_ok()));
         let counts = engine.trace_counts();
-        // Without the `trace` feature the recorder is compiled out.
-        if cfg!(feature = "trace") {
-            assert!(
-                counts[EventKind::PlaneCheckout as usize] > 0,
-                "lane checkouts visible through the shard recorder"
-            );
-        } else {
-            assert_eq!(counts, [0u64; EventKind::COUNT]);
-        }
+        assert!(
+            counts[EventKind::PlaneCheckout as usize] > 0,
+            "lane checkouts visible through the shard recorder"
+        );
         let reg = engine.metrics_snapshot().to_registry();
         assert!(engine.stats().fused_batches >= 1);
         assert!(reg.to_prometheus().contains("rds_fuse_batches_total"));

@@ -34,6 +34,15 @@
 //! [`session::RetrievalSession`] (one stream with load feedback) or the
 //! sharded batch [`engine::Engine`].
 //!
+//! One [`spec::SolverSpec`] carries the whole solve policy — solver kind,
+//! cross-query reuse, schedule objective, anytime budget, arena width,
+//! SLOs and fused drains — and both take it whole:
+//! [`session::RetrievalSession::from_spec`] and
+//! [`engine::EngineBuilder::solver_spec`]. The engine's fault handling
+//! (`with_fault_injector`, `with_retry_policy`, `with_degraded_mode`) is
+//! set on the built engine, because a fault schedule changes between
+//! runs; tracing is a run-time switch ([`engine::EngineBuilder::tracing`]).
+//!
 //! ## Example
 //!
 //! ```
@@ -82,7 +91,7 @@ pub use obs::metrics::{Histogram, LatencySummary, MetricsRegistry};
 pub use obs::recorder::{FlightRecorder, FlightRecorderConfig, Postmortem, RecorderStats};
 pub use obs::slo::{ClassSloReport, SloPolicy, SloReport, SloTarget};
 pub use obs::span::{PhaseKind, PhaseRecord, QuerySpan, RejectReason, SpanId, SpanOutcome};
-pub use obs::trace::{EventKind, Recorder, TraceEvent, TraceSink, Tracer};
+pub use obs::trace::{EventKind, Recorder, TraceEvent, Tracer};
 pub use schedule::{RetrievalOutcome, Schedule, SolveStats};
 pub use serve::{
     PriorityClass, QueryRequest, Rejected, ServeClock, ServeConfig, ServeError, ServeHandle,

@@ -8,11 +8,12 @@
 //!
 //! * [`trace`] — a lightweight typed event tracer. Solvers, sessions and
 //!   the engine emit [`trace::TraceEvent`]s through the [`trace::Tracer`]
-//!   embedded in every [`crate::workspace::Workspace`]; a
-//!   [`trace::TraceSink`] (such as the ring-buffer [`trace::Recorder`])
-//!   receives them. With no sink installed an emit is one branch; with the
-//!   `trace` Cargo feature disabled the sink machinery compiles to
-//!   nothing.
+//!   embedded in every [`crate::workspace::Workspace`]; the ring-buffer
+//!   [`trace::Recorder`], when installed, receives them. Tracing is a
+//!   run-time switch ([`crate::engine::EngineBuilder::tracing`],
+//!   [`crate::workspace::Workspace::install_recorder`] and
+//!   [`crate::workspace::Workspace::disable_tracing`]), not a build
+//!   option.
 //! * [`span`] — per-query causal timelines. The serving loop mints a
 //!   [`span::QuerySpan`] at admission; the always-compiled span channel
 //!   inside the tracer bridges coarse solver events (probes, cache hits,
@@ -42,17 +43,14 @@
 //!
 //! ## Overhead contract
 //!
-//! * `trace` feature **off**: [`trace::Tracer::emit`] still forwards to
-//!   the always-compiled span channel — one `Option` branch per event
-//!   while no span is armed (the serving loop arms spans only around its
-//!   own queries; batch and session solves never pay more than the
-//!   branch). The sink machinery is dead code the optimizer removes: no
-//!   allocation, no atomic.
-//! * `trace` feature **on**, no sink installed (the default): the span
-//!   branch plus one `Option` branch per event.
-//! * Sink installed: one indirect call per event; the ring-buffer
-//!   [`trace::Recorder`] never allocates after construction (old events
-//!   are overwritten, per-kind counts stay exact).
+//! * No recorder installed (the default): [`trace::Tracer::emit`] costs
+//!   two `Option` branches per event — the span channel's while no span
+//!   is armed (the serving loop arms spans only around its own queries)
+//!   and the recorder's. No allocation, no atomic.
+//! * Recorder installed: one in-place ring write and one counter
+//!   increment per event; the [`trace::Recorder`] never allocates after
+//!   construction (old events are overwritten, per-kind counts stay
+//!   exact).
 //! * Span armed: bridged (coarse) events additionally cost one clock
 //!   read and one bounded push into a pre-allocated buffer; hot
 //!   per-operation events (augments, relabel passes, capacity

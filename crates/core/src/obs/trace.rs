@@ -1,29 +1,28 @@
 //! Typed solver-phase event tracing.
 //!
 //! Every [`crate::workspace::Workspace`] carries a [`Tracer`]; the solver
-//! drivers, [`crate::session::SessionState`], the fault layer and the
-//! batch [`crate::engine::Engine`] emit [`TraceEvent`]s through it at the
+//! drivers, [`crate::session::SessionState`] and the batch
+//! [`crate::engine::Engine`] emit [`TraceEvent`]s through it at the
 //! phase boundaries the paper's algorithms define: binary-search probes
 //! (Algorithm 6 lines 12–37), augmenting-path searches (Algorithms 1–3),
 //! push-relabel resumes (Algorithms 4–6), `IncrementMinCost` steps
-//! (Algorithm 3), plus the serving-layer transitions added by the fault
-//! and engine PRs (retries, health changes, shard batches).
+//! (Algorithm 3), plus the serving-layer transitions (retries, health
+//! changes, shard batches).
 //!
 //! Events are small `Copy` values. Emission goes through exactly one
-//! indirection — [`Tracer::emit`] — which forwards to the always-compiled
-//! span channel (one `Option` branch while no
-//! [`QuerySpan`] is armed) and then to the
-//! feature-gated sink: compiled out entirely when the `trace` Cargo
-//! feature is off, a single `Option` branch when it is on but no sink is
-//! installed. See the overhead contract in [`crate::obs`].
+//! call — [`Tracer::emit`] — which forwards to the span channel (one
+//! `Option` branch while no [`QuerySpan`] is armed) and to the ring
+//! [`Recorder`] (one more `Option` branch while none is installed).
+//! Tracing is switched at run time only; see the overhead contract in
+//! [`crate::obs`].
 
 use crate::obs::span::{PhaseKind, QuerySpan, SpanCollector};
 use rds_storage::time::Micros;
 
 /// One solver-phase event.
 ///
-/// Marked `#[non_exhaustive]`: future PRs may add phases, so sinks must
-/// tolerate unknown variants (match with a `_` arm).
+/// Marked `#[non_exhaustive]`: more phases may be added, so consumers
+/// must tolerate unknown variants (match with a `_` arm).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum TraceEvent {
@@ -248,24 +247,7 @@ impl TraceEvent {
     }
 }
 
-/// A consumer of trace events.
-///
-/// Implementations must be cheap: sinks run inline on the solver hot
-/// path. The provided [`Recorder`] is the canonical in-memory sink;
-/// custom sinks (a logger, a test probe) implement this trait and are
-/// installed with [`crate::workspace::Workspace::set_trace_sink`].
-pub trait TraceSink: Send {
-    /// Receives one event.
-    fn record(&mut self, event: TraceEvent);
-}
-
-impl<F: FnMut(TraceEvent) + Send> TraceSink for F {
-    fn record(&mut self, event: TraceEvent) {
-        self(event)
-    }
-}
-
-/// Fixed-capacity ring-buffer sink: keeps the most recent `capacity`
+/// Fixed-capacity ring buffer of trace events: keeps the most recent `capacity`
 /// events and exact per-kind totals for everything ever recorded.
 ///
 /// Never allocates after construction — when the ring is full the oldest
@@ -294,6 +276,19 @@ impl Recorder {
             head: 0,
             dropped: 0,
             counts: [0; EventKind::COUNT],
+        }
+    }
+
+    /// Records one event: counts it, and retains it in the ring,
+    /// overwriting the oldest event once the ring is full.
+    pub fn record(&mut self, event: TraceEvent) {
+        self.counts[event.kind() as usize] += 1;
+        if self.ring.len() < self.cap {
+            self.ring.push(event);
+        } else {
+            self.ring[self.head] = event;
+            self.head = (self.head + 1) % self.cap;
+            self.dropped += 1;
         }
     }
 
@@ -359,77 +354,38 @@ impl Recorder {
     }
 }
 
-impl TraceSink for Recorder {
-    fn record(&mut self, event: TraceEvent) {
-        self.counts[event.kind() as usize] += 1;
-        if self.ring.len() < self.cap {
-            self.ring.push(event);
-        } else {
-            self.ring[self.head] = event;
-            self.head = (self.head + 1) % self.cap;
-            self.dropped += 1;
-        }
-    }
-}
-
 /// The per-workspace emission point.
 ///
-/// Every tracer carries the always-compiled [`SpanCollector`] — the
-/// channel the serving loop uses to capture per-query timelines; while
-/// no span is armed it costs one `Option` branch per emit (the path the
-/// `engine_speedup` and `span_overhead` benches guard). The sink half is
-/// feature-gated: with `trace` on, a tracer additionally holds either
-/// nothing (one more branch per emit), a [`Recorder`] (typed access
-/// preserved for [`crate::engine::Engine`] scraping), or an arbitrary
-/// boxed [`TraceSink`].
+/// Every tracer carries the span channel — the [`SpanCollector`] the
+/// serving loop uses to capture per-query timelines — and, once
+/// [`Tracer::install_recorder`] runs, a ring [`Recorder`] the
+/// [`crate::engine::Engine`] scrapes for per-kind counts. While no span
+/// is armed and no recorder is installed, an emit costs two `Option`
+/// branches (the path the `engine_speedup` and `span_overhead` benches
+/// guard).
 #[derive(Debug, Default)]
 pub struct Tracer {
-    #[cfg(feature = "trace")]
-    sink: Sink,
-    /// The always-compiled span channel (see [`crate::obs::span`]).
+    /// The ring recorder, when tracing is on.
+    recorder: Option<Recorder>,
+    /// The span channel (see [`crate::obs::span`]).
     spans: SpanCollector,
 }
 
-#[cfg(feature = "trace")]
-#[derive(Debug, Default)]
-enum Sink {
-    #[default]
-    None,
-    Ring(Recorder),
-    Custom(DynSink),
-}
-
-#[cfg(feature = "trace")]
-struct DynSink(Box<dyn TraceSink>);
-
-#[cfg(feature = "trace")]
-impl std::fmt::Debug for DynSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("TraceSink")
-    }
-}
-
 impl Tracer {
-    /// A tracer with no sink (emits are branches or, feature-off,
-    /// nothing).
+    /// A tracer with no recorder installed.
     pub fn disabled() -> Tracer {
         Tracer::default()
     }
 
     /// Emits one event. The hot-path call: inline, one span-channel
-    /// branch while no span is armed, plus (with the `trace` feature)
-    /// one branch without a sink.
+    /// branch while no span is armed, one recorder branch while none is
+    /// installed.
     #[inline]
     pub fn emit(&mut self, event: TraceEvent) {
         self.spans.observe(&event);
-        #[cfg(feature = "trace")]
-        match &mut self.sink {
-            Sink::None => {}
-            Sink::Ring(r) => r.record(event),
-            Sink::Custom(s) => s.0.record(event),
+        if let Some(r) = &mut self.recorder {
+            r.record(event);
         }
-        #[cfg(not(feature = "trace"))]
-        let _ = event;
     }
 
     /// Arms `span` as the active query span: subsequent coarse emits
@@ -464,79 +420,25 @@ impl Tracer {
         self.spans.note_solver(name, delta);
     }
 
-    /// True when events are being consumed (always false with the `trace`
-    /// feature off). Use to skip *computing* expensive event payloads;
-    /// plain emits don't need the check.
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        #[cfg(feature = "trace")]
-        {
-            !matches!(self.sink, Sink::None)
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            false
-        }
-    }
-
-    /// Installs a ring-buffer [`Recorder`] of `capacity` events,
-    /// replacing any existing sink. No-op without the `trace` feature.
+    /// Installs a ring [`Recorder`] of `capacity` events, replacing any
+    /// existing one.
     pub fn install_recorder(&mut self, capacity: usize) {
-        #[cfg(feature = "trace")]
-        {
-            self.sink = Sink::Ring(Recorder::new(capacity));
-        }
-        #[cfg(not(feature = "trace"))]
-        let _ = capacity;
+        self.recorder = Some(Recorder::new(capacity));
     }
 
-    /// Installs an arbitrary sink, replacing any existing one. No-op (the
-    /// sink is dropped) without the `trace` feature.
-    pub fn set_sink(&mut self, sink: Box<dyn TraceSink>) {
-        #[cfg(feature = "trace")]
-        {
-            self.sink = Sink::Custom(DynSink(sink));
-        }
-        #[cfg(not(feature = "trace"))]
-        let _ = sink;
-    }
-
-    /// Removes the sink (further emits become branches/no-ops).
+    /// Removes the recorder (further emits reach only the span channel).
     pub fn disable(&mut self) {
-        #[cfg(feature = "trace")]
-        {
-            self.sink = Sink::None;
-        }
+        self.recorder = None;
     }
 
-    /// The installed ring recorder, if that is the current sink kind.
+    /// The installed ring recorder, if any.
     pub fn recorder(&self) -> Option<&Recorder> {
-        #[cfg(feature = "trace")]
-        {
-            match &self.sink {
-                Sink::Ring(r) => Some(r),
-                _ => None,
-            }
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            None
-        }
+        self.recorder.as_ref()
     }
 
     /// Mutable access to the installed ring recorder.
     pub fn recorder_mut(&mut self) -> Option<&mut Recorder> {
-        #[cfg(feature = "trace")]
-        {
-            match &mut self.sink {
-                Sink::Ring(r) => Some(r),
-                _ => None,
-            }
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            None
-        }
+        self.recorder.as_mut()
     }
 }
 
@@ -653,30 +555,18 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "trace")]
     #[test]
-    fn tracer_routes_to_installed_sinks() {
+    fn tracer_routes_to_the_installed_recorder() {
         let mut t = Tracer::disabled();
-        assert!(!t.enabled());
+        assert!(t.recorder().is_none());
         t.emit(ev(0)); // goes nowhere, must not panic
         t.install_recorder(4);
-        assert!(t.enabled());
         t.emit(ev(1));
-        assert_eq!(t.recorder().unwrap().len(), 1);
+        assert_eq!(t.recorder().unwrap().events(), vec![ev(1)]);
         t.recorder_mut().unwrap().clear();
         assert!(t.recorder().unwrap().is_empty());
-
-        use std::sync::{Arc, Mutex};
-        let seen = Arc::new(Mutex::new(Vec::new()));
-        let sink_seen = Arc::clone(&seen);
-        t.set_sink(Box::new(move |e: TraceEvent| {
-            sink_seen.lock().unwrap().push(e);
-        }));
-        assert!(t.recorder().is_none());
-        t.emit(ev(2));
-        assert_eq!(seen.lock().unwrap().as_slice(), &[ev(2)]);
         t.disable();
-        t.emit(ev(3));
-        assert_eq!(seen.lock().unwrap().len(), 1);
+        t.emit(ev(2));
+        assert!(t.recorder().is_none());
     }
 }

@@ -953,7 +953,7 @@ impl<'a, A: ReplicaSource + Sync, S: RetrievalSolver + Sync> Engine<'a, A, S> {
             // restored in the epilogue below.
             rejlog: Mutex::new((
                 std::mem::take(&mut self.rejections),
-                SloTrackerSet::new(self.slo),
+                SloTrackerSet::new(self.spec.slo),
             )),
         });
         let (tx, rx) = mpsc::channel();
@@ -966,7 +966,7 @@ impl<'a, A: ReplicaSource + Sync, S: RetrievalSolver + Sync> Engine<'a, A, S> {
             ServeClock::Virtual => ProbeClock::Arrival,
         };
         for shard in &mut self.shards {
-            shard.tally.serve = Some(Box::new(ServeTally::new(self.slo)));
+            shard.tally.serve = Some(Box::new(ServeTally::new(self.spec.slo)));
         }
 
         let (ctx, shards) = self.split(clock);
@@ -1536,7 +1536,7 @@ mod tests {
         // free list, so after the first checkout per shard the recorder
         // must never allocate another shell.
         let mut engine = Engine::builder(&system, &alloc)
-            .solver(SolverKind::PushRelabelBinary)
+            .solver_spec(SolverSpec::new(SolverKind::PushRelabelBinary))
             .shards(2)
             .flight_recorder(crate::obs::recorder::FlightRecorderConfig {
                 capacity: 8,

@@ -27,7 +27,7 @@ use crate::obs::span::PhaseKind;
 use crate::obs::trace::TraceEvent;
 use crate::schedule::{RetrievalOutcome, SolveStats};
 use crate::solver::RetrievalSolver;
-use crate::spec::ScheduleObjective;
+use crate::spec::{AnySolver, ScheduleObjective, SolverSpec};
 use crate::workspace::{on_graph, Workspace};
 use rds_decluster::allocation::ReplicaSource;
 use rds_decluster::query::Bucket;
@@ -37,8 +37,9 @@ use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
 /// Cross-query reuse knobs for one stream: warm-start delta solving and
-/// the per-stream schedule cache. The default disables both — sessions
-/// then behave exactly as before this feature existed.
+/// the per-stream schedule cache, carried by [`SolverSpec::reuse`]. The
+/// default disables both — sessions then behave exactly as before this
+/// feature existed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ReusePolicy {
     /// Patch the previous query's flow to the next query (cancel stale
@@ -206,10 +207,11 @@ pub struct SessionState {
     servable_buf: Vec<Bucket>,
     /// Scratch: buckets with no live replica (degraded submits).
     unservable_buf: Vec<Bucket>,
-    /// Cross-query reuse knobs (default: all off).
+    /// Cross-query reuse knobs ([`SolverSpec::reuse`]; default: all off).
     reuse: ReusePolicy,
-    /// Which response-time-optimal schedule to return (default: the
-    /// first feasible one, no refinement).
+    /// Which response-time-optimal schedule to return
+    /// ([`SolverSpec::objective`]; default: the first feasible one, no
+    /// refinement).
     objective: ScheduleObjective,
     /// Reuse effectiveness counters.
     counters: ReuseCounters,
@@ -243,44 +245,15 @@ impl SessionState {
         }
     }
 
-    /// Fresh state with cross-query reuse configured.
-    pub fn with_reuse(num_disks: usize, reuse: ReusePolicy) -> SessionState {
-        let mut state = SessionState::new(num_disks);
-        state.reuse = reuse;
-        state
-    }
-
-    /// Replaces the reuse policy. Disabling warm start also drops any
-    /// captured flow snapshot.
-    pub fn set_reuse_policy(&mut self, reuse: ReusePolicy) {
-        self.reuse = reuse;
-        if !reuse.warm_start {
-            self.warm = None;
+    /// Fresh state under `spec`'s reuse policy and schedule objective
+    /// (the spec's budget and arena width belong to the workspace the
+    /// caller solves in).
+    pub fn from_spec(num_disks: usize, spec: &SolverSpec) -> SessionState {
+        SessionState {
+            reuse: spec.reuse,
+            objective: spec.objective,
+            ..SessionState::new(num_disks)
         }
-        if reuse.cache_capacity == 0 {
-            self.cache.entries.clear();
-        }
-    }
-
-    /// The active reuse policy.
-    pub fn reuse_policy(&self) -> ReusePolicy {
-        self.reuse
-    }
-
-    /// Replaces the schedule objective. Changing it drops cached
-    /// schedules (they were refined under the old objective); the warm
-    /// flow snapshot stays valid — any feasible flow can seed the next
-    /// delta solve, and refinement runs after every solve anyway.
-    pub fn set_objective(&mut self, objective: ScheduleObjective) {
-        if self.objective != objective {
-            self.cache.entries.clear();
-        }
-        self.objective = objective;
-    }
-
-    /// The active schedule objective.
-    pub fn objective(&self) -> ScheduleObjective {
-        self.objective
     }
 
     /// Reuse effectiveness counters accumulated so far.
@@ -630,8 +603,44 @@ pub struct RetrievalSession<'a, A: ReplicaSource, S: RetrievalSolver> {
     workspace: Workspace,
 }
 
+impl<'a, A: ReplicaSource> RetrievalSession<'a, A, AnySolver> {
+    /// Opens a session that solves with `spec`'s kind under its whole
+    /// policy: reuse, schedule objective, anytime budget and arena width.
+    /// All disks start idle.
+    ///
+    /// ```
+    /// use rds_core::session::RetrievalSession;
+    /// use rds_core::spec::{ScheduleObjective, SolverKind, SolverSpec};
+    /// use rds_decluster::orthogonal::OrthogonalAllocation;
+    /// use rds_decluster::query::{Query, RangeQuery};
+    /// use rds_storage::experiments::paper_example;
+    /// use rds_storage::time::Micros;
+    ///
+    /// let system = paper_example();
+    /// let alloc = OrthogonalAllocation::paper_7x7();
+    /// // Refined schedules keep the optimal response time but balance
+    /// // per-disk load.
+    /// let spec =
+    ///     SolverSpec::new(SolverKind::PushRelabelBinary).objective(ScheduleObjective::MinTotalLoad);
+    /// let mut session = RetrievalSession::from_spec(&system, &alloc, &spec);
+    /// let out = session.submit(Micros::ZERO, &RangeQuery::new(0, 0, 3, 2).buckets(7)).unwrap();
+    /// assert_eq!(out.outcome.schedule.len(), 6);
+    /// ```
+    pub fn from_spec(system: &'a SystemConfig, alloc: &'a A, spec: &SolverSpec) -> Self {
+        RetrievalSession {
+            state: SessionState::from_spec(system.num_disks(), spec),
+            workspace: spec.workspace(),
+            system,
+            alloc,
+            solver: spec.build(),
+        }
+    }
+}
+
 impl<'a, A: ReplicaSource, S: RetrievalSolver> RetrievalSession<'a, A, S> {
-    /// Opens a session; all disks start idle.
+    /// Opens a session around a caller-supplied solver, under the default
+    /// policy (no reuse, first feasible schedule, unlimited budget, auto
+    /// arena width); all disks start idle.
     pub fn new(system: &'a SystemConfig, alloc: &'a A, solver: S) -> Self {
         RetrievalSession {
             state: SessionState::new(system.num_disks()),
@@ -642,8 +651,10 @@ impl<'a, A: ReplicaSource, S: RetrievalSolver> RetrievalSession<'a, A, S> {
         }
     }
 
-    /// Opens a session with cross-query reuse configured: warm-start
-    /// delta solving and/or a per-stream schedule cache.
+    /// Opens a session around a caller-supplied solver with cross-query
+    /// reuse configured: warm-start delta solving and/or a per-stream
+    /// schedule cache. [`RetrievalSession::from_spec`] sets the whole
+    /// solve policy instead.
     ///
     /// ```
     /// use rds_core::pr::PushRelabelBinary;
@@ -672,59 +683,15 @@ impl<'a, A: ReplicaSource, S: RetrievalSolver> RetrievalSession<'a, A, S> {
         reuse: ReusePolicy,
     ) -> Self {
         RetrievalSession {
-            state: SessionState::with_reuse(system.num_disks(), reuse),
+            state: SessionState {
+                reuse,
+                ..SessionState::new(system.num_disks())
+            },
             workspace: Workspace::new(),
             system,
             alloc,
             solver,
         }
-    }
-
-    /// Sets the schedule objective for subsequent submits: refined
-    /// schedules keep the optimal response time but balance per-disk
-    /// load. Chainable at construction time.
-    ///
-    /// ```
-    /// use rds_core::pr::PushRelabelBinary;
-    /// use rds_core::session::RetrievalSession;
-    /// use rds_core::spec::ScheduleObjective;
-    /// use rds_decluster::orthogonal::OrthogonalAllocation;
-    /// use rds_storage::experiments::paper_example;
-    ///
-    /// let system = paper_example();
-    /// let alloc = OrthogonalAllocation::paper_7x7();
-    /// let session = RetrievalSession::new(&system, &alloc, PushRelabelBinary)
-    ///     .objective(ScheduleObjective::MinTotalLoad);
-    /// ```
-    pub fn objective(mut self, objective: ScheduleObjective) -> Self {
-        self.state.set_objective(objective);
-        self
-    }
-
-    /// Sets the anytime [`SolveBudget`](crate::spec::SolveBudget) armed
-    /// for every subsequent submit. An expired budget finalizes the solve
-    /// at the best feasible bound found so far instead of running to the
-    /// exact optimum — the gap is reported in
-    /// [`SolveStats::anytime_gap`](crate::schedule::SolveStats::anytime_gap).
-    /// Chainable at construction time; defaults to unlimited.
-    pub fn budget(mut self, budget: crate::spec::SolveBudget) -> Self {
-        self.workspace.arm_budget(budget);
-        self
-    }
-
-    /// Replaces the armed solve budget mid-session.
-    pub fn set_budget(&mut self, budget: crate::spec::SolveBudget) {
-        self.workspace.arm_budget(budget);
-    }
-
-    /// Forces the residual arena's index width for every subsequent
-    /// submit. The default, [`ArenaLayout::Auto`](crate::spec::ArenaLayout),
-    /// picks the compact `i32` arena whenever the instance's peak edge
-    /// capacity fits and transparently widens when it does not.
-    /// Chainable at construction time.
-    pub fn arena_layout(mut self, layout: crate::spec::ArenaLayout) -> Self {
-        self.workspace.set_arena_layout(layout);
-        self
     }
 
     /// Reuse effectiveness counters accumulated so far.
@@ -836,7 +803,9 @@ mod tests {
         use crate::workspace::Workspace;
 
         let (system, alloc) = setup();
-        let mut state = SessionState::with_reuse(5, ReusePolicy::warm());
+        let spec =
+            SolverSpec::new(crate::spec::SolverKind::PushRelabelBinary).reuse(ReusePolicy::warm());
+        let mut state = SessionState::from_spec(5, &spec);
         let mut ws = Workspace::new();
         ws.set_arena_layout(ArenaLayout::Compact);
         let q1 = RangeQuery::new(0, 0, 2, 3).buckets(5);

@@ -5,10 +5,14 @@
 //! [`RetrievalSolver`], but picking one at
 //! runtime previously meant threading a generic parameter (or a `Box<dyn>`)
 //! through every layer. [`SolverKind`] names each algorithm as plain data,
-//! [`SolverSpec`] pairs a kind with its tuning knobs (thread count, warm
-//! start, cache capacity), and [`SolverSpec::build`] materializes an
-//! [`AnySolver`] — a zero-allocation enum that dispatches to the concrete
-//! solver and inherits its delta-solve capability.
+//! [`SolverSpec`] pairs a kind with the whole solve policy (reuse,
+//! objective, budget, arena width, SLOs, fused drains), and
+//! [`SolverSpec::build`] materializes an [`AnySolver`] — a
+//! zero-allocation enum that dispatches to the concrete solver and
+//! inherits its delta-solve capability. Sessions
+//! ([`crate::session::RetrievalSession::from_spec`]) and engines
+//! ([`crate::engine::EngineBuilder::solver_spec`]) take their policy from
+//! one spec, so no entry point repeats a setter of its own.
 
 use crate::blackbox::{BlackBoxFordFulkerson, BlackBoxPushRelabel};
 use crate::error::SolveError;
@@ -17,6 +21,7 @@ use crate::network::RetrievalInstance;
 use crate::obs::slo::SloPolicy;
 use crate::pr::{PushRelabelBinary, PushRelabelIncremental};
 use crate::schedule::RetrievalOutcome;
+use crate::session::ReusePolicy;
 use crate::solver::RetrievalSolver;
 use crate::workspace::Workspace;
 use std::time::Duration;
@@ -173,8 +178,8 @@ impl SolverKind {
     }
 
     /// Whether the built solver can delta-solve a warm workspace. Kinds
-    /// that return `false` still work under `warm_start(true)` — sessions
-    /// fall back to a full rebuild per query.
+    /// that return `false` still work under [`ReusePolicy::warm`] —
+    /// sessions fall back to a full rebuild per query.
     pub fn supports_delta(self) -> bool {
         SolverSpec::new(self).build().supports_delta()
     }
@@ -226,8 +231,10 @@ impl ScheduleObjective {
     }
 }
 
-/// A solver kind plus its tuning knobs — the value accepted by
-/// [`Engine::builder`](crate::engine::Engine::builder).
+/// A solver kind plus the solve policy around it — the one value that
+/// configures [`RetrievalSession::from_spec`](crate::session::RetrievalSession::from_spec),
+/// [`SessionState::from_spec`](crate::session::SessionState::from_spec)
+/// and [`EngineBuilder::solver_spec`](crate::engine::EngineBuilder::solver_spec).
 ///
 /// ```
 /// use rds_core::prelude::*;
@@ -236,7 +243,7 @@ impl ScheduleObjective {
 ///     .objective(ScheduleObjective::MinTotalLoad)
 ///     .reuse(ReusePolicy::warm());
 /// assert_eq!(spec.build().name(), "PR-binary");
-/// assert!(spec.warm_start);
+/// assert!(spec.reuse.warm_start);
 /// ```
 ///
 /// Marked `#[non_exhaustive]`: construct with [`SolverSpec::new`] and
@@ -250,12 +257,9 @@ pub struct SolverSpec {
     /// ([`SolverSpec::batch_fuse`]; `0` = 2 workers). No solver reads
     /// it: every solve, of every kind, runs on one thread.
     pub parallelism: usize,
-    /// Reuse each stream's previous flow via delta patching when the
-    /// consecutive queries overlap. Kinds without delta support fall
-    /// back to a rebuild per query.
-    pub warm_start: bool,
-    /// Per-stream schedule cache entries (`0` disables the cache).
-    pub cache_capacity: usize,
+    /// Cross-query reuse per stream: warm-start delta solving and the
+    /// schedule cache (both off by default).
+    pub reuse: ReusePolicy,
     /// Which response-time-optimal schedule to return.
     pub objective: ScheduleObjective,
     /// Anytime budget applied to every solve ([`SolveBudget::UNLIMITED`]
@@ -285,8 +289,7 @@ impl SolverSpec {
         SolverSpec {
             kind,
             parallelism: 0,
-            warm_start: false,
-            cache_capacity: 0,
+            reuse: ReusePolicy::default(),
             objective: ScheduleObjective::FirstFeasible,
             budget: SolveBudget::UNLIMITED,
             slo: SloPolicy::default(),
@@ -315,18 +318,6 @@ impl SolverSpec {
         self
     }
 
-    /// Enables or disables warm-start delta solving.
-    pub fn warm_start(mut self, on: bool) -> SolverSpec {
-        self.warm_start = on;
-        self
-    }
-
-    /// Sets the per-stream schedule cache capacity.
-    pub fn cache_capacity(mut self, entries: usize) -> SolverSpec {
-        self.cache_capacity = entries;
-        self
-    }
-
     /// Sets the schedule objective.
     pub fn objective(mut self, objective: ScheduleObjective) -> SolverSpec {
         self.objective = objective;
@@ -345,19 +336,19 @@ impl SolverSpec {
         self
     }
 
-    /// Sets both reuse knobs from a [`ReusePolicy`](crate::session::ReusePolicy).
-    pub fn reuse(mut self, policy: crate::session::ReusePolicy) -> SolverSpec {
-        self.warm_start = policy.warm_start;
-        self.cache_capacity = policy.cache_capacity;
+    /// Sets the cross-query reuse policy.
+    pub fn reuse(mut self, policy: ReusePolicy) -> SolverSpec {
+        self.reuse = policy;
         self
     }
 
-    /// The reuse policy half of the spec.
-    pub fn reuse_policy(&self) -> crate::session::ReusePolicy {
-        crate::session::ReusePolicy {
-            warm_start: self.warm_start,
-            cache_capacity: self.cache_capacity,
-        }
+    /// A fresh workspace set to this spec's arena width, with its budget
+    /// armed.
+    pub(crate) fn workspace(&self) -> Workspace {
+        let mut ws = Workspace::new();
+        ws.set_arena_layout(self.arena_layout);
+        ws.arm_budget(self.budget);
+        ws
     }
 
     /// Solves one instance under this spec's kind and objective: a cold
@@ -366,9 +357,7 @@ impl SolverSpec {
     /// convenience entry point for one-off refined solves; sessions and
     /// the engine refine in their own reusable workspaces.
     pub fn solve(&self, instance: &RetrievalInstance) -> Result<RetrievalOutcome, SolveError> {
-        let mut ws = Workspace::new();
-        ws.set_arena_layout(self.arena_layout);
-        ws.arm_budget(self.budget);
+        let mut ws = self.workspace();
         let mut outcome = self.build().solve_in(instance, &mut ws)?;
         crate::refine::refine_in(self.objective, instance, &mut ws, &mut outcome)?;
         Ok(outcome)
@@ -512,23 +501,22 @@ mod tests {
 
     #[test]
     fn spec_builder_sets_knobs() {
+        let policy = ReusePolicy {
+            warm_start: true,
+            cache_capacity: 4,
+        };
         let spec = SolverSpec::new(SolverKind::PushRelabelIncremental)
             .parallelism(2)
-            .warm_start(true)
-            .cache_capacity(4)
+            .reuse(policy)
             .arena_layout(ArenaLayout::Wide)
             .batch_fuse(true);
         assert_eq!(spec.parallelism, 2);
-        assert!(spec.warm_start);
-        assert_eq!(spec.cache_capacity, 4);
+        assert_eq!(spec.reuse, policy);
         assert_eq!(spec.arena_layout, ArenaLayout::Wide);
         assert!(spec.batch_fuse);
         assert!(!SolverSpec::new(SolverKind::PushRelabelBinary).batch_fuse);
         assert_eq!(ArenaLayout::default(), ArenaLayout::Auto);
         assert_eq!(ArenaLayout::Compact.name(), "compact");
-        let policy = spec.reuse_policy();
-        assert!(policy.warm_start);
-        assert_eq!(policy.cache_capacity, 4);
         assert_eq!(
             SolverSpec::from(SolverKind::PushRelabelBinary).kind,
             SolverKind::PushRelabelBinary

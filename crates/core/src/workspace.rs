@@ -16,7 +16,7 @@
 
 use crate::error::SolveError;
 use crate::network::RetrievalInstance;
-use crate::obs::trace::{TraceEvent, TraceSink, Tracer};
+use crate::obs::trace::{TraceEvent, Tracer};
 use crate::spec::{ArenaLayout, SolveBudget};
 use rds_flow::ford_fulkerson::AugmentingPath;
 use rds_flow::graph::FlowGraph;
@@ -127,8 +127,8 @@ pub struct Workspace {
     /// Excess half of the `StoreFlows` snapshot (Algorithm 6 line 31);
     /// the flow half is the active graph's own flow checkpoint.
     pub(crate) stored_excess: Vec<i64>,
-    /// Solver-phase event tracer; disabled (single-branch emits) until a
-    /// sink is installed. See [`crate::obs::trace`].
+    /// Solver-phase event tracer; emits reach only the span channel until
+    /// a recorder is installed. See [`crate::obs::trace`].
     pub(crate) tracer: Tracer,
     /// Warm flow state staged by a delta-capable caller (see
     /// [`Workspace::stage_warm`]), consumed by the next
@@ -222,14 +222,10 @@ impl Workspace {
     /// Enables or disables epoch-shared topology-plane checkout for every
     /// subsequent solve (see the `plane_sharing` field). The first staged
     /// solve after enabling Arc-shares the instance's topology; further
-    /// solves of the same epoch copy only cap/flow values.
-    pub fn set_plane_sharing(&mut self, on: bool) {
+    /// solves of the same epoch copy only cap/flow values. Only the
+    /// engine's fused lanes turn it on.
+    pub(crate) fn set_plane_sharing(&mut self, on: bool) {
         self.plane_sharing = on;
-    }
-
-    /// Whether plane sharing is currently enabled.
-    pub fn plane_sharing(&self) -> bool {
-        self.plane_sharing
     }
 
     /// Allocation events across both scratch arenas (wide + compact),
@@ -347,27 +343,18 @@ impl Workspace {
     }
 
     /// Installs a ring-buffer [`crate::obs::trace::Recorder`] with the
-    /// given capacity as this workspace's trace sink; subsequent solves
-    /// emit [`TraceEvent`]s into it. No-op without the `trace` feature.
+    /// given capacity; subsequent solves emit [`TraceEvent`]s into it.
     pub fn install_recorder(&mut self, capacity: usize) {
         self.tracer.install_recorder(capacity);
     }
 
-    /// Installs an arbitrary [`TraceSink`] (e.g. a closure) as this
-    /// workspace's trace sink. No-op without the `trace` feature.
-    pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
-        self.tracer.set_sink(sink);
-    }
-
-    /// Removes any installed sink, returning emits to single-branch
-    /// no-ops.
+    /// Removes the recorder, so emits reach only the span channel.
     pub fn disable_tracing(&mut self) {
         self.tracer.disable();
     }
 
-    /// The installed ring-buffer recorder, if one was installed via
-    /// [`Workspace::install_recorder`] (always `None` without the `trace`
-    /// feature).
+    /// The ring-buffer recorder installed via
+    /// [`Workspace::install_recorder`], if any.
     pub fn recorder(&self) -> Option<&crate::obs::trace::Recorder> {
         self.tracer.recorder()
     }
@@ -673,7 +660,7 @@ mod tests {
         let inst = small_instance();
         let mut ws = Workspace::new();
         ws.set_arena_layout(ArenaLayout::Wide);
-        assert!(!ws.plane_sharing());
+        assert!(!ws.plane_sharing);
         ws.set_plane_sharing(true);
         ws.begin(&inst).unwrap();
         assert!(ws.graph.shares_topology_with(&inst.graph));

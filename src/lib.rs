@@ -77,7 +77,7 @@ pub mod prelude {
         obs::recorder::{FlightRecorder, FlightRecorderConfig, Postmortem, RecorderStats},
         obs::slo::{SloPolicy, SloReport, SloTarget},
         obs::span::{PhaseKind, PhaseRecord, QuerySpan, RejectReason, SpanId, SpanOutcome},
-        obs::trace::{EventKind, Recorder, TraceEvent, TraceSink, Tracer},
+        obs::trace::{EventKind, Recorder, TraceEvent, Tracer},
         pr::{PushRelabelBinary, PushRelabelIncremental},
         schedule::{RetrievalOutcome, Schedule, SolveStats},
         serve::{

@@ -155,11 +155,14 @@ fn sessions_respect_the_armed_budget_on_the_delta_path() {
         SolverKind::PushRelabelIncremental,
         SolverKind::PushRelabelBinary,
     ] {
-        let solver = SolverSpec::new(kind).warm_start(true);
+        let solver = SolverSpec::new(kind).reuse(ReusePolicy {
+            warm_start: true,
+            cache_capacity: 0,
+        });
         let generous = SolveBudget::default().with_max_probes(u64::MAX / 2);
 
-        let mut plain = RetrievalSession::new(&system, &alloc, solver.build());
-        let mut budgeted = RetrievalSession::new(&system, &alloc, solver.build()).budget(generous);
+        let mut plain = RetrievalSession::from_spec(&system, &alloc, &solver);
+        let mut budgeted = RetrievalSession::from_spec(&system, &alloc, &solver.budget(generous));
         for q in &windows {
             let a = plain.submit(Micros::ZERO, &q.buckets(7)).unwrap();
             let b = budgeted.submit(Micros::ZERO, &q.buckets(7)).unwrap();
@@ -174,8 +177,11 @@ fn sessions_respect_the_armed_budget_on_the_delta_path() {
             kind.name()
         );
 
-        let mut starved = RetrievalSession::new(&system, &alloc, solver.build())
-            .budget(SolveBudget::default().with_max_probes(0));
+        let mut starved = RetrievalSession::from_spec(
+            &system,
+            &alloc,
+            &solver.budget(SolveBudget::default().with_max_probes(0)),
+        );
         for q in &windows {
             let out = starved.submit(Micros::ZERO, &q.buckets(7)).unwrap();
             assert_eq!(out.outcome.schedule.len(), q.buckets(7).len());
@@ -195,7 +201,7 @@ fn budget_expiry_is_traced() {
     ws.arm_budget(SolveBudget::default().with_max_probes(0));
     ws.install_recorder(256);
     let outcome = PushRelabelBinary.solve_in(&inst, &mut ws).unwrap();
-    let recorder = ws.recorder().expect("trace feature is on by default");
+    let recorder = ws.recorder().expect("recorder installed");
     assert_eq!(recorder.count(EventKind::BudgetExpired), 1);
     let expiries: Vec<_> = recorder
         .events()

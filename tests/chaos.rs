@@ -428,14 +428,14 @@ fn every_execution_path_agrees_on_results_counters_and_trace_counts() {
         let mut engine = Engine::builder(&system, &alloc)
             .solver_spec(spec)
             .shards(shards)
-            .fault_injector(injector.clone())
-            .retry_policy(RetryPolicy {
+            .tracing(1 << 10)
+            .build()
+            .with_fault_injector(injector.clone())
+            .with_retry_policy(RetryPolicy {
                 max_retries: 2,
                 backoff: horizon / 10,
             })
-            .degraded_mode(true)
-            .tracing(1 << 10)
-            .build();
+            .with_degraded_mode(true);
         let digests: Vec<Digest> = match path {
             Path::Batch | Path::FusedBatch => {
                 engine.submit_batch(&queries).iter().map(digest).collect()

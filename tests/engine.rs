@@ -109,7 +109,7 @@ fn engine_is_deterministic_across_shard_counts_on_table_ii() {
     }
     let run = |kind: SolverKind, shards: usize| -> Vec<(Micros, Micros, Schedule)> {
         let mut engine = Engine::builder(&system, &alloc)
-            .solver(kind)
+            .solver_spec(SolverSpec::new(kind))
             .shards(shards)
             .build();
         engine

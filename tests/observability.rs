@@ -3,8 +3,6 @@
 //! count, and metrics snapshots must carry every value into both export
 //! formats.
 
-use std::sync::{Arc, Mutex};
-
 use replicated_retrieval::core::blackbox::{BlackBoxFordFulkerson, BlackBoxPushRelabel};
 use replicated_retrieval::core::ff::{FordFulkersonBasic, FordFulkersonIncremental};
 use replicated_retrieval::core::pr::{PushRelabelBinary, PushRelabelIncremental};
@@ -143,19 +141,17 @@ fn ff_emits_one_augment_per_bucket() {
     );
 }
 
-/// A closure can serve as the sink: every emitted event reaches it, in
-/// order, with `SolveStart` first.
+/// The ring recorder receives the whole event stream, in order, with
+/// `SolveStart` first.
 #[test]
-fn closure_sink_receives_the_event_stream() {
-    let events: Arc<Mutex<Vec<TraceEvent>>> = Arc::new(Mutex::new(Vec::new()));
-    let sink = Arc::clone(&events);
+fn recorder_receives_the_event_stream() {
     let mut ws = Workspace::new();
-    ws.set_trace_sink(Box::new(move |e: TraceEvent| {
-        sink.lock().unwrap().push(e);
-    }));
+    ws.install_recorder(1 << 12);
     let inst = table_ii_instance(3, 2);
     let outcome = PushRelabelBinary.solve_in(&inst, &mut ws).unwrap();
-    let events = events.lock().unwrap();
+    let recorder = ws.recorder().unwrap();
+    assert_eq!(recorder.dropped(), 0, "the ring holds the whole solve");
+    let events = recorder.events();
     assert!(matches!(
         events[0],
         TraceEvent::SolveStart { query_size: 6 }
@@ -166,9 +162,9 @@ fn closure_sink_receives_the_event_stream() {
         .count() as u64;
     assert_eq!(probe_starts, outcome.stats.probes);
     // Disabling returns emits to no-ops.
-    drop(events);
     ws.disable_tracing();
     let _ = PushRelabelBinary.solve_in(&inst, &mut ws).unwrap();
+    assert!(ws.recorder().is_none());
 }
 
 fn chaos_batch() -> (SystemConfig, OrthogonalAllocation, Vec<BatchQuery>) {
@@ -203,16 +199,16 @@ fn event_counts_are_identical_across_shard_counts() {
     );
     let run = |shards: usize| {
         let mut engine = Engine::builder(&system, &alloc)
-            .solver(SolverKind::PushRelabelBinary)
+            .solver_spec(SolverSpec::new(SolverKind::PushRelabelBinary))
             .shards(shards)
-            .fault_injector(injector.clone())
-            .retry_policy(RetryPolicy {
+            .tracing(1 << 12)
+            .build()
+            .with_fault_injector(injector.clone())
+            .with_retry_policy(RetryPolicy {
                 max_retries: 3,
                 backoff: Micros::from_millis(1),
             })
-            .degraded_mode(true)
-            .tracing(1 << 12)
-            .build();
+            .with_degraded_mode(true);
         let _ = engine.submit_batch(&queries);
         engine.trace_counts()
     };
@@ -255,16 +251,16 @@ fn engine_fault_events_reconcile_with_stats() {
         Some(Micros::from_millis(4)),
     );
     let mut engine = Engine::builder(&system, &alloc)
-        .solver(SolverKind::PushRelabelBinary)
+        .solver_spec(SolverSpec::new(SolverKind::PushRelabelBinary))
         .shards(2)
-        .fault_injector(injector)
-        .retry_policy(RetryPolicy {
+        .tracing(1 << 12)
+        .build()
+        .with_fault_injector(injector)
+        .with_retry_policy(RetryPolicy {
             max_retries: 3,
             backoff: Micros::from_millis(1),
         })
-        .degraded_mode(true)
-        .tracing(1 << 12)
-        .build();
+        .with_degraded_mode(true);
     let _ = engine.submit_batch(&queries);
     let counts = engine.trace_counts();
     assert_eq!(
@@ -287,7 +283,7 @@ fn engine_fault_events_reconcile_with_stats() {
 fn metrics_snapshot_quantiles_and_exports() {
     let (system, alloc, queries) = chaos_batch();
     let mut engine = Engine::builder(&system, &alloc)
-        .solver(SolverKind::PushRelabelBinary)
+        .solver_spec(SolverSpec::new(SolverKind::PushRelabelBinary))
         .shards(2)
         .tracing(1 << 12)
         .build();
@@ -424,9 +420,10 @@ fn warm_engine_reuse_is_shard_invariant() {
     let run = |shards: usize| {
         let mut engine = Engine::builder(&system, &alloc)
             .solver_spec(
-                SolverSpec::new(SolverKind::PushRelabelBinary)
-                    .warm_start(true)
-                    .cache_capacity(4),
+                SolverSpec::new(SolverKind::PushRelabelBinary).reuse(ReusePolicy {
+                    warm_start: true,
+                    cache_capacity: 4,
+                }),
             )
             .shards(shards)
             .tracing(1 << 12)

@@ -328,12 +328,12 @@ fn patched_warm_solves_match_fresh_builds_on_random_pairs() {
         let q1 = RangeQuery::new(row1, col1, r, c).buckets(n);
         let q2 = RangeQuery::new(row2, col2, r, c).buckets(n);
 
-        let solver = SolverSpec::new(kind).build();
-        let policy = ReusePolicy {
+        let spec = SolverSpec::new(kind).reuse(ReusePolicy {
             warm_start: true,
             cache_capacity: 0,
-        };
-        let mut warm = SessionState::with_reuse(system.num_disks(), policy);
+        });
+        let solver = spec.build();
+        let mut warm = SessionState::from_spec(system.num_disks(), &spec);
         let mut cold = SessionState::new(system.num_disks());
         let (mut ws_w, mut ws_c) = (Workspace::new(), Workspace::new());
         let gap = if basic {

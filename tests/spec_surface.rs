@@ -85,12 +85,7 @@ fn one_spec_gives_the_same_results_on_every_entry_point() {
 
         // One session per stream.
         let mut sessions: Vec<_> = (0..2)
-            .map(|_| {
-                RetrievalSession::with_reuse(&system, &alloc, spec.build(), spec.reuse_policy())
-                    .objective(spec.objective)
-                    .budget(spec.budget)
-                    .arena_layout(spec.arena_layout)
-            })
+            .map(|_| RetrievalSession::from_spec(&system, &alloc, &spec))
             .collect();
         let by_session: Vec<Reply> = queries
             .iter()

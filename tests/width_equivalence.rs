@@ -107,10 +107,16 @@ fn compact_and_wide_agree_on_random_instances_under_random_health() {
                 (&system, &health)
             };
             let solver = SolverSpec::new(kind);
-            let mut compact = RetrievalSession::new(system, &alloc, solver.build())
-                .arena_layout(ArenaLayout::Compact);
-            let mut wide = RetrievalSession::new(system, &alloc, solver.build())
-                .arena_layout(ArenaLayout::Wide);
+            let mut compact = RetrievalSession::from_spec(
+                system,
+                &alloc,
+                &solver.arena_layout(ArenaLayout::Compact),
+            );
+            let mut wide = RetrievalSession::from_spec(
+                system,
+                &alloc,
+                &solver.arena_layout(ArenaLayout::Wide),
+            );
             let a = compact.submit_with_health(Micros::ZERO, &buckets, health);
             let b = wide.submit_with_health(Micros::ZERO, &buckets, health);
             match (a, b) {
@@ -166,13 +172,17 @@ fn warm_sessions_agree_across_widths() {
         SolverKind::PushRelabelBinary,
         SolverKind::FordFulkersonIncremental,
     ] {
-        let solver = SolverSpec::new(kind).warm_start(true);
-        let mut compact =
-            RetrievalSession::with_reuse(&system, &alloc, solver.build(), solver.reuse_policy())
-                .arena_layout(ArenaLayout::Compact);
+        let solver = SolverSpec::new(kind).reuse(ReusePolicy {
+            warm_start: true,
+            cache_capacity: 0,
+        });
+        let mut compact = RetrievalSession::from_spec(
+            &system,
+            &alloc,
+            &solver.arena_layout(ArenaLayout::Compact),
+        );
         let mut wide =
-            RetrievalSession::with_reuse(&system, &alloc, solver.build(), solver.reuse_policy())
-                .arena_layout(ArenaLayout::Wide);
+            RetrievalSession::from_spec(&system, &alloc, &solver.arena_layout(ArenaLayout::Wide));
         for (i, q) in windows.iter().enumerate() {
             // A health change mid-stream forces the rebuild path once,
             // exercising both the delta and the rebuild transitions.
@@ -315,12 +325,14 @@ fn stream_morphing_across_the_i32_bound() {
     let q1 = RangeQuery::new(0, 0, 2, 1).buckets(2); // (0,0) pins disk 0
     let q2 = RangeQuery::new(0, 1, 2, 1).buckets(2); // both dual-homed
     let q3 = RangeQuery::new(1, 1, 1, 1).buckets(2); // small again
-    let solver = SolverSpec::new(SolverKind::PushRelabelBinary).warm_start(true);
+    let solver = SolverSpec::new(SolverKind::PushRelabelBinary).reuse(ReusePolicy {
+        warm_start: true,
+        cache_capacity: 0,
+    });
 
     // Forced compact: the overflowing query fails typed, mid-stream.
     let mut compact =
-        RetrievalSession::with_reuse(&system, &alloc, solver.build(), solver.reuse_policy())
-            .arena_layout(ArenaLayout::Compact);
+        RetrievalSession::from_spec(&system, &alloc, &solver.arena_layout(ArenaLayout::Compact));
     let a = compact.submit(Micros::ZERO, &q1).unwrap();
     assert_eq!(a.outcome.stats.arena_layout, ArenaLayout::Compact);
     let err = compact.submit(Micros::from_millis(10), &q2).unwrap_err();
@@ -339,8 +351,7 @@ fn stream_morphing_across_the_i32_bound() {
 
     // Auto: the same stream transparently widens for the oversized query
     // and re-narrows once the next instance fits again.
-    let mut auto =
-        RetrievalSession::with_reuse(&system, &alloc, solver.build(), solver.reuse_policy());
+    let mut auto = RetrievalSession::from_spec(&system, &alloc, &solver);
     let a = auto.submit(Micros::ZERO, &q1).unwrap();
     assert_eq!(a.outcome.stats.arena_layout, ArenaLayout::Compact);
     let b = auto.submit(Micros::from_millis(10), &q2).unwrap();
