@@ -247,8 +247,9 @@ impl TraceEvent {
     }
 }
 
-/// Fixed-capacity ring buffer of trace events: keeps the most recent `capacity`
-/// events and exact per-kind totals for everything ever recorded.
+/// Fixed-capacity ring buffer of trace events: keeps the most recent
+/// `capacity` events and exact per-kind totals for everything ever
+/// recorded.
 ///
 /// Never allocates after construction — when the ring is full the oldest
 /// event is overwritten and [`Recorder::dropped`] grows, so long solves

@@ -931,8 +931,9 @@ impl<'a, A: ReplicaSource + Sync, S: RetrievalSolver + Sync> Engine<'a, A, S> {
         config: ServeConfig,
         f: impl FnOnce(&ServeHandle) -> R,
     ) -> ServeReport<R> {
-        // The fields are public, so a zero can arrive past the setters: a
-        // zero `batch_max` would drain nothing on every wakeup, forever.
+        // The one place zeros are clamped (the fields are public): a zero
+        // `batch_max` would drain nothing on every wakeup, forever, and a
+        // zero capacity would admit nothing.
         let config = ServeConfig {
             queue_capacity: config.queue_capacity.max(1),
             batch_max: config.batch_max.max(1),
