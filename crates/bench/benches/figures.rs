@@ -3,16 +3,18 @@
 //! Each group benchmarks the same solver pairing as its figure on a fixed
 //! mid-size workload (the `figures` binary does the full sweeps; these
 //! benches exist for coarse regression tracking). Plain `main()` harness:
-//! the workspace builds offline, without criterion.
+//! the workspace builds offline, without criterion. Each group's solvers
+//! alternate round by round; the record prints each one's median
+//! [q1, q3] milliseconds per pass over the workload.
 
 use rds_bench::harness::{Scheme, Workload};
+use rds_bench::rig::{self, Record};
 use rds_core::blackbox::BlackBoxPushRelabel;
 use rds_core::ff::{FordFulkersonBasic, FordFulkersonIncremental};
 use rds_core::pr::{PushRelabelBinary, PushRelabelIncremental};
 use rds_core::solver::RetrievalSolver;
 use rds_decluster::load::{Load, QueryKind};
 use rds_storage::experiments::ExperimentId;
-use std::time::Instant;
 
 const N: usize = 16;
 const QUERIES: usize = 5;
@@ -32,20 +34,19 @@ fn solve_all(solver: &dyn RetrievalSolver, w: &Workload) -> u64 {
         .sum()
 }
 
-/// Times `SAMPLES` runs of each solver on `w` and prints the best run.
-fn bench_pair(group: &str, w: &Workload, solvers: &[(&str, &dyn RetrievalSolver)]) {
-    println!("{group}");
-    for (label, solver) in solvers {
-        let mut best = f64::INFINITY;
-        let mut checksum = 0u64;
-        for _ in 0..SAMPLES {
-            let start = Instant::now();
-            checksum = checksum.wrapping_add(solve_all(*solver, w));
-            let dt = start.elapsed().as_secs_f64() * 1e3;
-            best = best.min(dt);
-        }
-        println!("  {label:<24} {best:>9.3} ms   (checksum {checksum})");
+/// Times `SAMPLES` alternated rounds of each solver on `w`, as one nested
+/// object of per-solver milliseconds. Every pass must sum to the same
+/// response time: the solvers agree on every optimum.
+fn group(w: &Workload, solvers: &[(&str, &dyn RetrievalSolver)]) -> Record {
+    let want = solve_all(solvers[0].1, w);
+    let rounds = rig::alternate(SAMPLES, solvers.len(), |i| {
+        rig::timed(|| assert_eq!(solve_all(solvers[i].1, w), want))
+    });
+    let mut group = Record::default();
+    for (i, (label, _)) in solvers.iter().enumerate() {
+        group = group.stat(&format!("{label}_ms"), rounds.ms(i), 3);
     }
+    group
 }
 
 fn workload(id: ExperimentId, scheme: Scheme, kind: QueryKind) -> Workload {
@@ -54,58 +55,51 @@ fn workload(id: ExperimentId, scheme: Scheme, kind: QueryKind) -> Workload {
 
 fn main() {
     // Figure 5: basic problem, RDA — Algorithm 1 vs Algorithm 6.
-    let w = workload(ExperimentId::Exp1, Scheme::Rda, QueryKind::Range);
-    bench_pair(
-        "fig5_ff_vs_pr_basic",
-        &w,
+    let fig5 = group(
+        &workload(ExperimentId::Exp1, Scheme::Rda, QueryKind::Range),
         &[
             ("ford-fulkerson", &FordFulkersonBasic),
             ("push-relabel", &PushRelabelBinary),
         ],
     );
-
     // Figure 6: generalized problem, Orthogonal — Algorithm 2 vs Algorithm 6.
-    let w = workload(ExperimentId::Exp5, Scheme::Orthogonal, QueryKind::Arbitrary);
-    bench_pair(
-        "fig6_ff_vs_pr_generalized",
-        &w,
+    let fig6 = group(
+        &workload(ExperimentId::Exp5, Scheme::Orthogonal, QueryKind::Arbitrary),
         &[
             ("ford-fulkerson", &FordFulkersonIncremental),
             ("push-relabel", &PushRelabelBinary),
         ],
     );
-
     // Figure 7: basic problem — black box vs integrated push-relabel.
-    let w = workload(ExperimentId::Exp1, Scheme::Orthogonal, QueryKind::Range);
-    bench_pair(
-        "fig7_bb_vs_int_basic",
-        &w,
+    let fig7 = group(
+        &workload(ExperimentId::Exp1, Scheme::Orthogonal, QueryKind::Range),
         &[
             ("black-box", &BlackBoxPushRelabel),
             ("integrated", &PushRelabelBinary),
         ],
     );
-
     // Figure 8: Experiment 3 — black box vs integrated per scheme (RDA shown).
-    let w = workload(ExperimentId::Exp3, Scheme::Rda, QueryKind::Arbitrary);
-    bench_pair(
-        "fig8_bb_vs_int_exp3",
-        &w,
+    let fig8 = group(
+        &workload(ExperimentId::Exp3, Scheme::Rda, QueryKind::Arbitrary),
         &[
             ("black-box", &BlackBoxPushRelabel),
             ("integrated", &PushRelabelBinary),
         ],
     );
-
     // Figure 9: Experiment 5 — black box vs integrated (the headline ratio).
-    let w = workload(ExperimentId::Exp5, Scheme::Rda, QueryKind::Arbitrary);
-    bench_pair(
-        "fig9_bb_vs_int_exp5",
-        &w,
+    let fig9 = group(
+        &workload(ExperimentId::Exp5, Scheme::Rda, QueryKind::Arbitrary),
         &[
             ("black-box", &BlackBoxPushRelabel),
             ("integrated", &PushRelabelBinary),
             ("integrated-incremental", &PushRelabelIncremental),
         ],
     );
+    Record::new("figures", SAMPLES)
+        .object("fig5_ff_vs_pr_basic", fig5)
+        .object("fig6_ff_vs_pr_generalized", fig6)
+        .object("fig7_bb_vs_int_basic", fig7)
+        .object("fig8_bb_vs_int_exp3", fig8)
+        .object("fig9_bb_vs_int_exp5", fig9)
+        .print();
 }

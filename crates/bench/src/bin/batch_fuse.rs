@@ -20,8 +20,9 @@
 //!   replay the cached schedule, window hops delta-resume the previous
 //!   flow on a freshly checked-out plane.
 //!
-//! Sampling is paired and interleaved (independent, fused, …) with the
-//! fastest round per side kept, like `engine_speedup`. Per arena width,
+//! The two timed arms alternate round by round (ABBA) like
+//! `engine_speedup`, and `fused_speedup_8` is the per-round paired
+//! ratio's median. Per arena width,
 //! the fused schedules must be bit-identical to the unfused warm drain
 //! and the fused response times bit-identical to the independent side
 //! (warm and cold may pick different, equally optimal schedules), and
@@ -29,21 +30,20 @@
 //! (the plane free list recycles, never grows).
 //!
 //! ```text
-//! cargo run --release -p rds-bench --bin batch_fuse -- [--batches 200] [--repeat 5]
+//! cargo run --release -p rds-bench --bin batch_fuse -- [--batches 200] [--repeat 10]
 //! ```
 //!
 //! Writes `results/batch_fuse.txt` and `BENCH_batch_fuse.json`.
 
+use rds_bench::harness::ClonePerSolve;
+use rds_bench::rig::{self, Record};
 use rds_core::engine::{BatchQuery, Engine};
-use rds_core::network::RetrievalInstance;
-use rds_core::pr::PushRelabelBinary;
 use rds_core::session::ReusePolicy;
-use rds_core::solver::RetrievalSolver;
 use rds_core::spec::{ArenaLayout, SolverKind, SolverSpec};
 use rds_decluster::orthogonal::OrthogonalAllocation;
 use rds_decluster::query::{Bucket, Query, RangeQuery};
 use rds_storage::experiments::paper_example;
-use rds_storage::model::{Disk, Site, SystemConfig};
+use rds_storage::model::SystemConfig;
 use rds_storage::time::Micros;
 use std::hash::{Hash, Hasher};
 use std::process::ExitCode;
@@ -91,54 +91,7 @@ enum Side {
     Fused,
 }
 
-/// The nothing-shared loop: per query, clone the system into a loaded
-/// copy, build a fresh instance, solve in a fresh workspace. One per
-/// stream, mirroring the engine's per-stream load accounting.
-struct IndependentStream<'a> {
-    system: &'a SystemConfig,
-    alloc: &'a OrthogonalAllocation,
-    busy_until: Vec<Micros>,
-}
-
-impl<'a> IndependentStream<'a> {
-    fn new(system: &'a SystemConfig, alloc: &'a OrthogonalAllocation) -> Self {
-        IndependentStream {
-            busy_until: vec![Micros::ZERO; system.num_disks()],
-            system,
-            alloc,
-        }
-    }
-
-    /// Returns `(response_time, completion)` with the engine's exact
-    /// semantics (`completion = arrival + response_time`).
-    fn submit(&mut self, arrival: Micros, buckets: &[Bucket]) -> (Micros, Micros) {
-        let disks: Vec<Disk> = self
-            .system
-            .disks()
-            .iter()
-            .enumerate()
-            .map(|(j, d)| Disk {
-                initial_load: d.initial_load + self.busy_until[j].saturating_sub(arrival),
-                ..*d
-            })
-            .collect();
-        let loaded = SystemConfig::new(vec![Site {
-            name: "independent".to_string(),
-            disks,
-        }]);
-        let inst = RetrievalInstance::build(&loaded, self.alloc, buckets);
-        let outcome = PushRelabelBinary.solve(&inst).expect("feasible hot pair");
-        let counts = outcome.schedule.per_disk_counts(loaded.num_disks());
-        for (j, &k) in counts.iter().enumerate() {
-            if k > 0 {
-                let completion = arrival + loaded.disk(j).completion_time(k);
-                self.busy_until[j] = self.busy_until[j].max(completion);
-            }
-        }
-        (outcome.response_time, arrival + outcome.response_time)
-    }
-}
-
+#[derive(Default)]
 struct SideRun {
     /// Wall time of the timed batches.
     elapsed: Duration,
@@ -168,8 +121,8 @@ fn run_side(
         // Nothing shared, nothing warmed: every query pays the full
         // rebuild. The warm-up rounds still run so both sides digest the
         // same timed region.
-        let mut streams: Vec<IndependentStream> = (0..STREAMS)
-            .map(|_| IndependentStream::new(system, alloc))
+        let mut streams: Vec<ClonePerSolve> = (0..STREAMS)
+            .map(|_| ClonePerSolve::new(system, alloc))
             .collect();
         for round in 0..WARMUP {
             for q in round_batch(round) {
@@ -180,17 +133,15 @@ fn run_side(
         let started = Instant::now();
         for round in WARMUP..WARMUP + batches {
             for q in round_batch(round) {
-                let (response, completion) = streams[q.stream].submit(q.arrival, &q.buckets);
+                let response = streams[q.stream].submit(q.arrival, &q.buckets);
                 response.hash(&mut rt);
-                completion.hash(&mut rt);
+                (q.arrival + response).hash(&mut rt);
             }
         }
         return SideRun {
             elapsed: started.elapsed(),
             rt_digest: rt.finish(),
-            schedule_digest: 0,
-            allocs: 0,
-            fused_batches: 0,
+            ..SideRun::default()
         };
     }
 
@@ -241,20 +192,12 @@ fn run_side(
 }
 
 fn main() -> ExitCode {
-    let mut batches = 200usize;
-    let mut repeat = 5usize;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let value = args.next().and_then(|v| v.parse::<u64>().ok());
-        match (arg.as_str(), value) {
-            ("--batches", Some(v)) => batches = (v as usize).max(1),
-            ("--repeat", Some(v)) => repeat = (v as usize).max(1),
-            _ => {
-                eprintln!("usage: batch_fuse [--batches K] [--repeat R]");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    let (mut batches, mut repeat) = (200usize, 10usize);
+    rig::parse(
+        "batch_fuse",
+        &mut [("--batches", &mut batches), ("--repeat", &mut repeat)],
+    );
+    let batches = batches.max(1);
 
     let system = paper_example();
     let alloc = OrthogonalAllocation::paper_7x7();
@@ -263,11 +206,7 @@ fn main() -> ExitCode {
     // the exact schedules of the unfused warm drain, and the same
     // response times as the independent cold side (warm and cold may
     // pick different — equally optimal — schedules).
-    let mut digest_match = [false; 2];
-    for (i, layout) in [ArenaLayout::Wide, ArenaLayout::Compact]
-        .into_iter()
-        .enumerate()
-    {
+    for layout in [ArenaLayout::Wide, ArenaLayout::Compact] {
         let independent = run_side(&system, &alloc, layout, Side::Independent, 8);
         let warm = run_side(&system, &alloc, layout, Side::WarmSerial, 8);
         let fused = run_side(&system, &alloc, layout, Side::Fused, 8);
@@ -279,74 +218,36 @@ fn main() -> ExitCode {
             fused.rt_digest, independent.rt_digest,
             "{layout:?}: fused drain changed a response time"
         );
-        digest_match[i] = true;
     }
 
-    // Paired interleaved rounds on the wide rung; fastest per side.
-    let mut best_independent = Duration::MAX;
-    let mut best_fused = Duration::MAX;
+    // Arm 0 independent, arm 1 fused, on the wide rung.
     let mut golden: Option<u64> = None;
     let mut plane_allocs = 0u64;
-    for _ in 0..repeat {
-        for side in [Side::Independent, Side::Fused] {
-            let run = run_side(&system, &alloc, ArenaLayout::Wide, side, batches);
-            match golden {
-                None => golden = Some(run.rt_digest),
-                Some(want) => assert_eq!(run.rt_digest, want, "round digest drifted"),
-            }
-            if side == Side::Fused {
-                assert!(
-                    run.fused_batches >= (WARMUP + batches) as u64,
-                    "every coalesced batch must take the fused drain"
-                );
-                plane_allocs = plane_allocs.max(run.allocs);
-                best_fused = best_fused.min(run.elapsed);
-            } else {
-                best_independent = best_independent.min(run.elapsed);
-            }
+    let rounds = rig::alternate(repeat, 2, |arm| {
+        let side = [Side::Independent, Side::Fused][arm];
+        let run = run_side(&system, &alloc, ArenaLayout::Wide, side, batches);
+        let want = *golden.get_or_insert(run.rt_digest);
+        assert_eq!(run.rt_digest, want, "round digest drifted");
+        if side == Side::Fused {
+            assert!(
+                run.fused_batches >= (WARMUP + batches) as u64,
+                "every coalesced batch must take the fused drain"
+            );
+            plane_allocs = plane_allocs.max(run.allocs);
         }
-    }
+        run.elapsed
+    });
 
-    let queries = (STREAMS * batches) as f64;
-    let independent_ms = best_independent.as_secs_f64() * 1e3;
-    let fused_ms = best_fused.as_secs_f64() * 1e3;
-    let speedup = best_independent.as_secs_f64() / best_fused.as_secs_f64();
-    let report = format!(
-        "# batch_fuse — {batches} coalesced batches of {STREAMS} hot-pair queries, paper Table II system (14 disks)\n\
-         #\n\
-         # independent: nothing shared — per query: clone the loaded system,\n\
-         # rebuild the retrieval network and every arena buffer, solve cold.\n\
-         # fused:       batch_fuse(true) + warm reuse — one fused drain per batch:\n\
-         # capacity planes from the lane free list against the Arc-shared topology\n\
-         # epoch (no rebuild, no re-finalize); steady-state re-issues replay the\n\
-         # cached schedule, window hops delta-resume on a checked-out plane.\n\
-         #\n\
-         # best of {repeat} interleaved paired rounds per side; schedules digest-\n\
-         # verified identical under both arena widths.\n\
-         #\n\
-         independent_ms          {independent_ms:.3}\n\
-         fused_ms                {fused_ms:.3}\n\
-         fused_speedup_8         {speedup:.2}x\n\
-         fused_qps               {qps:.0}\n\
-         steady_state_plane_allocs {plane_allocs}\n",
-        qps = queries / best_fused.as_secs_f64(),
-    );
-    print!("{report}");
-
-    let json = format!(
-        "{{\n  \"bench\": \"batch_fuse\",\n  \"batch\": {STREAMS},\n  \"batches\": {batches},\n  \"repeat\": {repeat},\n  \"independent_ms\": {independent_ms:.3},\n  \"fused_ms\": {fused_ms:.3},\n  \"fused_speedup_8\": {speedup:.3},\n  \"fused_qps\": {qps:.1},\n  \"digest_match_wide\": {dw},\n  \"digest_match_compact\": {dc},\n  \"steady_state_plane_allocs\": {plane_allocs}\n}}\n",
-        qps = queries / best_fused.as_secs_f64(),
-        dw = digest_match[0],
-        dc = digest_match[1],
-    );
-
-    let write = std::fs::create_dir_all("results")
-        .and_then(|()| std::fs::write("results/batch_fuse.txt", &report))
-        .and_then(|()| std::fs::write("BENCH_batch_fuse.json", &json));
-    if let Err(e) = write {
-        eprintln!("could not write batch_fuse outputs: {e}");
-        return ExitCode::FAILURE;
-    }
-    eprintln!("wrote results/batch_fuse.txt and BENCH_batch_fuse.json");
-    ExitCode::SUCCESS
+    Record::new("batch_fuse", repeat)
+        .note("independent: clone-per-solve, nothing shared; fused: batch_fuse(true) + warm reuse")
+        .int("batch", STREAMS as u64)
+        .int("batches", batches as u64)
+        .stat("independent_ms", rounds.ms(0), 3)
+        .stat("fused_ms", rounds.ms(1), 3)
+        .stat("fused_speedup_8", rounds.ratio(0, 1), 3)
+        .stat("fused_qps", rounds.per_sec(1, STREAMS * batches), 1)
+        .flag("digest_match_wide", true)
+        .flag("digest_match_compact", true)
+        .int("steady_state_plane_allocs", plane_allocs)
+        .write()
 }

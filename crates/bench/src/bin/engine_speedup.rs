@@ -5,223 +5,106 @@
 //!
 //! Both sides run the *same* queries through the *same* solver and produce
 //! identical outcomes; only the allocation strategy differs, so the ratio
-//! isolates what the workspace/engine machinery buys.
-//!
-//! Sampling is paired and interleaved like `span_overhead`: each of the
-//! `--repeat` rounds times one naive pass and one engine pass
-//! back-to-back (naive, engine, naive, engine, …), so drift in machine
-//! load hits both sides equally, and the fastest round per side is kept.
-//! Every round re-verifies that both sides produce bit-identical
-//! response times.
+//! isolates what the workspace/engine machinery buys. The arms alternate
+//! round by round (ABBA); every round re-verifies that both sides produce
+//! bit-identical response times.
 //!
 //! ```text
-//! cargo run --release -p rds-bench --bin engine_speedup -- [--queries 1000] [--streams 4] [--repeat 5]
+//! cargo run --release -p rds-bench --bin engine_speedup -- [--queries 1000] [--streams 4] [--repeat 10]
 //! ```
 
+use rds_bench::harness::ClonePerSolve;
+use rds_bench::rig::{self, Record};
 use rds_core::engine::{BatchQuery, Engine};
-use rds_core::network::RetrievalInstance;
 use rds_core::pr::PushRelabelBinary;
-use rds_core::solver::RetrievalSolver;
 use rds_decluster::orthogonal::OrthogonalAllocation;
 use rds_decluster::query::{Query, RangeQuery};
 use rds_storage::experiments::paper_example;
-use rds_storage::model::{Disk, Site, SystemConfig};
 use rds_storage::time::Micros;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-/// The pre-workspace session loop: per query, clone the system into a
-/// loaded copy, build a fresh instance, solve in a fresh workspace.
-struct ClonePerSolveSession<'a> {
-    system: &'a SystemConfig,
-    alloc: &'a OrthogonalAllocation,
-    busy_until: Vec<Micros>,
-    now: Micros,
-}
-
-impl<'a> ClonePerSolveSession<'a> {
-    fn new(system: &'a SystemConfig, alloc: &'a OrthogonalAllocation) -> Self {
-        ClonePerSolveSession {
-            busy_until: vec![Micros::ZERO; system.num_disks()],
-            system,
-            alloc,
-            now: Micros::ZERO,
-        }
-    }
-
-    fn submit(&mut self, arrival: Micros, buckets: &[rds_decluster::query::Bucket]) -> Micros {
-        self.now = arrival;
-        let disks: Vec<Disk> = self
-            .system
-            .disks()
-            .iter()
-            .enumerate()
-            .map(|(j, d)| Disk {
-                initial_load: d.initial_load + self.busy_until[j].saturating_sub(self.now),
-                ..*d
-            })
-            .collect();
-        let loaded = SystemConfig::new(vec![Site {
-            name: "session".to_string(),
-            disks,
-        }]);
-        let inst = RetrievalInstance::build(&loaded, self.alloc, buckets);
-        let outcome = PushRelabelBinary.solve(&inst).expect("feasible");
-        let counts = outcome.schedule.per_disk_counts(loaded.num_disks());
-        for (j, &k) in counts.iter().enumerate() {
-            if k > 0 {
-                let completion = arrival + loaded.disk(j).completion_time(k);
-                self.busy_until[j] = self.busy_until[j].max(completion);
-            }
-        }
-        outcome.response_time
-    }
-}
-
+/// `total` queries dealt round-robin over `streams`, one step (1 ms)
+/// apart per stream. A small rotating set of hot query shapes per
+/// stream: repeats are common (hot queries re-issued as their results
+/// expire), occasionally the shape changes.
 fn build_queries(streams: usize, total: usize) -> Vec<BatchQuery> {
-    let mut queries = Vec::with_capacity(total);
-    let mut k = 0usize;
-    while queries.len() < total {
-        for s in 0..streams {
-            if queries.len() == total {
-                break;
-            }
-            // A small rotating set of hot query shapes per stream: repeats
-            // are common (hot queries re-issued as their results expire),
-            // occasionally the shape changes.
-            let shape = (k / streams / 8) % 4;
+    (0..total)
+        .map(|k| {
+            let (s, step) = (k % streams, k / streams);
+            let shape = (step / 8) % 4;
             let (r, c) = [(3, 2), (3, 2), (2, 4), (1, 3)][shape];
-            let q = RangeQuery::new(s % 7, shape % 7, r, c);
-            queries.push(BatchQuery {
+            BatchQuery {
                 stream: s,
-                arrival: Micros::from_millis((k / streams) as u64),
-                buckets: q.buckets(7),
-            });
-            k += 1;
-        }
-    }
-    queries
+                arrival: Micros::from_millis(step as u64),
+                buckets: RangeQuery::new(s % 7, shape % 7, r, c).buckets(7),
+            }
+        })
+        .collect()
 }
 
 fn main() -> ExitCode {
-    let mut total = 1000usize;
-    let mut streams = 4usize;
-    let mut repeat = 5usize;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let value = args.next().and_then(|v| v.parse::<u64>().ok());
-        match (arg.as_str(), value) {
-            ("--queries", Some(v)) => total = v as usize,
-            ("--streams", Some(v)) => streams = (v as usize).max(1),
-            ("--repeat", Some(v)) => repeat = (v as usize).max(1),
-            _ => {
-                eprintln!("usage: engine_speedup [--queries K] [--streams S] [--repeat R]");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    let (mut total, mut streams, mut repeat) = (1000usize, 4usize, 10usize);
+    rig::parse(
+        "engine_speedup",
+        &mut [
+            ("--queries", &mut total),
+            ("--streams", &mut streams),
+            ("--repeat", &mut repeat),
+        ],
+    );
+    let streams = streams.max(1);
 
     let system = paper_example();
     let alloc = OrthogonalAllocation::paper_7x7();
     let queries = build_queries(streams, total);
 
-    /// One timed pass of the clone-per-solve loop: returns wall time and
-    /// the per-query response times for the cross-side verification.
-    fn run_naive(
-        system: &SystemConfig,
-        alloc: &OrthogonalAllocation,
-        streams: usize,
-        queries: &[BatchQuery],
-    ) -> (Duration, Vec<Micros>) {
+    // One timed pass and its response times. Arm 0: one clone-per-solve
+    // stream per engine stream. Arm 1: a fresh single-shard engine (cached
+    // instance patched or rebuilt in place, one persistent workspace).
+    // Neither side's teardown is timed.
+    let run = |arm: usize| -> (Duration, Vec<Micros>) {
         let started = Instant::now();
-        let mut sessions: Vec<ClonePerSolveSession> = (0..streams)
-            .map(|_| ClonePerSolveSession::new(system, alloc))
-            .collect();
-        let times: Vec<Micros> = queries
-            .iter()
-            .map(|q| sessions[q.stream].submit(q.arrival, &q.buckets))
-            .collect();
-        (started.elapsed(), times)
-    }
-
-    /// One timed pass of the engine path on a fresh single-shard engine.
-    fn run_engine(
-        system: &SystemConfig,
-        alloc: &OrthogonalAllocation,
-        queries: &[BatchQuery],
-    ) -> (Duration, Vec<Micros>) {
-        let started = Instant::now();
-        let mut engine = Engine::new(system, alloc, PushRelabelBinary, 1);
-        let results = engine.submit_batch(queries);
-        let elapsed = started.elapsed();
-        let times = results
-            .into_iter()
-            .map(|r| r.expect("feasible").outcome.response_time)
-            .collect();
-        (elapsed, times)
-    }
+        if arm == 0 {
+            let mut sessions: Vec<ClonePerSolve> = (0..streams)
+                .map(|_| ClonePerSolve::new(&system, &alloc))
+                .collect();
+            let times = queries
+                .iter()
+                .map(|q| sessions[q.stream].submit(q.arrival, &q.buckets))
+                .collect();
+            (started.elapsed(), times)
+        } else {
+            let mut engine = Engine::new(&system, &alloc, PushRelabelBinary, 1);
+            let results = engine.submit_batch(&queries);
+            let elapsed = started.elapsed();
+            let times = results
+                .into_iter()
+                .map(|r| r.expect("feasible").outcome.response_time)
+                .collect();
+            (elapsed, times)
+        }
+    };
 
     // Warm both sides once (first-touch allocations, branch history)
     // before any timed round, and pin the golden response times.
-    let (_, golden) = run_naive(&system, &alloc, streams, &queries);
-    let (_, warm) = run_engine(&system, &alloc, &queries);
-    assert_eq!(golden, warm, "engine and clone-per-solve disagree");
+    let golden = run(0).1;
+    assert_eq!(golden, run(1).1, "engine and clone-per-solve disagree");
+    let rounds = rig::alternate(repeat, 2, |arm| {
+        let (elapsed, times) = run(arm);
+        assert_eq!(times, golden, "round outcomes drifted");
+        elapsed
+    });
 
-    // Paired interleaved rounds (naive, engine, naive, engine, …): drift
-    // in machine load hits both sides equally; keep the fastest round of
-    // each and re-verify outcomes every round.
-    let mut best_naive = Duration::MAX;
-    let mut best_engine = Duration::MAX;
-    for _ in 0..repeat {
-        for engine_side in [false, true] {
-            let (elapsed, times) = if engine_side {
-                run_engine(&system, &alloc, &queries)
-            } else {
-                run_naive(&system, &alloc, streams, &queries)
-            };
-            assert_eq!(times, golden, "round outcomes drifted");
-            std::hint::black_box(times.len());
-            let best = if engine_side {
-                &mut best_engine
-            } else {
-                &mut best_naive
-            };
-            *best = (*best).min(elapsed);
-        }
-    }
-
-    let speedup = best_naive.as_secs_f64() / best_engine.as_secs_f64();
-    let report = format!(
-        "# engine_speedup — {total} queries, {streams} streams, paper Table II system (14 disks)\n\
-         #\n\
-         # clone-per-solve: per query, clone the loaded SystemConfig, rebuild the\n\
-         # retrieval network, solve in a fresh Workspace.\n\
-         # engine:          Engine::submit_batch, 1 shard — cached instance patched or\n\
-         # rebuilt in place, one persistent Workspace. Identical outcomes verified.\n\
-         #\n\
-         # best of {repeat} interleaved paired rounds per side:\n\
-         clone_per_solve_ms {naive:.3}\n\
-         engine_ms          {engine:.3}\n\
-         speedup            {speedup:.2}x\n\
-         queries_per_sec    {qps:.0}\n",
-        naive = best_naive.as_secs_f64() * 1e3,
-        engine = best_engine.as_secs_f64() * 1e3,
-        qps = total as f64 / best_engine.as_secs_f64(),
-    );
-    print!("{report}");
-    let json = format!(
-        "{{\n  \"bench\": \"engine_speedup\",\n  \"queries\": {total},\n  \"streams\": {streams},\n  \"repeat\": {repeat},\n  \"clone_per_solve_ms\": {naive:.3},\n  \"engine_ms\": {engine:.3},\n  \"speedup\": {speedup:.3},\n  \"queries_per_sec\": {qps:.1}\n}}\n",
-        naive = best_naive.as_secs_f64() * 1e3,
-        engine = best_engine.as_secs_f64() * 1e3,
-        qps = total as f64 / best_engine.as_secs_f64(),
-    );
-    let write = std::fs::create_dir_all("results")
-        .and_then(|()| std::fs::write("results/engine_speedup.txt", &report))
-        .and_then(|()| std::fs::write("BENCH_engine_speedup.json", &json));
-    if let Err(e) = write {
-        eprintln!("could not write engine_speedup outputs: {e}");
-        return ExitCode::FAILURE;
-    }
-    eprintln!("wrote results/engine_speedup.txt and BENCH_engine_speedup.json");
-    ExitCode::SUCCESS
+    Record::new("engine_speedup", repeat)
+        .note(
+            "clone_per_solve: fresh loaded system, network and workspace a query; engine: 1 shard",
+        )
+        .int("queries", total as u64)
+        .int("streams", streams as u64)
+        .stat("clone_per_solve_ms", rounds.ms(0), 3)
+        .stat("engine_ms", rounds.ms(1), 3)
+        .stat("speedup", rounds.ratio(0, 1), 3)
+        .stat("queries_per_sec", rounds.per_sec(1, total), 1)
+        .write()
 }

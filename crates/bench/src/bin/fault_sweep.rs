@@ -10,9 +10,10 @@
 //! the rest, which the sweep records as dropped buckets.
 //!
 //! ```text
-//! cargo run --release -p rds-bench --bin fault_sweep -- [--queries 400] [--streams 6] [--seeds 10] [--steps 10]
+//! cargo run --release -p rds-bench --bin fault_sweep
 //! ```
 
+use rds_bench::rig::{self, Record};
 use rds_core::engine::{BatchQuery, Engine};
 use rds_core::fault::FaultInjector;
 use rds_core::pr::PushRelabelBinary;
@@ -24,6 +25,12 @@ use rds_util::SplitMix64;
 use std::process::ExitCode;
 
 const GRID: usize = 7;
+const QUERIES: usize = 400;
+const STREAMS: usize = 6;
+/// Outage seeds per sweep point.
+const SEEDS: u64 = 10;
+/// Sweep points past zero, up to half the disks failed.
+const STEPS: usize = 10;
 
 fn build_queries(seed: u64, total: usize, streams: usize) -> Vec<BatchQuery> {
     let mut rng = SplitMix64::seed_from_u64(seed);
@@ -46,52 +53,22 @@ fn build_queries(seed: u64, total: usize, streams: usize) -> Vec<BatchQuery> {
     queries
 }
 
-struct SweepPoint {
-    fraction: f64,
-    disks_down: usize,
-    /// Mean response over fully-served queries, averaged across seeds.
-    mean_complete_ms: f64,
-    complete: u64,
-    degraded: u64,
-    dropped_buckets: u64,
-    infeasible: u64,
-}
-
 fn main() -> ExitCode {
-    let mut total = 400usize;
-    let mut streams = 6usize;
-    let mut seeds = 10u64;
-    let mut steps = 10usize;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let value = args.next().and_then(|v| v.parse::<u64>().ok());
-        match (arg.as_str(), value) {
-            ("--queries", Some(v)) => total = v as usize,
-            ("--streams", Some(v)) => streams = (v as usize).max(1),
-            ("--seeds", Some(v)) => seeds = v.max(1),
-            ("--steps", Some(v)) => steps = (v as usize).max(1),
-            _ => {
-                eprintln!("usage: fault_sweep [--queries K] [--streams S] [--seeds R] [--steps T]");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    rig::parse("fault_sweep", &mut []);
 
     let system = paper_example();
     let alloc = OrthogonalAllocation::paper_7x7();
     let n = system.num_disks();
-    let queries = build_queries(0x5EED, total, streams);
+    let queries = build_queries(0x5EED, QUERIES, STREAMS);
 
-    let mut points: Vec<SweepPoint> = Vec::with_capacity(steps + 1);
-    for step in 0..=steps {
-        let fraction = 0.5 * step as f64 / steps as f64;
+    let mut points = Vec::with_capacity(STEPS + 1);
+    let mut baseline = None;
+    for step in 0..=STEPS {
+        let fraction = 0.5 * step as f64 / STEPS as f64;
         let mut sum_response = Micros::ZERO;
-        let mut complete = 0u64;
-        let mut degraded = 0u64;
-        let mut dropped = 0u64;
-        let mut infeasible = 0u64;
+        let (mut complete, mut degraded, mut dropped, mut infeasible) = (0u64, 0u64, 0u64, 0u64);
         let mut disks_down = 0usize;
-        for seed in 0..seeds {
+        for seed in 0..SEEDS {
             let injector =
                 FaultInjector::random_outages(0xD15C ^ seed, n, fraction, Micros::ZERO, None);
             disks_down = injector.events().len();
@@ -112,54 +89,30 @@ fn main() -> ExitCode {
                 }
             }
         }
-        points.push(SweepPoint {
-            fraction,
-            disks_down,
-            mean_complete_ms: if complete > 0 {
-                sum_response.as_micros() as f64 / complete as f64 / 1_000.0
-            } else {
-                f64::NAN
-            },
-            complete,
-            degraded,
-            dropped_buckets: dropped,
-            infeasible,
-        });
+        // Mean response over fully-served queries, across seeds (null in
+        // the record if none was).
+        let mean_ms = sum_response.as_micros() as f64 / complete as f64 / 1_000.0;
+        let baseline = *baseline.get_or_insert(mean_ms);
+        points.push(
+            Record::default()
+                .num("fraction", fraction, 2)
+                .int("disks_down", disks_down as u64)
+                .num("mean_complete_ms", mean_ms, 3)
+                .num("degradation", mean_ms / baseline, 3)
+                .int("complete", complete)
+                .int("degraded", degraded)
+                .int("dropped", dropped)
+                .int("infeasible", infeasible),
+        );
     }
 
-    let baseline = points[0].mean_complete_ms;
-    let mut report = format!(
-        "# fault_sweep — mean optimal response time vs fraction of failed disks\n\
-         # paper Table II system ({n} disks, two sites), orthogonal 7x7 allocation\n\
-         # {total} queries x {seeds} outage seeds per point, degraded-mode engine,\n\
-         # disks taken offline at t=0 (no recovery), PR-binary solver.\n\
-         #\n\
-         # complete  = queries with every bucket served (mean response over these)\n\
-         # degraded  = queries answered best-effort (>=1 bucket unservable)\n\
-         # dropped   = unservable buckets across all degraded queries\n\
-         #\n\
-         # fraction disks_down mean_complete_ms degradation complete degraded dropped infeasible\n"
-    );
-    for p in &points {
-        report.push_str(&format!(
-            "{:.2} {} {:.3} {:.3}x {} {} {} {}\n",
-            p.fraction,
-            p.disks_down,
-            p.mean_complete_ms,
-            p.mean_complete_ms / baseline,
-            p.complete,
-            p.degraded,
-            p.dropped_buckets,
-            p.infeasible,
-        ));
-    }
-    print!("{report}");
-    if let Err(e) = std::fs::create_dir_all("results")
-        .and_then(|()| std::fs::write("results/fault_sweep.txt", &report))
-    {
-        eprintln!("could not write results/fault_sweep.txt: {e}");
-        return ExitCode::FAILURE;
-    }
-    eprintln!("wrote results/fault_sweep.txt");
-    ExitCode::SUCCESS
+    Record::new("fault_sweep", 1)
+        .note(
+            "complete: every bucket served (mean over these); degraded: best effort; dropped: lost",
+        )
+        .int("disks", n as u64)
+        .int("queries", QUERIES as u64)
+        .int("seeds", SEEDS)
+        .rows("points", points)
+        .write()
 }

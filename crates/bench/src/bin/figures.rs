@@ -3,101 +3,69 @@
 //!
 //! ```text
 //! cargo run -p rds-bench --release --bin figures -- [--fig 5|6|7|8|9|summary|all]
-//!     [--full] [--ns 10,20,30] [--queries 100] [--seed 2012]
+//!     [--full] [--ns 10,20,30] [--queries 100]
 //! ```
 //!
 //! Defaults run a laptop-scale sweep; `--full` switches to the paper's
-//! scale (N up to 100, 1000 queries per point — hours of runtime).
+//! scale (N up to 100, 1000 queries per point — hours of runtime), and
+//! `--ns`/`--queries` override either scale.
 //! Figure 10 (the parallel algorithm of Section V) is not reproduced; see
 //! EXPERIMENTS.md.
 
 use rds_bench::figures::{self, FigureParams};
-use rds_bench::report::{to_json, Table};
+use rds_bench::rig;
 use std::process::ExitCode;
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: figures [--fig 5|6|7|8|9|summary|all] [--full] [--json] \
-         [--ns 10,20,..] [--queries K] [--seed S]"
-    );
-    ExitCode::FAILURE
-}
-
 fn main() -> ExitCode {
-    let mut params = FigureParams::default();
-    let mut which = "all".to_string();
-    let mut json = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--fig" => match args.next() {
-                Some(v) => which = v,
-                None => return usage(),
-            },
-            "--full" => params = FigureParams::paper_scale(),
-            "--json" => json = true,
-            "--ns" => match args.next().map(|v| {
-                v.split(',')
-                    .map(|s| s.trim().parse::<usize>())
-                    .collect::<Result<Vec<_>, _>>()
-            }) {
-                Some(Ok(ns)) if !ns.is_empty() => params.ns = ns,
-                _ => return usage(),
-            },
-            "--queries" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(q) => params.queries = q,
-                None => return usage(),
-            },
-            "--seed" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(s) => params.seed = s,
-                None => return usage(),
-            },
-            _ => return usage(),
-        }
-    }
-
-    if !json {
-        println!(
-            "# integrated max-flow retrieval — figure regeneration\n\
-             # ns={:?} queries={} seed={}\n",
-            params.ns, params.queries, params.seed
-        );
-    }
-
-    let generate = |name: &str| -> Option<Vec<Table>> {
-        match name {
-            "5" => Some(figures::fig5(&params)),
-            "6" => Some(figures::fig6(&params)),
-            "7" => Some(figures::fig7(&params)),
-            "8" => Some(figures::fig8(&params)),
-            "9" => Some(figures::fig9(&params)),
-            "summary" => Some(figures::summary(&params)),
-            other => {
-                eprintln!("unknown figure: {other}");
-                None
-            }
-        }
+    let (mut which, mut full, mut ns, mut queries) = ("all".to_string(), false, Vec::new(), 0usize);
+    rig::parse(
+        "figures",
+        &mut [
+            ("--fig", &mut which),
+            ("--full", &mut full),
+            ("--ns", &mut ns),
+            ("--queries", &mut queries),
+        ],
+    );
+    let mut params = if full {
+        FigureParams::paper_scale()
+    } else {
+        FigureParams::default()
     };
+    if !ns.is_empty() {
+        params.ns = ns;
+    }
+    if queries > 0 {
+        params.queries = queries;
+    }
+
+    println!(
+        "# integrated max-flow retrieval — figure regeneration\n\
+         # ns={:?} queries={} seed={}\n",
+        params.ns, params.queries, params.seed
+    );
 
     let names: Vec<&str> = if which == "all" {
         vec!["5", "6", "7", "8", "9", "summary"]
     } else {
         vec![which.as_str()]
     };
-    let mut all_tables = Vec::new();
     for name in names {
-        match generate(name) {
-            Some(tables) if json => all_tables.extend(tables),
-            Some(tables) => {
-                for t in &tables {
-                    println!("{}", t.render());
-                }
+        let tables = match name {
+            "5" => figures::fig5(&params),
+            "6" => figures::fig6(&params),
+            "7" => figures::fig7(&params),
+            "8" => figures::fig8(&params),
+            "9" => figures::fig9(&params),
+            "summary" => figures::summary(&params),
+            other => {
+                eprintln!("unknown figure: {other}");
+                return ExitCode::FAILURE;
             }
-            None => return ExitCode::FAILURE,
+        };
+        for t in &tables {
+            println!("{}", t.render());
         }
-    }
-    if json {
-        println!("{}", to_json(&all_tables));
     }
     ExitCode::SUCCESS
 }

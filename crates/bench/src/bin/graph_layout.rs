@@ -19,19 +19,21 @@
 //!
 //! A *cold* solve builds the graph from nothing and solves (the per-query
 //! cost before workspaces warm up); a *steady* solve rebuilds in place,
-//! reusing buffers. Legacy/shipped samples are interleaved so clock drift
-//! hits both arms equally.
+//! reusing buffers. The six arms (three stacks, cold and steady) rotate
+//! their order round by round, so clock drift hits every arm alike, and
+//! each speed-up is the median of its per-round paired ratio.
 //!
 //! ```text
-//! cargo run --release -p rds-bench --bin graph_layout -- [--repeat 7] [--rounds 3]
+//! cargo run --release -p rds-bench --bin graph_layout -- [--repeat 10] [--rounds 3]
 //! ```
 //!
 //! Writes `results/graph_layout.txt` and `BENCH_graph_layout.json`.
 
-use rds_flow::graph::FlowGraph;
+use rds_bench::rig::{self, Record, Rounds};
+use rds_flow::graph::{ArenaIndex, FlowGraph};
+use rds_flow::push_relabel::PushRelabel;
 use rds_util::SplitMix64;
 use std::process::ExitCode;
-use std::time::{Duration, Instant};
 
 /// One directed arc of the input network; both residual slots are derived
 /// from it, exactly as `FlowGraph::add_edge` does.
@@ -420,26 +422,24 @@ mod legacy {
 // Measurement
 // ---------------------------------------------------------------------------
 
-fn ms(d: Duration) -> f64 {
-    d.as_secs_f64() * 1e3
-}
-
-/// Cold/steady stack timings for one instance, best of `repeat` samples of
-/// `rounds` cycles each. The measurements are interleaved inside each
-/// sample so slow system phases penalize every arm alike.
-struct StackTimes {
-    legacy_cold: Duration,
-    legacy_steady: Duration,
-    shipped_cold: Duration,
-    shipped_steady: Duration,
-    compact_cold: Duration,
-    compact_steady: Duration,
-    flow: i64,
-}
+/// The six timed arms, in their [`Rounds`] order.
+const ARMS: [&str; 6] = [
+    "legacy_cold",
+    "shipped_cold",
+    "compact_cold",
+    "legacy_steady",
+    "shipped_steady",
+    "compact_steady",
+];
+const LEGACY_COLD: usize = 0;
+const SHIPPED_COLD: usize = 1;
+const COMPACT_COLD: usize = 2;
+const LEGACY_STEADY: usize = 3;
+const SHIPPED_STEADY: usize = 4;
 
 /// Builds the production arena exactly as the retrieval drivers do,
 /// monomorphized over the cap/flow word width.
-fn build_production<W: rds_flow::graph::ArenaIndex>(g: &mut FlowGraph<W>, inst: &Instance) {
+fn build_production<W: ArenaIndex>(g: &mut FlowGraph<W>, inst: &Instance) {
     g.reset(inst.n);
     // The production builders pre-size the arena from the known
     // topology bound (see `RetrievalInstance::rebuild_with_health`);
@@ -452,219 +452,127 @@ fn build_production<W: rds_flow::graph::ArenaIndex>(g: &mut FlowGraph<W>, inst: 
     g.finalize();
 }
 
-fn time_stacks(inst: &Instance, repeat: usize, rounds: usize) -> StackTimes {
-    let build_legacy = |g: &mut legacy::LegacyGraph| {
-        g.reset(inst.n);
-        for a in &inst.arcs {
-            g.add_edge(a.from as usize, a.to as usize, a.cap);
-        }
-    };
+/// One cycle of the production stack: build `inst` into `g`, copy it
+/// into the workspace scratch graph, solve on the copy.
+fn production_cycle<W: ArenaIndex>(
+    g: &mut FlowGraph<W>,
+    scratch: &mut FlowGraph<W>,
+    inst: &Instance,
+    pr: &mut PushRelabel,
+) -> i64 {
+    build_production(g, inst);
+    scratch.copy_from(g);
+    pr.max_flow(scratch, inst.source, inst.sink)
+}
 
+/// Times every arm on `inst`: `repeat` rotated rounds, each sample the
+/// mean of `rounds` cycles. Returns the samples and the max-flow value
+/// all three stacks agree on.
+fn time_stacks(inst: &Instance, repeat: usize, rounds: usize) -> (Rounds, i64) {
     // Each cycle reproduces the full solve pipeline: build the instance's
     // network, copy it into a workspace scratch graph (`Workspace::begin`),
     // solve on the copy. Cold uses a fresh workspace each time — exactly
     // what the `solve()` convenience did per call pre-arena; steady reuses
     // both the instance graph and the workspace scratch.
+    let (s, t) = (inst.source, inst.sink);
+    let legacy_cycle = |g: &mut legacy::LegacyGraph,
+                        scratch: &mut legacy::LegacyGraph,
+                        pr: &mut legacy::LegacyPushRelabel| {
+        g.reset(inst.n);
+        for a in &inst.arcs {
+            g.add_edge(a.from as usize, a.to as usize, a.cap);
+        }
+        scratch.copy_from(g);
+        pr.max_flow(scratch, s, t)
+    };
+
     let mut lpr = legacy::LegacyPushRelabel::new();
-    let mut spr = rds_flow::push_relabel::PushRelabel::new();
-    let mut linst = legacy::LegacyGraph::new(inst.n);
-    let mut sinst = FlowGraph::<i64>::new(inst.n);
-    let mut cinst = FlowGraph::<i32>::new(inst.n);
-    let mut lscratch = legacy::LegacyGraph::default();
-    let mut sscratch = FlowGraph::<i64>::new(0);
-    let mut cscratch = FlowGraph::<i32>::new(0);
-    build_legacy(&mut linst);
-    build_production(&mut sinst, inst);
-    build_production(&mut cinst, inst);
-    lscratch.copy_from(&linst);
-    sscratch.copy_from(&sinst);
-    cscratch.copy_from(&cinst);
-    let flow = lpr.max_flow(&mut lscratch, inst.source, inst.sink);
-    let shipped_flow = spr.max_flow(&mut sscratch, inst.source, inst.sink);
-    let compact_flow = spr.max_flow(&mut cscratch, inst.source, inst.sink);
+    let mut spr = PushRelabel::new();
+    let (mut linst, mut lscratch) = (legacy::LegacyGraph::default(), Default::default());
+    let (mut sinst, mut sscratch) = (FlowGraph::<i64>::new(0), FlowGraph::new(0));
+    let (mut cinst, mut cscratch) = (FlowGraph::<i32>::new(0), FlowGraph::new(0));
+    let flow = legacy_cycle(&mut linst, &mut lscratch, &mut lpr);
+    let shipped_flow = production_cycle(&mut sinst, &mut sscratch, inst, &mut spr);
+    let compact_flow = production_cycle(&mut cinst, &mut cscratch, inst, &mut spr);
     assert_eq!(flow, shipped_flow, "stacks disagree on grid {}", inst.grid);
     assert_eq!(flow, compact_flow, "widths disagree on grid {}", inst.grid);
 
-    let mut t = StackTimes {
-        legacy_cold: Duration::MAX,
-        legacy_steady: Duration::MAX,
-        shipped_cold: Duration::MAX,
-        shipped_steady: Duration::MAX,
-        compact_cold: Duration::MAX,
-        compact_steady: Duration::MAX,
-        flow,
-    };
-    for _ in 0..repeat {
-        let started = Instant::now();
-        for _ in 0..rounds {
-            let mut fresh_inst = legacy::LegacyGraph::new(inst.n);
-            build_legacy(&mut fresh_inst);
-            let mut fresh_ws = legacy::LegacyGraph::default();
-            fresh_ws.copy_from(&fresh_inst);
-            assert_eq!(lpr.max_flow(&mut fresh_ws, inst.source, inst.sink), flow);
-        }
-        t.legacy_cold = t.legacy_cold.min(started.elapsed() / rounds as u32);
-
-        let started = Instant::now();
-        for _ in 0..rounds {
-            let mut fresh_inst = FlowGraph::<i64>::new(inst.n);
-            build_production(&mut fresh_inst, inst);
-            let mut fresh_ws = FlowGraph::<i64>::new(0);
-            fresh_ws.copy_from(&fresh_inst);
-            assert_eq!(spr.max_flow(&mut fresh_ws, inst.source, inst.sink), flow);
-        }
-        t.shipped_cold = t.shipped_cold.min(started.elapsed() / rounds as u32);
-
-        let started = Instant::now();
-        for _ in 0..rounds {
-            let mut fresh_inst = FlowGraph::<i32>::new(inst.n);
-            build_production(&mut fresh_inst, inst);
-            let mut fresh_ws = FlowGraph::<i32>::new(0);
-            fresh_ws.copy_from(&fresh_inst);
-            assert_eq!(spr.max_flow(&mut fresh_ws, inst.source, inst.sink), flow);
-        }
-        t.compact_cold = t.compact_cold.min(started.elapsed() / rounds as u32);
-
-        let started = Instant::now();
-        for _ in 0..rounds {
-            build_legacy(&mut linst);
-            lscratch.copy_from(&linst);
-            assert_eq!(lpr.max_flow(&mut lscratch, inst.source, inst.sink), flow);
-        }
-        t.legacy_steady = t.legacy_steady.min(started.elapsed() / rounds as u32);
-
-        let started = Instant::now();
-        for _ in 0..rounds {
-            build_production(&mut sinst, inst);
-            sscratch.copy_from(&sinst);
-            assert_eq!(spr.max_flow(&mut sscratch, inst.source, inst.sink), flow);
-        }
-        t.shipped_steady = t.shipped_steady.min(started.elapsed() / rounds as u32);
-
-        let started = Instant::now();
-        for _ in 0..rounds {
-            build_production(&mut cinst, inst);
-            cscratch.copy_from(&cinst);
-            assert_eq!(spr.max_flow(&mut cscratch, inst.source, inst.sink), flow);
-        }
-        t.compact_steady = t.compact_steady.min(started.elapsed() / rounds as u32);
-    }
+    // One sample: `rounds` cycles of one arm, per cycle.
+    let samples = rig::alternate(repeat, ARMS.len(), |arm| {
+        let cycles = rig::timed(|| {
+            for _ in 0..rounds {
+                let got = match arm {
+                    LEGACY_COLD => legacy_cycle(
+                        &mut legacy::LegacyGraph::new(inst.n),
+                        &mut legacy::LegacyGraph::default(),
+                        &mut lpr,
+                    ),
+                    SHIPPED_COLD => production_cycle(
+                        &mut FlowGraph::<i64>::new(inst.n),
+                        &mut FlowGraph::new(0),
+                        inst,
+                        &mut spr,
+                    ),
+                    COMPACT_COLD => production_cycle(
+                        &mut FlowGraph::<i32>::new(inst.n),
+                        &mut FlowGraph::new(0),
+                        inst,
+                        &mut spr,
+                    ),
+                    LEGACY_STEADY => legacy_cycle(&mut linst, &mut lscratch, &mut lpr),
+                    SHIPPED_STEADY => production_cycle(&mut sinst, &mut sscratch, inst, &mut spr),
+                    _ => production_cycle(&mut cinst, &mut cscratch, inst, &mut spr),
+                };
+                assert_eq!(got, flow);
+            }
+        });
+        cycles / rounds as u32
+    });
     std::hint::black_box((lpr.ops(), spr.stats));
-    t
-}
-
-struct Rung {
-    grid: usize,
-    vertices: usize,
-    edge_slots: usize,
-    stacks: StackTimes,
+    (samples, flow)
 }
 
 fn main() -> ExitCode {
-    let mut repeat = 7usize;
-    let mut rounds = 3usize;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let value = args.next().and_then(|v| v.parse::<u64>().ok());
-        match (arg.as_str(), value) {
-            ("--repeat", Some(v)) => repeat = (v as usize).max(1),
-            ("--rounds", Some(v)) => rounds = (v as usize).max(1),
-            _ => {
-                eprintln!("usage: graph_layout [--repeat R] [--rounds N]");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    let (mut repeat, mut rounds) = (10usize, 3usize);
+    rig::parse(
+        "graph_layout",
+        &mut [("--repeat", &mut repeat), ("--rounds", &mut rounds)],
+    );
+    let rounds = rounds.max(1);
 
     // Table II shape (7x7 grid, 14 disks) and cache-pressure scalings of
-    // the same topology.
+    // the same topology; the gated speed-ups are read at the largest.
     let grids = [7usize, 14, 28, 56, 112];
-    let mut rungs = Vec::new();
+    let mut rows = Vec::new();
+    let mut last = None;
     for (i, &grid) in grids.iter().enumerate() {
         let inst = build_instance(grid, 0x7AB1E2 + i as u64);
-        let stacks = time_stacks(&inst, repeat, rounds);
-        rungs.push(Rung {
-            grid,
-            vertices: inst.n,
-            edge_slots: inst.arcs.len() * 2,
-            stacks,
-        });
+        let (samples, flow) = time_stacks(&inst, repeat, rounds);
+        let mut row = Record::default()
+            .int("grid", grid as u64)
+            .int("vertices", inst.n as u64)
+            .int("edge_slots", inst.arcs.len() as u64 * 2)
+            .int("flow", flow as u64);
+        for (arm, name) in ARMS.iter().enumerate() {
+            row = row.stat(&format!("{name}_ms"), samples.ms(arm), 4);
+        }
+        rows.push(row);
+        last = Some(samples);
     }
+    let last = last.expect("at least one rung");
 
-    let last = rungs.last().expect("at least one rung");
-    let cold_speedup =
-        last.stacks.legacy_cold.as_secs_f64() / last.stacks.shipped_cold.as_secs_f64();
-    let steady_speedup =
-        last.stacks.legacy_steady.as_secs_f64() / last.stacks.shipped_steady.as_secs_f64();
-    let compact_speedup =
-        last.stacks.shipped_cold.as_secs_f64() / last.stacks.compact_cold.as_secs_f64();
-
-    let mut report = format!(
-        "# graph_layout — pre-arena stack (Vec-of-Vecs FlowGraph + its FIFO\n\
-         # push-relabel, from repo history) vs the shipped CSR arena stack, on\n\
-         # retrieval-shaped networks scaled from the paper's Table II system\n\
-         # (grid 7 = 7x7 grid / 14 disks).\n\
-         # cold   = build the graph from nothing + solve (per-query cost pre-warmup;\n\
-         #          the old layout pays one heap vector per vertex);\n\
-         # steady = in-place rebuild reusing buffers + solve.\n\
-         # best of {repeat} samples x {rounds} cycles, arms interleaved per sample.\n\
-         # compact = the same production stack on the i32 (Compact) arena.\n\
-         #\n\
-         # grid  vertices  slots    legacy_ms        shipped_ms       compact_ms      flow\n\
-         #                          cold   steady    cold   steady    cold   steady\n"
-    );
-    for r in &rungs {
-        report.push_str(&format!(
-            "{:>6} {:>9} {:>6} {:>9.3} {:>8.3} {:>8.3} {:>8.3} {:>8.3} {:>8.3} {:>7}\n",
-            r.grid,
-            r.vertices,
-            r.edge_slots,
-            ms(r.stacks.legacy_cold),
-            ms(r.stacks.legacy_steady),
-            ms(r.stacks.shipped_cold),
-            ms(r.stacks.shipped_steady),
-            ms(r.stacks.compact_cold),
-            ms(r.stacks.compact_steady),
-            r.stacks.flow,
-        ));
-    }
-    report.push_str(&format!(
-        "#\n\
-         cold_speedup         {cold_speedup:.2}x   (legacy stack / shipped stack, cold, grid {grid})\n\
-         steady_speedup       {steady_speedup:.2}x   (legacy stack / shipped stack, in-place rebuilds)\n\
-         compact_speedup      {compact_speedup:.2}x   (production stack: wide i64 arena / compact i32 arena, cold, grid {grid})\n",
-        grid = last.grid,
-    ));
-    print!("{report}");
-
-    let mut json = format!(
-        "{{\n  \"bench\": \"graph_layout\",\n  \"repeat\": {repeat},\n  \"rounds\": {rounds},\n  \"cold_speedup\": {cold_speedup:.3},\n  \"steady_speedup\": {steady_speedup:.3},\n  \"compact_speedup\": {compact_speedup:.3},\n  \"rungs\": [\n",
-    );
-    for (i, r) in rungs.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"grid\": {}, \"vertices\": {}, \"edge_slots\": {}, \"flow\": {}, \"legacy_cold_ms\": {:.4}, \"legacy_steady_ms\": {:.4}, \"shipped_cold_ms\": {:.4}, \"shipped_steady_ms\": {:.4}, \"compact_cold_ms\": {:.4}, \"compact_steady_ms\": {:.4}}}{}\n",
-            r.grid,
-            r.vertices,
-            r.edge_slots,
-            r.stacks.flow,
-            ms(r.stacks.legacy_cold),
-            ms(r.stacks.legacy_steady),
-            ms(r.stacks.shipped_cold),
-            ms(r.stacks.shipped_steady),
-            ms(r.stacks.compact_cold),
-            ms(r.stacks.compact_steady),
-            if i + 1 == rungs.len() { "" } else { "," },
-        ));
-    }
-    json.push_str("  ]\n}\n");
-
-    let write = std::fs::create_dir_all("results")
-        .and_then(|()| std::fs::write("results/graph_layout.txt", &report))
-        .and_then(|()| std::fs::write("BENCH_graph_layout.json", &json));
-    if let Err(e) = write {
-        eprintln!("could not write graph_layout outputs: {e}");
-        return ExitCode::FAILURE;
-    }
-    eprintln!("wrote results/graph_layout.txt and BENCH_graph_layout.json");
-    ExitCode::SUCCESS
+    Record::new("graph_layout", repeat)
+        .note(
+            "legacy: pre-arena Vec-of-Vecs stack; shipped/compact: CSR arena on i64/i32; speed-ups at grid 112",
+        )
+        .int("rounds", rounds as u64)
+        .stat("cold_speedup", last.ratio(LEGACY_COLD, SHIPPED_COLD), 3)
+        .stat(
+            "steady_speedup",
+            last.ratio(LEGACY_STEADY, SHIPPED_STEADY),
+            3,
+        )
+        .stat("compact_speedup", last.ratio(SHIPPED_COLD, COMPACT_COLD), 3)
+        .rows("rungs", rows)
+        .write()
 }

@@ -8,15 +8,18 @@
 //!   probe's budget and verdict, showing how the integrated binary-scaling
 //!   solvers converge in `O(log)` probes while the incremental solvers
 //!   walk capacities upward without probing at all;
-//! * aggregate trace-event counts reconciled over the whole workload;
+//! * trace-event counts of one pass over the workload (every traced pass
+//!   must count the same);
 //! * solve-latency quantiles from the `log2` metrics histograms;
-//! * the wall-clock cost of tracing itself (recorder installed vs. the
-//!   disabled tracer), backing the "<1% when off" overhead contract.
+//! * the wall-clock cost of tracing itself: traced passes (recorder
+//!   installed) alternate with untraced ones round by round, and
+//!   `overhead` is the per-round paired ratio's median minus one.
 //!
 //! ```text
-//! cargo run --release -p rds-bench --bin probe_timeline -- [--rounds 40] [--repeat 3]
+//! cargo run --release -p rds-bench --bin probe_timeline -- [--rounds 40] [--repeat 10]
 //! ```
 
+use rds_bench::rig::{self, Record};
 use rds_core::network::RetrievalInstance;
 use rds_core::obs::metrics::Histogram;
 use rds_core::obs::trace::{EventKind, TraceEvent};
@@ -27,9 +30,8 @@ use rds_decluster::orthogonal::OrthogonalAllocation;
 use rds_decluster::query::{Bucket, Query, RangeQuery};
 use rds_storage::experiments::paper_example;
 use rds_storage::model::SystemConfig;
-use std::fmt::Write as _;
 use std::process::ExitCode;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// A rotating mix of Table-III-style range queries over the 7x7 grid.
 fn workload(rounds: usize) -> Vec<Vec<Bucket>> {
@@ -44,17 +46,8 @@ fn workload(rounds: usize) -> Vec<Vec<Bucket>> {
     queries
 }
 
-struct SolverRun {
-    name: &'static str,
-    /// Probe timeline of the representative query: (budget, feasible).
-    timeline: Vec<(rds_storage::time::Micros, Option<bool>)>,
-    counts: [u64; EventKind::COUNT],
-    latency_us: Histogram,
-    probes: Histogram,
-    traced: Duration,
-    untraced: Duration,
-}
-
+/// One solver's row of the record: `repeat` rounds of one traced and
+/// one untraced pass over `queries`, then the showcase query's timeline.
 fn run_solver(
     solver: &dyn RetrievalSolver,
     system: &SystemConfig,
@@ -62,94 +55,100 @@ fn run_solver(
     queries: &[Vec<Bucket>],
     showcase: &[Bucket],
     repeat: usize,
-) -> SolverRun {
-    // Pass 1: traced, collecting events and histograms.
-    let mut ws = Workspace::new();
-    ws.install_recorder(1 << 16);
+) -> Record {
+    let mut traced = Workspace::new();
+    traced.install_recorder(1 << 16);
+    let mut untraced = Workspace::new();
     let mut latency_us = Histogram::new();
     let mut probes = Histogram::new();
-    let mut counts = [0u64; EventKind::COUNT];
-    let mut traced = Duration::MAX;
-    for _ in 0..repeat {
+    let mut counts: Option<[u64; EventKind::COUNT]> = None;
+    let rounds = rig::alternate(repeat, 2, |arm| {
+        if arm == 1 {
+            let started = Instant::now();
+            for buckets in queries {
+                let inst = RetrievalInstance::build(system, alloc, buckets);
+                let outcome = solver.solve_in(&inst, &mut untraced).expect("feasible");
+                std::hint::black_box(outcome.response_time);
+            }
+            return started.elapsed();
+        }
+        traced.recorder_mut().expect("recorder installed").clear();
         let started = Instant::now();
         for buckets in queries {
             let q_started = Instant::now();
             let inst = RetrievalInstance::build(system, alloc, buckets);
-            let outcome = solver.solve_in(&inst, &mut ws).expect("feasible");
+            let outcome = solver.solve_in(&inst, &mut traced).expect("feasible");
             latency_us.record(q_started.elapsed().as_micros() as u64);
             probes.record(outcome.stats.probes);
         }
-        traced = traced.min(started.elapsed());
-    }
-    if let Some(rec) = ws.recorder() {
-        counts = std::array::from_fn(|i| rec.count(EventKind::ALL[i]));
+        let elapsed = started.elapsed();
+        let rec = traced.recorder().expect("recorder installed");
         assert_eq!(
             rec.dropped(),
             0,
             "{}: recorder ring too small",
             solver.name()
         );
-    }
+        let pass = std::array::from_fn(|i| rec.count(EventKind::ALL[i]));
+        assert_eq!(*counts.get_or_insert(pass), pass, "event counts drifted");
+        elapsed
+    });
+    let counts = counts.expect("a traced pass ran");
 
-    // The representative query's probe timeline, from a fresh recorder.
-    if let Some(rec) = ws.recorder_mut() {
-        rec.clear();
-    }
+    // The showcase query's probe timeline, from a fresh recorder.
+    traced.recorder_mut().expect("recorder installed").clear();
     let inst = RetrievalInstance::build(system, alloc, showcase);
-    let _ = solver.solve_in(&inst, &mut ws).expect("feasible");
-    let mut timeline = Vec::new();
-    if let Some(rec) = ws.recorder() {
-        for e in rec.events() {
-            match e {
-                TraceEvent::ProbeStart { budget } => timeline.push((budget, None)),
-                TraceEvent::ProbeEnd { budget, feasible } => match timeline.last_mut() {
-                    Some(last) if last.0 == budget && last.1.is_none() => last.1 = Some(feasible),
-                    _ => timeline.push((budget, Some(feasible))),
-                },
-                _ => {}
+    let _ = solver.solve_in(&inst, &mut traced).expect("feasible");
+    // budget:verdict per probe, `?` until its end event arrives.
+    let mut steps: Vec<String> = Vec::new();
+    for e in traced.recorder().expect("recorder installed").events() {
+        match e {
+            TraceEvent::ProbeStart { budget } => steps.push(format!("{budget}:?")),
+            TraceEvent::ProbeEnd { budget, feasible } => {
+                let done = format!("{budget}:{}", if feasible { "y" } else { "n" });
+                match steps.last_mut() {
+                    Some(last) if *last == format!("{budget}:?") => *last = done,
+                    _ => steps.push(done),
+                }
             }
+            _ => {}
         }
     }
+    let timeline = if steps.is_empty() {
+        "(none: capacities raised incrementally, no explicit probes)".to_string()
+    } else {
+        steps.join(" ")
+    };
 
-    // Pass 2: tracer disabled — the overhead comparison.
-    ws.disable_tracing();
-    let mut untraced = Duration::MAX;
-    for _ in 0..repeat {
-        let started = Instant::now();
-        for buckets in queries {
-            let inst = RetrievalInstance::build(system, alloc, buckets);
-            let outcome = solver.solve_in(&inst, &mut ws).expect("feasible");
-            std::hint::black_box(outcome.response_time);
-        }
-        untraced = untraced.min(started.elapsed());
-    }
-
-    SolverRun {
-        name: solver.name(),
-        timeline,
-        counts,
-        latency_us,
-        probes,
-        traced,
-        untraced,
-    }
+    let (lat, probes) = (latency_us.summary(), probes.summary());
+    let count = |kind: EventKind| counts[kind as usize];
+    Record::default()
+        .text("solver", solver.name())
+        .int("solves", count(EventKind::SolveStart))
+        .int("probes", count(EventKind::ProbeStart))
+        .int("increments", count(EventKind::CapacityIncrement))
+        .int("relabel_passes", count(EventKind::RelabelPass))
+        .int("augments", count(EventKind::Augment))
+        .int("probes_p50", probes.p50)
+        .int("probes_p95", probes.p95)
+        .int("probes_p99", probes.p99)
+        .int("latency_us_p50", lat.p50)
+        .int("latency_us_p95", lat.p95)
+        .int("latency_us_p99", lat.p99)
+        .int("latency_samples", lat.count)
+        .stat("traced_ms", rounds.ms(0), 3)
+        .stat("untraced_ms", rounds.ms(1), 3)
+        .stat("overhead", rounds.overhead(0, 1), 4)
+        .text("timeline_7x7", &timeline)
 }
 
 fn main() -> ExitCode {
-    let mut rounds = 40usize;
-    let mut repeat = 3usize;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let value = args.next().and_then(|v| v.parse::<u64>().ok());
-        match (arg.as_str(), value) {
-            ("--rounds", Some(v)) => rounds = (v as usize).max(1),
-            ("--repeat", Some(v)) => repeat = (v as usize).max(1),
-            _ => {
-                eprintln!("usage: probe_timeline [--rounds K] [--repeat R]");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    let (mut rounds, mut repeat) = (40usize, 10usize);
+    rig::parse(
+        "probe_timeline",
+        &mut [("--rounds", &mut rounds), ("--repeat", &mut repeat)],
+    );
+    let rounds = rounds.max(1);
 
     let system = paper_example();
     let alloc = OrthogonalAllocation::paper_7x7();
@@ -164,80 +163,14 @@ fn main() -> ExitCode {
         &blackbox::BlackBoxPushRelabel,
         &blackbox::BlackBoxFordFulkerson,
     ];
-
-    let mut report = format!(
-        "# probe_timeline — {n} queries ({rounds} rounds of 6 Table-III shapes),\n\
-         # paper Table II system (14 disks, 2 sites), best of {repeat} runs.\n\
-         #\n\
-         # Timeline: feasibility probes of the 7x7 (49-bucket) query, in order.\n\
-         # Each entry is budget_us:verdict (y = feasible, n = infeasible).\n\
-         # Incremental solvers probe implicitly by raising capacities, so their\n\
-         # timelines are empty — that is the integrated-algorithm advantage.\n",
-        n = queries.len(),
-    );
-
-    for solver in solvers {
-        let run = run_solver(solver, &system, &alloc, &queries, &showcase, repeat);
-        let lat = run.latency_us.summary();
-        let probes = run.probes.summary();
-        let overhead =
-            run.traced.as_secs_f64() / run.untraced.as_secs_f64().max(f64::EPSILON) - 1.0;
-        let _ = writeln!(report, "\n[{}]", run.name);
-        let timeline = if run.timeline.is_empty() {
-            "(none — capacities raised incrementally, no explicit probes)".to_string()
-        } else {
-            run.timeline
-                .iter()
-                .map(|&(budget, feasible)| {
-                    let verdict = match feasible {
-                        Some(true) => "y",
-                        Some(false) => "n",
-                        None => "?",
-                    };
-                    format!("{budget}:{verdict}")
-                })
-                .collect::<Vec<_>>()
-                .join(" ")
-        };
-        let _ = writeln!(report, "timeline_7x7      {timeline}");
-        let _ = writeln!(
-            report,
-            "probes_per_solve  p50 {} / p95 {} / p99 {} (total {})",
-            probes.p50,
-            probes.p95,
-            probes.p99,
-            run.counts[EventKind::ProbeStart as usize]
-        );
-        let _ = writeln!(
-            report,
-            "events            solves {} probes {} increments {} relabel_passes {} augments {}",
-            run.counts[EventKind::SolveStart as usize],
-            run.counts[EventKind::ProbeStart as usize],
-            run.counts[EventKind::CapacityIncrement as usize],
-            run.counts[EventKind::RelabelPass as usize],
-            run.counts[EventKind::Augment as usize],
-        );
-        let _ = writeln!(
-            report,
-            "latency_us        p50 {} / p95 {} / p99 {} over {} samples",
-            lat.p50, lat.p95, lat.p99, lat.count
-        );
-        let _ = writeln!(
-            report,
-            "workload_ms       traced {:.3} / untraced {:.3} ({:+.2}% recorder overhead)",
-            run.traced.as_secs_f64() * 1e3,
-            run.untraced.as_secs_f64() * 1e3,
-            overhead * 1e2,
-        );
-    }
-
-    print!("{report}");
-    if let Err(e) = std::fs::create_dir_all("results")
-        .and_then(|()| std::fs::write("results/probe_timeline.txt", &report))
-    {
-        eprintln!("could not write results/probe_timeline.txt: {e}");
-        return ExitCode::FAILURE;
-    }
-    eprintln!("wrote results/probe_timeline.txt");
-    ExitCode::SUCCESS
+    let rows = solvers
+        .iter()
+        .map(|s| run_solver(*s, &system, &alloc, &queries, &showcase, repeat))
+        .collect();
+    Record::new("probe_timeline", repeat)
+        .note("event counts per pass; timeline_7x7: probes of the 49-bucket query, budget:verdict")
+        .int("queries", queries.len() as u64)
+        .int("rounds", rounds as u64)
+        .rows("solvers", rows)
+        .write()
 }

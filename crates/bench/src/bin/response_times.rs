@@ -7,17 +7,20 @@
 //! the mean optimal response time per query type and load.
 //!
 //! ```text
-//! cargo run --release -p rds-bench --bin response_times -- [--n 16] [--queries 50] [--seed 2012]
+//! cargo run --release -p rds-bench --bin response_times -- [--n 16] [--queries 50]
 //! ```
 
 use rds_bench::harness::{Scheme, Workload};
 use rds_bench::report::Table;
+use rds_bench::rig;
 use rds_core::pr::PushRelabelBinary;
 use rds_core::solver::RetrievalSolver;
 use rds_decluster::load::{Load, QueryKind};
 use rds_storage::experiments::ExperimentId;
 use rds_storage::time::Micros;
-use std::process::ExitCode;
+
+/// The workload seed of every cell.
+const SEED: u64 = 2012;
 
 fn mean_response_ms(
     exp: ExperimentId,
@@ -38,23 +41,12 @@ fn mean_response_ms(
     total.as_millis_f64() / queries as f64
 }
 
-fn main() -> ExitCode {
-    let mut n = 16usize;
-    let mut queries = 50usize;
-    let mut seed = 2012u64;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let value = args.next().and_then(|v| v.parse::<u64>().ok());
-        match (arg.as_str(), value) {
-            ("--n", Some(v)) => n = v as usize,
-            ("--queries", Some(v)) => queries = v as usize,
-            ("--seed", Some(v)) => seed = v,
-            _ => {
-                eprintln!("usage: response_times [--n N] [--queries K] [--seed S]");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+fn main() {
+    let (mut n, mut queries) = (16usize, 50usize);
+    rig::parse(
+        "response_times",
+        &mut [("--n", &mut n), ("--queries", &mut queries)],
+    );
 
     println!(
         "# mean optimal response time (ms), N={n} per site ({} disks), {queries} queries per cell\n",
@@ -80,7 +72,7 @@ fn main() -> ExitCode {
         for scheme in Scheme::ALL {
             let mut row = vec![scheme.label().to_string()];
             for &(kind, load, _) in &cells {
-                let ms = mean_response_ms(exp, scheme, kind, load, n, queries, seed);
+                let ms = mean_response_ms(exp, scheme, kind, load, n, queries, SEED);
                 row.push(format!("{ms:.2}"));
             }
             t.push_row(row);
@@ -94,5 +86,4 @@ fn main() -> ExitCode {
          allocations win on range queries, RDA stays competitive on\n\
          arbitrary queries."
     );
-    ExitCode::SUCCESS
 }

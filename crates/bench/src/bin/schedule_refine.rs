@@ -14,14 +14,18 @@
 //! * `variance_reduction` — mean per-disk load variance of the first
 //!   feasible schedules over the refined ones (higher = flatter load);
 //! * `refine_overhead` — extra wall-clock of objective-enabled solves
-//!   over plain solves, as a fraction of the plain solve time.
+//!   over plain solves, as a fraction of the plain solve time: the
+//!   median of the per-round paired ratio minus one, the two arms
+//!   alternating round by round.
 //!
 //! ```text
-//! cargo run --release -p rds-bench --bin schedule_refine -- [--repeat 9] [--rounds 25]
+//! cargo run --release -p rds-bench --bin schedule_refine -- [--repeat 10]
 //! ```
 //!
 //! Writes `results/schedule_refine.txt` and `BENCH_schedule_refine.json`.
 
+use rds_bench::harness::with_backlog;
+use rds_bench::rig::{self, Record};
 use rds_core::network::RetrievalInstance;
 use rds_core::spec::{ScheduleObjective, SolverKind, SolverSpec};
 use rds_decluster::allocation::{Placement, ReplicaMap, ReplicaSource};
@@ -29,9 +33,13 @@ use rds_decluster::orthogonal::OrthogonalAllocation;
 use rds_decluster::query::{Bucket, Query, RangeQuery};
 use rds_storage::experiments::{experiment, paper_example, ExperimentId};
 use rds_storage::model::SystemConfig;
+use rds_storage::time::Micros;
 use rds_util::SplitMix64;
 use std::process::ExitCode;
-use std::time::{Duration, Instant};
+use std::time::Duration;
+
+/// Passes over the rung's queries per timed sample.
+const ROUNDS: usize = 25;
 
 /// One benchmark rung: a system, an allocation and a query list.
 struct Rung {
@@ -55,16 +63,9 @@ fn table2_rung() -> Rung {
     let base = paper_example();
     let orth = OrthogonalAllocation::paper_7x7();
     let hot: Vec<usize> = orth.replicas(Bucket::new(0, 0)).iter().collect();
-    let mut b = SystemConfig::builder();
-    for (j, d) in base.disks().iter().enumerate() {
-        let extra = if hot.contains(&j) { 25 } else { 0 };
-        b = b.disk_with(
-            d.spec,
-            d.network_delay,
-            d.initial_load + rds_storage::time::Micros::from_millis(extra),
-        );
-    }
-    let system = b.build();
+    let system = with_backlog(&base, |j| {
+        Micros::from_millis(if hot.contains(&j) { 25 } else { 0 })
+    });
     let alloc = ReplicaMap::build(&orth);
     let mut queries = Vec::new();
     for rows in 2..5usize {
@@ -100,35 +101,11 @@ fn scaled_rung() -> Rung {
     }
 }
 
-struct RungResult {
-    name: &'static str,
-    queries: usize,
-    variance_before: f64,
-    variance_after: f64,
-    variance_reduction: f64,
-    plain_ms: f64,
-    refined_ms: f64,
-    refine_overhead: f64,
-    refine_cycles: u64,
-}
-
-fn ms(d: Duration) -> f64 {
-    d.as_secs_f64() * 1e3
-}
-
-/// One timed sample: wall time for solving every query of the rung
-/// `rounds` times with `spec`, verifying each response time against
-/// `want` (the plain optimum) when given. Callers alternate samples
-/// between the plain and refined arms so CPU frequency drift (boost
-/// decay, thermal throttling) hits both arms equally instead of
-/// taxing whichever arm happens to run second.
-fn time_sample(
-    rung: &Rung,
-    spec: &SolverSpec,
-    want: Option<&[rds_storage::time::Micros]>,
-    rounds: usize,
-) -> Duration {
-    let started = Instant::now();
+/// One timed sample: wall time per pass of solving every query of the
+/// rung `rounds` times with `spec`, verifying each response time against
+/// `want` (the plain optimum) when given.
+fn time_sample(rung: &Rung, spec: &SolverSpec, want: Option<&[Micros]>, rounds: usize) -> Duration {
+    let started = std::time::Instant::now();
     for _ in 0..rounds {
         for (i, buckets) in rung.queries.iter().enumerate() {
             let inst = RetrievalInstance::build(&rung.system, &rung.alloc, buckets);
@@ -146,7 +123,9 @@ fn time_sample(
     started.elapsed() / rounds as u32
 }
 
-fn run_rung(rung: &Rung, repeat: usize, rounds: usize) -> RungResult {
+/// Measures one rung, as one row of the record: its variance pass and
+/// `repeat` alternated rounds of plain and refined solves.
+fn run_rung(rung: &Rung, repeat: usize) -> Record {
     let plain_spec = SolverSpec::new(SolverKind::PushRelabelBinary);
     let refined_spec =
         SolverSpec::new(SolverKind::PushRelabelBinary).objective(ScheduleObjective::MinMaxLoad);
@@ -174,123 +153,44 @@ fn run_rung(rung: &Rung, repeat: usize, rounds: usize) -> RungResult {
     // Warm caches, allocator and branch predictors before timing.
     time_sample(rung, &plain_spec, None, 1);
     time_sample(rung, &refined_spec, Some(&optima), 1);
-    // Paired samples: each repeat times the two arms back-to-back, so
-    // a noise burst (VM steal, clock drift) inflates both halves of
-    // the pair and mostly cancels in the ratio. The overhead gate uses
-    // the median pair ratio, which discards the outlier pairs a burst
-    // still skews; the reported absolute times are best-of-repeat.
-    let mut plain_time = Duration::MAX;
-    let mut refined_time = Duration::MAX;
-    let mut ratios = Vec::with_capacity(repeat);
-    for _ in 0..repeat {
-        let p = time_sample(rung, &plain_spec, None, rounds);
-        let r = time_sample(rung, &refined_spec, Some(&optima), rounds);
-        plain_time = plain_time.min(p);
-        refined_time = refined_time.min(r);
-        ratios.push(r.as_secs_f64() / p.as_secs_f64());
-    }
-    ratios.sort_unstable_by(f64::total_cmp);
-    let median_ratio = ratios[ratios.len() / 2];
-
-    let variance_reduction = if variance_after > 1e-12 {
-        variance_before / variance_after
-    } else {
-        f64::INFINITY
-    };
-    let refine_overhead = (median_ratio - 1.0).max(0.0);
-    RungResult {
-        name: rung.name,
-        queries: rung.queries.len(),
-        variance_before,
-        variance_after,
-        variance_reduction,
-        plain_ms: ms(plain_time),
-        refined_ms: ms(refined_time),
-        refine_overhead,
-        refine_cycles,
-    }
+    // Arm 0 plain, arm 1 refined, alternating per round so CPU frequency
+    // drift (boost decay, thermal throttling, VM steal) hits both alike.
+    let rounds = rig::alternate(repeat, 2, |arm| match arm {
+        0 => time_sample(rung, &plain_spec, None, ROUNDS),
+        _ => time_sample(rung, &refined_spec, Some(&optima), ROUNDS),
+    });
+    Record::default()
+        .text("rung", rung.name)
+        .int("queries", rung.queries.len() as u64)
+        .num("variance_before", variance_before, 4)
+        .num("variance_after", variance_after, 4)
+        .num("variance_reduction", variance_before / variance_after, 3)
+        .stat("plain_ms", rounds.ms(0), 4)
+        .stat("refined_ms", rounds.ms(1), 4)
+        .stat("refine_overhead", rounds.overhead(1, 0), 4)
+        .int("refine_cycles", refine_cycles)
 }
 
 fn main() -> ExitCode {
-    let mut repeat = 9usize;
-    let mut rounds = 25usize;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let value = args.next().and_then(|v| v.parse::<u64>().ok());
-        match (arg.as_str(), value) {
-            ("--repeat", Some(v)) => repeat = (v as usize).max(1),
-            ("--rounds", Some(v)) => rounds = (v as usize).max(1),
-            _ => {
-                eprintln!("usage: schedule_refine [--repeat R] [--rounds N]");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    let mut repeat = 10usize;
+    rig::parse("schedule_refine", &mut [("--repeat", &mut repeat)]);
 
-    let rungs = [table2_rung(), scaled_rung()];
-    let results: Vec<RungResult> = rungs.iter().map(|r| run_rung(r, repeat, rounds)).collect();
-    let head = &results[0];
-
-    let mut report = format!(
-        "# schedule_refine — MinMaxLoad refinement vs first-feasible schedules.\n\
-         # Every refined query keeps the plain solver's optimal response time\n\
-         # bit-for-bit (asserted per solve); variance is the per-disk load\n\
-         # variance (ms^2) averaged over the rung's queries.\n\
-         # plain/refined: whole-rung solve time, best of {repeat} alternating\n\
-         # samples x {rounds} rounds (alternation keeps CPU clock drift fair).\n\
-         #\n\
-         # rung        queries  var_before  var_after  reduction  plain_ms  refined_ms  overhead  cycles\n"
-    );
-    for r in &results {
-        report.push_str(&format!(
-            "{:<13} {:>6} {:>11.3} {:>10.3} {:>9.2}x {:>9.3} {:>11.3} {:>8.1}% {:>7}\n",
-            r.name,
-            r.queries,
-            r.variance_before,
-            r.variance_after,
-            r.variance_reduction,
-            r.plain_ms,
-            r.refined_ms,
-            r.refine_overhead * 100.0,
-            r.refine_cycles,
-        ));
-    }
-    report.push_str(&format!(
-        "#\n\
-         variance_reduction  {:.2}x   (Table II rung, gated >= 2x)\n\
-         refine_overhead     {:.3}   (of plain solve time, gated <= 0.5)\n",
-        head.variance_reduction, head.refine_overhead,
-    ));
-    print!("{report}");
-
-    let mut json = format!(
-        "{{\n  \"bench\": \"schedule_refine\",\n  \"repeat\": {repeat},\n  \"rounds\": {rounds},\n  \"variance_before\": {:.4},\n  \"variance_after\": {:.4},\n  \"variance_reduction\": {:.3},\n  \"refine_overhead\": {:.4},\n  \"responses_equal\": true,\n  \"rungs\": [\n",
-        head.variance_before, head.variance_after, head.variance_reduction, head.refine_overhead,
-    );
-    for (i, r) in results.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"rung\": \"{}\", \"queries\": {}, \"variance_before\": {:.4}, \"variance_after\": {:.4}, \"variance_reduction\": {:.3}, \"plain_ms\": {:.4}, \"refined_ms\": {:.4}, \"refine_overhead\": {:.4}, \"refine_cycles\": {}}}{}\n",
-            r.name,
-            r.queries,
-            r.variance_before,
-            r.variance_after,
-            r.variance_reduction,
-            r.plain_ms,
-            r.refined_ms,
-            r.refine_overhead,
-            r.refine_cycles,
-            if i + 1 == results.len() { "" } else { "," },
-        ));
-    }
-    json.push_str("  ]\n}\n");
-
-    let write = std::fs::create_dir_all("results")
-        .and_then(|()| std::fs::write("results/schedule_refine.txt", &report))
-        .and_then(|()| std::fs::write("BENCH_schedule_refine.json", &json));
-    if let Err(e) = write {
-        eprintln!("could not write schedule_refine outputs: {e}");
-        return ExitCode::FAILURE;
-    }
-    eprintln!("wrote results/schedule_refine.txt and BENCH_schedule_refine.json");
-    ExitCode::SUCCESS
+    let rows: Vec<Record> = [table2_rung(), scaled_rung()]
+        .iter()
+        .map(|r| run_rung(r, repeat))
+        .collect();
+    // The gates read the Table II rung's keys at the top level.
+    let gated = [
+        "variance_before",
+        "variance_after",
+        "variance_reduction",
+        "refine_overhead",
+    ];
+    Record::new("schedule_refine", repeat)
+        .note("refined: MinMaxLoad; variance: ms^2, mean over a rung's queries; 25 passes a sample")
+        .int("rounds", ROUNDS as u64)
+        .copy(&rows[0], &gated)
+        .flag("responses_equal", true)
+        .rows("rungs", rows)
+        .write()
 }

@@ -8,17 +8,20 @@
 //! window periodically revisits earlier positions after the disks have
 //! drained (the schedule-cache case). Both engines run the identical
 //! batch; the cold engine's instance cache still rebuilds per query, so
-//! the ratio isolates what cross-query reuse buys.
+//! the ratio isolates what cross-query reuse buys. The two engines
+//! alternate round by round (ABBA) and `speedup` is the per-round paired
+//! ratio's median.
 //!
 //! ```text
-//! cargo run --release -p rds-bench --bin stream_reuse -- [--queries 2000] [--streams 4] [--repeat 5]
+//! cargo run --release -p rds-bench --bin stream_reuse -- [--queries 2000] [--streams 4] [--repeat 10]
 //! ```
 //!
-//! Writes `results/stream_reuse.txt` (human-readable) and
-//! `BENCH_stream_reuse.json` (machine-readable: ops/s, cache hit rate,
-//! p95 solve latency).
+//! Writes `results/stream_reuse.txt` and `BENCH_stream_reuse.json`
+//! (ops/s, cache hit rate, p95 solve latency).
 
-use rds_core::engine::{BatchQuery, Engine};
+use rds_bench::harness::with_backlog;
+use rds_bench::rig::{self, Record, Stat};
+use rds_core::engine::{BatchQuery, Engine, MetricsSnapshot};
 use rds_core::network::RetrievalInstance;
 use rds_core::pr::PushRelabelBinary;
 use rds_core::session::{RetrievalSession, ReusePolicy};
@@ -27,7 +30,7 @@ use rds_core::verify::oracle_optimal_response;
 use rds_decluster::orthogonal::OrthogonalAllocation;
 use rds_decluster::query::{Bucket, Query, RangeQuery};
 use rds_storage::experiments::paper_example;
-use rds_storage::model::{Disk, Site, SystemConfig};
+use rds_storage::model::SystemConfig;
 use rds_storage::time::Micros;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -45,24 +48,19 @@ fn window_at(step: usize) -> RangeQuery {
     RangeQuery::new(row, cols[step % cols.len()], 2, 5)
 }
 
+/// `total` queries dealt round-robin over `streams`, one `GAP` apart per
+/// stream; stream `s` runs the snake `s` steps ahead.
 fn build_queries(streams: usize, total: usize) -> Vec<BatchQuery> {
-    let mut queries = Vec::with_capacity(total);
-    let mut k = 0usize;
-    while queries.len() < total {
-        for s in 0..streams {
-            if queries.len() == total {
-                break;
-            }
-            let step = k / streams;
-            queries.push(BatchQuery {
+    (0..total)
+        .map(|k| {
+            let (s, step) = (k % streams, k / streams);
+            BatchQuery {
                 stream: s,
                 arrival: Micros(GAP.0 * step as u64),
                 buckets: window_at(step + s).buckets(7),
-            });
-            k += 1;
-        }
-    }
-    queries
+            }
+        })
+        .collect()
 }
 
 /// Per-step optimality check of the warm path against the independent
@@ -74,17 +72,9 @@ fn verify_warm_stream(system: &SystemConfig, alloc: &OrthogonalAllocation, steps
     for step in 0..steps {
         let arrival = Micros(GAP.0 * step as u64);
         let buckets: Vec<Bucket> = window_at(step).buckets(7);
-        let loaded: Vec<Disk> = (0..system.num_disks())
-            .map(|j| Disk {
-                initial_load: system.disk(j).initial_load
-                    + (session.current_load(j) + session.now()).saturating_sub(arrival),
-                ..*system.disk(j)
-            })
-            .collect();
-        let loaded_system = SystemConfig::new(vec![Site {
-            name: "loaded".into(),
-            disks: loaded,
-        }]);
+        let loaded_system = with_backlog(system, |j| {
+            (session.current_load(j) + session.now()).saturating_sub(arrival)
+        });
         let want =
             oracle_optimal_response(&RetrievalInstance::build(&loaded_system, alloc, &buckets));
         let got = session
@@ -101,20 +91,13 @@ fn verify_warm_stream(system: &SystemConfig, alloc: &OrthogonalAllocation, steps
     );
 }
 
-struct Run {
-    elapsed: Duration,
-    p95_solve_us: u64,
-    cache_hits: u64,
-    cache_misses: u64,
-    delta_patches: u64,
-}
-
+/// One timed pass of a fresh engine over the batch, reuse on or off.
 fn run_engine(
     system: &SystemConfig,
     alloc: &OrthogonalAllocation,
     queries: &[BatchQuery],
     warm: bool,
-) -> Run {
+) -> (Duration, MetricsSnapshot) {
     let started = Instant::now();
     let mut spec = SolverSpec::new(SolverKind::PushRelabelBinary);
     if warm {
@@ -123,38 +106,24 @@ fn run_engine(
             cache_capacity: 32,
         });
     }
-    let builder = Engine::builder(system, alloc).solver_spec(spec);
-    let mut engine = builder.build();
+    let mut engine = Engine::builder(system, alloc).solver_spec(spec).build();
     let results = engine.submit_batch(queries);
     let elapsed = started.elapsed();
     assert!(results.iter().all(Result::is_ok), "infeasible query");
-    let snap = engine.metrics_snapshot();
-    Run {
-        elapsed,
-        p95_solve_us: snap.solve_latency_us.p95,
-        cache_hits: snap.stats.reuse.cache_hits,
-        cache_misses: snap.stats.reuse.cache_misses,
-        delta_patches: snap.stats.reuse.delta_patches,
-    }
+    (elapsed, engine.metrics_snapshot())
 }
 
 fn main() -> ExitCode {
-    let mut total = 2000usize;
-    let mut streams = 4usize;
-    let mut repeat = 5usize;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let value = args.next().and_then(|v| v.parse::<u64>().ok());
-        match (arg.as_str(), value) {
-            ("--queries", Some(v)) => total = (v as usize).max(1),
-            ("--streams", Some(v)) => streams = (v as usize).max(1),
-            ("--repeat", Some(v)) => repeat = (v as usize).max(1),
-            _ => {
-                eprintln!("usage: stream_reuse [--queries K] [--streams S] [--repeat R]");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    let (mut total, mut streams, mut repeat) = (2000usize, 4usize, 10usize);
+    rig::parse(
+        "stream_reuse",
+        &mut [
+            ("--queries", &mut total),
+            ("--streams", &mut streams),
+            ("--repeat", &mut repeat),
+        ],
+    );
+    let (total, streams) = (total.max(1), streams.max(1));
 
     let system = paper_example();
     let alloc = OrthogonalAllocation::paper_7x7();
@@ -163,73 +132,47 @@ fn main() -> ExitCode {
     // Correctness first: the warm path must stay optimal per step.
     verify_warm_stream(&system, &alloc, (total / streams).clamp(4, 48));
 
-    let mut cold = run_engine(&system, &alloc, &queries, false);
-    let mut warm = run_engine(&system, &alloc, &queries, true);
-    for _ in 1..repeat {
-        let c = run_engine(&system, &alloc, &queries, false);
-        if c.elapsed < cold.elapsed {
-            cold = c;
+    // Arm 0 rebuilds per query, arm 1 runs warm. Reuse counters repeat
+    // exactly from round to round; p95 solve latency is kept per round.
+    let mut p95 = [Vec::new(), Vec::new()];
+    let mut reuse = None;
+    let rounds = rig::alternate(repeat, 2, |arm| {
+        let (elapsed, snap) = run_engine(&system, &alloc, &queries, arm == 1);
+        p95[arm].push(snap.solve_latency_us.p95 as f64);
+        if arm == 1 {
+            let got = snap.stats.reuse;
+            assert_eq!(*reuse.get_or_insert(got), got, "reuse counters drifted");
         }
-        let w = run_engine(&system, &alloc, &queries, true);
-        if w.elapsed < warm.elapsed {
-            warm = w;
-        }
-    }
+        elapsed
+    });
+    let reuse = reuse.expect("the warm arm ran");
+    let (hits, misses) = (reuse.cache_hits, reuse.cache_misses);
 
-    let cold_ops = total as f64 / cold.elapsed.as_secs_f64();
-    let warm_ops = total as f64 / warm.elapsed.as_secs_f64();
-    let speedup = warm_ops / cold_ops;
-    let lookups = warm.cache_hits + warm.cache_misses;
-    let hit_rate = if lookups > 0 {
-        warm.cache_hits as f64 / lookups as f64
-    } else {
-        0.0
-    };
-
-    let report = format!(
-        "# stream_reuse — {total} queries, {streams} streams, paper Table II system (14 disks)\n\
-         #\n\
-         # 2x5 windows snaking over the 7x7 grid: 80% bucket overlap per column\n\
-         # move, positions revisited after disk drain. Identical batch both sides;\n\
-         # warm-path optimality verified per step against the oracle.\n\
-         #\n\
-         # rebuild: Engine, reuse off — instance rebuilt per query.\n\
-         # warm:    SolverSpec::new(..).reuse(ReusePolicy {{ warm_start: true, cache_capacity: 32 }})\n\
-         #\n\
-         # best of {repeat} runs:\n\
-         rebuild_ms         {cold_ms:.3}\n\
-         warm_ms            {warm_ms:.3}\n\
-         speedup            {speedup:.2}x\n\
-         rebuild_ops_per_s  {cold_ops:.0}\n\
-         warm_ops_per_s     {warm_ops:.0}\n\
-         cache_hit_rate     {hit_rate:.3}\n\
-         delta_patches      {patches}\n\
-         p95_solve_us_rebuild {cold_p95}\n\
-         p95_solve_us_warm    {warm_p95}\n",
-        cold_ms = cold.elapsed.as_secs_f64() * 1e3,
-        warm_ms = warm.elapsed.as_secs_f64() * 1e3,
-        patches = warm.delta_patches,
-        cold_p95 = cold.p95_solve_us,
-        warm_p95 = warm.p95_solve_us,
-    );
-    print!("{report}");
-
-    let json = format!(
-        "{{\n  \"bench\": \"stream_reuse\",\n  \"queries\": {total},\n  \"streams\": {streams},\n  \"repeat\": {repeat},\n  \"overlap_pct\": 80,\n  \"rebuild_ops_per_sec\": {cold_ops:.1},\n  \"warm_ops_per_sec\": {warm_ops:.1},\n  \"speedup\": {speedup:.3},\n  \"cache_hit_rate\": {hit_rate:.4},\n  \"cache_hits\": {hits},\n  \"cache_misses\": {misses},\n  \"delta_patches\": {patches},\n  \"p95_solve_latency_us_rebuild\": {cold_p95},\n  \"p95_solve_latency_us_warm\": {warm_p95}\n}}\n",
-        hits = warm.cache_hits,
-        misses = warm.cache_misses,
-        patches = warm.delta_patches,
-        cold_p95 = cold.p95_solve_us,
-        warm_p95 = warm.p95_solve_us,
-    );
-
-    let write = std::fs::create_dir_all("results")
-        .and_then(|()| std::fs::write("results/stream_reuse.txt", &report))
-        .and_then(|()| std::fs::write("BENCH_stream_reuse.json", &json));
-    if let Err(e) = write {
-        eprintln!("could not write stream_reuse outputs: {e}");
-        return ExitCode::FAILURE;
-    }
-    eprintln!("wrote results/stream_reuse.txt and BENCH_stream_reuse.json");
-    ExitCode::SUCCESS
+    Record::new("stream_reuse", repeat)
+        .note("2x5 windows snaking the grid, 80% overlap a move; warm: warm start + 32-entry cache")
+        .int("queries", total as u64)
+        .int("streams", streams as u64)
+        .int("overlap_pct", 80)
+        .stat("rebuild_ops_per_sec", rounds.per_sec(0, total), 1)
+        .stat("warm_ops_per_sec", rounds.per_sec(1, total), 1)
+        .stat("speedup", rounds.ratio(0, 1), 3)
+        .num(
+            "cache_hit_rate",
+            hits as f64 / (hits + misses).max(1) as f64,
+            4,
+        )
+        .int("cache_hits", hits)
+        .int("cache_misses", misses)
+        .int("delta_patches", reuse.delta_patches)
+        .stat(
+            "p95_solve_latency_us_rebuild",
+            Stat::of(p95[0].iter().copied()),
+            0,
+        )
+        .stat(
+            "p95_solve_latency_us_warm",
+            Stat::of(p95[1].iter().copied()),
+            0,
+        )
+        .write()
 }

@@ -3,6 +3,7 @@
 //! grids.
 
 use rds_bench::report::Table;
+use rds_bench::rig;
 use rds_decluster::allocation::Placement;
 use rds_decluster::orthogonal::OrthogonalAllocation;
 use rds_decluster::query::Bucket;
@@ -122,6 +123,7 @@ fn figure_2_grids() -> String {
 }
 
 fn main() {
+    rig::parse("tables", &mut []);
     for t in [table_i(), table_ii(), table_iii(), table_iv()] {
         println!("{}", t.render());
     }

@@ -8,14 +8,17 @@
 //! are performed", §VI-F) with a configurable query count.
 
 use rds_core::network::RetrievalInstance;
+use rds_core::pr::PushRelabelBinary;
 use rds_core::solver::RetrievalSolver;
 use rds_decluster::allocation::{Placement, ReplicaMap};
 use rds_decluster::load::{Load, QueryGenerator, QueryKind};
 use rds_decluster::orthogonal::OrthogonalAllocation;
 use rds_decluster::periodic::DependentPeriodicAllocation;
 use rds_decluster::query::Query;
+use rds_decluster::query::{Bucket, RangeQuery};
 use rds_decluster::rda::RandomDuplicateAllocation;
 use rds_storage::experiments::{experiment, ExperimentId};
+use rds_storage::model::{Disk, Site, SystemConfig};
 use rds_storage::time::Micros;
 use std::time::Instant;
 
@@ -128,10 +131,76 @@ pub fn measure(solver: &dyn RetrievalSolver, workload: &Workload) -> Measurement
     }
 }
 
+/// Query `k` of a sliding-window mix over the Table II 7x7 grid: windows
+/// of `min` to `min + 2` rows and columns, so every solve does work of
+/// the size the Table II experiments stress.
+pub fn sliding_window(k: usize, min: usize) -> Vec<Bucket> {
+    let r = min + k % 3;
+    let c = min + (k / 3) % 3;
+    RangeQuery::new(k % (7 - r + 1), (k / 7) % (7 - c + 1), r, c).buckets(7)
+}
+
+/// `system` as one site whose disk `j` starts `backlog(j)` busier.
+pub fn with_backlog(system: &SystemConfig, backlog: impl Fn(usize) -> Micros) -> SystemConfig {
+    let disks = system
+        .disks()
+        .iter()
+        .enumerate()
+        .map(|(j, d)| Disk {
+            initial_load: d.initial_load + backlog(j),
+            ..*d
+        })
+        .collect();
+    SystemConfig::new(vec![Site {
+        name: "loaded".to_string(),
+        disks,
+    }])
+}
+
+/// One stream served the way the engine served it before workspaces:
+/// per query, clone the system into a copy carrying this stream's disk
+/// backlog, build a fresh retrieval network and solve it with
+/// [`PushRelabelBinary`] in a fresh workspace. The baseline arm of
+/// `engine_speedup` and `batch_fuse`; it returns the engine's response
+/// times, so either bench can assert them equal.
+pub struct ClonePerSolve<'a> {
+    system: &'a SystemConfig,
+    alloc: &'a OrthogonalAllocation,
+    busy_until: Vec<Micros>,
+}
+
+impl<'a> ClonePerSolve<'a> {
+    /// A stream with idle disks.
+    pub fn new(system: &'a SystemConfig, alloc: &'a OrthogonalAllocation) -> Self {
+        ClonePerSolve {
+            busy_until: vec![Micros::ZERO; system.num_disks()],
+            system,
+            alloc,
+        }
+    }
+
+    /// Serves `buckets` arriving at `arrival` (non-decreasing per
+    /// stream) and returns the optimal response time.
+    pub fn submit(&mut self, arrival: Micros, buckets: &[Bucket]) -> Micros {
+        let loaded = with_backlog(self.system, |j| self.busy_until[j].saturating_sub(arrival));
+        let inst = RetrievalInstance::build(&loaded, self.alloc, buckets);
+        let outcome = PushRelabelBinary.solve(&inst).expect("feasible query");
+        let counts = outcome.schedule.per_disk_counts(loaded.num_disks());
+        for (j, &k) in counts.iter().enumerate() {
+            if k > 0 {
+                let completion = arrival + loaded.disk(j).completion_time(k);
+                self.busy_until[j] = self.busy_until[j].max(completion);
+            }
+        }
+        outcome.response_time
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rds_core::pr::PushRelabelBinary;
+    use rds_core::engine::{BatchQuery, Engine};
+    use rds_storage::experiments::paper_example;
 
     #[test]
     fn workload_builds_requested_queries() {
@@ -190,6 +259,36 @@ mod tests {
         let m2 = measure(&PushRelabelBinary, &w);
         assert!(m1.avg_runtime_ms > 0.0);
         assert_eq!(m1.total_response, m2.total_response);
+    }
+
+    #[test]
+    fn clone_per_solve_returns_the_engines_response_times() {
+        let system = paper_example();
+        let alloc = OrthogonalAllocation::paper_7x7();
+        // Two streams of overlapping windows, 1 ms apart, so backlogs
+        // carry from query to query.
+        let queries: Vec<BatchQuery> = (0..24)
+            .map(|k| BatchQuery {
+                stream: k % 2,
+                arrival: Micros::from_millis(k as u64 / 2),
+                buckets: RangeQuery::new(k % 5, (k / 2) % 4, 2 + k % 3, 3).buckets(7),
+            })
+            .collect();
+        let mut streams = [
+            ClonePerSolve::new(&system, &alloc),
+            ClonePerSolve::new(&system, &alloc),
+        ];
+        let baseline: Vec<Micros> = queries
+            .iter()
+            .map(|q| streams[q.stream].submit(q.arrival, &q.buckets))
+            .collect();
+        let engine: Vec<Micros> = Engine::new(&system, &alloc, PushRelabelBinary, 1)
+            .submit_batch(&queries)
+            .into_iter()
+            .map(|r| r.expect("feasible").outcome.response_time)
+            .collect();
+        assert_eq!(baseline, engine);
+        assert!(baseline.iter().any(|&t| t > baseline[0]), "backlog unused");
     }
 
     #[test]

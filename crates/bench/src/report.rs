@@ -1,4 +1,4 @@
-//! Plain-text and JSON rendering of figure/table data.
+//! Plain-text rendering of figure/table data.
 
 /// A rectangular data table (one paper subplot or table).
 #[derive(Clone, Debug)]
@@ -61,66 +61,6 @@ impl Table {
     }
 }
 
-/// Escapes a string for inclusion in a JSON document.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn json_string_array(items: &[String], indent: &str) -> String {
-    let cells: Vec<String> = items
-        .iter()
-        .map(|c| format!("\"{}\"", json_escape(c)))
-        .collect();
-    format!("{indent}[{}]", cells.join(", "))
-}
-
-/// Serializes a set of tables as a JSON document (one object per table).
-///
-/// Hand-rolled (the workspace builds offline without serde); all values
-/// are strings, so escaping covers the full format.
-pub fn to_json(tables: &[Table]) -> String {
-    let mut out = String::from("[");
-    for (i, t) in tables.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n  {\n");
-        out.push_str(&format!("    \"title\": \"{}\",\n", json_escape(&t.title)));
-        out.push_str(&format!(
-            "    \"columns\": {},\n",
-            json_string_array(&t.columns, "")
-        ));
-        out.push_str("    \"rows\": [");
-        for (j, row) in t.rows.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push('\n');
-            out.push_str(&json_string_array(row, "      "));
-        }
-        if t.rows.is_empty() {
-            out.push_str("]\n");
-        } else {
-            out.push_str("\n    ]\n");
-        }
-        out.push_str("  }");
-    }
-    out.push_str("\n]");
-    out
-}
-
 /// Formats a runtime in milliseconds with sensible precision.
 pub fn fmt_ms(ms: f64) -> String {
     if ms >= 100.0 {
@@ -158,29 +98,6 @@ mod tests {
     fn wrong_width_rejected() {
         let mut t = Table::new("x", &["a", "b"]);
         t.push_row(vec!["1".into()]);
-    }
-
-    #[test]
-    fn json_has_expected_structure() {
-        let mut t = Table::new("J", &["a"]);
-        t.push_row(vec!["1".into()]);
-        let json = to_json(&[t]);
-        assert!(json.starts_with('[') && json.ends_with(']'));
-        assert!(json.contains("\"title\": \"J\""));
-        assert!(json.contains("\"columns\": [\"a\"]"));
-        assert!(json.contains("[\"1\"]"));
-    }
-
-    #[test]
-    fn json_escapes_special_characters() {
-        let t = Table::new("quote \" and \\ slash\nline", &["c"]);
-        let json = to_json(&[t]);
-        assert!(json.contains("quote \\\" and \\\\ slash\\nline"));
-    }
-
-    #[test]
-    fn json_of_empty_table_list() {
-        assert_eq!(to_json(&[]), "[\n]");
     }
 
     #[test]

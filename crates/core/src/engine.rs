@@ -182,9 +182,12 @@ pub struct EngineStats {
     pub queries: u64,
     /// Queries that returned an error.
     pub errors: u64,
-    /// Batches processed.
+    /// Runs processed: one per [`Engine::submit_batch`] call and one per
+    /// [`Engine::serve`] run.
     pub batches: u64,
-    /// Wall-clock time spent inside `submit_batch`.
+    /// Wall-clock time of those runs: each `submit_batch` call from entry
+    /// to return, and each `serve` run whole, including the time its
+    /// closure spends submitting and receiving.
     pub elapsed: Duration,
     /// Solver work counters summed over all successful queries.
     pub solve_stats: SolveStats,
@@ -213,7 +216,8 @@ pub struct EngineStats {
 }
 
 impl EngineStats {
-    /// Query throughput over the accumulated `submit_batch` wall time.
+    /// Queries over the accumulated [`elapsed`](Self::elapsed) wall time
+    /// of every `submit_batch` call and `serve` run.
     pub fn queries_per_sec(&self) -> f64 {
         let secs = self.elapsed.as_secs_f64();
         if secs > 0.0 {

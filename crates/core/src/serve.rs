@@ -490,11 +490,12 @@ impl Shared {
         arrival: Micros,
     ) {
         self.counters.rejected_by[reason as usize][class as usize].fetch_add(1, Ordering::Relaxed);
-        let sub = self.counters.submitted.load(Ordering::Relaxed);
         let mut log = self.rejlog.lock().expect("rejection log mutex");
         let (recorder, slo) = &mut *log;
         let mut span = recorder.checkout();
-        span.id = SpanId(sub);
+        // A rejection never received a ticket: `SpanId(0)`, as documented,
+        // so no export can show it under an admitted request's ticket.
+        span.id = SpanId(0);
         span.stream = stream;
         span.shard = stream % self.queues.len();
         span.class = class as usize;
@@ -1611,6 +1612,9 @@ mod tests {
             pm.rejections[0].outcome,
             SpanOutcome::Rejected(RejectReason::ShuttingDown)
         ));
+        // The rejected submission was the second one, but it never got a
+        // ticket: its span is exported as ticket 0, not as ticket 2.
+        assert_eq!(pm.rejections[0].id, SpanId(0));
         let trace = pm.to_chrome_trace();
         // One complete event per retained span, one instant per phase.
         assert_eq!(
@@ -1623,6 +1627,7 @@ mod tests {
         );
         let statusz = pm.to_statusz();
         assert!(statusz.contains("DEADLINE-MISSED"));
+        assert!(statusz.contains("span ticket=0 stream=1 shard=0 class=standard outcome=rejected"));
 
         // SLO burn metrics and the labeled rejection counter reach both
         // exposition formats with their values.
