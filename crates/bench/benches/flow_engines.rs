@@ -51,7 +51,7 @@ fn group(labels: &[&str], mut arm: impl FnMut(usize) -> i64) -> Record {
     });
     let mut group = Record::default();
     for (i, label) in labels.iter().enumerate() {
-        group = group.stat(&format!("{label}_ms"), rounds.ms(i), 3);
+        group = group.stat(&format!("{label}_ms"), rounds.ms(i), 5);
     }
     group
 }

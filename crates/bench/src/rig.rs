@@ -83,7 +83,7 @@ pub fn parse(bin: &str, flags: &mut Flags) {
 }
 
 /// [`parse`] over explicit arguments; `Err` carries the usage line.
-pub fn parse_from(
+fn parse_from(
     bin: &str,
     args: impl IntoIterator<Item = String>,
     flags: &mut Flags,
@@ -177,12 +177,9 @@ pub fn timed(f: impl FnOnce()) -> Duration {
 /// sample with at least `q · n` samples at or below it).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Stat {
-    /// Lower quartile.
-    pub q1: f64,
-    /// Median.
-    pub median: f64,
-    /// Upper quartile.
-    pub q3: f64,
+    q1: f64,
+    median: f64,
+    q3: f64,
 }
 
 impl Stat {
@@ -353,8 +350,6 @@ impl Record {
         for (key, value) in &self.fields {
             let path = format!("{prefix}{key}");
             match value {
-                Value::Literal(v) | Value::Text(v) => out.push((path, v.clone())),
-                Value::Stat(_) => out.push((path, cell(value))),
                 Value::Object(r) => r.text_entries(&format!("{path}."), out),
                 Value::Rows(rows) => {
                     let columns: Vec<&str> = rows
@@ -367,6 +362,7 @@ impl Record {
                     }
                     out.push((String::new(), table.render()));
                 }
+                _ => out.push((path, cell(value))),
             }
         }
     }
