@@ -8,10 +8,11 @@
 //!   probe's budget and verdict, showing how the integrated binary-scaling
 //!   solvers converge in `O(log)` probes while the incremental solvers
 //!   walk capacities upward without probing at all;
-//! * trace-event counts of one pass over the workload (every traced pass
-//!   must count the same);
+//! * trace-event counts of one pass over the workload, as the difference
+//!   of the workspace's always-on counts across the pass (every traced
+//!   pass must count the same);
 //! * solve-latency quantiles from the `log2` metrics histograms;
-//! * the wall-clock cost of tracing itself: traced passes (recorder
+//! * the wall-clock cost of the ring recorder: traced passes (recorder
 //!   installed) alternate with untraced ones round by round, and
 //!   `overhead` is the per-round paired ratio's median minus one.
 //!
@@ -73,6 +74,7 @@ fn run_solver(
             return started.elapsed();
         }
         traced.recorder_mut().expect("recorder installed").clear();
+        let before = *traced.trace_counts();
         let started = Instant::now();
         for buckets in queries {
             let q_started = Instant::now();
@@ -89,7 +91,8 @@ fn run_solver(
             "{}: recorder ring too small",
             solver.name()
         );
-        let pass = std::array::from_fn(|i| rec.count(EventKind::ALL[i]));
+        let pass: [u64; EventKind::COUNT] =
+            std::array::from_fn(|i| traced.trace_counts()[i] - before[i]);
         assert_eq!(*counts.get_or_insert(pass), pass, "event counts drifted");
         elapsed
     });

@@ -3,12 +3,12 @@
 //! capacity, on the paper's Table II system.
 //!
 //! The capacity baseline comes from a batch run of the same query mix.
-//! The low-load phase is a closed loop paced to half that rate — queue
-//! depth never exceeds one, so *any* shedding there is a regression (the
-//! CI gate asserts `shed_rate == 0`). The overload phase is an open loop
-//! at twice the capacity against a small bounded queue: admission
-//! control sheds the excess and the queue bound caps waiting, keeping
-//! the tail flat (the CI gate asserts `p99 <= 5 * p50` turnaround).
+//! Both phases are open loops paced by absolute deadlines. The low-load
+//! phase offers half that rate, so *any* shedding there is a regression
+//! (the CI gate asserts `shed_rate == 0`). The overload phase offers
+//! twice the capacity against a small bounded queue: admission control
+//! sheds the excess and the queue bound caps waiting, keeping the tail
+//! flat (the CI gate asserts `p99 <= 5 * p50` turnaround).
 //!
 //! ```text
 //! cargo run --release -p rds-bench --bin serve_overload -- [--queries 3000]
@@ -58,20 +58,16 @@ fn measure_capacity(system: &SystemConfig, alloc: &OrthogonalAllocation, queries
     queries as f64 / elapsed.as_secs_f64()
 }
 
-/// One phase at `target_qps`, paced by absolute deadlines, against a
-/// queue of `queue` slots with the batch-class shed watermark at half.
-/// Closed loop (`closed`): one request in flight, each reply awaited
-/// before pacing on, so queue depth stays at most one and rejections
-/// cannot legitimately happen. Open loop: submissions never wait for
-/// responses, so sustained overload exercises QueueFull and batch-class
-/// shedding while the queue bound caps turnaround. Returns the phase
-/// as a nested object of the record.
+/// One open-loop phase at `target_qps`, paced by absolute deadlines,
+/// against a queue of `queue` slots with the batch-class shed watermark
+/// at half. Submissions never wait for responses, so sustained overload
+/// exercises QueueFull and batch-class shedding while the queue bound
+/// caps turnaround. Returns the phase as a nested object of the record.
 fn run_phase(
     system: &SystemConfig,
     alloc: &OrthogonalAllocation,
     queries: usize,
     target_qps: f64,
-    closed: bool,
     queue: usize,
 ) -> Record {
     let mut engine = Engine::new(system, alloc, PushRelabelBinary, SHARDS);
@@ -86,9 +82,7 @@ fn run_phase(
             if let Some(wait) = due.checked_duration_since(Instant::now()) {
                 std::thread::sleep(wait);
             }
-            if h.submit(request_at(k)).is_ok() && closed {
-                h.recv();
-            }
+            let _ = h.submit(request_at(k));
         }
     });
     let stats = report.stats;
@@ -123,11 +117,11 @@ fn main() -> ExitCode {
     // of the machine's measured capacity.
     let low_count = queries.min((capacity * 0.5 * 4.0) as usize).max(64);
     let over_count = queries.min((capacity * 2.0 * 4.0) as usize).max(64);
-    let low = run_phase(&system, &alloc, low_count, capacity * 0.5, true, 64);
-    let over = run_phase(&system, &alloc, over_count, capacity * 2.0, false, 32);
+    let low = run_phase(&system, &alloc, low_count, capacity * 0.5, 64);
+    let over = run_phase(&system, &alloc, over_count, capacity * 2.0, 32);
 
     Record::new("serve_overload", 1)
-        .note("low: closed loop at 0.5x capacity, no shedding allowed; overload: open loop at 2x")
+        .note("open loops; low at 0.5x capacity, no shedding allowed; overload at 2x")
         .int("queries", queries as u64)
         .int("shards", SHARDS as u64)
         .int("streams", STREAMS as u64)

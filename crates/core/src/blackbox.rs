@@ -139,9 +139,8 @@ impl RetrievalSolver for BlackBoxPushRelabel {
         inst: &RetrievalInstance,
         ws: &mut Workspace,
     ) -> Result<RetrievalOutcome, SolveError> {
-        ws.tracer.note_solver(self.name(), false);
         let budget = ArmedBudget::start(ws.armed_budget());
-        ws.begin(inst)?;
+        ws.begin(inst, self.name())?;
         let mut stats = SolveStats::default();
         let (s, t) = (inst.source(), inst.sink());
         let result = on_graph!(ws, |g| {
@@ -188,9 +187,8 @@ impl RetrievalSolver for BlackBoxFordFulkerson {
         inst: &RetrievalInstance,
         ws: &mut Workspace,
     ) -> Result<RetrievalOutcome, SolveError> {
-        ws.tracer.note_solver(self.name(), false);
         let budget = ArmedBudget::start(ws.armed_budget());
-        ws.begin(inst)?;
+        ws.begin(inst, self.name())?;
         let mut stats = SolveStats::default();
         let (s, t) = (inst.source(), inst.sink());
         let result = on_graph!(ws, |g| {

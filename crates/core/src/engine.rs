@@ -69,8 +69,8 @@
 use crate::error::{EngineError, SessionError, SolveError};
 use crate::fault::{FaultInjector, HealthMap};
 use crate::obs::metrics::{Histogram, LatencySummary, MetricsRegistry};
-use crate::obs::recorder::{FlightRecorder, FlightRecorderConfig, Postmortem, RecorderStats};
-use crate::obs::span::{PhaseKind, QuerySpan, SpanId, SpanOutcome};
+use crate::obs::recorder::{FlightRecorder, Postmortem, RecorderStats};
+use crate::obs::span::{QuerySpan, SpanId, SpanOutcome};
 use crate::obs::trace::{EventKind, TraceEvent};
 use crate::schedule::SolveStats;
 use crate::serve::{Admission, ServeError, ServeResponse, ServeTally};
@@ -263,8 +263,7 @@ pub struct MetricsSnapshot {
     pub turnaround_us: LatencySummary,
     /// The underlying histograms.
     pub histograms: EngineMetrics,
-    /// Trace-event totals by [`EventKind`] (all zeros unless tracing was
-    /// enabled with [`EngineBuilder::tracing`]).
+    /// Trace-event totals by [`EventKind`] ([`Engine::trace_counts`]).
     pub trace_counts: [u64; EventKind::COUNT],
 }
 
@@ -659,7 +658,6 @@ impl Shard {
         for ((stream, _), state) in groups.iter().zip(states) {
             self.states.insert(*stream, state);
         }
-        self.absorb_lane_traces(groups.len());
         // A group's items executed in drain order, so the next item of
         // each position's group is that position's.
         let mut done: Vec<_> = done.into_iter().map(Vec::into_iter).collect();
@@ -682,7 +680,7 @@ impl Shard {
         span.class = a.class as usize;
         span.arrival = item.query.arrival;
         span.record(
-            PhaseKind::Admitted,
+            EventKind::Admitted,
             0,
             item.query.arrival.as_micros(),
             a.class as u64,
@@ -752,11 +750,11 @@ impl Shard {
             match &done.result {
                 Ok(_) => {
                     span.outcome = SpanOutcome::Resolved;
-                    span.record(PhaseKind::Reply, done.solve_us, deadline_missed as u64, 0);
+                    span.record(EventKind::Reply, done.solve_us, deadline_missed as u64, 0);
                 }
                 Err(_) => {
                     span.outcome = SpanOutcome::Failed;
-                    span.record(PhaseKind::Failed, done.solve_us, 0, 0);
+                    span.record(EventKind::Failed, done.solve_us, 0, 0);
                 }
             }
             self.recorder.retire(span);
@@ -792,9 +790,7 @@ impl Shard {
     }
 
     /// Grows the lane free list to `n`. Lanes inherit the shard's arena
-    /// layout and run with plane sharing on; when the shard workspace has
-    /// a trace recorder, each lane gets a small private one so per-kind
-    /// counts stay exact (folded back by [`Shard::absorb_lane_traces`]).
+    /// layout and run with plane sharing on.
     fn ensure_lanes(&mut self, n: usize) {
         while self.lanes.len() < n {
             let mut lane = FusedLane::default();
@@ -802,28 +798,6 @@ impl Shard {
                 .set_arena_layout(self.workspace.arena_layout());
             lane.workspace.set_plane_sharing(true);
             self.lanes.push(lane);
-        }
-        if self.workspace.recorder().is_some() {
-            for lane in &mut self.lanes[..n] {
-                if lane.workspace.recorder().is_none() {
-                    lane.workspace.install_recorder(64);
-                }
-            }
-        }
-    }
-
-    /// Folds the first `n` lanes' trace counts into the shard recorder so
-    /// per-kind totals (e.g. plane checkouts) survive with tracing on;
-    /// ring contents stay per-lane (cross-lane event order is undefined).
-    fn absorb_lane_traces(&mut self, n: usize) {
-        let Some(rec) = self.workspace.recorder_mut() else {
-            return;
-        };
-        for lane in &mut self.lanes[..n] {
-            if let Some(lane_rec) = lane.workspace.recorder_mut() {
-                rec.absorb_counts(lane_rec);
-                lane_rec.clear();
-            }
         }
     }
 }
@@ -868,7 +842,7 @@ fn execute<A: ReplicaSource + ?Sized, S: RetrievalSolver + ?Sized>(
     if let Some(mut span) = span {
         span.queued_us = queued.as_micros();
         span.record(
-            PhaseKind::Coalesced,
+            EventKind::Coalesced,
             0,
             item.batch_len as u64,
             queued.as_micros(),
@@ -1051,8 +1025,6 @@ pub struct EngineBuilder<'a, A: ReplicaSource + Sync> {
     alloc: &'a A,
     spec: SolverSpec,
     shards: usize,
-    tracing: Option<usize>,
-    flight_recorder: Option<FlightRecorderConfig>,
 }
 
 impl<'a, A: ReplicaSource + Sync> EngineBuilder<'a, A> {
@@ -1067,25 +1039,6 @@ impl<'a, A: ReplicaSource + Sync> EngineBuilder<'a, A> {
     /// Number of shard workers (minimum 1; default 1).
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards;
-        self
-    }
-
-    /// Installs a ring-buffer trace [`crate::obs::trace::Recorder`] of
-    /// `capacity` events in every shard's workspace, so solver-phase
-    /// [`TraceEvent`]s are captured. Per-kind counts stay exact even
-    /// after the ring wraps; merged counts are surfaced by
-    /// [`Engine::trace_counts`] and [`Engine::metrics_snapshot`].
-    pub fn tracing(mut self, capacity: usize) -> Self {
-        self.tracing = Some(capacity);
-        self
-    }
-
-    /// Overrides the always-on flight-recorder retention knobs (ring
-    /// capacity, healthy head-sample size, phases per span) of every
-    /// shard and of the admission-rejection recorder. The default
-    /// [`FlightRecorderConfig`] applies when this is not called.
-    pub fn flight_recorder(mut self, config: FlightRecorderConfig) -> Self {
-        self.flight_recorder = Some(config);
         self
     }
 
@@ -1111,15 +1064,6 @@ impl<'a, A: ReplicaSource + Sync> EngineBuilder<'a, A> {
         engine.spec = self.spec;
         for shard in &mut engine.shards {
             shard.workspace.set_arena_layout(self.spec.arena_layout);
-            if let Some(capacity) = self.tracing {
-                shard.workspace.install_recorder(capacity);
-            }
-            if let Some(config) = self.flight_recorder {
-                shard.recorder = FlightRecorder::new(config);
-            }
-        }
-        if let Some(config) = self.flight_recorder {
-            engine.rejections = FlightRecorder::new(config);
         }
         engine.pool = pool;
         engine
@@ -1135,8 +1079,6 @@ impl<'a, A: ReplicaSource + Sync> Engine<'a, A, AnySolver> {
             alloc,
             spec: SolverSpec::new(SolverKind::PushRelabelBinary),
             shards: 1,
-            tracing: None,
-            flight_recorder: None,
         }
     }
 }
@@ -1249,21 +1191,17 @@ impl<'a, A: ReplicaSource + Sync, S: RetrievalSolver + Sync> Engine<'a, A, S> {
         &self.metrics
     }
 
-    /// The ring-buffer trace recorder of one shard, if tracing was
-    /// enabled via [`EngineBuilder::tracing`].
-    pub fn shard_recorder(&self, shard: usize) -> Option<&crate::obs::trace::Recorder> {
-        self.shards.get(shard)?.workspace.recorder()
-    }
-
-    /// Per-kind [`TraceEvent`] totals summed over every shard's recorder
-    /// (all zeros when tracing is off), indexed by `EventKind as usize`.
+    /// Per-kind [`TraceEvent`] totals summed over every shard workspace
+    /// and fused lane, indexed by `EventKind as usize` — exact and always
+    /// counted, monotone over the engine's lifetime.
     pub fn trace_counts(&self) -> [u64; EventKind::COUNT] {
         let mut totals = [0u64; EventKind::COUNT];
-        for shard in &self.shards {
-            if let Some(rec) = shard.workspace.recorder() {
-                for (t, &c) in totals.iter_mut().zip(rec.counts()) {
-                    *t += c;
-                }
+        let workspaces = self.shards.iter().flat_map(|s| {
+            std::iter::once(&s.workspace).chain(s.lanes.iter().map(|l| &l.workspace))
+        });
+        for ws in workspaces {
+            for (t, &c) in totals.iter_mut().zip(ws.trace_counts()) {
+                *t += c;
             }
         }
         totals
@@ -1766,14 +1704,13 @@ mod tests {
                     .reuse(ReusePolicy::warm())
                     .batch_fuse(true),
             )
-            .tracing(128)
             .build();
         let results = engine.submit_batch(&queries);
         assert!(results.iter().all(|r| r.is_ok()));
         let counts = engine.trace_counts();
         assert!(
             counts[EventKind::PlaneCheckout as usize] > 0,
-            "lane checkouts visible through the shard recorder"
+            "lane checkouts are counted"
         );
         let reg = engine.metrics_snapshot().to_registry();
         assert!(engine.stats().fused_batches >= 1);

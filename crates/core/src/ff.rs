@@ -75,9 +75,8 @@ impl RetrievalSolver for FordFulkersonBasic {
             });
         }
 
-        ws.tracer.note_solver(self.name(), false);
         let budget = ArmedBudget::start(ws.armed_budget());
-        ws.begin(inst)?;
+        ws.begin(inst, self.name())?;
         let result = on_graph!(ws, |g| ff_basic_body(
             inst,
             g,
@@ -157,9 +156,8 @@ impl RetrievalSolver for FordFulkersonIncremental {
         inst: &RetrievalInstance,
         ws: &mut Workspace,
     ) -> Result<RetrievalOutcome, SolveError> {
-        ws.tracer.note_solver(self.name(), false);
         let budget = ArmedBudget::start(ws.armed_budget());
-        ws.begin(inst)?;
+        ws.begin(inst, self.name())?;
         let result = on_graph!(ws, |g| ff_incremental_body(
             inst,
             g,

@@ -41,7 +41,10 @@
 //! [`engine::EngineBuilder::solver_spec`]. The engine's fault handling
 //! (`with_fault_injector`, `with_retry_policy`, `with_degraded_mode`) is
 //! set on the built engine, because a fault schedule changes between
-//! runs; tracing is a run-time switch ([`engine::EngineBuilder::tracing`]).
+//! runs. Every workspace counts its trace events by kind; a ring
+//! recorder of recent events is opt-in
+//! ([`workspace::Workspace::install_recorder`]). [`prelude`] imports the
+//! common surface in one line.
 //!
 //! ## Example
 //!
@@ -80,24 +83,3 @@ pub mod solver;
 pub mod spec;
 pub mod verify;
 pub mod workspace;
-
-pub use engine::{
-    BatchQuery, Engine, EngineBuilder, EngineMetrics, EngineStats, MetricsSnapshot, RetryPolicy,
-};
-pub use error::{EngineError, SessionError, SolveError};
-pub use fault::{DiskHealth, FaultEvent, FaultInjector, HealthMap};
-pub use network::RetrievalInstance;
-pub use obs::metrics::{Histogram, LatencySummary, MetricsRegistry};
-pub use obs::recorder::{FlightRecorder, FlightRecorderConfig, Postmortem, RecorderStats};
-pub use obs::slo::{ClassSloReport, SloPolicy, SloReport, SloTarget};
-pub use obs::span::{PhaseKind, PhaseRecord, QuerySpan, RejectReason, SpanId, SpanOutcome};
-pub use obs::trace::{EventKind, Recorder, TraceEvent, Tracer};
-pub use schedule::{RetrievalOutcome, Schedule, SolveStats};
-pub use serve::{
-    PriorityClass, QueryRequest, Rejected, ServeClock, ServeConfig, ServeError, ServeHandle,
-    ServeReport, ServeResponse, ServeStats, Ticket,
-};
-pub use session::{RetrievalSession, ReuseCounters, ReusePolicy, SessionOutcome, SessionState};
-pub use solver::RetrievalSolver;
-pub use spec::{AnySolver, ArenaLayout, ScheduleObjective, SolveBudget, SolverKind, SolverSpec};
-pub use workspace::{PoisonedWorkspace, Workspace};

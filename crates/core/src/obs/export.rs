@@ -16,7 +16,8 @@
 //!   worst spans first readable straight off a terminal.
 
 use crate::obs::recorder::Postmortem;
-use crate::obs::span::{PhaseKind, QuerySpan};
+use crate::obs::span::QuerySpan;
+use crate::obs::trace::EventKind;
 use crate::serve::PriorityClass;
 
 fn class_name(index: usize) -> &'static str {
@@ -203,32 +204,31 @@ fn statusz_span(out: &mut String, span: &QuerySpan) {
 }
 
 /// Human reading of a phase's attribute slots.
-fn phase_detail(kind: PhaseKind, a: u64, b: u64) -> String {
+fn phase_detail(kind: EventKind, a: u64, b: u64) -> String {
     match kind {
-        PhaseKind::Admitted => format!("arrival={a}us class={}", class_name(b as usize)),
-        PhaseKind::Coalesced => format!("batch={a} queued={b}us"),
-        PhaseKind::SolveStart => format!("query_size={a}"),
-        PhaseKind::Solver => format!("delta={}", a != 0),
-        PhaseKind::CacheHit => format!("fingerprint={a:#018x}"),
-        PhaseKind::DeltaPatch => format!("changed={a} cancelled={b}"),
-        PhaseKind::DeltaFallback => format!("solver_declined={}", a != 0),
-        PhaseKind::Rebuild => String::new(),
-        PhaseKind::Probe => format!("budget={a}us feasible={}", b != 0),
-        PhaseKind::Refine => format!("cycles={a} moved={b}"),
-        PhaseKind::BudgetExpired => format!("achieved={a}us lower_bound={b}us"),
-        PhaseKind::Degraded => format!("served={a} dropped={b}"),
-        PhaseKind::Retry => format!("attempt={a} probe={b}us"),
-        PhaseKind::HealthTransition => format!("fingerprint={a:#018x}"),
-        PhaseKind::Reply => format!("deadline_missed={}", a != 0),
-        PhaseKind::Rejected => format!(
+        EventKind::Admitted => format!("arrival={a}us class={}", class_name(b as usize)),
+        EventKind::Coalesced => format!("batch={a} queued={b}us"),
+        EventKind::SolveStart => format!("query_size={a} delta={}", b != 0),
+        EventKind::CacheHit | EventKind::HealthTransition => format!("fingerprint={a:#018x}"),
+        EventKind::DeltaPatch => format!("changed={a} cancelled={b}"),
+        EventKind::DeltaFallback => format!("solver_declined={}", a != 0),
+        EventKind::Rebuild => String::new(),
+        EventKind::ProbeEnd => format!("budget={a}us feasible={}", b != 0),
+        EventKind::RefinePass => format!("cycles={a} moved={b}"),
+        EventKind::BudgetExpired => format!("achieved={a}us lower_bound={b}us"),
+        EventKind::DegradedServe => format!("served={a} dropped={b}"),
+        EventKind::RetryScheduled => format!("attempt={a} probe={b}us"),
+        EventKind::Reply => format!("deadline_missed={}", a != 0),
+        EventKind::Rejected => format!(
             "reason={}",
             crate::obs::span::RejectReason::ALL
                 .get(a as usize)
                 .map(|r| r.name())
                 .unwrap_or("unknown")
         ),
-        PhaseKind::Failed => format!("panic={}", a != 0),
-        PhaseKind::PlaneCheckout => format!("shared={}", a != 0),
+        EventKind::Failed => format!("panic={}", a != 0),
+        EventKind::PlaneCheckout => format!("shared={}", a != 0),
+        _ => format!("a={a} b={b}"),
     }
 }
 
@@ -250,16 +250,16 @@ mod tests {
         served.solver = "PR-binary";
         served.outcome = SpanOutcome::Resolved;
         served.deadline_missed = true;
-        served.record(PhaseKind::Admitted, 0, 1_000, 0);
-        served.record(PhaseKind::SolveStart, 2, 6, 0);
-        served.record(PhaseKind::Probe, 5, 500, 1);
-        served.record(PhaseKind::Reply, 9, 1, 0);
+        served.record(EventKind::Admitted, 0, 1_000, 0);
+        served.record(EventKind::SolveStart, 2, 6, 0);
+        served.record(EventKind::ProbeEnd, 5, 500, 1);
+        served.record(EventKind::Reply, 9, 1, 0);
         let mut rejected = QuerySpan::with_capacity(4);
         rejected.class = PriorityClass::Batch as usize;
         rejected.outcome = SpanOutcome::Rejected(RejectReason::ShedLowPriority);
-        rejected.record(PhaseKind::Admitted, 0, 0, 2);
+        rejected.record(EventKind::Admitted, 0, 0, 2);
         rejected.record(
-            PhaseKind::Rejected,
+            EventKind::Rejected,
             0,
             RejectReason::ShedLowPriority as u64,
             0,
@@ -278,7 +278,7 @@ mod tests {
     {"name": "resolved", "cat": "rds", "ph": "X", "ts": 1000, "dur": 6100, "pid": 0, "tid": 1, "args": {"ticket": 3, "class": "interactive", "outcome": "resolved", "solver": "PR-binary", "delta": 0, "queued_us": 0, "deadline_missed": 1, "anytime_gap_us": 0}},
     {"name": "admitted", "cat": "rds", "ph": "i", "ts": 1000, "pid": 0, "tid": 1, "s": "t", "args": {"a": 1000, "b": 0}},
     {"name": "solve_start", "cat": "rds", "ph": "i", "ts": 1002, "pid": 0, "tid": 1, "s": "t", "args": {"a": 6, "b": 0}},
-    {"name": "probe", "cat": "rds", "ph": "i", "ts": 1005, "pid": 0, "tid": 1, "s": "t", "args": {"a": 500, "b": 1}},
+    {"name": "probe_end", "cat": "rds", "ph": "i", "ts": 1005, "pid": 0, "tid": 1, "s": "t", "args": {"a": 500, "b": 1}},
     {"name": "reply", "cat": "rds", "ph": "i", "ts": 1009, "pid": 0, "tid": 1, "s": "t", "args": {"a": 1, "b": 0}},
     {"name": "rejected", "cat": "rds", "ph": "X", "ts": 0, "dur": 1, "pid": 0, "tid": 0, "args": {"ticket": 0, "class": "batch", "outcome": "rejected", "solver": "", "delta": 0, "queued_us": 0, "deadline_missed": 0, "anytime_gap_us": 0}},
     {"name": "admitted", "cat": "rds", "ph": "i", "ts": 0, "pid": 0, "tid": 0, "s": "t", "args": {"a": 0, "b": 2}},

@@ -231,12 +231,13 @@ impl Postmortem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::obs::span::{PhaseKind, SpanOutcome};
+    use crate::obs::span::SpanOutcome;
+    use crate::obs::trace::EventKind;
 
     fn healthy(r: &mut FlightRecorder) -> QuerySpan {
         let mut s = r.checkout();
         s.outcome = SpanOutcome::Resolved;
-        s.record(PhaseKind::Reply, 0, 0, 0);
+        s.record(EventKind::Reply, 0, 0, 0);
         s
     }
 

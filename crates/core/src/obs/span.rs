@@ -9,22 +9,26 @@
 //! *why* did this particular query miss its deadline — queue wait,
 //! coalescing delay, a cold solve, or a refine pass?
 //!
-//! Spans are captured by the always-compiled span channel inside
-//! [`Tracer`](crate::obs::trace::Tracer): the solver drivers keep
-//! emitting their ordinary [`TraceEvent`]s
-//! and the channel bridges the coarse ones (probes, cache hits, delta
-//! patches, refine passes, budget expiry) into the active span. Hot
-//! per-operation events (augments, relabel passes, capacity increments)
-//! are deliberately **not** bridged — their aggregate counts already live
+//! A phase is a [`TraceEvent`] seen by a span: its [`EventKind`] and two
+//! attribute slots. Spans are captured by the always-compiled span
+//! channel inside [`Tracer`](crate::obs::trace::Tracer): the solvers and
+//! the session emit their ordinary [`TraceEvent`]s, and the channel
+//! records the coarse ones (solve starts, probe ends, cache hits,
+//! rebuilds, delta patches and fallbacks, refine passes, budget expiry,
+//! faults) on the active span. Hot per-operation events (augments,
+//! relabel passes, capacity increments) and probe starts are
+//! deliberately **not** recorded — their aggregate counts already live
 //! in [`SolveStats`](crate::schedule::SolveStats) — so arming a span
-//! costs a handful of phase pushes per solve, not per operation.
+//! costs a handful of phase pushes per solve, not per operation. Only
+//! the serving loop's lifecycle marks (admission, coalescing, reply,
+//! failure, rejection) are written onto spans directly.
 //!
 //! Phase storage is a bounded, pre-allocated `Vec` recycled by the
 //! [`FlightRecorder`](crate::obs::recorder::FlightRecorder): in steady
 //! state no span ever allocates. Spans only *observe* — solve results
 //! are bit-identical with the span channel armed or disarmed.
 
-use crate::obs::trace::TraceEvent;
+use crate::obs::trace::{EventKind, TraceEvent};
 use rds_storage::time::Micros;
 use std::hash::{Hash, Hasher};
 use std::time::Instant;
@@ -75,138 +79,16 @@ impl RejectReason {
     }
 }
 
-/// One kind of span phase boundary.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[repr(usize)]
-pub enum PhaseKind {
-    /// Admission accepted the submission (`a` = arrival µs, `b` = class).
-    Admitted = 0,
-    /// The shard worker drained the query from its queue (`a` = queries
-    /// coalesced in the same drain, `b` = queue wait µs). Wall-clock
-    /// shaped: excluded from [`QuerySpan::phase_digest`].
-    Coalesced,
-    /// A solve began in the workspace (`a` = query size).
-    SolveStart,
-    /// A solver front-end took over (`a` = 1 for a delta resume, 0 for a
-    /// cold solve); the solver's name is stored on the span itself.
-    Solver,
-    /// The query was answered from the schedule cache (`a` = key
-    /// fingerprint).
-    CacheHit,
-    /// The warm workspace was delta-patched instead of rebuilt
-    /// (`a` = changed slots, `b` = cancelled units).
-    DeltaPatch,
-    /// A delta resume was attempted but fell back to a cold solve
-    /// (`a` = 1 when the solver declined, 0 when the patch itself
-    /// failed).
-    DeltaFallback,
-    /// The instance network was (re)built from scratch.
-    Rebuild,
-    /// One binary-search probe finished (`a` = probed budget µs,
-    /// `b` = feasible).
-    Probe,
-    /// A min-cost refinement pass ran (`a` = cycles canceled, `b` = flow
-    /// units moved).
-    Refine,
-    /// The anytime budget expired mid-solve (`a` = achieved µs,
-    /// `b` = lower bound µs).
-    BudgetExpired,
-    /// A degraded serve dropped buckets (`a` = served, `b` = dropped).
-    Degraded,
-    /// A replanning retry was scheduled (`a` = attempt; the wall-shaped
-    /// probe time is excluded from the digest).
-    Retry,
-    /// The stream observed a health transition (`a` = fingerprint).
-    HealthTransition,
-    /// The response was sent (`a` = 1 when the deadline was missed).
-    Reply,
-    /// The submission was rejected at admission (`a` = reason index).
-    Rejected,
-    /// The solve failed with a typed error or a contained panic (`a` = 1
-    /// for a shard panic, 0 for a session error).
-    Failed,
-    /// A plane-sharing workspace checked out the instance's topology
-    /// plane (`a` = 1 when the epoch plane was already shared). Plane
-    /// residency depends on shard count and the fused-vs-serial drain
-    /// path, so both attributes are excluded from
-    /// [`QuerySpan::phase_digest`].
-    PlaneCheckout,
-}
-
-impl PhaseKind {
-    /// Number of kinds.
-    pub const COUNT: usize = 18;
-
-    /// Every kind, in discriminant order.
-    pub const ALL: [PhaseKind; PhaseKind::COUNT] = [
-        PhaseKind::Admitted,
-        PhaseKind::Coalesced,
-        PhaseKind::SolveStart,
-        PhaseKind::Solver,
-        PhaseKind::CacheHit,
-        PhaseKind::DeltaPatch,
-        PhaseKind::DeltaFallback,
-        PhaseKind::Rebuild,
-        PhaseKind::Probe,
-        PhaseKind::Refine,
-        PhaseKind::BudgetExpired,
-        PhaseKind::Degraded,
-        PhaseKind::Retry,
-        PhaseKind::HealthTransition,
-        PhaseKind::Reply,
-        PhaseKind::Rejected,
-        PhaseKind::Failed,
-        PhaseKind::PlaneCheckout,
-    ];
-
-    /// Stable snake_case name (trace export and `statusz`).
-    pub fn name(self) -> &'static str {
-        match self {
-            PhaseKind::Admitted => "admitted",
-            PhaseKind::Coalesced => "coalesced",
-            PhaseKind::SolveStart => "solve_start",
-            PhaseKind::Solver => "solver",
-            PhaseKind::CacheHit => "cache_hit",
-            PhaseKind::DeltaPatch => "delta_patch",
-            PhaseKind::DeltaFallback => "delta_fallback",
-            PhaseKind::Rebuild => "rebuild",
-            PhaseKind::Probe => "probe",
-            PhaseKind::Refine => "refine",
-            PhaseKind::BudgetExpired => "budget_expired",
-            PhaseKind::Degraded => "degraded",
-            PhaseKind::Retry => "retry",
-            PhaseKind::HealthTransition => "health_transition",
-            PhaseKind::Reply => "reply",
-            PhaseKind::Rejected => "rejected",
-            PhaseKind::Failed => "failed",
-            PhaseKind::PlaneCheckout => "plane_checkout",
-        }
-    }
-
-    /// Which of the two attribute slots are deterministic — reproducible
-    /// across shard counts under
-    /// [`ServeClock::Virtual`](crate::serve::ServeClock::Virtual) — and
-    /// therefore folded into [`QuerySpan::phase_digest`]. Wall-clock
-    /// shaped attributes (queue wait, coalesced batch size, retry probe
-    /// instants) are excluded.
-    pub fn digest_mask(self) -> (bool, bool) {
-        match self {
-            PhaseKind::Coalesced | PhaseKind::PlaneCheckout => (false, false),
-            PhaseKind::Retry => (true, false),
-            _ => (true, true),
-        }
-    }
-}
-
 /// One recorded phase boundary.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PhaseRecord {
     /// What happened.
-    pub kind: PhaseKind,
+    pub kind: EventKind,
     /// Wall-clock offset from span arming, in microseconds. Diagnostic
     /// only — never part of the deterministic digest.
     pub t_us: u64,
-    /// First attribute slot (meaning per [`PhaseKind`]).
+    /// First attribute slot (meaning per [`EventKind`]: the event's
+    /// first field).
     pub a: u64,
     /// Second attribute slot.
     pub b: u64,
@@ -274,8 +156,8 @@ pub struct QuerySpan {
     /// End-to-end turnaround (wall under the real clock, simulated under
     /// the virtual clock).
     pub turnaround_us: u64,
-    /// Name of the solver front-end that ran ("" for cache hits and
-    /// rejections).
+    /// Name of the solver front-end that ran, from the last
+    /// [`TraceEvent::SolveStart`] ("" for cache hits and rejections).
     pub solver: &'static str,
     /// Whether the solve was a warm delta resume.
     pub delta: bool,
@@ -310,7 +192,7 @@ impl QuerySpan {
 
     /// Records one phase; counts it as dropped when the bounded buffer
     /// is full (never reallocates).
-    pub(crate) fn record(&mut self, kind: PhaseKind, t_us: u64, a: u64, b: u64) {
+    pub(crate) fn record(&mut self, kind: EventKind, t_us: u64, a: u64, b: u64) {
         if self.phases.len() < self.phases.capacity() {
             self.phases.push(PhaseRecord { kind, t_us, a, b });
         } else {
@@ -341,7 +223,7 @@ impl QuerySpan {
 
     /// Order-independent-of-wall-clock digest of the timeline: folds the
     /// phase kinds, their deterministic attributes
-    /// ([`PhaseKind::digest_mask`]) and the span's deterministic fields.
+    /// ([`EventKind::digest_mask`]) and the span's deterministic fields.
     /// Under [`ServeClock::Virtual`](crate::serve::ServeClock::Virtual)
     /// the same submissions produce the same digests regardless of shard
     /// count.
@@ -404,91 +286,55 @@ impl SpanCollector {
         self.active.take()
     }
 
-    #[inline]
-    fn now_us(&self) -> u64 {
-        self.epoch
-            .map(|e| e.elapsed().as_micros() as u64)
-            .unwrap_or(0)
-    }
-
-    /// Appends one phase to the active span (no-op while disarmed).
-    #[inline]
-    pub(crate) fn mark(&mut self, kind: PhaseKind, a: u64, b: u64) {
-        if self.active.is_some() {
-            let t = self.now_us();
-            if let Some(span) = self.active.as_mut() {
-                span.record(kind, t, a, b);
-            }
-        }
-    }
-
-    /// Records the solver front-end that took over the active span.
-    #[inline]
-    pub(crate) fn note_solver(&mut self, name: &'static str, delta: bool) {
-        if self.active.is_some() {
-            let t = self.now_us();
-            if let Some(span) = self.active.as_mut() {
-                span.solver = name;
-                span.delta = delta;
-                span.record(PhaseKind::Solver, t, delta as u64, 0);
-            }
-        }
-    }
-
-    /// Bridges one coarse [`TraceEvent`] into the active span. Hot
+    /// Records one coarse [`TraceEvent`] on the active span. Hot
     /// per-operation events (augments, relabel passes, capacity
-    /// increments, shard batches) are ignored — their aggregate counts
-    /// live in [`SolveStats`](crate::schedule::SolveStats).
+    /// increments), probe starts and shard batches are ignored — their
+    /// aggregate counts live in [`SolveStats`](crate::schedule::SolveStats)
+    /// and the tracer's per-kind counts.
     #[inline]
     pub(crate) fn observe(&mut self, event: &TraceEvent) {
-        if self.active.is_none() {
+        let Some(span) = self.active.as_mut() else {
             return;
-        }
-        match *event {
-            TraceEvent::SolveStart { query_size } => {
-                self.mark(PhaseKind::SolveStart, query_size as u64, 0)
+        };
+        let (a, b) = match *event {
+            TraceEvent::SolveStart {
+                query_size,
+                solver,
+                delta,
+            } => {
+                span.solver = solver;
+                span.delta = delta;
+                (query_size as u64, delta as u64)
             }
-            TraceEvent::ProbeEnd { budget, feasible } => {
-                self.mark(PhaseKind::Probe, budget.0, feasible as u64)
-            }
-            TraceEvent::CacheHit { fingerprint } => self.mark(PhaseKind::CacheHit, fingerprint, 0),
-            TraceEvent::DeltaPatch { changed, cancelled } => {
-                self.mark(PhaseKind::DeltaPatch, changed as u64, cancelled as u64)
-            }
-            TraceEvent::RefinePass { cycles, moved } => {
-                self.mark(PhaseKind::Refine, cycles as u64, moved as u64)
-            }
+            TraceEvent::ProbeEnd { budget, feasible } => (budget.0, feasible as u64),
+            TraceEvent::CacheHit { fingerprint } => (fingerprint, 0),
+            TraceEvent::DeltaPatch { changed, cancelled } => (changed as u64, cancelled as u64),
+            TraceEvent::RefinePass { cycles, moved } => (cycles as u64, moved as u64),
             TraceEvent::BudgetExpired {
                 achieved,
                 lower_bound,
             } => {
-                if let Some(span) = self.active.as_mut() {
-                    span.budget_expired = true;
-                    span.anytime_gap = achieved - lower_bound;
-                }
-                self.mark(PhaseKind::BudgetExpired, achieved.0, lower_bound.0)
+                span.budget_expired = true;
+                span.anytime_gap = achieved - lower_bound;
+                (achieved.0, lower_bound.0)
             }
             TraceEvent::DegradedServe { served, dropped } => {
-                if let Some(span) = self.active.as_mut() {
-                    span.degraded = true;
-                }
-                self.mark(PhaseKind::Degraded, served as u64, dropped as u64)
+                span.degraded = true;
+                (served as u64, dropped as u64)
             }
-            TraceEvent::RetryScheduled { attempt, probe } => {
-                self.mark(PhaseKind::Retry, attempt as u64, probe.0)
-            }
-            TraceEvent::HealthTransition { fingerprint } => {
-                self.mark(PhaseKind::HealthTransition, fingerprint, 0)
-            }
-            TraceEvent::PlaneCheckout { shared } => {
-                self.mark(PhaseKind::PlaneCheckout, shared as u64, 0)
-            }
+            TraceEvent::RetryScheduled { attempt, probe } => (attempt as u64, probe.0),
+            TraceEvent::HealthTransition { fingerprint } => (fingerprint, 0),
+            TraceEvent::PlaneCheckout { shared } => (shared as u64, 0),
+            TraceEvent::Rebuild { buckets } => (buckets as u64, 0),
+            TraceEvent::DeltaFallback { solver_declined } => (solver_declined as u64, 0),
             TraceEvent::ProbeStart { .. }
             | TraceEvent::Augment { .. }
             | TraceEvent::RelabelPass { .. }
             | TraceEvent::CapacityIncrement { .. }
-            | TraceEvent::ShardBatch { .. } => {}
-        }
+            | TraceEvent::ShardBatch { .. } => return,
+        };
+        let t = self.epoch.map_or(0, |e| e.elapsed().as_micros() as u64);
+        span.record(event.kind(), t, a, b);
     }
 }
 
@@ -501,7 +347,7 @@ mod tests {
         let mut span = QuerySpan::with_capacity(2);
         let cap = span.phases.capacity();
         for i in 0..5 {
-            span.record(PhaseKind::Probe, i, i, 0);
+            span.record(EventKind::ProbeEnd, i, i, 0);
         }
         assert_eq!(span.phases().len(), cap);
         assert_eq!(span.dropped_phases as usize, 5 - cap);
@@ -515,12 +361,12 @@ mod tests {
     fn digest_ignores_wall_clock_but_not_attributes() {
         let mut a = QuerySpan::with_capacity(8);
         let mut b = QuerySpan::with_capacity(8);
-        a.record(PhaseKind::Probe, 10, 100, 1);
-        b.record(PhaseKind::Probe, 9999, 100, 1); // same attrs, different wall time
-        a.record(PhaseKind::Coalesced, 0, 4, 55);
-        b.record(PhaseKind::Coalesced, 1, 7, 99); // coalesce attrs are wall-shaped
+        a.record(EventKind::ProbeEnd, 10, 100, 1);
+        b.record(EventKind::ProbeEnd, 9999, 100, 1); // same attrs, different wall time
+        a.record(EventKind::Coalesced, 0, 4, 55);
+        b.record(EventKind::Coalesced, 1, 7, 99); // coalesce attrs are wall-shaped
         assert_eq!(a.phase_digest(), b.phase_digest());
-        b.record(PhaseKind::Probe, 0, 200, 0);
+        b.record(EventKind::ProbeEnd, 0, 200, 0);
         assert_ne!(a.phase_digest(), b.phase_digest());
     }
 
@@ -529,7 +375,11 @@ mod tests {
         let mut c = SpanCollector::default();
         c.observe(&TraceEvent::CacheHit { fingerprint: 1 }); // disarmed: no-op
         c.arm(QuerySpan::with_capacity(8));
-        c.observe(&TraceEvent::SolveStart { query_size: 6 });
+        c.observe(&TraceEvent::SolveStart {
+            query_size: 6,
+            solver: "PR-binary",
+            delta: true,
+        });
         c.observe(&TraceEvent::Augment { bucket: 0 }); // hot: not bridged
         c.observe(&TraceEvent::ProbeEnd {
             budget: Micros(500),
@@ -539,17 +389,15 @@ mod tests {
             achieved: Micros(700),
             lower_bound: Micros(600),
         });
-        c.note_solver("PR-binary", true);
         let span = c.disarm().unwrap();
         assert!(c.disarm().is_none());
-        let kinds: Vec<PhaseKind> = span.phases().iter().map(|p| p.kind).collect();
+        let kinds: Vec<EventKind> = span.phases().iter().map(|p| p.kind).collect();
         assert_eq!(
             kinds,
             vec![
-                PhaseKind::SolveStart,
-                PhaseKind::Probe,
-                PhaseKind::BudgetExpired,
-                PhaseKind::Solver
+                EventKind::SolveStart,
+                EventKind::ProbeEnd,
+                EventKind::BudgetExpired,
             ]
         );
         assert!(span.budget_expired);
@@ -560,11 +408,7 @@ mod tests {
     }
 
     #[test]
-    fn every_phase_kind_has_a_name() {
-        for (i, k) in PhaseKind::ALL.iter().enumerate() {
-            assert_eq!(*k as usize, i);
-            assert!(!k.name().is_empty());
-        }
+    fn every_reject_reason_has_a_name() {
         for r in RejectReason::ALL {
             assert!(!r.name().is_empty());
             assert_eq!(SpanOutcome::Rejected(r).name(), "rejected");

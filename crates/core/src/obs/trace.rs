@@ -7,16 +7,18 @@
 //! (Algorithm 6 lines 12–37), augmenting-path searches (Algorithms 1–3),
 //! push-relabel resumes (Algorithms 4–6), `IncrementMinCost` steps
 //! (Algorithm 3), plus the serving-layer transitions (retries, health
-//! changes, shard batches).
+//! changes, shard batches, the session's rebuild and delta-fallback
+//! decisions).
 //!
 //! Events are small `Copy` values. Emission goes through exactly one
-//! call — [`Tracer::emit`] — which forwards to the span channel (one
-//! `Option` branch while no [`QuerySpan`] is armed) and to the ring
-//! [`Recorder`] (one more `Option` branch while none is installed).
-//! Tracing is switched at run time only; see the overhead contract in
+//! call — [`Tracer::emit`] — which counts the event by [`EventKind`],
+//! forwards it to the span channel (one `Option` branch while no
+//! [`QuerySpan`] is armed) and to the ring [`Recorder`] (one more
+//! `Option` branch while none is installed). Counting is always on; the
+//! ring is an opt-in event history. See the overhead contract in
 //! [`crate::obs`].
 
-use crate::obs::span::{PhaseKind, QuerySpan, SpanCollector};
+use crate::obs::span::{QuerySpan, SpanCollector};
 use rds_storage::time::Micros;
 
 /// One solver-phase event.
@@ -33,6 +35,10 @@ pub enum TraceEvent {
     SolveStart {
         /// Number of buckets in the query.
         query_size: u32,
+        /// Name of the solver front-end that runs the solve.
+        solver: &'static str,
+        /// Whether the solve resumes a warm delta-patched flow.
+        delta: bool,
     },
     /// A binary-search probe of the budget range began (Algorithm 6 /
     /// black-box scaling).
@@ -141,9 +147,27 @@ pub enum TraceEvent {
         /// plane (steady state: the checkout copied only cap/flow values).
         shared: bool,
     },
+    /// A stream's cached instance network was rebuilt from scratch: no
+    /// repeat of the previous bucket set and no delta patch applied.
+    Rebuild {
+        /// Buckets in the rebuilt network.
+        buckets: u32,
+    },
+    /// A warm delta resume fell back to a cold solve.
+    DeltaFallback {
+        /// True when the solver declined the resume, false when the
+        /// instance patch itself failed.
+        solver_declined: bool,
+    },
 }
 
-/// Coarse classification of [`TraceEvent`]s, used for per-kind counting.
+/// Coarse classification of [`TraceEvent`]s, used for per-kind counting
+/// and as the kind of every [`PhaseRecord`](crate::obs::span::PhaseRecord)
+/// on a query span.
+///
+/// The last five kinds are the serving loop's drain lifecycle marks. They
+/// have no [`TraceEvent`]: the drain writes them straight onto spans and
+/// no tracer ever counts them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(usize)]
 pub enum EventKind {
@@ -175,13 +199,31 @@ pub enum EventKind {
     RefinePass,
     /// [`TraceEvent::BudgetExpired`]
     BudgetExpired,
-    /// [`TraceEvent::PlaneCheckout`]
+    /// [`TraceEvent::PlaneCheckout`]. Plane residency depends on shard
+    /// count and the fused-vs-serial drain path, so the phase is left out
+    /// of [`QuerySpan::phase_digest`].
     PlaneCheckout,
+    /// [`TraceEvent::Rebuild`]
+    Rebuild,
+    /// [`TraceEvent::DeltaFallback`]
+    DeltaFallback,
+    /// Admission accepted the submission (`a` = arrival µs, `b` = class).
+    Admitted,
+    /// The shard worker drained the query from its queue (`a` = queries
+    /// coalesced in the same drain, `b` = queue wait µs). Wall-clock
+    /// shaped: left out of [`QuerySpan::phase_digest`].
+    Coalesced,
+    /// The response was sent (`a` = 1 when the deadline was missed).
+    Reply,
+    /// The solve failed with a typed error or a contained panic.
+    Failed,
+    /// The submission was rejected at admission (`a` = reason index).
+    Rejected,
 }
 
 impl EventKind {
     /// Number of kinds (size of a per-kind counter array).
-    pub const COUNT: usize = 15;
+    pub const COUNT: usize = 22;
 
     /// Every kind, in discriminant order.
     pub const ALL: [EventKind; EventKind::COUNT] = [
@@ -200,6 +242,13 @@ impl EventKind {
         EventKind::RefinePass,
         EventKind::BudgetExpired,
         EventKind::PlaneCheckout,
+        EventKind::Rebuild,
+        EventKind::DeltaFallback,
+        EventKind::Admitted,
+        EventKind::Coalesced,
+        EventKind::Reply,
+        EventKind::Failed,
+        EventKind::Rejected,
     ];
 
     /// Stable snake_case name (used in reports and Prometheus labels).
@@ -220,6 +269,27 @@ impl EventKind {
             EventKind::RefinePass => "refine_pass",
             EventKind::BudgetExpired => "budget_expired",
             EventKind::PlaneCheckout => "plane_checkout",
+            EventKind::Rebuild => "rebuild",
+            EventKind::DeltaFallback => "delta_fallback",
+            EventKind::Admitted => "admitted",
+            EventKind::Coalesced => "coalesced",
+            EventKind::Reply => "reply",
+            EventKind::Failed => "failed",
+            EventKind::Rejected => "rejected",
+        }
+    }
+
+    /// Which of a phase's two attribute slots are deterministic —
+    /// reproducible across shard counts under
+    /// [`ServeClock::Virtual`](crate::serve::ServeClock::Virtual) — and
+    /// therefore folded into [`QuerySpan::phase_digest`]. Wall-clock
+    /// shaped attributes (queue wait, coalesced batch size, retry probe
+    /// instants, plane residency) are left out.
+    pub fn digest_mask(self) -> (bool, bool) {
+        match self {
+            EventKind::Coalesced | EventKind::PlaneCheckout => (false, false),
+            EventKind::RetryScheduled => (true, false),
+            _ => (true, true),
         }
     }
 }
@@ -243,17 +313,19 @@ impl TraceEvent {
             TraceEvent::RefinePass { .. } => EventKind::RefinePass,
             TraceEvent::BudgetExpired { .. } => EventKind::BudgetExpired,
             TraceEvent::PlaneCheckout { .. } => EventKind::PlaneCheckout,
+            TraceEvent::Rebuild { .. } => EventKind::Rebuild,
+            TraceEvent::DeltaFallback { .. } => EventKind::DeltaFallback,
         }
     }
 }
 
 /// Fixed-capacity ring buffer of trace events: keeps the most recent
-/// `capacity` events and exact per-kind totals for everything ever
-/// recorded.
+/// `capacity` events. Exact per-kind totals live in the [`Tracer`]
+/// ([`Tracer::counts`]), not here.
 ///
 /// Never allocates after construction — when the ring is full the oldest
 /// event is overwritten and [`Recorder::dropped`] grows, so long solves
-/// cannot blow up memory while the per-kind counts stay exact.
+/// cannot blow up memory.
 #[derive(Clone, Debug)]
 pub struct Recorder {
     ring: Vec<TraceEvent>,
@@ -263,8 +335,6 @@ pub struct Recorder {
     head: usize,
     /// Events overwritten after the ring filled.
     dropped: u64,
-    /// Exact totals per [`EventKind`], unaffected by ring overwrites.
-    counts: [u64; EventKind::COUNT],
 }
 
 impl Recorder {
@@ -276,14 +346,12 @@ impl Recorder {
             cap,
             head: 0,
             dropped: 0,
-            counts: [0; EventKind::COUNT],
         }
     }
 
-    /// Records one event: counts it, and retains it in the ring,
-    /// overwriting the oldest event once the ring is full.
+    /// Retains one event in the ring, overwriting the oldest event once
+    /// the ring is full.
     pub fn record(&mut self, event: TraceEvent) {
-        self.counts[event.kind() as usize] += 1;
         if self.ring.len() < self.cap {
             self.ring.push(event);
         } else {
@@ -320,69 +388,41 @@ impl Recorder {
         self.dropped
     }
 
-    /// Exact total of events of `kind` ever recorded (survives ring
-    /// overwrites).
-    pub fn count(&self, kind: EventKind) -> u64 {
-        self.counts[kind as usize]
-    }
-
-    /// Exact totals for all kinds, indexed by `EventKind as usize`.
-    pub fn counts(&self) -> &[u64; EventKind::COUNT] {
-        &self.counts
-    }
-
-    /// Total events ever recorded.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// Forgets retained events and totals (capacity is kept).
+    /// Forgets retained events (capacity is kept).
     pub fn clear(&mut self) {
         self.ring.clear();
         self.head = 0;
         self.dropped = 0;
-        self.counts = [0; EventKind::COUNT];
-    }
-
-    /// Adds another recorder's exact per-kind totals into this one
-    /// (retained events are not merged — ring order across recorders is
-    /// undefined).
-    pub fn absorb_counts(&mut self, other: &Recorder) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.dropped += other.dropped;
     }
 }
 
 /// The per-workspace emission point.
 ///
-/// Every tracer carries the span channel — the [`SpanCollector`] the
-/// serving loop uses to capture per-query timelines — and, once
-/// [`Tracer::install_recorder`] runs, a ring [`Recorder`] the
-/// [`crate::engine::Engine`] scrapes for per-kind counts. While no span
-/// is armed and no recorder is installed, an emit costs two `Option`
+/// Every tracer keeps exact per-kind counts of everything it emits and
+/// carries the span channel — the [`SpanCollector`] the serving loop uses
+/// to capture per-query timelines — plus, once
+/// [`Tracer::install_recorder`] runs, a ring [`Recorder`] holding the
+/// recent event history. While no span is armed and no recorder is
+/// installed, an emit costs one counter increment and two `Option`
 /// branches (the path the `engine_speedup` and `span_overhead` benches
 /// guard).
 #[derive(Debug, Default)]
 pub struct Tracer {
-    /// The ring recorder, when tracing is on.
+    /// Exact totals per [`EventKind`] of every event emitted.
+    counts: [u64; EventKind::COUNT],
+    /// The ring recorder, when installed.
     recorder: Option<Recorder>,
     /// The span channel (see [`crate::obs::span`]).
     spans: SpanCollector,
 }
 
 impl Tracer {
-    /// A tracer with no recorder installed.
-    pub fn disabled() -> Tracer {
-        Tracer::default()
-    }
-
-    /// Emits one event. The hot-path call: inline, one span-channel
-    /// branch while no span is armed, one recorder branch while none is
-    /// installed.
+    /// Emits one event. The hot-path call: inline, one counter increment,
+    /// one span-channel branch while no span is armed, one recorder branch
+    /// while none is installed.
     #[inline]
     pub fn emit(&mut self, event: TraceEvent) {
+        self.counts[event.kind() as usize] += 1;
         self.spans.observe(&event);
         if let Some(r) = &mut self.recorder {
             r.record(event);
@@ -404,21 +444,10 @@ impl Tracer {
         self.spans.disarm()
     }
 
-    /// Appends one phase to the active span (no-op while disarmed).
-    /// Lets the session layer mark reuse-path decisions (rebuild, delta
-    /// fallback) that have no dedicated [`TraceEvent`].
-    #[inline]
-    pub(crate) fn span_mark(&mut self, kind: PhaseKind, a: u64, b: u64) {
-        self.spans.mark(kind, a, b);
-    }
-
-    /// Records which solver front-end took over the active span and
-    /// whether it is a delta resume. Called at every
-    /// `solve_in`/`resume_in` entry, so the span names the solver that
-    /// actually ran (e.g. after a delta fallback).
-    #[inline]
-    pub(crate) fn note_solver(&mut self, name: &'static str, delta: bool) {
-        self.spans.note_solver(name, delta);
+    /// Exact totals of every event emitted, indexed by
+    /// `EventKind as usize`. The drain lifecycle kinds stay zero.
+    pub fn counts(&self) -> &[u64; EventKind::COUNT] {
+        &self.counts
     }
 
     /// Installs a ring [`Recorder`] of `capacity` events, replacing any
@@ -427,7 +456,8 @@ impl Tracer {
         self.recorder = Some(Recorder::new(capacity));
     }
 
-    /// Removes the recorder (further emits reach only the span channel).
+    /// Removes the recorder (further emits are still counted and reach
+    /// the span channel).
     pub fn disable(&mut self) {
         self.recorder = None;
     }
@@ -452,7 +482,7 @@ mod tests {
     }
 
     #[test]
-    fn recorder_retains_in_order_and_counts_exactly() {
+    fn recorder_retains_the_latest_events_in_order() {
         let mut r = Recorder::new(3);
         assert!(r.is_empty());
         for i in 0..5 {
@@ -473,14 +503,10 @@ mod tests {
                 }
             ]
         );
-        // Exact totals survive the overwrites.
-        assert_eq!(r.count(EventKind::Augment), 5);
-        assert_eq!(r.count(EventKind::ProbeStart), 1);
-        assert_eq!(r.total(), 6);
         assert_eq!(r.dropped(), 3);
         r.clear();
         assert!(r.is_empty());
-        assert_eq!(r.total(), 0);
+        assert_eq!(r.dropped(), 0);
     }
 
     #[test]
@@ -494,21 +520,13 @@ mod tests {
     }
 
     #[test]
-    fn absorb_counts_merges_totals() {
-        let mut a = Recorder::new(2);
-        let mut b = Recorder::new(2);
-        a.record(ev(0));
-        b.record(ev(1));
-        b.record(TraceEvent::CapacityIncrement { edges: 3 });
-        a.absorb_counts(&b);
-        assert_eq!(a.count(EventKind::Augment), 2);
-        assert_eq!(a.count(EventKind::CapacityIncrement), 1);
-    }
-
-    #[test]
     fn every_event_maps_to_its_kind() {
         let events = [
-            TraceEvent::SolveStart { query_size: 1 },
+            TraceEvent::SolveStart {
+                query_size: 1,
+                solver: "PR-binary",
+                delta: false,
+            },
             TraceEvent::ProbeStart {
                 budget: Micros::ZERO,
             },
@@ -549,25 +567,42 @@ mod tests {
                 lower_bound: Micros::ZERO,
             },
             TraceEvent::PlaneCheckout { shared: true },
+            TraceEvent::Rebuild { buckets: 0 },
+            TraceEvent::DeltaFallback {
+                solver_declined: true,
+            },
         ];
         for (e, k) in events.iter().zip(EventKind::ALL) {
             assert_eq!(e.kind(), k);
+        }
+        for (i, k) in EventKind::ALL.iter().enumerate() {
+            assert_eq!(*k as usize, i);
             assert!(!k.name().is_empty());
         }
     }
 
     #[test]
-    fn tracer_routes_to_the_installed_recorder() {
-        let mut t = Tracer::disabled();
+    fn tracer_counts_every_emit_and_routes_to_the_installed_recorder() {
+        let mut t = Tracer::default();
         assert!(t.recorder().is_none());
-        t.emit(ev(0)); // goes nowhere, must not panic
-        t.install_recorder(4);
-        t.emit(ev(1));
-        assert_eq!(t.recorder().unwrap().events(), vec![ev(1)]);
+        t.emit(ev(0)); // counted, retained nowhere
+        t.install_recorder(2);
+        for i in 1..4 {
+            t.emit(ev(i));
+        }
+        t.emit(TraceEvent::CapacityIncrement { edges: 3 });
+        assert_eq!(
+            t.recorder().unwrap().events(),
+            vec![ev(3), TraceEvent::CapacityIncrement { edges: 3 }]
+        );
         t.recorder_mut().unwrap().clear();
         assert!(t.recorder().unwrap().is_empty());
         t.disable();
-        t.emit(ev(2));
+        t.emit(ev(4));
         assert!(t.recorder().is_none());
+        // Exact totals survive ring overwrites, clears and removal.
+        assert_eq!(t.counts()[EventKind::Augment as usize], 5);
+        assert_eq!(t.counts()[EventKind::CapacityIncrement as usize], 1);
+        assert_eq!(t.counts().iter().sum::<u64>(), 6);
     }
 }

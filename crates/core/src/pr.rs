@@ -36,9 +36,8 @@ impl RetrievalSolver for PushRelabelIncremental {
         inst: &RetrievalInstance,
         ws: &mut Workspace,
     ) -> Result<RetrievalOutcome, SolveError> {
-        ws.tracer.note_solver(self.name(), false);
         let budget = ArmedBudget::start(ws.armed_budget());
-        ws.begin(inst)?;
+        ws.begin(inst, self.name())?;
         let mut stats = SolveStats::default();
         let result = on_graph!(ws, |g| {
             match incremental_phase(
@@ -67,9 +66,8 @@ impl RetrievalSolver for PushRelabelIncremental {
         inst: &RetrievalInstance,
         ws: &mut Workspace,
     ) -> Result<RetrievalOutcome, SolveError> {
-        ws.tracer.note_solver(self.name(), true);
         let budget = ArmedBudget::start(ws.armed_budget());
-        if !ws.begin_warm(inst)? {
+        if !ws.begin_warm(inst, self.name())? {
             return Err(SolveError::DeltaUnsupported {
                 solver: self.name(),
             });
@@ -111,9 +109,8 @@ impl RetrievalSolver for PushRelabelBinary {
         inst: &RetrievalInstance,
         ws: &mut Workspace,
     ) -> Result<RetrievalOutcome, SolveError> {
-        ws.tracer.note_solver(self.name(), false);
         let budget = ArmedBudget::start(ws.armed_budget());
-        ws.begin(inst)?;
+        ws.begin(inst, self.name())?;
         let mut stats = SolveStats::default();
         let result = on_graph!(ws, |g| {
             match binary_scaling_integrated(
@@ -142,9 +139,8 @@ impl RetrievalSolver for PushRelabelBinary {
         inst: &RetrievalInstance,
         ws: &mut Workspace,
     ) -> Result<RetrievalOutcome, SolveError> {
-        ws.tracer.note_solver(self.name(), true);
         let budget = ArmedBudget::start(ws.armed_budget());
-        if !ws.begin_warm(inst)? {
+        if !ws.begin_warm(inst, self.name())? {
             return Err(SolveError::DeltaUnsupported {
                 solver: self.name(),
             });

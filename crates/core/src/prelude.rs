@@ -1,4 +1,6 @@
-//! One-stop import for the common surface of `rds-core`.
+//! One-stop import for the common surface of `rds-core` — the crate's
+//! only re-export list (the `replicated-retrieval` facade re-exports it
+//! whole).
 //!
 //! ```
 //! use rds_core::prelude::*;
@@ -16,17 +18,20 @@
 //! assert_eq!(outcome.schedule.len(), 6);
 //! ```
 
+pub use crate::blackbox::{BlackBoxFordFulkerson, BlackBoxPushRelabel};
 pub use crate::engine::{
     BatchQuery, Engine, EngineBuilder, EngineMetrics, EngineStats, MetricsSnapshot, RetryPolicy,
 };
 pub use crate::error::{EngineError, SessionError, SolveError};
-pub use crate::fault::{DiskHealth, FaultInjector, HealthMap};
-pub use crate::network::RetrievalInstance;
+pub use crate::fault::{DiskHealth, FaultEvent, FaultInjector, HealthMap};
+pub use crate::ff::{FordFulkersonBasic, FordFulkersonIncremental};
+pub use crate::network::{RetrievalInstance, UnavailableBucket};
 pub use crate::obs::metrics::{Histogram, LatencySummary, MetricsRegistry};
 pub use crate::obs::recorder::{FlightRecorder, FlightRecorderConfig, Postmortem, RecorderStats};
-pub use crate::obs::slo::{SloPolicy, SloReport, SloTarget};
-pub use crate::obs::span::{PhaseKind, QuerySpan, RejectReason, SpanId, SpanOutcome};
+pub use crate::obs::slo::{ClassSloReport, SloPolicy, SloReport, SloTarget};
+pub use crate::obs::span::{PhaseRecord, QuerySpan, RejectReason, SpanId, SpanOutcome};
 pub use crate::obs::trace::{EventKind, Recorder, TraceEvent, Tracer};
+pub use crate::pr::{PushRelabelBinary, PushRelabelIncremental};
 pub use crate::schedule::{RetrievalOutcome, Schedule, SolveStats};
 pub use crate::serve::{
     PriorityClass, QueryRequest, Rejected, ServeClock, ServeConfig, ServeError, ServeHandle,

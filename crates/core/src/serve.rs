@@ -59,7 +59,8 @@ use crate::error::EngineError;
 use crate::obs::metrics::{Histogram, LatencySummary, MetricsRegistry};
 use crate::obs::recorder::{FlightRecorder, RecorderStats};
 use crate::obs::slo::{SloPolicy, SloReport, SloTrackerSet};
-use crate::obs::span::{PhaseKind, RejectReason, SpanId, SpanOutcome};
+use crate::obs::span::{RejectReason, SpanId, SpanOutcome};
+use crate::obs::trace::EventKind;
 use crate::schedule::SolveStats;
 use crate::session::SessionOutcome;
 use crate::solver::RetrievalSolver;
@@ -502,8 +503,8 @@ impl Shared {
         span.arrival = arrival;
         span.completion = arrival;
         span.outcome = SpanOutcome::Rejected(reason);
-        span.record(PhaseKind::Admitted, 0, arrival.as_micros(), class as u64);
-        span.record(PhaseKind::Rejected, 0, reason as u64, 0);
+        span.record(EventKind::Admitted, 0, arrival.as_micros(), class as u64);
+        span.record(EventKind::Rejected, 0, reason as u64, 0);
         recorder.retire(span);
         slo.record_unavailable(class, arrival.max(self.clock.now()));
     }
@@ -1523,7 +1524,7 @@ mod tests {
             .filter_map(|s| {
                 s.phases()
                     .iter()
-                    .find(|p| p.kind == PhaseKind::Coalesced)
+                    .find(|p| p.kind == EventKind::Coalesced)
                     .map(|p| p.a)
             })
             .collect();
@@ -1540,12 +1541,14 @@ mod tests {
         let mut engine = Engine::builder(&system, &alloc)
             .solver_spec(SolverSpec::new(SolverKind::PushRelabelBinary))
             .shards(2)
-            .flight_recorder(crate::obs::recorder::FlightRecorderConfig {
+            .build();
+        for shard in &mut engine.shards {
+            shard.recorder = FlightRecorder::new(crate::obs::recorder::FlightRecorderConfig {
                 capacity: 8,
                 healthy_head: 0,
                 max_phases: 32,
-            })
-            .build();
+            });
+        }
         let buckets = |k: usize| RangeQuery::new(k % 5, 0, 1, 2).buckets(5);
         let r1 = engine.serve(ServeConfig::default().virtual_time(), |h| {
             for k in 0..16usize {

@@ -23,7 +23,6 @@
 use crate::error::{SessionError, SolveError};
 use crate::fault::{self, HealthMap};
 use crate::network::{self, RetrievalInstance};
-use crate::obs::span::PhaseKind;
 use crate::obs::trace::TraceEvent;
 use crate::schedule::{RetrievalOutcome, SolveStats};
 use crate::solver::RetrievalSolver;
@@ -452,7 +451,9 @@ impl SessionState {
                         // A new bucket lost every replica mid-patch; the
                         // instance is unspecified. Fall through to a full
                         // rebuild, which reports the infeasibility.
-                        ws.tracer.span_mark(PhaseKind::DeltaFallback, 0, 0);
+                        ws.tracer.emit(TraceEvent::DeltaFallback {
+                            solver_declined: false,
+                        });
                         self.instance = None;
                         self.warm = None;
                     }
@@ -460,8 +461,9 @@ impl SessionState {
             }
         }
         if !same_buckets && !delta_ready {
-            ws.tracer
-                .span_mark(PhaseKind::Rebuild, target.len() as u64, 0);
+            ws.tracer.emit(TraceEvent::Rebuild {
+                buckets: target.len() as u32,
+            });
             let rebuilt = match self.instance.as_mut() {
                 Some(inst) => inst.rebuild_with_health(system, alloc, target, health),
                 None => RetrievalInstance::build_with_health(system, alloc, target, health)
@@ -502,7 +504,9 @@ impl SessionState {
                     // valid cold instance (dead arcs carry zero capacity),
                     // so re-solve it from scratch.
                     self.counters.delta_fallbacks += 1;
-                    ws.tracer.span_mark(PhaseKind::DeltaFallback, 1, 0);
+                    ws.tracer.emit(TraceEvent::DeltaFallback {
+                        solver_declined: true,
+                    });
                     solver.solve_in(inst, ws)
                 }
                 Err(e) => Err(e),

@@ -16,7 +16,7 @@
 
 use crate::error::SolveError;
 use crate::network::RetrievalInstance;
-use crate::obs::trace::{TraceEvent, Tracer};
+use crate::obs::trace::{EventKind, TraceEvent, Tracer};
 use crate::spec::{ArenaLayout, SolveBudget};
 use rds_flow::ford_fulkerson::AugmentingPath;
 use rds_flow::graph::FlowGraph;
@@ -127,8 +127,9 @@ pub struct Workspace {
     /// Excess half of the `StoreFlows` snapshot (Algorithm 6 line 31);
     /// the flow half is the active graph's own flow checkpoint.
     pub(crate) stored_excess: Vec<i64>,
-    /// Solver-phase event tracer; emits reach only the span channel until
-    /// a recorder is installed. See [`crate::obs::trace`].
+    /// Solver-phase event tracer: counts every emit by kind and feeds the
+    /// span channel and, once installed, the ring recorder. See
+    /// [`crate::obs::trace`].
     pub(crate) tracer: Tracer,
     /// Warm flow state staged by a delta-capable caller (see
     /// [`Workspace::stage_warm`]), consumed by the next
@@ -194,7 +195,7 @@ impl Workspace {
             engine: PushRelabel::new(),
             search: AugmentingPath::new(),
             stored_excess: Vec::new(),
-            tracer: Tracer::disabled(),
+            tracer: Tracer::default(),
             warm_flows: Vec::new(),
             warm_excess: Vec::new(),
             warm_changed: Vec::new(),
@@ -342,13 +343,20 @@ impl Workspace {
         Ok(())
     }
 
+    /// Exact per-kind totals of every [`TraceEvent`] emitted in this
+    /// workspace, indexed by `EventKind as usize` — always counted, with
+    /// or without a recorder.
+    pub fn trace_counts(&self) -> &[u64; EventKind::COUNT] {
+        self.tracer.counts()
+    }
+
     /// Installs a ring-buffer [`crate::obs::trace::Recorder`] with the
     /// given capacity; subsequent solves emit [`TraceEvent`]s into it.
     pub fn install_recorder(&mut self, capacity: usize) {
         self.tracer.install_recorder(capacity);
     }
 
-    /// Removes the recorder, so emits reach only the span channel.
+    /// Removes the recorder; emits are still counted.
     pub fn disable_tracing(&mut self) {
         self.tracer.disable();
     }
@@ -470,12 +478,17 @@ impl Workspace {
         self.warm_staged = false;
     }
 
-    /// Prepares the workspace for one solve of `inst`: selects the arena
-    /// width, copies the instance's network into that scratch graph
-    /// (reusing its buffers) and clears the engine excess left by the
-    /// previous solve. Fails only under a forced [`ArenaLayout::Compact`]
-    /// on an instance that does not fit the narrow width.
-    pub(crate) fn begin(&mut self, inst: &RetrievalInstance) -> Result<(), SolveError> {
+    /// Prepares the workspace for one solve of `inst` by `solver`: selects
+    /// the arena width, copies the instance's network into that scratch
+    /// graph (reusing its buffers), clears the engine excess left by the
+    /// previous solve and emits [`TraceEvent::SolveStart`]. Fails only
+    /// under a forced [`ArenaLayout::Compact`] on an instance that does
+    /// not fit the narrow width.
+    pub(crate) fn begin(
+        &mut self,
+        inst: &RetrievalInstance,
+        solver: &'static str,
+    ) -> Result<(), SolveError> {
         self.solves += 1;
         self.warm_staged = false;
         // Poisoned across the staging so a panic leaves the flag set; a
@@ -490,6 +503,8 @@ impl Workspace {
         self.engine.reset_excess(inst.graph.num_vertices());
         self.tracer.emit(TraceEvent::SolveStart {
             query_size: inst.query_size() as u32,
+            solver,
+            delta: false,
         });
         Ok(())
     }
@@ -520,7 +535,11 @@ impl Workspace {
     /// is staged, and [`SolveError::ArenaOverflow`] when the stream no
     /// longer fits a forced compact arena (warm state is dropped; the
     /// caller decides whether to re-solve cold).
-    pub(crate) fn begin_warm(&mut self, inst: &RetrievalInstance) -> Result<bool, SolveError> {
+    pub(crate) fn begin_warm(
+        &mut self,
+        inst: &RetrievalInstance,
+        solver: &'static str,
+    ) -> Result<bool, SolveError> {
         if !self.warm_staged {
             return Ok(false);
         }
@@ -545,6 +564,8 @@ impl Workspace {
         }
         self.tracer.emit(TraceEvent::SolveStart {
             query_size: inst.query_size() as u32,
+            solver,
+            delta: true,
         });
         Ok(true)
     }
@@ -572,13 +593,13 @@ mod tests {
         let mut ws = Workspace::new();
         ws.set_arena_layout(ArenaLayout::Wide);
         assert_eq!(ws.solves(), 0);
-        ws.begin(&inst).unwrap();
+        ws.begin(&inst, "test").unwrap();
         assert_eq!(ws.solves(), 1);
         assert_eq!(ws.layout_used(), ArenaLayout::Wide);
         assert_eq!(ws.graph.num_vertices(), inst.graph.num_vertices());
         assert_eq!(ws.graph.num_edges(), inst.graph.num_edges());
         // A second begin reuses the same buffers without issue.
-        ws.begin(&inst).unwrap();
+        ws.begin(&inst, "test").unwrap();
         assert_eq!(ws.solves(), 2);
         assert_eq!(ws.graph.num_edges(), inst.graph.num_edges());
     }
@@ -587,7 +608,7 @@ mod tests {
     fn auto_layout_picks_compact_for_small_instances() {
         let inst = small_instance();
         let mut ws = Workspace::new();
-        ws.begin(&inst).unwrap();
+        ws.begin(&inst, "test").unwrap();
         assert_eq!(ws.layout_used(), ArenaLayout::Compact);
         assert_eq!(ws.graph32.num_vertices(), inst.graph.num_vertices());
         assert_eq!(ws.graph32.num_edges(), inst.graph.num_edges());
@@ -630,14 +651,14 @@ mod tests {
         let small_inst = RetrievalInstance::build(&system, &alloc, &small.buckets(6));
         let mut ws = Workspace::new();
         ws.set_arena_layout(ArenaLayout::Wide);
-        ws.begin(&big_inst).unwrap();
+        ws.begin(&big_inst, "test").unwrap();
         let events = ws.graph.arena().allocation_events();
         // Same-size and smaller instances must reuse the arena byte-for-byte
         // (stage_graph debug-asserts this too; the explicit check keeps the
         // contract pinned in release builds).
         for _ in 0..5 {
-            ws.begin(&big_inst).unwrap();
-            ws.begin(&small_inst).unwrap();
+            ws.begin(&big_inst, "test").unwrap();
+            ws.begin(&small_inst, "test").unwrap();
         }
         assert_eq!(
             ws.graph.arena().allocation_events(),
@@ -646,11 +667,11 @@ mod tests {
         );
         // The compact arena honours the same contract independently.
         ws.set_arena_layout(ArenaLayout::Compact);
-        ws.begin(&big_inst).unwrap();
+        ws.begin(&big_inst, "test").unwrap();
         let events32 = ws.graph32.arena().allocation_events();
         for _ in 0..5 {
-            ws.begin(&big_inst).unwrap();
-            ws.begin(&small_inst).unwrap();
+            ws.begin(&big_inst, "test").unwrap();
+            ws.begin(&small_inst, "test").unwrap();
         }
         assert_eq!(ws.graph32.arena().allocation_events(), events32);
     }
@@ -662,12 +683,12 @@ mod tests {
         ws.set_arena_layout(ArenaLayout::Wide);
         assert!(!ws.plane_sharing);
         ws.set_plane_sharing(true);
-        ws.begin(&inst).unwrap();
+        ws.begin(&inst, "test").unwrap();
         assert!(ws.graph.shares_topology_with(&inst.graph));
         assert_eq!(ws.graph.num_edges(), inst.graph.num_edges());
         let events = ws.graph.arena().allocation_events();
         for _ in 0..6 {
-            ws.begin(&inst).unwrap();
+            ws.begin(&inst, "test").unwrap();
         }
         assert!(ws.graph.shares_topology_with(&inst.graph));
         assert_eq!(
@@ -678,11 +699,11 @@ mod tests {
         // The compact arena checks out the same wide plane (the plane is
         // width-free) and narrows only cap/flow.
         ws.set_arena_layout(ArenaLayout::Compact);
-        ws.begin(&inst).unwrap();
+        ws.begin(&inst, "test").unwrap();
         assert!(ws.graph32.shares_topology_with(&inst.graph));
         let events32 = ws.graph32.arena().allocation_events();
         for _ in 0..6 {
-            ws.begin(&inst).unwrap();
+            ws.begin(&inst, "test").unwrap();
         }
         assert_eq!(ws.graph32.arena().allocation_events(), events32);
     }
@@ -693,14 +714,14 @@ mod tests {
         let mut ws = Workspace::new();
         ws.set_arena_layout(ArenaLayout::Compact);
         ws.set_plane_sharing(true);
-        let err = ws.begin(&inst).unwrap_err();
+        let err = ws.begin(&inst, "test").unwrap_err();
         assert!(matches!(
             err,
             SolveError::ArenaOverflow { width: "i32", .. }
         ));
         assert_eq!(ws.take_poisoned(), Ok(()));
         // And a fitting instance checks out cleanly afterwards.
-        ws.begin(&small_instance()).unwrap();
+        ws.begin(&small_instance(), "test").unwrap();
         assert_eq!(ws.layout_used(), ArenaLayout::Compact);
     }
 
@@ -744,7 +765,7 @@ mod tests {
         );
         let mut ws = Workspace::new();
         ws.set_arena_layout(ArenaLayout::Compact);
-        let err = ws.begin(&inst).unwrap_err();
+        let err = ws.begin(&inst, "test").unwrap_err();
         assert!(
             matches!(err, SolveError::ArenaOverflow { width: "i32", .. }),
             "expected ArenaOverflow, got {err:?}"
@@ -752,7 +773,7 @@ mod tests {
         // A clean typed failure is not a panic: the workspace must not
         // report itself poisoned, and stays fully usable.
         assert_eq!(ws.take_poisoned(), Ok(()));
-        ws.begin(&small_instance()).unwrap();
+        ws.begin(&small_instance(), "test").unwrap();
         assert_eq!(ws.layout_used(), ArenaLayout::Compact);
     }
 
@@ -760,10 +781,10 @@ mod tests {
     fn auto_layout_widens_instead_of_overflowing() {
         let inst = oversized_instance();
         let mut ws = Workspace::new();
-        ws.begin(&inst).unwrap();
+        ws.begin(&inst, "test").unwrap();
         assert_eq!(ws.layout_used(), ArenaLayout::Wide);
         // And re-narrows when the next instance fits again.
-        ws.begin(&small_instance()).unwrap();
+        ws.begin(&small_instance(), "test").unwrap();
         assert_eq!(ws.layout_used(), ArenaLayout::Compact);
     }
 
@@ -776,11 +797,11 @@ mod tests {
         let flows = vec![0i64; inst.graph.num_edge_slots()];
         let excess = vec![0i64; inst.graph.num_vertices()];
         ws.stage_warm(&flows, &excess, &[]);
-        let err = ws.begin_warm(&inst).unwrap_err();
+        let err = ws.begin_warm(&inst, "test").unwrap_err();
         assert!(matches!(err, SolveError::ArenaOverflow { .. }));
         assert_eq!(ws.take_poisoned(), Ok(()));
         // The warm stage was consumed; a retry reports "no warm state"
         // instead of failing again.
-        assert!(!ws.begin_warm(&inst).unwrap());
+        assert!(!ws.begin_warm(&inst, "test").unwrap());
     }
 }

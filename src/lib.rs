@@ -63,32 +63,7 @@ pub use rds_storage as storage;
 
 /// Commonly used items, re-exported in one place.
 pub mod prelude {
-    pub use rds_core::{
-        blackbox::{BlackBoxFordFulkerson, BlackBoxPushRelabel},
-        engine::{
-            BatchQuery, Engine, EngineBuilder, EngineMetrics, EngineStats, MetricsSnapshot,
-            RetryPolicy,
-        },
-        error::{EngineError, SessionError, SolveError},
-        fault::{DiskHealth, FaultEvent, FaultInjector, HealthMap},
-        ff::{FordFulkersonBasic, FordFulkersonIncremental},
-        network::{RetrievalInstance, UnavailableBucket},
-        obs::metrics::{Histogram, LatencySummary, MetricsRegistry},
-        obs::recorder::{FlightRecorder, FlightRecorderConfig, Postmortem, RecorderStats},
-        obs::slo::{SloPolicy, SloReport, SloTarget},
-        obs::span::{PhaseKind, PhaseRecord, QuerySpan, RejectReason, SpanId, SpanOutcome},
-        obs::trace::{EventKind, Recorder, TraceEvent, Tracer},
-        pr::{PushRelabelBinary, PushRelabelIncremental},
-        schedule::{RetrievalOutcome, Schedule, SolveStats},
-        serve::{
-            PriorityClass, QueryRequest, Rejected, ServeClock, ServeConfig, ServeError,
-            ServeHandle, ServeReport, ServeResponse, ServeStats, Ticket,
-        },
-        session::{RetrievalSession, ReuseCounters, ReusePolicy, SessionOutcome, SessionState},
-        solver::RetrievalSolver,
-        spec::{AnySolver, ArenaLayout, ScheduleObjective, SolveBudget, SolverKind, SolverSpec},
-        workspace::{PoisonedWorkspace, Workspace},
-    };
+    pub use rds_core::prelude::*;
     pub use rds_decluster::{
         allocation::{Allocation, Placement, ReplicaMap, ReplicaSource, Replicas},
         load::{GeneratedQuery, Load, QueryGenerator, QueryKind},

@@ -202,7 +202,7 @@ fn budget_expiry_is_traced() {
     ws.install_recorder(256);
     let outcome = PushRelabelBinary.solve_in(&inst, &mut ws).unwrap();
     let recorder = ws.recorder().expect("recorder installed");
-    assert_eq!(recorder.count(EventKind::BudgetExpired), 1);
+    assert_eq!(ws.trace_counts()[EventKind::BudgetExpired as usize], 1);
     let expiries: Vec<_> = recorder
         .events()
         .into_iter()

@@ -428,7 +428,6 @@ fn every_execution_path_agrees_on_results_counters_and_trace_counts() {
         let mut engine = Engine::builder(&system, &alloc)
             .solver_spec(spec)
             .shards(shards)
-            .tracing(1 << 10)
             .build()
             .with_fault_injector(injector.clone())
             .with_retry_policy(RetryPolicy {

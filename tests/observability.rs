@@ -41,22 +41,23 @@ fn events_reconcile_with_solve_stats_for_every_solver() {
     for solver in &solvers {
         let (outcome, ws) = traced_solve(solver.as_ref(), &inst);
         let rec = ws.recorder().expect("recorder installed");
+        let count = |kind: EventKind| ws.trace_counts()[kind as usize];
         assert_eq!(rec.dropped(), 0, "{}: ring too small", solver.name());
-        assert_eq!(rec.count(EventKind::SolveStart), 1, "{}", solver.name());
+        assert_eq!(count(EventKind::SolveStart), 1, "{}", solver.name());
         assert_eq!(
-            rec.count(EventKind::ProbeStart),
+            count(EventKind::ProbeStart),
             outcome.stats.probes,
             "{}: ProbeStart vs probes",
             solver.name()
         );
         assert_eq!(
-            rec.count(EventKind::ProbeEnd),
-            rec.count(EventKind::ProbeStart),
+            count(EventKind::ProbeEnd),
+            count(EventKind::ProbeStart),
             "{}: unbalanced probe spans",
             solver.name()
         );
         assert_eq!(
-            rec.count(EventKind::CapacityIncrement),
+            count(EventKind::CapacityIncrement),
             outcome.stats.increments,
             "{}: CapacityIncrement vs increments",
             solver.name()
@@ -76,7 +77,7 @@ fn relabel_pass_events_sum_to_stats_pushes_and_relabels() {
         let (outcome, ws) = traced_solve(solver, &inst);
         let rec = ws.recorder().unwrap();
         assert_eq!(
-            rec.count(EventKind::RelabelPass),
+            ws.trace_counts()[EventKind::RelabelPass as usize],
             outcome.stats.resume_calls,
             "{}: one RelabelPass per resume",
             solver.name()
@@ -100,9 +101,8 @@ fn relabel_pass_events_sum_to_stats_pushes_and_relabels() {
     // The black-box PR baseline attributes work per from-scratch max-flow
     // call instead.
     let (outcome, ws) = traced_solve(&BlackBoxPushRelabel, &inst);
-    let rec = ws.recorder().unwrap();
     assert_eq!(
-        rec.count(EventKind::RelabelPass),
+        ws.trace_counts()[EventKind::RelabelPass as usize],
         outcome.stats.maxflow_calls
     );
     assert!(outcome.stats.pushes > 0);
@@ -118,7 +118,7 @@ fn ff_emits_one_augment_per_bucket() {
         &BlackBoxFordFulkerson,
     ] {
         let (outcome, ws) = traced_solve(solver, &inst);
-        let augments = ws.recorder().unwrap().count(EventKind::Augment);
+        let augments = ws.trace_counts()[EventKind::Augment as usize];
         match solver.name() {
             "FF-incremental" => {
                 assert_eq!(augments, inst.query_size() as u64);
@@ -136,7 +136,7 @@ fn ff_emits_one_augment_per_bucket() {
     let inst = RetrievalInstance::build(&system, &alloc, &q.buckets(7));
     let (_, ws) = traced_solve(&FordFulkersonBasic, &inst);
     assert_eq!(
-        ws.recorder().unwrap().count(EventKind::Augment),
+        ws.trace_counts()[EventKind::Augment as usize],
         inst.query_size() as u64
     );
 }
@@ -154,14 +154,14 @@ fn recorder_receives_the_event_stream() {
     let events = recorder.events();
     assert!(matches!(
         events[0],
-        TraceEvent::SolveStart { query_size: 6 }
+        TraceEvent::SolveStart { query_size: 6, .. }
     ));
     let probe_starts = events
         .iter()
         .filter(|e| matches!(e, TraceEvent::ProbeStart { .. }))
         .count() as u64;
     assert_eq!(probe_starts, outcome.stats.probes);
-    // Disabling returns emits to no-ops.
+    // Disabling removes the ring.
     ws.disable_tracing();
     let _ = PushRelabelBinary.solve_in(&inst, &mut ws).unwrap();
     assert!(ws.recorder().is_none());
@@ -201,7 +201,6 @@ fn event_counts_are_identical_across_shard_counts() {
         let mut engine = Engine::builder(&system, &alloc)
             .solver_spec(SolverSpec::new(SolverKind::PushRelabelBinary))
             .shards(shards)
-            .tracing(1 << 12)
             .build()
             .with_fault_injector(injector.clone())
             .with_retry_policy(RetryPolicy {
@@ -253,7 +252,6 @@ fn engine_fault_events_reconcile_with_stats() {
     let mut engine = Engine::builder(&system, &alloc)
         .solver_spec(SolverSpec::new(SolverKind::PushRelabelBinary))
         .shards(2)
-        .tracing(1 << 12)
         .build()
         .with_fault_injector(injector)
         .with_retry_policy(RetryPolicy {
@@ -285,7 +283,6 @@ fn metrics_snapshot_quantiles_and_exports() {
     let mut engine = Engine::builder(&system, &alloc)
         .solver_spec(SolverSpec::new(SolverKind::PushRelabelBinary))
         .shards(2)
-        .tracing(1 << 12)
         .build();
     let results = engine.submit_batch(&queries);
     assert!(results.iter().all(Result::is_ok));
@@ -426,7 +423,6 @@ fn warm_engine_reuse_is_shard_invariant() {
                 }),
             )
             .shards(shards)
-            .tracing(1 << 12)
             .build();
         let outcomes: Vec<(Micros, Micros)> = engine
             .submit_batch(&queries)
@@ -478,16 +474,133 @@ fn warm_engine_reuse_is_shard_invariant() {
     assert_eq!(cold.stats().reuse, ReuseCounters::default());
 }
 
-/// Without `EngineBuilder::tracing`, the engine still measures histograms but
-/// reports zero trace events — the tracer stays a no-op.
+/// An engine without any ring recorder still measures histograms.
 #[test]
 fn untraced_engine_has_histograms_but_no_events() {
     let (system, alloc, queries) = chaos_batch();
     let mut engine = Engine::new(&system, &alloc, PushRelabelBinary, 2);
     let _ = engine.submit_batch(&queries);
-    assert_eq!(engine.trace_counts(), [0u64; EventKind::COUNT]);
-    assert!(engine.shard_recorder(0).is_none());
     let snap = engine.metrics_snapshot();
     assert_eq!(snap.solve_latency_us.count, queries.len() as u64);
     assert!(snap.probes_per_solve.p99 > 0);
+}
+
+/// One event path: under the virtual-clock serving loop every span-visible
+/// event a tracer emits lands on exactly one retained span, so the phases
+/// of each such kind, summed over the postmortem, equal the engine's trace
+/// count for it — for the solver phases and the session's rebuild,
+/// delta-patch and delta-fallback decisions alike. PR-binary delta-patches
+/// its warm flow; FF-incremental declines every delta and falls back. A
+/// mid-run outage drives a retry (bucket recovered at a backoff probe) and
+/// a degraded serve (bucket lost for good).
+#[test]
+fn span_phases_agree_with_trace_counts_kind_by_kind() {
+    let system = paper_example();
+    let alloc = OrthogonalAllocation::paper_7x7();
+    // Two streams of 2x2 windows, one a second apart so loads drain and a
+    // revisited window hits the schedule cache; same-size moves delta-patch.
+    let cols = [0usize, 1, 0, 2, 1, 0, 3, 3, 2, 4, 0, 1];
+    let queries: Vec<BatchQuery> = (0..2usize)
+        .flat_map(|s| {
+            cols.iter().enumerate().map(move |(k, &col)| BatchQuery {
+                stream: s,
+                arrival: Micros::from_millis(k as u64 * 1_000),
+                buckets: RangeQuery::new(3 * s, col, 2, 2).buckets(7),
+            })
+        })
+        .collect();
+    assert!(
+        queries.len() <= 32,
+        "the default head sample keeps every span"
+    );
+    // Stream 0's query at 6 s loses bucket (0, 3) until 6.2 s: its second
+    // backoff probe sees the recovery and retries. Stream 1's query at 9 s
+    // loses bucket (3, 4) for good and is served degraded.
+    let mut injector = FaultInjector::new();
+    for ((row, col), down, up) in [((0, 3), 5_500, Some(6_200)), ((3, 4), 8_500, None)] {
+        for disk in alloc.replicas(Bucket::new(row, col)).iter() {
+            injector.schedule(Micros::from_millis(down), disk, DiskHealth::Offline);
+            if let Some(up) = up {
+                injector.schedule(Micros::from_millis(up), disk, DiskHealth::Healthy);
+            }
+        }
+    }
+    let span_kinds = [
+        EventKind::SolveStart,
+        EventKind::ProbeEnd,
+        EventKind::RetryScheduled,
+        EventKind::HealthTransition,
+        EventKind::DegradedServe,
+        EventKind::DeltaPatch,
+        EventKind::CacheHit,
+        EventKind::RefinePass,
+        EventKind::BudgetExpired,
+        EventKind::PlaneCheckout,
+        EventKind::Rebuild,
+        EventKind::DeltaFallback,
+    ];
+    let mut seen = [0u64; EventKind::COUNT];
+    for kind in [
+        SolverKind::PushRelabelBinary,
+        SolverKind::FordFulkersonIncremental,
+    ] {
+        let mut engine = Engine::builder(&system, &alloc)
+            .solver_spec(SolverSpec::new(kind).reuse(ReusePolicy::warm()))
+            .build()
+            .with_fault_injector(injector.clone())
+            .with_retry_policy(RetryPolicy {
+                max_retries: 2,
+                backoff: Micros::from_millis(150),
+            })
+            .with_degraded_mode(true);
+        let report = engine.serve(ServeConfig::default().virtual_time(), |h| {
+            for q in &queries {
+                h.submit(QueryRequest::new(q.stream, q.buckets.clone()).arriving_at(q.arrival))
+                    .unwrap();
+            }
+        });
+        assert_eq!(report.stats.completed, queries.len() as u64);
+        let pm = engine.postmortem();
+        assert_eq!(pm.spans.len(), queries.len(), "{kind:?}: every span kept");
+        assert_eq!(pm.stats.dropped_phases, 0, "{kind:?}: no phase dropped");
+        let counts = engine.trace_counts();
+        let phases = |k: EventKind| {
+            pm.spans
+                .iter()
+                .flat_map(|s| s.phases())
+                .filter(|p| p.kind == k)
+                .count() as u64
+        };
+        for k in span_kinds {
+            assert_eq!(phases(k), counts[k as usize], "{kind:?}: {k:?}");
+        }
+        // Lifecycle marks are written onto spans, never emitted.
+        assert_eq!(phases(EventKind::Admitted), queries.len() as u64);
+        for k in [
+            EventKind::Admitted,
+            EventKind::Coalesced,
+            EventKind::Reply,
+            EventKind::Failed,
+            EventKind::Rejected,
+        ] {
+            assert_eq!(counts[k as usize], 0, "{kind:?}: {k:?}");
+        }
+        assert_eq!(
+            counts[EventKind::RetryScheduled as usize],
+            engine.stats().retries
+        );
+        for (s, c) in seen.iter_mut().zip(counts) {
+            *s += c;
+        }
+    }
+    for k in [
+        EventKind::Rebuild,
+        EventKind::DeltaPatch,
+        EventKind::DeltaFallback,
+        EventKind::CacheHit,
+        EventKind::RetryScheduled,
+        EventKind::DegradedServe,
+    ] {
+        assert!(seen[k as usize] > 0, "the runs never produced {k:?}");
+    }
 }
