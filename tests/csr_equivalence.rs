@@ -18,6 +18,10 @@
 //! kind. Every solve runs in a fresh `Workspace` (`SolverSpec::solve`),
 //! so no kind's digest depends on another kind's, and a kind can leave
 //! the suite without disturbing the others' values.
+//!
+//! `SEARCH_GOLDEN_BY_KIND` pins what the two digests above leave out:
+//! budget-expired and warm-resumed solves, the anytime bookkeeping, and
+//! the order of every trace event a solve emits.
 
 use rds_util::SplitMix64;
 use replicated_retrieval::core::spec::{ArenaLayout, SolverKind, SolverSpec};
@@ -36,6 +40,24 @@ const GOLDEN_BY_KIND: &[(&str, u64)] = &[
     ("PR-binary", 0xa9eb42b18c3e5d7c),
     ("BB-PR", 0xb17afda600da40b4),
     ("BB-FF", 0xc56bbf6bf57416cd),
+];
+
+/// Per-kind digests of every decision and trace event of small solves
+/// (seed 0x5EA2C, 60 instances, both widths): cold solves unlimited and
+/// under probe budgets of 0, 1, 2 and 4 steps, then a six-step sliding
+/// window through a warm-start session, unlimited and at one step. Covers
+/// response time, flow value, every `SolveStats` counter, the anytime gap,
+/// every assignment, each session step's completion time and the
+/// `TraceEvent`s of every solve in emission order. Captured before the
+/// budget search of Algorithm 6 and the black-box baselines was written
+/// once; must never drift.
+const SEARCH_GOLDEN_BY_KIND: &[(&str, u64)] = &[
+    ("FF-basic", 0x8d29edb81a24d393),
+    ("FF-incremental", 0x1f0a34178d323b55),
+    ("PR-incremental", 0x06a472aaf19cfbd5),
+    ("PR-binary", 0x1047b663b4fb1311),
+    ("BB-PR", 0x2f65c23c579ef47b),
+    ("BB-FF", 0xdc60b6f5cac58111),
 ];
 
 fn arb_system(n: usize, seed: u64) -> SystemConfig {
@@ -271,4 +293,139 @@ fn compact_arena_matches_legacy_layout_digest() {
     let (per_kind, solved) = layout_digest(ArenaLayout::Compact);
     assert_eq!(solved, 200 * SolverKind::ALL.len());
     assert_per_kind(&per_kind, GOLDEN_BY_KIND, "compact arena");
+}
+
+/// Folds one outcome into a digest chain: response time, flow value,
+/// every `SolveStats` counter, the anytime gap and every assignment.
+fn digest_outcome(mut h: u64, out: &RetrievalOutcome) -> u64 {
+    let s = &out.stats;
+    for word in [
+        out.response_time.0,
+        out.flow_value,
+        s.maxflow_calls,
+        s.resume_calls,
+        s.probes,
+        s.increments,
+        s.dfs_calls,
+        s.pushes,
+        s.relabels,
+        s.refine_passes,
+        s.refine_cycles,
+        s.refine_moved,
+        s.refine_searches,
+        s.budget_expirations,
+        s.anytime_gap.0,
+    ] {
+        h = fnv1a(h, word);
+    }
+    for &(b, disk) in out.schedule.assignments() {
+        for word in [(b.row as u64) << 32 | b.col as u64, disk as u64] {
+            h = fnv1a(h, word);
+        }
+    }
+    h
+}
+
+/// Folds every event the workspace's ring recorder retained since the
+/// last call, in emission order (each by its `Debug` rendering, which
+/// names the variant and every field), then clears the ring.
+fn digest_events(mut h: u64, ws: &mut Workspace) -> u64 {
+    let ring = ws.recorder_mut().expect("recorder installed");
+    assert_eq!(ring.dropped(), 0, "event ring overflowed");
+    for event in ring.events() {
+        for byte in format!("{event:?}").bytes() {
+            h = (h ^ byte as u64).wrapping_mul(0x100_0000_01b3);
+        }
+    }
+    ring.clear();
+    h
+}
+
+/// Every decision and event of cold solves under probe budgets and of
+/// warm sliding-window sessions, per kind and width, digested: the
+/// budget search, its bail-outs, the incremental phase, the warm resume
+/// and the delta fallback all feed [`SEARCH_GOLDEN_BY_KIND`].
+#[test]
+fn budget_search_decisions_and_events_match_by_kind() {
+    let budgets = [
+        SolveBudget::UNLIMITED,
+        SolveBudget::UNLIMITED.with_max_probes(0),
+        SolveBudget::UNLIMITED.with_max_probes(1),
+        SolveBudget::UNLIMITED.with_max_probes(2),
+        SolveBudget::UNLIMITED.with_max_probes(4),
+    ];
+    let warm = ReusePolicy {
+        warm_start: true,
+        cache_capacity: 0,
+    };
+    let mut per_kind: Vec<(&'static str, u64)> = SolverKind::ALL
+        .iter()
+        .map(|k| (k.name(), FNV_BASIS))
+        .collect();
+    let mut rng = SplitMix64::seed_from_u64(0x5EA2C);
+    for _ in 0..60 {
+        let n = rng.gen_range(3..7usize);
+        let seed = rng.gen_range(0..1000u64);
+        let r = rng.gen_range(1..4usize).min(n);
+        let c = rng.gen_range(1..4usize).min(n);
+        let row = rng.gen_range(0..=n - r);
+        let col = rng.gen_range(0..=n - c);
+        let alloc = arb_alloc(n, seed.wrapping_add(3));
+        // A same-size window sliding one row per session step.
+        let window =
+            |step: usize| RangeQuery::new((row + step) % (n - r + 1), col, r, c).buckets(n);
+        for (k, kind) in SolverKind::ALL.into_iter().enumerate() {
+            // FF-basic supports only the pristine uniform problem: an Exp1
+            // system, with session arrivals far enough apart that every
+            // disk has drained before the next query.
+            let (system, gap) = if kind == SolverKind::FordFulkersonBasic {
+                (
+                    experiment(ExperimentId::Exp1, n, seed),
+                    Micros::from_millis(60_000),
+                )
+            } else {
+                (arb_system(n, seed), Micros::from_millis(2))
+            };
+            let inst = RetrievalInstance::build(&system, &alloc, &window(0));
+            let solver = SolverSpec::new(kind).build();
+            for layout in [ArenaLayout::Wide, ArenaLayout::Compact] {
+                let mut ws = Workspace::new();
+                ws.set_arena_layout(layout);
+                ws.install_recorder(1 << 12);
+                let h = &mut per_kind[k].1;
+                for budget in budgets {
+                    ws.arm_budget(budget);
+                    let out = solver.solve_in(&inst, &mut ws).expect("feasible instance");
+                    assert_eq!(out.stats.arena_layout, layout);
+                    *h = digest_outcome(*h, &out);
+                    *h = digest_events(*h, &mut ws);
+                }
+                for budget in [budgets[0], budgets[2]] {
+                    ws.arm_budget(budget);
+                    let spec = SolverSpec::new(kind).reuse(warm);
+                    let mut state = SessionState::from_spec(system.num_disks(), &spec);
+                    let mut arrival = Micros::ZERO;
+                    for step in 0..6 {
+                        let out = state
+                            .submit_with(&system, &alloc, &solver, &mut ws, arrival, &window(step))
+                            .expect("feasible window");
+                        *h = digest_outcome(*h, &out.outcome);
+                        *h = fnv1a(*h, out.completion.0);
+                        *h = digest_events(*h, &mut ws);
+                        arrival += gap;
+                    }
+                    // The push-relabel kinds resume from the delta-patched
+                    // flow; the others fall back to cold solves.
+                    let reuse = state.reuse_counters();
+                    let (resumed, fell_back) = if kind.supports_delta() {
+                        (reuse.delta_patches, reuse.delta_fallbacks)
+                    } else {
+                        (reuse.delta_fallbacks, reuse.delta_patches)
+                    };
+                    assert!(resumed > 0 && fell_back == 0, "{}", kind.name());
+                }
+            }
+        }
+    }
+    assert_per_kind(&per_kind, SEARCH_GOLDEN_BY_KIND, "budget search");
 }
