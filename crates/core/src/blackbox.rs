@@ -6,123 +6,21 @@
 //! zero, discarding all previously computed flow values. \[18\]'s solver is
 //! the Ford-Fulkerson equivalent.
 //!
-//! These baselines are deliberately implemented with the *same* graph,
-//! cost model and increment logic as the integrated solvers, so execution
-//! time comparisons isolate exactly the paper's claimed effect: flow
-//! conservation.
+//! Both baselines run the one budget search of [`crate::pr`] (`search`)
+//! and are nothing but its `Probe`: a max-flow from zero, with the same
+//! graph, bounds, cost model and increment logic as the integrated
+//! solvers. Execution time comparisons therefore isolate exactly the
+//! paper's claimed effect: flow conservation.
 
 use crate::error::SolveError;
-use crate::increment::MinCostIncrementer;
 use crate::network::RetrievalInstance;
-use crate::obs::trace::{TraceEvent, Tracer};
-use crate::pr::{budget_work, outcome_with_budget};
-use crate::schedule::{RetrievalOutcome, SolveStats};
+use crate::pr::{relabel_pass, search, Probe};
+use crate::schedule::RetrievalOutcome;
 use crate::solver::RetrievalSolver;
-use crate::workspace::{on_graph, ArmedBudget, Workspace};
+use crate::workspace::{Solve, SolveBody, Workspace};
 use rds_flow::ford_fulkerson::ford_fulkerson;
-use rds_flow::graph::{ArenaIndex, FlowGraph};
+use rds_flow::graph::ArenaIndex;
 use rds_storage::time::Micros;
-
-/// Runs the binary capacity-scaling driver with a from-scratch max-flow at
-/// every probe and every increment.
-///
-/// Returns `Ok(None)` at the exact optimum, or `Ok(Some(lower_bound))`
-/// when the [`ArmedBudget`] expired and the search was finalized at the
-/// feasible upper bound instead (one extra from-scratch solve).
-fn blackbox_binary<W: ArenaIndex, F>(
-    inst: &RetrievalInstance,
-    g: &mut FlowGraph<W>,
-    stats: &mut SolveStats,
-    tracer: &mut Tracer,
-    budget: ArmedBudget,
-    mut fresh_max_flow: F,
-) -> Result<Option<Micros>, SolveError>
-where
-    F: FnMut(&mut FlowGraph<W>, &mut SolveStats, &mut Tracer) -> i64,
-{
-    let q = inst.query_size() as i64;
-    if q == 0 {
-        return Ok(None);
-    }
-    // Same warm-started bounds as the integrated driver, so comparisons
-    // still isolate flow conservation alone.
-    let (mut t_min, mut t_max, min_speed) = inst.tightened_bounds(&mut Vec::new());
-
-    // `t_max` stays feasible throughout the search, so the bail-out can
-    // always finalize there with one more from-scratch solve.
-    #[allow(clippy::too_many_arguments)]
-    fn bail<W: ArenaIndex, F>(
-        inst: &RetrievalInstance,
-        g: &mut FlowGraph<W>,
-        stats: &mut SolveStats,
-        tracer: &mut Tracer,
-        fresh_max_flow: &mut F,
-        q: i64,
-        t_lo: Micros,
-        t_hi: Micros,
-    ) -> Result<Option<Micros>, SolveError>
-    where
-        F: FnMut(&mut FlowGraph<W>, &mut SolveStats, &mut Tracer) -> i64,
-    {
-        inst.set_caps_for_budget(g, t_hi);
-        let flow = fresh_max_flow(g, stats, tracer);
-        if flow != q {
-            return Err(SolveError::Infeasible {
-                bucket: None,
-                delivered: flow,
-                required: q,
-            });
-        }
-        Ok(Some(t_lo))
-    }
-
-    while t_max - t_min >= min_speed {
-        if budget.expired(budget_work(stats)) {
-            return bail(inst, g, stats, tracer, &mut fresh_max_flow, q, t_min, t_max);
-        }
-        let t_mid = t_min.midpoint(t_max);
-        inst.set_caps_for_budget(g, t_mid);
-        tracer.emit(TraceEvent::ProbeStart { budget: t_mid });
-        let flow = fresh_max_flow(g, stats, tracer);
-        stats.probes += 1;
-        tracer.emit(TraceEvent::ProbeEnd {
-            budget: t_mid,
-            feasible: flow == q,
-        });
-        if flow != q {
-            t_min = t_mid;
-        } else {
-            t_max = t_mid;
-        }
-    }
-
-    inst.set_caps_for_budget(g, t_min);
-    let mut inc = MinCostIncrementer::new(inst);
-    let mut delivered = 0;
-    loop {
-        // Incremented capacities never exceed `capacity_within(t_max)`, so
-        // finalizing at the feasible bound is still a pure capacity raise.
-        if budget.expired(budget_work(stats)) {
-            return bail(inst, g, stats, tracer, &mut fresh_max_flow, q, t_min, t_max);
-        }
-        let raised = inc.increment(inst, g);
-        stats.increments += 1;
-        tracer.emit(TraceEvent::CapacityIncrement {
-            edges: raised as u32,
-        });
-        if raised == 0 {
-            return Err(SolveError::Infeasible {
-                bucket: None,
-                delivered,
-                required: q,
-            });
-        }
-        delivered = fresh_max_flow(g, stats, tracer);
-        if delivered == q {
-            return Ok(None);
-        }
-    }
-}
 
 /// The push-relabel black-box baseline of \[12\] (binary capacity scaling,
 /// LEDA-style from-scratch max-flow per run).
@@ -139,41 +37,24 @@ impl RetrievalSolver for BlackBoxPushRelabel {
         inst: &RetrievalInstance,
         ws: &mut Workspace,
     ) -> Result<RetrievalOutcome, SolveError> {
-        let budget = ArmedBudget::start(ws.armed_budget());
-        ws.begin(inst, self.name())?;
-        let mut stats = SolveStats::default();
-        let (s, t) = (inst.source(), inst.sink());
-        let result = on_graph!(ws, |g| {
-            let engine = &mut ws.engine;
-            match blackbox_binary(
-                inst,
-                &mut *g,
-                &mut stats,
-                &mut ws.tracer,
-                budget,
-                |g, stats, tracer| {
-                    stats.maxflow_calls += 1;
-                    let (pushes_before, relabels_before) = engine.op_counts();
-                    let flow = engine.max_flow(g, s, t);
-                    let (pushes, relabels) = engine.op_counts();
-                    let (pushes, relabels) = (pushes - pushes_before, relabels - relabels_before);
-                    stats.pushes += pushes;
-                    stats.relabels += relabels;
-                    tracer.emit(TraceEvent::RelabelPass { pushes, relabels });
-                    flow
-                },
-            ) {
-                Ok(bailed) => outcome_with_budget(inst, &*g, stats, bailed, &mut ws.tracer),
-                Err(e) => Err(e),
-            }
-        });
-        ws.complete();
-        result
+        ws.run(self, inst, false)
+    }
+}
+
+impl SolveBody for BlackBoxPushRelabel {
+    fn body<W: ArenaIndex>(&self, s: &mut Solve<'_, W>) -> Result<Option<Micros>, SolveError> {
+        search::<Self, W>(s, true)
+    }
+}
+
+impl Probe for BlackBoxPushRelabel {
+    fn max_flow<W: ArenaIndex>(s: &mut Solve<'_, W>) -> i64 {
+        relabel_pass(s, true)
     }
 }
 
 /// A Ford-Fulkerson black-box baseline in the style of \[18\]: the same
-/// binary-scaling driver with a from-scratch augmenting-path max-flow.
+/// binary-scaling search with a from-scratch augmenting-path max-flow.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct BlackBoxFordFulkerson;
 
@@ -187,29 +68,21 @@ impl RetrievalSolver for BlackBoxFordFulkerson {
         inst: &RetrievalInstance,
         ws: &mut Workspace,
     ) -> Result<RetrievalOutcome, SolveError> {
-        let budget = ArmedBudget::start(ws.armed_budget());
-        ws.begin(inst, self.name())?;
-        let mut stats = SolveStats::default();
-        let (s, t) = (inst.source(), inst.sink());
-        let result = on_graph!(ws, |g| {
-            match blackbox_binary(
-                inst,
-                &mut *g,
-                &mut stats,
-                &mut ws.tracer,
-                budget,
-                |g, stats, _tracer| {
-                    stats.maxflow_calls += 1;
-                    g.zero_flows();
-                    ford_fulkerson(g, s, t)
-                },
-            ) {
-                Ok(bailed) => outcome_with_budget(inst, &*g, stats, bailed, &mut ws.tracer),
-                Err(e) => Err(e),
-            }
-        });
-        ws.complete();
-        result
+        ws.run(self, inst, false)
+    }
+}
+
+impl SolveBody for BlackBoxFordFulkerson {
+    fn body<W: ArenaIndex>(&self, s: &mut Solve<'_, W>) -> Result<Option<Micros>, SolveError> {
+        search::<Self, W>(s, true)
+    }
+}
+
+impl Probe for BlackBoxFordFulkerson {
+    fn max_flow<W: ArenaIndex>(s: &mut Solve<'_, W>) -> i64 {
+        s.stats.maxflow_calls += 1;
+        s.g.zero_flows();
+        ford_fulkerson(s.g, s.inst.source(), s.inst.sink())
     }
 }
 

@@ -19,30 +19,12 @@
 use crate::error::SolveError;
 use crate::increment::MinCostIncrementer;
 use crate::network::RetrievalInstance;
-use crate::obs::trace::{TraceEvent, Tracer};
-use crate::pr::{budget_work, outcome_with_budget};
-use crate::schedule::{RetrievalOutcome, SolveStats};
+use crate::obs::trace::TraceEvent;
+use crate::schedule::RetrievalOutcome;
 use crate::solver::RetrievalSolver;
-use crate::workspace::{on_graph, ArmedBudget, Workspace};
-use rds_flow::ford_fulkerson::AugmentingPath;
-use rds_flow::graph::{ArenaIndex, FlowGraph};
+use crate::workspace::{Solve, SolveBody, Workspace};
+use rds_flow::graph::ArenaIndex;
 use rds_storage::time::Micros;
-
-/// Anytime bail-out shared by both Ford-Fulkerson solvers: raises every
-/// disk-edge capacity to `capacity_within(t_max)` of the greedy feasible
-/// upper bound (never lowering a capacity), after which every remaining
-/// per-bucket augment succeeds without further increments. Returns the
-/// lower bound to report the optimality gap against.
-fn ff_bail_caps<W: ArenaIndex>(inst: &RetrievalInstance, g: &mut FlowGraph<W>) -> Micros {
-    let (t_lo, t_hi, _) = inst.tightened_bounds(&mut Vec::new());
-    for (j, &e) in inst.disk_edges.iter().enumerate() {
-        let cap = inst.disks[j].capacity_within(t_hi) as i64;
-        if cap > g.cap(e) {
-            g.set_cap(e, cap);
-        }
-    }
-    t_lo
-}
 
 /// Algorithm 1: integrated Ford-Fulkerson for the **basic** retrieval
 /// problem (homogeneous unloaded disks).
@@ -67,78 +49,21 @@ impl RetrievalSolver for FordFulkersonBasic {
             && inst
                 .disks
                 .first()
-                .map(|d| d.overhead() == rds_storage::time::Micros::ZERO)
+                .map(|d| d.overhead() == Micros::ZERO)
                 .unwrap_or(true);
         if !homogeneous {
             return Err(SolveError::UnsupportedSystem {
                 reason: "FordFulkersonBasic requires homogeneous unloaded disks",
             });
         }
-
-        let budget = ArmedBudget::start(ws.armed_budget());
-        ws.begin(inst, self.name())?;
-        let result = on_graph!(ws, |g| ff_basic_body(
-            inst,
-            g,
-            &mut ws.search,
-            &mut ws.tracer,
-            budget
-        ));
-        ws.complete();
-        result
+        ws.run(self, inst, false)
     }
 }
 
-/// The width-generic body of Algorithm 1.
-fn ff_basic_body<W: ArenaIndex>(
-    inst: &RetrievalInstance,
-    g: &mut FlowGraph<W>,
-    search: &mut AugmentingPath,
-    tracer: &mut Tracer,
-    budget: ArmedBudget,
-) -> Result<RetrievalOutcome, SolveError> {
-    let mut stats = SolveStats::default();
-    let q = inst.query_size();
-    let n = inst.num_disks();
-    if q == 0 {
-        return RetrievalOutcome::try_from_flow(inst, g, stats);
+impl SolveBody for FordFulkersonBasic {
+    fn body<W: ArenaIndex>(&self, s: &mut Solve<'_, W>) -> Result<Option<Micros>, SolveError> {
+        augment_all(s, None)
     }
-
-    // Lines 1-2: caps ← ⌈|Q|/N⌉ (the theoretical lower bound; the
-    // paper's 6-bucket example on 7 disks uses capacity 1).
-    let lower = (q.div_ceil(n)) as i64;
-    for &e in &inst.disk_edges {
-        g.set_cap(e, lower);
-    }
-
-    let s = inst.source();
-    let t = inst.sink();
-    let mut bailed: Option<Micros> = None;
-    for i in 0..q {
-        // The source edge of bucket i is pre-assigned flow 1.
-        g.push(inst.bucket_edges[i], 1);
-        let from = inst.bucket_vertex(i);
-        loop {
-            if bailed.is_none() && budget.expired(budget_work(&stats)) {
-                bailed = Some(ff_bail_caps(inst, g));
-            }
-            stats.dfs_calls += 1;
-            if search.dfs_augment_avoiding(g, from, t, Some(s)) > 0 {
-                tracer.emit(TraceEvent::Augment { bucket: i as u32 });
-                break;
-            }
-            // Lines 5-8: raise every disk-edge capacity by one.
-            for &e in &inst.disk_edges {
-                g.set_cap(e, g.cap(e) + 1);
-            }
-            stats.increments += 1;
-            tracer.emit(TraceEvent::CapacityIncrement {
-                edges: inst.disk_edges.len() as u32,
-            });
-        }
-    }
-    debug_assert_eq!(g.net_inflow(t) as usize, q);
-    outcome_with_budget(inst, g, stats, bailed, tracer)
 }
 
 /// Algorithms 2+3: integrated Ford-Fulkerson for the **generalized**
@@ -156,56 +81,78 @@ impl RetrievalSolver for FordFulkersonIncremental {
         inst: &RetrievalInstance,
         ws: &mut Workspace,
     ) -> Result<RetrievalOutcome, SolveError> {
-        let budget = ArmedBudget::start(ws.armed_budget());
-        ws.begin(inst, self.name())?;
-        let result = on_graph!(ws, |g| ff_incremental_body(
-            inst,
-            g,
-            &mut ws.search,
-            &mut ws.tracer,
-            budget
-        ));
-        ws.complete();
-        result
+        ws.run(self, inst, false)
     }
 }
 
-/// The width-generic body of Algorithms 2+3.
-fn ff_incremental_body<W: ArenaIndex>(
-    inst: &RetrievalInstance,
-    g: &mut FlowGraph<W>,
-    search: &mut AugmentingPath,
-    tracer: &mut Tracer,
-    budget: ArmedBudget,
-) -> Result<RetrievalOutcome, SolveError> {
-    let mut stats = SolveStats::default();
+impl SolveBody for FordFulkersonIncremental {
+    fn body<W: ArenaIndex>(&self, s: &mut Solve<'_, W>) -> Result<Option<Micros>, SolveError> {
+        augment_all(s, Some(MinCostIncrementer::new(s.inst)))
+    }
+}
+
+/// The augment loop of Algorithms 1 and 2+3: routes each bucket's unit
+/// with a residual DFS from the bucket to the sink, raising disk-edge
+/// capacities whenever no path exists. Algorithm 1 (`min_cost` absent)
+/// starts every disk edge at `⌈|Q|/N⌉` and raises them all together;
+/// Algorithm 2 starts them at zero — no closed-form lower bound exists
+/// for heterogeneous disks — and raises the minimum-next-cost edges
+/// (Algorithm 3).
+///
+/// Anytime mode: once the budget expires, every disk-edge capacity is
+/// raised to what the greedy feasible upper bound `t_max` admits (never
+/// lowering one), after which every remaining augment succeeds without
+/// further increments; `t_min` is the lower bound the gap is reported
+/// against.
+fn augment_all<W: ArenaIndex>(
+    s: &mut Solve<'_, W>,
+    mut min_cost: Option<MinCostIncrementer>,
+) -> Result<Option<Micros>, SolveError> {
+    let inst = s.inst;
     let q = inst.query_size();
     if q == 0 {
-        return RetrievalOutcome::try_from_flow(inst, g, stats);
+        return Ok(None);
     }
-
-    // Lines 1-2: capacities start at zero — no closed-form lower bound
-    // exists for heterogeneous disks.
-    let s = inst.source();
-    let t = inst.sink();
-    let mut inc = MinCostIncrementer::new(inst);
-    let mut bailed: Option<Micros> = None;
+    if min_cost.is_none() {
+        // The paper's 6-bucket example on 7 disks starts at capacity 1.
+        let lower = q.div_ceil(inst.num_disks()) as i64;
+        for &e in &inst.disk_edges {
+            s.g.set_cap(e, lower);
+        }
+    }
+    let (source, sink) = (inst.source(), inst.sink());
+    let mut bailed = None;
     for i in 0..q {
-        g.push(inst.bucket_edges[i], 1);
+        // The source edge of bucket i is pre-assigned flow 1.
+        s.g.push(inst.bucket_edges[i], 1);
         let from = inst.bucket_vertex(i);
         loop {
-            if bailed.is_none() && budget.expired(budget_work(&stats)) {
-                bailed = Some(ff_bail_caps(inst, g));
+            if bailed.is_none() && s.expired() {
+                let (t_min, t_max, _) = inst.tightened_bounds(s.excess);
+                for (j, &e) in inst.disk_edges.iter().enumerate() {
+                    let cap = inst.disks[j].capacity_within(t_max) as i64;
+                    if cap > s.g.cap(e) {
+                        s.g.set_cap(e, cap);
+                    }
+                }
+                bailed = Some(t_min);
             }
-            stats.dfs_calls += 1;
-            if search.dfs_augment_avoiding(g, from, t, Some(s)) > 0 {
-                tracer.emit(TraceEvent::Augment { bucket: i as u32 });
+            s.stats.dfs_calls += 1;
+            if s.dfs.dfs_augment_avoiding(s.g, from, sink, Some(source)) > 0 {
+                s.tracer.emit(TraceEvent::Augment { bucket: i as u32 });
                 break;
             }
-            // Line 6: raise only the minimum-cost edge(s).
-            let raised = inc.increment(inst, g);
-            stats.increments += 1;
-            tracer.emit(TraceEvent::CapacityIncrement {
+            let raised = match &mut min_cost {
+                Some(inc) => inc.increment(inst, s.g),
+                None => {
+                    for &e in &inst.disk_edges {
+                        s.g.set_cap(e, s.g.cap(e) + 1);
+                    }
+                    inst.disk_edges.len()
+                }
+            };
+            s.stats.increments += 1;
+            s.tracer.emit(TraceEvent::CapacityIncrement {
                 edges: raised as u32,
             });
             if raised == 0 {
@@ -217,8 +164,8 @@ fn ff_incremental_body<W: ArenaIndex>(
             }
         }
     }
-    debug_assert_eq!(g.net_inflow(t) as usize, q);
-    outcome_with_budget(inst, g, stats, bailed, tracer)
+    debug_assert_eq!(s.g.net_inflow(sink) as usize, q);
+    Ok(bailed)
 }
 
 #[cfg(test)]

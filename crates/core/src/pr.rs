@@ -1,4 +1,5 @@
-//! Push-relabel based integrated retrieval (paper Algorithms 5 and 6).
+//! Push-relabel based integrated retrieval (paper Algorithms 5 and 6),
+//! and the one budget search every binary-scaling solver runs.
 //!
 //! * [`PushRelabelIncremental`] — Algorithm 5 run standalone from zero
 //!   capacities: alternate `IncrementMinCost` with a flow-conserving
@@ -8,17 +9,24 @@
 //!   disk's per-bucket cost, **conserving flows across probes** (storing
 //!   the flow state of failed probes, restoring it after successful ones);
 //!   then the incremental phase of Algorithm 5 finds the exact optimum.
+//!
+//! The search (`search`, then `incremental`) is written once, generic over
+//! a `Probe`: how a probe sets the disk capacities, takes its max-flow and
+//! keeps or rolls back the flow. Algorithm 6 resumes the conserved
+//! preflow (`Conserve`), its warm resume retargets a delta-patched flow
+//! in place (`Retarget`), and the black-box baselines of
+//! [`crate::blackbox`] recompute every max-flow from zero. Flow
+//! conservation is the only thing in which they differ.
 
 use crate::error::SolveError;
 use crate::increment::MinCostIncrementer;
 use crate::network::RetrievalInstance;
-use crate::obs::trace::{TraceEvent, Tracer};
-use crate::schedule::{RetrievalOutcome, SolveStats};
+use crate::obs::trace::TraceEvent;
+use crate::schedule::RetrievalOutcome;
 use crate::solver::RetrievalSolver;
-use crate::workspace::{on_graph, ArmedBudget, Workspace};
-use rds_flow::graph::{ArenaIndex, FlowGraph};
+use crate::workspace::{Solve, SolveBody, Workspace};
+use rds_flow::graph::ArenaIndex;
 use rds_flow::incremental::{cancel_path, retarget_capacity};
-use rds_flow::push_relabel::PushRelabel;
 use rds_storage::time::Micros;
 
 /// Algorithm 5 standalone: integrated incremental push-relabel from zero
@@ -36,25 +44,7 @@ impl RetrievalSolver for PushRelabelIncremental {
         inst: &RetrievalInstance,
         ws: &mut Workspace,
     ) -> Result<RetrievalOutcome, SolveError> {
-        let budget = ArmedBudget::start(ws.armed_budget());
-        ws.begin(inst, self.name())?;
-        let mut stats = SolveStats::default();
-        let result = on_graph!(ws, |g| {
-            match incremental_phase(
-                &mut ws.engine,
-                inst,
-                g,
-                &mut stats,
-                &mut ws.tracer,
-                budget,
-                None,
-            ) {
-                Ok(bailed) => outcome_with_budget(inst, g, stats, bailed, &mut ws.tracer),
-                Err(e) => Err(e),
-            }
-        });
-        ws.complete();
-        result
+        ws.run(self, inst, false)
     }
 
     fn supports_delta(&self) -> bool {
@@ -66,31 +56,17 @@ impl RetrievalSolver for PushRelabelIncremental {
         inst: &RetrievalInstance,
         ws: &mut Workspace,
     ) -> Result<RetrievalOutcome, SolveError> {
-        let budget = ArmedBudget::start(ws.armed_budget());
-        if !ws.begin_warm(inst, self.name())? {
-            return Err(SolveError::DeltaUnsupported {
-                solver: self.name(),
-            });
+        ws.run(self, inst, true)
+    }
+}
+
+impl SolveBody for PushRelabelIncremental {
+    fn body<W: ArenaIndex>(&self, s: &mut Solve<'_, W>) -> Result<Option<Micros>, SolveError> {
+        if s.warm {
+            resume_warm(s, false)
+        } else {
+            incremental::<Conserve, W>(s, None)
         }
-        let mut stats = SolveStats::default();
-        let result = on_graph!(ws, |g| {
-            match warm_integrated(
-                &mut ws.engine,
-                inst,
-                g,
-                &mut stats,
-                &mut ws.stored_excess,
-                &ws.warm_changed,
-                &mut ws.tracer,
-                false,
-                budget,
-            ) {
-                Ok(bailed) => outcome_with_budget(inst, g, stats, bailed, &mut ws.tracer),
-                Err(e) => Err(e),
-            }
-        });
-        ws.complete();
-        result
     }
 }
 
@@ -109,25 +85,7 @@ impl RetrievalSolver for PushRelabelBinary {
         inst: &RetrievalInstance,
         ws: &mut Workspace,
     ) -> Result<RetrievalOutcome, SolveError> {
-        let budget = ArmedBudget::start(ws.armed_budget());
-        ws.begin(inst, self.name())?;
-        let mut stats = SolveStats::default();
-        let result = on_graph!(ws, |g| {
-            match binary_scaling_integrated(
-                &mut ws.engine,
-                inst,
-                g,
-                &mut stats,
-                &mut ws.stored_excess,
-                &mut ws.tracer,
-                budget,
-            ) {
-                Ok(bailed) => outcome_with_budget(inst, g, stats, bailed, &mut ws.tracer),
-                Err(e) => Err(e),
-            }
-        });
-        ws.complete();
-        result
+        ws.run(self, inst, false)
     }
 
     fn supports_delta(&self) -> bool {
@@ -139,248 +97,253 @@ impl RetrievalSolver for PushRelabelBinary {
         inst: &RetrievalInstance,
         ws: &mut Workspace,
     ) -> Result<RetrievalOutcome, SolveError> {
-        let budget = ArmedBudget::start(ws.armed_budget());
-        if !ws.begin_warm(inst, self.name())? {
-            return Err(SolveError::DeltaUnsupported {
-                solver: self.name(),
-            });
+        ws.run(self, inst, true)
+    }
+}
+
+impl SolveBody for PushRelabelBinary {
+    fn body<W: ArenaIndex>(&self, s: &mut Solve<'_, W>) -> Result<Option<Micros>, SolveError> {
+        if s.warm {
+            resume_warm(s, true)
+        } else {
+            search::<Conserve, W>(s, true)
         }
-        let mut stats = SolveStats::default();
-        let result = on_graph!(ws, |g| {
-            match warm_integrated(
-                &mut ws.engine,
-                inst,
-                g,
-                &mut stats,
-                &mut ws.stored_excess,
-                &ws.warm_changed,
-                &mut ws.tracer,
-                true,
-                budget,
-            ) {
-                Ok(bailed) => outcome_with_budget(inst, g, stats, bailed, &mut ws.tracer),
-                Err(e) => Err(e),
-            }
-        });
-        ws.complete();
-        result
     }
 }
 
-/// Attaches the anytime bookkeeping to a finished solve: when the driver
-/// bailed out on an expired budget (`bailed = Some(lower_bound)`), the
-/// gap between the achieved response time and that lower bound lands in
-/// [`SolveStats`] and a [`TraceEvent::BudgetExpired`] is emitted. The
-/// flow must retrieve every bucket in both cases — budget bail-outs
-/// finalize at a known-feasible budget, never with a partial flow.
-pub(crate) fn outcome_with_budget<W: ArenaIndex>(
-    inst: &RetrievalInstance,
-    g: &FlowGraph<W>,
-    stats: SolveStats,
-    bailed: Option<Micros>,
-    tracer: &mut Tracer,
-) -> Result<RetrievalOutcome, SolveError> {
-    let mut outcome = RetrievalOutcome::try_from_flow(inst, g, stats)?;
-    if let Some(lower) = bailed {
-        outcome.stats.budget_expirations = 1;
-        outcome.stats.anytime_gap = outcome.response_time.saturating_sub(lower);
-        tracer.emit(TraceEvent::BudgetExpired {
-            achieved: outcome.response_time,
-            lower_bound: lower,
-        });
+/// How one probe of the budget search works. Every method but
+/// `max_flow` defaults to what a probe that conserves no flow does.
+pub(crate) trait Probe {
+    /// Sets every disk-edge capacity to what budget `t` admits.
+    fn set_caps<W: ArenaIndex>(s: &mut Solve<'_, W>, t: Micros) {
+        s.inst.set_caps_for_budget(s.g, t);
     }
-    Ok(outcome)
+
+    /// Takes the maximum flow at the current capacities; returns its
+    /// value.
+    fn max_flow<W: ArenaIndex>(s: &mut Solve<'_, W>) -> i64;
+
+    /// The flow value the graph is known to carry: what the incremental
+    /// phase starts from.
+    fn flow<W: ArenaIndex>(_s: &Solve<'_, W>) -> i64 {
+        0
+    }
+
+    /// Keeps the flow of an infeasible probe (and, before the first
+    /// probe, the starting flow) for the probes that follow.
+    fn keep<W: ArenaIndex>(_s: &mut Solve<'_, W>) {}
+
+    /// Returns from a feasible probe to the last kept flow.
+    fn roll_back<W: ArenaIndex>(_s: &mut Solve<'_, W>) {}
 }
 
-/// Probe-scale work performed so far — the deterministic step count an
-/// [`ArmedBudget`] probe limit is checked against. Binary-search probes,
-/// capacity increments and augmenting-path searches all count equally.
-#[inline]
-pub(crate) fn budget_work(stats: &SolveStats) -> u64 {
-    stats.probes + stats.increments + stats.dfs_calls
+/// Cold Algorithm 6: each probe resumes the conserved preflow. The
+/// `StoreFlows` state is the graph's flow checkpoint plus the excess
+/// snapshot in the workspace's `stored_excess` buffer, one slice copy
+/// each way.
+struct Conserve;
+
+impl Probe for Conserve {
+    fn max_flow<W: ArenaIndex>(s: &mut Solve<'_, W>) -> i64 {
+        relabel_pass(s, false)
+    }
+
+    fn flow<W: ArenaIndex>(s: &Solve<'_, W>) -> i64 {
+        s.engine.excess(s.inst.sink())
+    }
+
+    fn keep<W: ArenaIndex>(s: &mut Solve<'_, W>) {
+        s.g.checkpoint_flows();
+        s.engine.excess_snapshot_into(s.g.num_vertices(), s.excess);
+    }
+
+    fn roll_back<W: ArenaIndex>(s: &mut Solve<'_, W>) {
+        s.g.rollback_flows();
+        s.engine.restore_excess(s.excess);
+    }
 }
 
-/// The incremental phase (Algorithm 5): alternate `IncrementMinCost` and a
-/// flow-conserving resume until the sink's excess reaches `|Q|`.
+/// Warm Algorithm 6: each probe *retargets* the disk capacities of the
+/// delta-patched flow in place, draining the flow a lower capacity
+/// orphans into disk excess that the next resume re-routes. Push-relabel
+/// needs only a valid preflow, so nothing is stored or rolled back.
+struct Retarget;
+
+impl Probe for Retarget {
+    fn set_caps<W: ArenaIndex>(s: &mut Solve<'_, W>, t: Micros) {
+        for (j, &e) in s.inst.disk_edges.iter().enumerate() {
+            let cap = s.inst.disks[j].capacity_within(t) as i64;
+            retarget_capacity(s.engine, s.g, e, cap);
+        }
+    }
+
+    fn max_flow<W: ArenaIndex>(s: &mut Solve<'_, W>) -> i64 {
+        relabel_pass(s, false)
+    }
+
+    fn flow<W: ArenaIndex>(s: &Solve<'_, W>) -> i64 {
+        s.engine.excess(s.inst.sink())
+    }
+}
+
+/// One push-relabel pass with its work attributed: a flow-conserving
+/// resume, or (`from_scratch`) a max-flow from zero. The engine's
+/// cumulative operation counters are differenced around the call, folded
+/// into the stats and emitted as a [`TraceEvent::RelabelPass`].
+pub(crate) fn relabel_pass<W: ArenaIndex>(s: &mut Solve<'_, W>, from_scratch: bool) -> i64 {
+    let (source, sink) = (s.inst.source(), s.inst.sink());
+    let (pushes_before, relabels_before) = s.engine.op_counts();
+    let flow = if from_scratch {
+        s.stats.maxflow_calls += 1;
+        s.engine.max_flow(s.g, source, sink)
+    } else {
+        s.stats.resume_calls += 1;
+        s.engine.resume(s.g, source, sink)
+    };
+    let (pushes, relabels) = s.engine.op_counts();
+    let (pushes, relabels) = (pushes - pushes_before, relabels - relabels_before);
+    s.stats.pushes += pushes;
+    s.stats.relabels += relabels;
+    s.tracer.emit(TraceEvent::RelabelPass { pushes, relabels });
+    flow
+}
+
+/// The budget search of Algorithm 6 (lines 1-42), with `binary` false
+/// only its landing and incremental phase: bounds, then binary-search
+/// probes over `[t_min, t_max)` until the range is narrower than the
+/// fastest disk's per-bucket cost, then the incremental phase from the
+/// capacities at `t_min`.
 ///
-/// Anytime mode: when `budget` expires mid-phase, the disk capacities are
-/// raised straight to the feasible upper bound `t_max` (from `bounds`, or
-/// freshly tightened greedy bounds when the caller had none) and one final
-/// resume completes the flow there. Capacities only ever *rise* on this
-/// path — the incremental caps never exceed `capacity_within(t*)` and
-/// `t* ≤ t_max` — so the live preflow stays valid. Returns
-/// `Ok(Some(lower_bound))` for such a bail-out, `Ok(None)` for a run to
-/// the exact optimum.
-pub(crate) fn incremental_phase<W: ArenaIndex>(
-    engine: &mut PushRelabel,
-    inst: &RetrievalInstance,
-    g: &mut FlowGraph<W>,
-    stats: &mut SolveStats,
-    tracer: &mut Tracer,
-    budget: ArmedBudget,
-    bounds: Option<(Micros, Micros)>,
+/// Anytime mode: when the armed budget expires at a probe boundary, the
+/// search finishes at the feasible `t_max` instead. The live flow then
+/// is the last kept state of an infeasible probe below `t_max` (or one a
+/// retarget to `t_max` drains), so raising the capacities and taking one
+/// more max-flow completes it. Returns `Ok(Some(t_min))` for such a
+/// bail-out, `Ok(None)` at the exact optimum.
+pub(crate) fn search<P: Probe, W: ArenaIndex>(
+    s: &mut Solve<'_, W>,
+    binary: bool,
 ) -> Result<Option<Micros>, SolveError> {
-    let q = inst.query_size() as i64;
+    let q = s.inst.query_size() as i64;
     if q == 0 {
         return Ok(None);
     }
-    let (s, t) = (inst.source(), inst.sink());
-    let mut inc = MinCostIncrementer::new(inst);
-    // The capacities may already admit the full flow (e.g. after the
-    // binary phase lands exactly on the optimum's predecessor); probe once
-    // before incrementing only if flow is already recorded.
-    while engine.excess(t) != q {
-        if budget.expired(budget_work(stats)) {
-            let (t_lo, t_hi) = bounds.unwrap_or_else(|| {
-                let (lo, hi, _) = inst.tightened_bounds(&mut Vec::new());
-                (lo, hi)
-            });
-            inst.set_caps_for_budget(g, t_hi);
-            let flow = resume_traced(engine, g, s, t, stats, tracer);
-            if flow != q {
-                return Err(SolveError::Infeasible {
-                    bucket: None,
-                    delivered: flow,
-                    required: q,
-                });
-            }
-            return Ok(Some(t_lo));
+    let (mut t_min, mut t_max, min_speed) = s.inst.tightened_bounds(s.excess);
+    // `StoreFlows` of the starting state: a failed probe is never rolled
+    // back past it.
+    P::keep(s);
+    while binary && t_max - t_min >= min_speed {
+        if s.expired() {
+            return finish::<P, W>(s, t_min, t_max);
         }
-        let raised = inc.increment(inst, g);
-        stats.increments += 1;
-        tracer.emit(TraceEvent::CapacityIncrement {
+        let t_mid = t_min.midpoint(t_max);
+        P::set_caps(s, t_mid);
+        s.tracer.emit(TraceEvent::ProbeStart { budget: t_mid });
+        let flow = P::max_flow(s);
+        s.stats.probes += 1;
+        s.tracer.emit(TraceEvent::ProbeEnd {
+            budget: t_mid,
+            feasible: flow == q,
+        });
+        if flow != q {
+            // No solution at t_mid (lines 30-33): keep the state just
+            // computed — it stays feasible for all larger budgets.
+            P::keep(s);
+            t_min = t_mid;
+        } else {
+            // Solution found but possibly not optimal (lines 34-37):
+            // shrink from above and roll back to the last failed state so
+            // the smaller capacities of later probes are respected.
+            P::roll_back(s);
+            t_max = t_mid;
+        }
+    }
+    // Lines 38-42: fix the capacities at t_min and finish with the
+    // incremental phase.
+    P::set_caps(s, t_min);
+    incremental::<P, W>(s, Some((t_min, t_max)))
+}
+
+/// The incremental phase (Algorithm 5): alternate `IncrementMinCost` and
+/// a max-flow until the flow reaches `|Q|`. A probe that conserves no
+/// flow starts from none, so its first step raises capacities before any
+/// max-flow.
+///
+/// When the budget expires mid-phase, the search finishes at the feasible
+/// bound `t_max` of `bounds`, or of the greedy bounds computed then when
+/// the caller had none. Capacities only ever *rise* on this path — the
+/// incremental capacities never exceed `capacity_within(t*)` and
+/// `t* ≤ t_max` — so the live flow stays valid.
+fn incremental<P: Probe, W: ArenaIndex>(
+    s: &mut Solve<'_, W>,
+    bounds: Option<(Micros, Micros)>,
+) -> Result<Option<Micros>, SolveError> {
+    let q = s.inst.query_size() as i64;
+    let mut inc = MinCostIncrementer::new(s.inst);
+    let mut flow = P::flow(s);
+    while flow != q {
+        if s.expired() {
+            let (t_min, t_max) = match bounds {
+                Some(bounds) => bounds,
+                None => {
+                    let (t_min, t_max, _) = s.inst.tightened_bounds(s.excess);
+                    (t_min, t_max)
+                }
+            };
+            return finish::<P, W>(s, t_min, t_max);
+        }
+        let raised = inc.increment(s.inst, s.g);
+        s.stats.increments += 1;
+        s.tracer.emit(TraceEvent::CapacityIncrement {
             edges: raised as u32,
         });
         if raised == 0 {
             return Err(SolveError::Infeasible {
                 bucket: None,
-                delivered: engine.excess(t),
+                delivered: flow,
                 required: q,
             });
         }
-        resume_traced(engine, g, s, t, stats, tracer);
+        flow = P::max_flow(s);
     }
     Ok(None)
 }
 
-/// One flow-conserving resume with its push/relabel work attributed: the
-/// engine's cumulative operation counters are differenced around the call,
-/// folded into `stats`, and emitted as a [`TraceEvent::RelabelPass`].
-fn resume_traced<W: ArenaIndex>(
-    engine: &mut PushRelabel,
-    g: &mut FlowGraph<W>,
-    s: rds_flow::graph::VertexId,
-    t: rds_flow::graph::VertexId,
-    stats: &mut SolveStats,
-    tracer: &mut Tracer,
-) -> i64 {
-    let (pushes_before, relabels_before) = engine.op_counts();
-    let flow = engine.resume(g, s, t);
-    stats.resume_calls += 1;
-    let (pushes, relabels) = engine.op_counts();
-    let (pushes, relabels) = (pushes - pushes_before, relabels - relabels_before);
-    stats.pushes += pushes;
-    stats.relabels += relabels;
-    tracer.emit(TraceEvent::RelabelPass { pushes, relabels });
-    flow
-}
-
-/// The full Algorithm 6 driver. The `StoreFlows` rollback state is the
-/// graph's flow checkpoint ([`FlowGraph::checkpoint_flows`]) plus the
-/// `stored_excess` buffer; passing that in (from a [`Workspace`]) makes
-/// the per-probe snapshots allocation-free. Both are one slice copy each
-/// way.
-pub(crate) fn binary_scaling_integrated<W: ArenaIndex>(
-    engine: &mut PushRelabel,
-    inst: &RetrievalInstance,
-    g: &mut FlowGraph<W>,
-    stats: &mut SolveStats,
-    stored_excess: &mut Vec<i64>,
-    tracer: &mut Tracer,
-    budget: ArmedBudget,
+/// The anytime bail-out: raises the capacities to the known-feasible
+/// `t_max` and takes one more max-flow, which must retrieve every bucket.
+/// Returns `t_min` as the lower bound the gap is reported against.
+fn finish<P: Probe, W: ArenaIndex>(
+    s: &mut Solve<'_, W>,
+    t_min: Micros,
+    t_max: Micros,
 ) -> Result<Option<Micros>, SolveError> {
-    let q = inst.query_size() as i64;
-    if q == 0 {
-        return Ok(None);
-    }
-    let (s, t) = (inst.source(), inst.sink());
-    let n = g.num_vertices();
-    // `stored_excess` doubles as the greedy counter scratch here; it is
-    // (re)initialized as the excess snapshot right below.
-    let (mut t_min, mut t_max, min_speed) = inst.tightened_bounds(stored_excess);
-
-    // `StoreFlows` state: flow and excess of the most recent *failed*
-    // probe (a preflow that stays feasible for every budget above its
-    // probe point). Initially the zero state.
-    g.checkpoint_flows();
-    stored_excess.clear();
-    stored_excess.resize(n, 0);
-
-    while t_max - t_min >= min_speed {
-        // Anytime bail-out. At the loop top the live flow equals the last
-        // failed-probe snapshot, whose per-edge flow never exceeds
-        // `capacity_within(t_max)` (failed probes sit strictly below
-        // `t_max`), so raising the caps to the known-feasible `t_max` and
-        // resuming once completes the flow there.
-        if budget.expired(budget_work(stats)) {
-            inst.set_caps_for_budget(g, t_max);
-            let flow = resume_traced(engine, g, s, t, stats, tracer);
-            if flow != q {
-                return Err(SolveError::Infeasible {
-                    bucket: None,
-                    delivered: flow,
-                    required: q,
-                });
-            }
-            return Ok(Some(t_min));
-        }
-        let t_mid = t_min.midpoint(t_max);
-        inst.set_caps_for_budget(g, t_mid);
-        tracer.emit(TraceEvent::ProbeStart { budget: t_mid });
-        let flow = resume_traced(engine, g, s, t, stats, tracer);
-        stats.probes += 1;
-        tracer.emit(TraceEvent::ProbeEnd {
-            budget: t_mid,
-            feasible: flow == q,
+    P::set_caps(s, t_max);
+    let flow = P::max_flow(s);
+    let q = s.inst.query_size() as i64;
+    if flow != q {
+        return Err(SolveError::Infeasible {
+            bucket: None,
+            delivered: flow,
+            required: q,
         });
-        if flow != q {
-            // No solution at t_mid (lines 30-33): keep the state we just
-            // computed — it stays feasible for all larger budgets.
-            g.checkpoint_flows();
-            engine.excess_snapshot_into(n, stored_excess);
-            t_min = t_mid;
-        } else {
-            // Solution found but possibly not optimal (lines 34-37):
-            // shrink from above and roll back to the last failed state so
-            // the smaller capacities of future probes are respected.
-            g.rollback_flows();
-            engine.restore_excess(stored_excess);
-            t_max = t_mid;
-        }
     }
-
-    // Lines 38-42: roll back, fix capacities at t_min, finish with the
-    // incremental phase.
-    g.rollback_flows();
-    engine.restore_excess(stored_excess);
-    inst.set_caps_for_budget(g, t_min);
-    incremental_phase(engine, inst, g, stats, tracer, budget, Some((t_min, t_max)))
+    Ok(Some(t_min))
 }
 
-/// Cancels the warm flow unit of every bucket slot whose identity changed
-/// in the patch. Each stale unit still rides a `source → bucket → disk →
-/// sink` path whose replica arc the patch capped to zero; unwinding the
-/// path through the residual graph returns the unit's excess from the sink
-/// to the source, where the resume re-routes it through the slot's new
-/// replica arcs. Returns the number of units cancelled.
-fn cancel_stale_units<W: ArenaIndex>(
-    engine: &mut PushRelabel,
-    inst: &RetrievalInstance,
-    g: &mut FlowGraph<W>,
-    changed: &[usize],
-) -> u32 {
+/// Algorithm 5 or 6 re-run from the staged warm flow instead of from
+/// zero: cancels the stale unit of every bucket slot whose identity
+/// changed in the patch, then searches with retargeting probes. Each
+/// stale unit still rides a `source → bucket → disk → sink` path whose
+/// replica arc the patch capped to zero; unwinding the path through the
+/// residual graph returns the unit from the sink to the source, where the
+/// resume re-routes it through the slot's new replica arcs.
+fn resume_warm<W: ArenaIndex>(
+    s: &mut Solve<'_, W>,
+    binary: bool,
+) -> Result<Option<Micros>, SolveError> {
+    let (inst, g) = (s.inst, &mut *s.g);
     let mut cancelled = 0;
-    for &i in changed {
+    for &i in s.changed {
         let sb = inst.bucket_edges[i];
         if g.flow(sb) <= 0 {
             continue;
@@ -396,97 +359,15 @@ fn cancel_stale_units<W: ArenaIndex>(
             }
         }
         if let Some(p) = path {
-            cancel_path(engine, g, &p, 1);
+            cancel_path(s.engine, g, &p, 1);
             cancelled += 1;
         }
     }
-    cancelled
-}
-
-/// Retargets every disk-edge capacity to budget `t`, draining any flow the
-/// smaller capacities orphan into disk-vertex excess (the warm equivalent
-/// of [`RetrievalInstance::set_caps_for_budget`], which assumes the caller
-/// will discard or roll back the flow).
-fn retarget_caps<W: ArenaIndex>(
-    engine: &mut PushRelabel,
-    inst: &RetrievalInstance,
-    g: &mut FlowGraph<W>,
-    t: Micros,
-) {
-    for (j, &e) in inst.disk_edges.iter().enumerate() {
-        retarget_capacity(engine, g, e, inst.disks[j].capacity_within(t) as i64);
-    }
-}
-
-/// Algorithm 6 re-run from a warm, delta-patched flow instead of from
-/// zero. Where the cold driver conserves flow across probes with
-/// `StoreFlows`/`RestoreFlows` snapshots, the warm driver never snapshots:
-/// each probe *retargets* the disk capacities in place, draining orphaned
-/// flow into disk excess that the next resume re-routes. Push-relabel
-/// correctness needs only a valid preflow, so the surgery is safe. With
-/// `binary` false this is the warm Algorithm 5: skip the probes and run
-/// the incremental phase from the min-cost-prefix capacities at `t_min`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn warm_integrated<W: ArenaIndex>(
-    engine: &mut PushRelabel,
-    inst: &RetrievalInstance,
-    g: &mut FlowGraph<W>,
-    stats: &mut SolveStats,
-    scratch: &mut Vec<i64>,
-    changed: &[usize],
-    tracer: &mut Tracer,
-    binary: bool,
-    budget: ArmedBudget,
-) -> Result<Option<Micros>, SolveError> {
-    let cancelled = cancel_stale_units(engine, inst, g, changed);
-    tracer.emit(TraceEvent::DeltaPatch {
-        changed: changed.len() as u32,
+    s.tracer.emit(TraceEvent::DeltaPatch {
+        changed: s.changed.len() as u32,
         cancelled,
     });
-    let q = inst.query_size() as i64;
-    if q == 0 {
-        return Ok(None);
-    }
-    let (s, t) = (inst.source(), inst.sink());
-    let (mut t_min, mut t_max, min_speed) = inst.tightened_bounds(scratch);
-    if binary {
-        while t_max - t_min >= min_speed {
-            // Anytime bail-out: retarget straight to the known-feasible
-            // upper bound (the retarget drains any flow a lower previous
-            // probe cap orphans) and resume once to complete the flow.
-            if budget.expired(budget_work(stats)) {
-                retarget_caps(engine, inst, g, t_max);
-                let flow = resume_traced(engine, g, s, t, stats, tracer);
-                if flow != q {
-                    return Err(SolveError::Infeasible {
-                        bucket: None,
-                        delivered: flow,
-                        required: q,
-                    });
-                }
-                return Ok(Some(t_min));
-            }
-            let t_mid = t_min.midpoint(t_max);
-            retarget_caps(engine, inst, g, t_mid);
-            tracer.emit(TraceEvent::ProbeStart { budget: t_mid });
-            let flow = resume_traced(engine, g, s, t, stats, tracer);
-            stats.probes += 1;
-            tracer.emit(TraceEvent::ProbeEnd {
-                budget: t_mid,
-                feasible: flow == q,
-            });
-            if flow != q {
-                t_min = t_mid;
-            } else {
-                t_max = t_mid;
-            }
-        }
-    }
-    // Land on the min-cost-prefix capacities at t_min (infeasible or
-    // trivially low) and let the incremental phase find the exact optimum,
-    // exactly as the cold driver does after its final rollback.
-    retarget_caps(engine, inst, g, t_min);
-    incremental_phase(engine, inst, g, stats, tracer, budget, Some((t_min, t_max)))
+    search::<Retarget, W>(s, binary)
 }
 
 #[cfg(test)]

@@ -17,16 +17,20 @@
 use crate::error::SolveError;
 use crate::network::RetrievalInstance;
 use crate::obs::trace::{EventKind, TraceEvent, Tracer};
+use crate::schedule::{RetrievalOutcome, SolveStats};
+use crate::solver::RetrievalSolver;
 use crate::spec::{ArenaLayout, SolveBudget};
 use rds_flow::ford_fulkerson::AugmentingPath;
-use rds_flow::graph::FlowGraph;
+use rds_flow::graph::{ArenaIndex, FlowGraph};
 use rds_flow::push_relabel::PushRelabel;
+use rds_storage::time::Micros;
 use std::time::Instant;
 
 /// Which arena the workspace's *last* [`Workspace::begin`] staged into —
-/// the resolved (never `Auto`) side of [`ArenaLayout`]. Solver bodies
-/// dispatch on this via [`on_graph!`]; both arms are monomorphized, so
-/// the hot path never sees a width branch inside a discharge loop.
+/// the resolved (never `Auto`) side of [`ArenaLayout`]. The solve
+/// protocol ([`Workspace::run`]) dispatches on this via [`on_graph!`];
+/// both arms are monomorphized, so the hot path never sees a width
+/// branch inside a discharge loop.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum ActiveWidth {
     /// The `i64` arena ([`Workspace::graph`]).
@@ -38,7 +42,7 @@ pub(crate) enum ActiveWidth {
 /// Runs `$body` against the workspace's active graph, binding `$g` to
 /// `&mut $ws.graph` (wide) or `&mut $ws.graph32` (compact). The borrow
 /// is field-precise, so the body may still use the workspace's *other*
-/// fields (`$ws.engine`, `$ws.tracer`, `$ws.stored_excess`, ...) — only
+/// fields (`$ws.engine`, `$ws.tracer`, `$ws.refine`, ...) — only
 /// whole-`$ws` method calls are off-limits inside the body.
 macro_rules! on_graph {
     ($ws:expr, |$g:ident| $body:expr) => {
@@ -121,12 +125,12 @@ pub struct Workspace {
     plane_sharing: bool,
     /// Push-relabel engine (Algorithm 4) with its height, queue and
     /// excess arrays.
-    pub(crate) engine: PushRelabel,
+    engine: PushRelabel,
     /// Reusable DFS state for the Ford-Fulkerson solvers.
-    pub(crate) search: AugmentingPath,
+    search: AugmentingPath,
     /// Excess half of the `StoreFlows` snapshot (Algorithm 6 line 31);
     /// the flow half is the active graph's own flow checkpoint.
-    pub(crate) stored_excess: Vec<i64>,
+    stored_excess: Vec<i64>,
     /// Solver-phase event tracer: counts every emit by kind and feeds the
     /// span channel and, once installed, the ring recorder. See
     /// [`crate::obs::trace`].
@@ -139,9 +143,9 @@ pub struct Workspace {
     pub(crate) warm_excess: Vec<i64>,
     /// Bucket slots whose identity changed since the warm flow was
     /// captured; their stale flow units are cancelled before resuming.
-    pub(crate) warm_changed: Vec<usize>,
+    warm_changed: Vec<usize>,
     /// Whether warm state is currently staged.
-    pub(crate) warm_staged: bool,
+    warm_staged: bool,
     /// Min-cost refinement scratch (cycle canceler + cost vectors); see
     /// [`crate::refine`].
     pub(crate) refine: crate::refine::RefineScratch,
@@ -152,7 +156,6 @@ pub struct Workspace {
     /// clears it, marking the scratch state as suspect. See
     /// [`Workspace::take_poisoned`].
     poisoned: bool,
-    solves: u64,
     /// Per-width high-water instance size staged so far (index 0 wide,
     /// index 1 compact). Once an instance fits both marks of its width,
     /// copying it into that scratch graph must not grow any arena
@@ -203,7 +206,6 @@ impl Workspace {
             refine: crate::refine::RefineScratch::default(),
             budget: SolveBudget::UNLIMITED,
             poisoned: false,
-            solves: 0,
             hw_vertices: [0; 2],
             hw_edge_slots: [0; 2],
         }
@@ -373,10 +375,12 @@ impl Workspace {
         self.tracer.recorder_mut()
     }
 
-    /// Number of solves that ran in this workspace — the amortization
-    /// counter surfaced by [`crate::engine::EngineStats`].
+    /// Number of solves that ran in this workspace: its
+    /// [`TraceEvent::SolveStart`] count. A staging that fails (a forced
+    /// compact arena the instance does not fit) runs no solve and is not
+    /// counted.
     pub fn solves(&self) -> u64 {
-        self.solves
+        self.tracer.counts()[EventKind::SolveStart as usize]
     }
 
     /// Sets the anytime [`SolveBudget`] applied to every subsequent solve
@@ -393,22 +397,22 @@ impl Workspace {
 }
 
 /// A [`SolveBudget`] materialized at solve entry: the wall-clock limit
-/// becomes an absolute deadline, the probe limit a work ceiling. Solvers
-/// copy one out of the workspace before split-borrowing its parts and
-/// poll [`ArmedBudget::expired`] at probe-scale boundaries.
+/// becomes an absolute deadline, the probe limit a work ceiling. The
+/// solve protocol arms one per solve, and solver bodies poll it through
+/// [`Solve::expired`] at probe-scale boundaries.
 ///
 /// When the budget is unlimited, `expired` never reads a clock — an
 /// unbudgeted solve is bit-identical (and branch-for-branch equal) to
 /// pre-budget behaviour.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct ArmedBudget {
+struct ArmedBudget {
     deadline: Option<Instant>,
     max_work: Option<u64>,
 }
 
 impl ArmedBudget {
     /// Arms `budget` now: wall-clock limits anchor to the current instant.
-    pub(crate) fn start(budget: SolveBudget) -> ArmedBudget {
+    fn start(budget: SolveBudget) -> ArmedBudget {
         ArmedBudget {
             deadline: budget.wall_clock.map(|d| Instant::now() + d),
             max_work: budget.max_probes,
@@ -419,7 +423,7 @@ impl ArmedBudget {
     /// wall-clock deadline has passed. The clock is read only when a
     /// deadline exists.
     #[inline]
-    pub(crate) fn expired(&self, work: u64) -> bool {
+    fn expired(&self, work: u64) -> bool {
         if let Some(limit) = self.max_work {
             if work >= limit {
                 return true;
@@ -456,12 +460,6 @@ impl Workspace {
         }
     }
 
-    /// Marks the completion of an orderly solve (success *or* clean
-    /// error); called by every solver on its way out.
-    pub(crate) fn complete(&mut self) {
-        self.poisoned = false;
-    }
-
     /// Stages warm state for the next [`crate::solver::RetrievalSolver::resume_in`]:
     /// the flow/excess snapshot captured after the previous solve of this
     /// stream, plus the bucket slots whose identity changed since then.
@@ -479,32 +477,55 @@ impl Workspace {
     }
 
     /// Prepares the workspace for one solve of `inst` by `solver`: selects
-    /// the arena width, copies the instance's network into that scratch
-    /// graph (reusing its buffers), clears the engine excess left by the
-    /// previous solve and emits [`TraceEvent::SolveStart`]. Fails only
-    /// under a forced [`ArenaLayout::Compact`] on an instance that does
-    /// not fit the narrow width.
+    /// the arena width and copies the instance's network into that
+    /// scratch graph (reusing its buffers). Cold, it clears the engine
+    /// excess left by the previous solve; `warm`, it loads the staged warm
+    /// flow into the graph and the staged excesses into the engine. Then
+    /// it emits [`TraceEvent::SolveStart`].
+    ///
+    /// Fails with [`SolveError::DeltaUnsupported`] when `warm` finds no
+    /// warm state staged (leaving the workspace untouched), and with
+    /// [`SolveError::ArenaOverflow`] when the instance, or the warm flow of
+    /// a stream that outgrew the narrow width, does not fit a forced
+    /// [`ArenaLayout::Compact`] (warm state is dropped; the caller decides
+    /// whether to re-solve cold).
     pub(crate) fn begin(
         &mut self,
         inst: &RetrievalInstance,
         solver: &'static str,
+        warm: bool,
     ) -> Result<(), SolveError> {
-        self.solves += 1;
+        if warm && !self.warm_staged {
+            return Err(SolveError::DeltaUnsupported { solver });
+        }
         self.warm_staged = false;
         // Poisoned across the staging so a panic leaves the flag set; a
         // clean typed failure (e.g. `ArenaOverflow` on a stream that grew
         // past the compact bound) unsets it again — nothing was left
         // half-staged, the next begin re-initializes everything.
         self.poisoned = true;
-        if let Err(e) = self.stage_graph(inst) {
+        let mut staged = self.stage_graph(inst);
+        if warm && staged.is_ok() {
+            // The patch may have appended fresh replica arcs; they carry
+            // no warm flow.
+            staged = self.restore_warm_flows();
+        }
+        if let Err(e) = staged {
             self.poisoned = false;
             return Err(e);
         }
         self.engine.reset_excess(inst.graph.num_vertices());
+        if warm {
+            for (v, &x) in self.warm_excess.iter().enumerate() {
+                if x != 0 {
+                    self.engine.set_excess(v, x);
+                }
+            }
+        }
         self.tracer.emit(TraceEvent::SolveStart {
             query_size: inst.query_size() as u32,
             solver,
-            delta: false,
+            delta: warm,
         });
         Ok(())
     }
@@ -528,46 +549,107 @@ impl Workspace {
         Ok(())
     }
 
-    /// Warm counterpart of [`Workspace::begin`]: copies the (patched)
-    /// instance network, then loads the staged warm flow into the scratch
-    /// graph and the staged excesses into the engine. Returns
-    /// `Ok(false)` — leaving the workspace untouched — when no warm state
-    /// is staged, and [`SolveError::ArenaOverflow`] when the stream no
-    /// longer fits a forced compact arena (warm state is dropped; the
-    /// caller decides whether to re-solve cold).
-    pub(crate) fn begin_warm(
+    /// The solve protocol behind every solver's `solve_in` and
+    /// `resume_in`: arms the budget, stages `inst` cold or (`warm`) from
+    /// the staged warm flow ([`Workspace::begin`]), runs `solver`'s body
+    /// in the active arena width, and reads the outcome off the flow it
+    /// leaves. When the body bailed out on the expired budget, the outcome
+    /// carries the anytime gap and a [`TraceEvent::BudgetExpired`] is
+    /// emitted.
+    pub(crate) fn run<S: SolveBody>(
         &mut self,
+        solver: &S,
         inst: &RetrievalInstance,
-        solver: &'static str,
-    ) -> Result<bool, SolveError> {
-        if !self.warm_staged {
-            return Ok(false);
-        }
-        self.warm_staged = false;
-        self.solves += 1;
-        self.poisoned = true;
-        if let Err(e) = self.stage_graph(inst) {
-            self.poisoned = false;
-            return Err(e);
-        }
-        // The patch may have appended fresh replica arcs; they carry no
-        // warm flow.
-        if let Err(e) = self.restore_warm_flows() {
-            self.poisoned = false;
-            return Err(e);
-        }
-        self.engine.reset_excess(inst.graph.num_vertices());
-        for (v, &x) in self.warm_excess.iter().enumerate() {
-            if x != 0 {
-                self.engine.set_excess(v, x);
-            }
-        }
-        self.tracer.emit(TraceEvent::SolveStart {
-            query_size: inst.query_size() as u32,
-            solver,
-            delta: true,
+        warm: bool,
+    ) -> Result<RetrievalOutcome, SolveError> {
+        let budget = ArmedBudget::start(self.budget);
+        self.begin(inst, solver.name(), warm)?;
+        let result = on_graph!(self, |g| {
+            let mut s = Solve {
+                inst,
+                g,
+                engine: &mut self.engine,
+                dfs: &mut self.search,
+                excess: &mut self.stored_excess,
+                changed: &self.warm_changed,
+                warm,
+                tracer: &mut self.tracer,
+                budget,
+                stats: SolveStats::default(),
+            };
+            solver.body(&mut s).and_then(|bailed| s.outcome(bailed))
         });
-        Ok(true)
+        // An orderly finish, success or clean error: the scratch state is
+        // sound again.
+        self.poisoned = false;
+        result
+    }
+}
+
+/// A solver's width-generic body, run by [`Workspace::run`] between
+/// staging and the outcome.
+pub(crate) trait SolveBody: RetrievalSolver {
+    /// Solves the staged instance, leaving a flow that retrieves every
+    /// bucket. Returns `Ok(None)` at the exact optimum, or
+    /// `Ok(Some(lower_bound))` when the armed budget expired and the body
+    /// finished at a known-feasible budget instead.
+    fn body<W: ArenaIndex>(&self, s: &mut Solve<'_, W>) -> Result<Option<Micros>, SolveError>;
+}
+
+/// The staged parts of a workspace that one solve body works on, borrowed
+/// field by field so a body can hand the graph, the engine and the tracer
+/// to different helpers.
+pub(crate) struct Solve<'a, W: ArenaIndex> {
+    /// The instance being solved.
+    pub(crate) inst: &'a RetrievalInstance,
+    /// The staged scratch graph of the active width.
+    pub(crate) g: &'a mut FlowGraph<W>,
+    /// Push-relabel engine, its excesses cleared or warm-restored.
+    pub(crate) engine: &'a mut PushRelabel,
+    /// DFS state of the Ford-Fulkerson solvers.
+    pub(crate) dfs: &'a mut AugmentingPath,
+    /// Scratch of the greedy bounds, then the excess half of Algorithm
+    /// 6's `StoreFlows` snapshot.
+    pub(crate) excess: &'a mut Vec<i64>,
+    /// Bucket slots whose identity changed since the warm flow was
+    /// captured (read by warm resumes only).
+    pub(crate) changed: &'a [usize],
+    /// Whether the solve resumes a staged warm flow.
+    pub(crate) warm: bool,
+    /// The workspace's event tracer.
+    pub(crate) tracer: &'a mut Tracer,
+    budget: ArmedBudget,
+    /// Work counters of this solve.
+    pub(crate) stats: SolveStats,
+}
+
+impl<W: ArenaIndex> Solve<'_, W> {
+    /// Whether the armed budget is spent. Binary-search probes, capacity
+    /// increments and augmenting-path searches all count as one
+    /// probe-scale step.
+    #[inline]
+    pub(crate) fn expired(&self) -> bool {
+        let s = &self.stats;
+        self.budget.expired(s.probes + s.increments + s.dfs_calls)
+    }
+
+    /// Reads the outcome off the finished flow. A bail-out
+    /// (`bailed = Some(lower_bound)`) records the gap between the achieved
+    /// response time and that lower bound and emits
+    /// [`TraceEvent::BudgetExpired`]. The flow retrieves every bucket in
+    /// both cases: bail-outs finish at a known-feasible budget, never with
+    /// a partial flow.
+    fn outcome(self, bailed: Option<Micros>) -> Result<RetrievalOutcome, SolveError> {
+        let mut outcome = RetrievalOutcome::try_from_flow(self.inst, self.g, self.stats)?;
+        if let Some(lower) = bailed {
+            outcome.stats.budget_expirations = 1;
+            outcome.stats.anytime_gap = outcome.response_time.saturating_sub(lower);
+            self.tracer.emit(TraceEvent::BudgetExpired {
+                achieved: outcome.response_time,
+                lower_bound: lower,
+            });
+        }
+        Ok(outcome)
     }
 }
 
@@ -593,13 +675,13 @@ mod tests {
         let mut ws = Workspace::new();
         ws.set_arena_layout(ArenaLayout::Wide);
         assert_eq!(ws.solves(), 0);
-        ws.begin(&inst, "test").unwrap();
+        ws.begin(&inst, "test", false).unwrap();
         assert_eq!(ws.solves(), 1);
         assert_eq!(ws.layout_used(), ArenaLayout::Wide);
         assert_eq!(ws.graph.num_vertices(), inst.graph.num_vertices());
         assert_eq!(ws.graph.num_edges(), inst.graph.num_edges());
         // A second begin reuses the same buffers without issue.
-        ws.begin(&inst, "test").unwrap();
+        ws.begin(&inst, "test", false).unwrap();
         assert_eq!(ws.solves(), 2);
         assert_eq!(ws.graph.num_edges(), inst.graph.num_edges());
     }
@@ -608,7 +690,7 @@ mod tests {
     fn auto_layout_picks_compact_for_small_instances() {
         let inst = small_instance();
         let mut ws = Workspace::new();
-        ws.begin(&inst, "test").unwrap();
+        ws.begin(&inst, "test", false).unwrap();
         assert_eq!(ws.layout_used(), ArenaLayout::Compact);
         assert_eq!(ws.graph32.num_vertices(), inst.graph.num_vertices());
         assert_eq!(ws.graph32.num_edges(), inst.graph.num_edges());
@@ -651,14 +733,14 @@ mod tests {
         let small_inst = RetrievalInstance::build(&system, &alloc, &small.buckets(6));
         let mut ws = Workspace::new();
         ws.set_arena_layout(ArenaLayout::Wide);
-        ws.begin(&big_inst, "test").unwrap();
+        ws.begin(&big_inst, "test", false).unwrap();
         let events = ws.graph.arena().allocation_events();
         // Same-size and smaller instances must reuse the arena byte-for-byte
         // (stage_graph debug-asserts this too; the explicit check keeps the
         // contract pinned in release builds).
         for _ in 0..5 {
-            ws.begin(&big_inst, "test").unwrap();
-            ws.begin(&small_inst, "test").unwrap();
+            ws.begin(&big_inst, "test", false).unwrap();
+            ws.begin(&small_inst, "test", false).unwrap();
         }
         assert_eq!(
             ws.graph.arena().allocation_events(),
@@ -667,11 +749,11 @@ mod tests {
         );
         // The compact arena honours the same contract independently.
         ws.set_arena_layout(ArenaLayout::Compact);
-        ws.begin(&big_inst, "test").unwrap();
+        ws.begin(&big_inst, "test", false).unwrap();
         let events32 = ws.graph32.arena().allocation_events();
         for _ in 0..5 {
-            ws.begin(&big_inst, "test").unwrap();
-            ws.begin(&small_inst, "test").unwrap();
+            ws.begin(&big_inst, "test", false).unwrap();
+            ws.begin(&small_inst, "test", false).unwrap();
         }
         assert_eq!(ws.graph32.arena().allocation_events(), events32);
     }
@@ -683,12 +765,12 @@ mod tests {
         ws.set_arena_layout(ArenaLayout::Wide);
         assert!(!ws.plane_sharing);
         ws.set_plane_sharing(true);
-        ws.begin(&inst, "test").unwrap();
+        ws.begin(&inst, "test", false).unwrap();
         assert!(ws.graph.shares_topology_with(&inst.graph));
         assert_eq!(ws.graph.num_edges(), inst.graph.num_edges());
         let events = ws.graph.arena().allocation_events();
         for _ in 0..6 {
-            ws.begin(&inst, "test").unwrap();
+            ws.begin(&inst, "test", false).unwrap();
         }
         assert!(ws.graph.shares_topology_with(&inst.graph));
         assert_eq!(
@@ -699,11 +781,11 @@ mod tests {
         // The compact arena checks out the same wide plane (the plane is
         // width-free) and narrows only cap/flow.
         ws.set_arena_layout(ArenaLayout::Compact);
-        ws.begin(&inst, "test").unwrap();
+        ws.begin(&inst, "test", false).unwrap();
         assert!(ws.graph32.shares_topology_with(&inst.graph));
         let events32 = ws.graph32.arena().allocation_events();
         for _ in 0..6 {
-            ws.begin(&inst, "test").unwrap();
+            ws.begin(&inst, "test", false).unwrap();
         }
         assert_eq!(ws.graph32.arena().allocation_events(), events32);
     }
@@ -714,14 +796,14 @@ mod tests {
         let mut ws = Workspace::new();
         ws.set_arena_layout(ArenaLayout::Compact);
         ws.set_plane_sharing(true);
-        let err = ws.begin(&inst, "test").unwrap_err();
+        let err = ws.begin(&inst, "test", false).unwrap_err();
         assert!(matches!(
             err,
             SolveError::ArenaOverflow { width: "i32", .. }
         ));
         assert_eq!(ws.take_poisoned(), Ok(()));
         // And a fitting instance checks out cleanly afterwards.
-        ws.begin(&small_instance(), "test").unwrap();
+        ws.begin(&small_instance(), "test", false).unwrap();
         assert_eq!(ws.layout_used(), ArenaLayout::Compact);
     }
 
@@ -765,7 +847,7 @@ mod tests {
         );
         let mut ws = Workspace::new();
         ws.set_arena_layout(ArenaLayout::Compact);
-        let err = ws.begin(&inst, "test").unwrap_err();
+        let err = ws.begin(&inst, "test", false).unwrap_err();
         assert!(
             matches!(err, SolveError::ArenaOverflow { width: "i32", .. }),
             "expected ArenaOverflow, got {err:?}"
@@ -773,7 +855,7 @@ mod tests {
         // A clean typed failure is not a panic: the workspace must not
         // report itself poisoned, and stays fully usable.
         assert_eq!(ws.take_poisoned(), Ok(()));
-        ws.begin(&small_instance(), "test").unwrap();
+        ws.begin(&small_instance(), "test", false).unwrap();
         assert_eq!(ws.layout_used(), ArenaLayout::Compact);
     }
 
@@ -781,10 +863,10 @@ mod tests {
     fn auto_layout_widens_instead_of_overflowing() {
         let inst = oversized_instance();
         let mut ws = Workspace::new();
-        ws.begin(&inst, "test").unwrap();
+        ws.begin(&inst, "test", false).unwrap();
         assert_eq!(ws.layout_used(), ArenaLayout::Wide);
         // And re-narrows when the next instance fits again.
-        ws.begin(&small_instance(), "test").unwrap();
+        ws.begin(&small_instance(), "test", false).unwrap();
         assert_eq!(ws.layout_used(), ArenaLayout::Compact);
     }
 
@@ -797,11 +879,14 @@ mod tests {
         let flows = vec![0i64; inst.graph.num_edge_slots()];
         let excess = vec![0i64; inst.graph.num_vertices()];
         ws.stage_warm(&flows, &excess, &[]);
-        let err = ws.begin_warm(&inst, "test").unwrap_err();
+        let err = ws.begin(&inst, "test", true).unwrap_err();
         assert!(matches!(err, SolveError::ArenaOverflow { .. }));
         assert_eq!(ws.take_poisoned(), Ok(()));
         // The warm stage was consumed; a retry reports "no warm state"
         // instead of failing again.
-        assert!(!ws.begin_warm(&inst, "test").unwrap());
+        assert!(matches!(
+            ws.begin(&inst, "test", true),
+            Err(SolveError::DeltaUnsupported { .. })
+        ));
     }
 }
