@@ -73,7 +73,7 @@ use crate::obs::recorder::{FlightRecorder, Postmortem, RecorderStats};
 use crate::obs::span::{QuerySpan, SpanId, SpanOutcome};
 use crate::obs::trace::{EventKind, TraceEvent};
 use crate::schedule::SolveStats;
-use crate::serve::{Admission, ServeError, ServeResponse, ServeTally};
+use crate::serve::{Admission, ServeResponse, ServeTally};
 use crate::session::{ReuseCounters, SessionOutcome, SessionState};
 use crate::solver::RetrievalSolver;
 use crate::spec::{AnySolver, SolverKind, SolverSpec};
@@ -191,9 +191,10 @@ pub struct EngineStats {
     pub elapsed: Duration,
     /// Solver work counters summed over all successful queries.
     pub solve_stats: SolveStats,
-    /// Total solves that ran in the engine's workspaces — equals the
-    /// number of successful solver invocations that reused pre-allocated
-    /// buffers instead of allocating fresh ones.
+    /// Solves that ran in the engine's reused workspaces, shard and fused
+    /// lane alike: the [`EventKind::SolveStart`] total of
+    /// [`Engine::trace_counts`]. A staging that fails (a forced compact
+    /// arena the instance does not fit) runs no solve and is not counted.
     pub workspace_solves: u64,
     /// Re-solves triggered by infeasibility under a changed health map.
     pub retries: u64,
@@ -754,7 +755,7 @@ impl Shard {
                 }
                 Err(_) => {
                     span.outcome = SpanOutcome::Failed;
-                    span.record(EventKind::Failed, done.solve_us, 0, 0);
+                    span.record(EventKind::Failed, done.solve_us, done.panicked as u64, 0);
                 }
             }
             self.recorder.retire(span);
@@ -783,7 +784,7 @@ impl Shard {
             ticket: a.ticket,
             stream: item.query.stream,
             class: a.class,
-            result: done.result.map_err(ServeError::from),
+            result: done.result,
             queued: done.queued,
             deadline_missed,
         });
@@ -1250,7 +1251,7 @@ impl<'a, A: ReplicaSource + Sync, S: RetrievalSolver + Sync> Engine<'a, A, S> {
         self.metrics.merge(&run.metrics);
         self.stats.batches += 1;
         self.stats.elapsed += elapsed;
-        self.stats.workspace_solves = self.shards.iter().map(|s| s.workspace.solves()).sum();
+        self.stats.workspace_solves = self.trace_counts()[EventKind::SolveStart as usize];
         let mut reuse = ReuseCounters::default();
         for state in self.shards.iter().flat_map(|s| s.states.values().flatten()) {
             reuse.merge(&state.reuse_counters());
@@ -1426,6 +1427,20 @@ mod tests {
         assert!(engine.stats().queries_per_sec() > 0.0);
     }
 
+    #[test]
+    fn fused_lane_solves_count_as_workspace_solves() {
+        let system = SystemConfig::homogeneous(CHEETAH, 5);
+        let alloc = OrthogonalAllocation::new(5, Placement::SingleSite);
+        let mut engine = Engine::builder(&system, &alloc)
+            .solver_spec(SolverSpec::new(SolverKind::PushRelabelBinary).batch_fuse(true))
+            .build();
+        let results = engine.submit_batch(&batch(8, 1));
+        assert!(results.iter().all(|r| r.is_ok()));
+        assert!(engine.stats().fused_queries > 0, "lanes solved the batch");
+        let started = engine.trace_counts()[EventKind::SolveStart as usize];
+        assert_eq!((engine.stats().workspace_solves, started), (8, 8));
+    }
+
     /// A solver that panics whenever the query contains a poison bucket —
     /// simulates a latent solver bug for containment tests.
     #[derive(Clone, Copy)]
@@ -1475,6 +1490,45 @@ mod tests {
             assert!(results[3].is_ok());
             assert_eq!(engine.stats().shard_failures, 1);
             assert_eq!(engine.stats().errors, 1);
+        }
+    }
+
+    #[test]
+    fn failed_spans_flag_contained_panics_only() {
+        use crate::serve::{QueryRequest, ServeConfig, Ticket};
+        let system = SystemConfig::homogeneous(CHEETAH, 5);
+        let alloc = OrthogonalAllocation::new(5, Placement::SingleSite);
+        let poison = RangeQuery::new(3, 3, 1, 1).buckets(5)[0];
+        let mut engine = Engine::new(&system, &alloc, PanicOnBucket(poison), 1);
+        let report = engine.serve(ServeConfig::default().virtual_time(), |h| {
+            let panicked = h.submit(QueryRequest::new(0, vec![poison])).unwrap();
+            // A bucket off the 5x5 grid has no replica: a typed failure.
+            let off_grid = vec![Bucket::new(9, 9)];
+            let typed = h.submit(QueryRequest::new(1, off_grid)).unwrap();
+            (panicked, typed)
+        });
+        assert_eq!((report.stats.errors, report.stats.panics), (2, 1));
+        let (panicked, typed) = report.output;
+        let postmortem = engine.postmortem();
+        let statusz = postmortem.to_statusz();
+        for (ticket, panic) in [(panicked, true), (typed, false)] {
+            let span = postmortem
+                .spans
+                .iter()
+                .find(|s| s.id.0 == ticket.0)
+                .expect("failed spans are retained");
+            let failed = span
+                .phases()
+                .iter()
+                .find(|p| p.kind == EventKind::Failed)
+                .expect("a failed phase");
+            assert_eq!(failed.a, panic as u64, "{ticket:?}");
+            let Ticket(t) = ticket;
+            let block = statusz
+                .split("\n\n")
+                .find(|b| b.starts_with(&format!("span ticket={t} ")))
+                .expect("span in statusz");
+            assert!(block.contains(&format!("panic={panic}")), "{block}");
         }
     }
 
@@ -1618,7 +1672,7 @@ mod tests {
 
     #[test]
     fn a_payload_that_panics_on_drop_is_contained_on_every_path() {
-        use crate::serve::{QueryRequest, ServeConfig, ServeError, Ticket};
+        use crate::serve::{QueryRequest, ServeConfig, Ticket};
         let system = SystemConfig::homogeneous(CHEETAH, 5);
         let alloc = OrthogonalAllocation::new(5, Placement::SingleSite);
         let poison = RangeQuery::new(3, 3, 1, 1).buckets(5)[0];
@@ -1681,7 +1735,7 @@ mod tests {
             for r in &report.unclaimed {
                 let poisoned = r.ticket == report.output[1];
                 match &r.result {
-                    Err(ServeError::Engine(EngineError::ShardFailed { .. })) => {
+                    Err(EngineError::ShardFailed { .. }) => {
                         assert!(poisoned, "{tag}")
                     }
                     other => assert!(!poisoned && other.is_ok(), "{tag}: {other:?}"),

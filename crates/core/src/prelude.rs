@@ -34,8 +34,8 @@ pub use crate::obs::trace::{EventKind, Recorder, TraceEvent, Tracer};
 pub use crate::pr::{PushRelabelBinary, PushRelabelIncremental};
 pub use crate::schedule::{RetrievalOutcome, Schedule, SolveStats};
 pub use crate::serve::{
-    PriorityClass, QueryRequest, Rejected, ServeClock, ServeConfig, ServeError, ServeHandle,
-    ServeReport, ServeResponse, ServeStats, Ticket,
+    PriorityClass, QueryRequest, Rejected, ServeClock, ServeConfig, ServeHandle, ServeReport,
+    ServeResponse, ServeStats, Ticket,
 };
 pub use crate::session::{
     RetrievalSession, ReuseCounters, ReusePolicy, SessionOutcome, SessionState,

@@ -228,30 +228,6 @@ impl std::fmt::Display for Rejected {
 
 impl std::error::Error for Rejected {}
 
-/// Why an *admitted* request did not produce a schedule.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum ServeError {
-    /// Solving failed (infeasible, solver rejection, contained panic).
-    Engine(EngineError),
-}
-
-impl std::fmt::Display for ServeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ServeError::Engine(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for ServeError {}
-
-impl From<EngineError> for ServeError {
-    fn from(e: EngineError) -> ServeError {
-        ServeError::Engine(e)
-    }
-}
-
 /// Receipt for one admitted request; its response carries the same value.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Ticket(pub u64);
@@ -266,8 +242,10 @@ pub struct ServeResponse {
     pub stream: usize,
     /// The request's priority class.
     pub class: PriorityClass,
-    /// The schedule (possibly degraded/partial) or a typed failure.
-    pub result: Result<SessionOutcome, ServeError>,
+    /// The schedule (possibly degraded/partial), or why the admitted
+    /// request produced none (infeasible, solver rejection, contained
+    /// panic).
+    pub result: Result<SessionOutcome, EngineError>,
     /// Time the request spent queued, on the serve clock (always zero
     /// under [`ServeClock::Virtual`]).
     pub queued: Micros,
@@ -1339,7 +1317,7 @@ mod tests {
         assert_eq!(report.stats.panics, 1);
         assert_eq!(
             report.unclaimed[0].result.as_ref().unwrap_err(),
-            &ServeError::Engine(EngineError::ShardFailed { shard: 0 })
+            &EngineError::ShardFailed { shard: 0 }
         );
     }
 

@@ -235,9 +235,8 @@ fn serve_chaos_overload_and_outage_resolves_every_submission_deterministically()
                     unservable: o.unservable.clone(),
                     deadline_missed: r.deadline_missed,
                 },
-                Err(ServeError::Engine(EngineError::ShardFailed { .. })) => ServeDigest::Panicked,
-                Err(ServeError::Engine(e)) => ServeDigest::Failed(*e),
-                Err(_) => unreachable!("non-exhaustive ServeError"),
+                Err(EngineError::ShardFailed { .. }) => ServeDigest::Panicked,
+                Err(e) => ServeDigest::Failed(*e),
             };
             assert!(by_ticket.insert(r.ticket, d).is_none(), "duplicate ticket");
         }
@@ -465,8 +464,7 @@ fn every_execution_path_agrees_on_results_counters_and_trace_counts() {
                     .map(|r| {
                         let result = match &r.result {
                             Ok(o) => Ok(o.clone()),
-                            Err(ServeError::Engine(e)) => Err(*e),
-                            Err(e) => panic!("unexpected serve error: {e}"),
+                            Err(e) => Err(*e),
                         };
                         (r.ticket, digest(&result))
                     })

@@ -447,7 +447,7 @@ fn off_grid_paths<A: ReplicaSource + Sync>(alloc: &A) {
             for r in &report.unclaimed {
                 let i = report.output.iter().position(|&t| t == r.ticket).unwrap();
                 match &r.result {
-                    Err(ServeError::Engine(e)) if i == 1 => {
+                    Err(e) if i == 1 => {
                         assert!(engine_infeasible_at(e, off), "serve: {case}: {e:?}")
                     }
                     Ok(o) if i != 1 => assert_eq!(o.outcome.flow_value, 3, "{case}"),

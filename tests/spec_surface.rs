@@ -136,13 +136,7 @@ fn one_spec_gives_the_same_results_on_every_entry_point() {
         let mut by_ticket: std::collections::HashMap<Ticket, Reply> = report
             .unclaimed
             .into_iter()
-            .map(|r| {
-                let result = r.result.map_err(|e| match e {
-                    ServeError::Engine(e) => e,
-                    e => panic!("unexpected serve error: {e}"),
-                });
-                (r.ticket, reply(result))
-            })
+            .map(|r| (r.ticket, reply(r.result)))
             .collect();
         let by_serve: Vec<Reply> = report
             .output
