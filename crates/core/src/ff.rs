@@ -114,7 +114,8 @@ fn augment_all<W: ArenaIndex>(
         return Ok(None);
     }
     if min_cost.is_none() {
-        // The paper's 6-bucket example on 7 disks starts at capacity 1.
+        // Algorithm 1 lines 1-2: the theoretical lower bound (the
+        // paper's 6-bucket example on 7 disks uses capacity 1).
         let lower = q.div_ceil(inst.num_disks()) as i64;
         for &e in &inst.disk_edges {
             s.g.set_cap(e, lower);
@@ -143,7 +144,9 @@ fn augment_all<W: ArenaIndex>(
                 break;
             }
             let raised = match &mut min_cost {
+                // Algorithm 2 line 6: only the minimum-cost edge(s).
                 Some(inc) => inc.increment(inst, s.g),
+                // Algorithm 1 lines 5-8: every disk edge by one.
                 None => {
                     for &e in &inst.disk_edges {
                         s.g.set_cap(e, s.g.cap(e) + 1);

@@ -216,10 +216,11 @@ pub(crate) fn relabel_pass<W: ArenaIndex>(s: &mut Solve<'_, W>, from_scratch: bo
 ///
 /// Anytime mode: when the armed budget expires at a probe boundary, the
 /// search finishes at the feasible `t_max` instead. The live flow then
-/// is the last kept state of an infeasible probe below `t_max` (or one a
-/// retarget to `t_max` drains), so raising the capacities and taking one
-/// more max-flow completes it. Returns `Ok(Some(t_min))` for such a
-/// bail-out, `Ok(None)` at the exact optimum.
+/// fits every budget from the last infeasible probe up (a retargeting
+/// probe drains whatever does not fit `t_max`), so raising the capacities
+/// to `t_max` and taking one more max-flow completes it. Returns
+/// `Ok(Some(t_min))` for such a bail-out, `Ok(None)` at the exact
+/// optimum.
 pub(crate) fn search<P: Probe, W: ArenaIndex>(
     s: &mut Solve<'_, W>,
     binary: bool,
