@@ -395,18 +395,104 @@ enum Path {
     FusedServe,
 }
 
-/// Cross-path differential: one seeded stream with random outages,
-/// replanning, degraded mode and a warm spec gives the same per-query
-/// digest (or the same typed error), the same fault counters and the same
-/// trace-event totals through `submit_batch` and the virtual-clock
-/// serving loop, serial and fused, on 1, 2 and 4 shards under both arena
-/// widths. `ShardBatch` and `PlaneCheckout` count drains and fused lane
-/// checkouts, so only those two kinds may differ.
-#[test]
-fn every_execution_path_agrees_on_results_counters_and_trace_counts() {
+/// Per-query digests, the fault counters (errors, retries, degraded
+/// solves, dropped buckets, shard failures) and the trace-event totals of
+/// one run, with `ShardBatch` and `PlaneCheckout` zeroed: those two count
+/// drains and fused lane checkouts, so only they may differ by path.
+type PathRun = (Vec<Digest>, [u64; 5], Vec<u64>);
+
+/// Runs `queries` under `reuse` through `path` on `shards` shards in the
+/// `layout` arena, with `injector`'s outages, two replans `backoff` apart
+/// and degraded mode.
+#[allow(clippy::too_many_arguments)]
+fn run_path(
+    system: &SystemConfig,
+    alloc: &OrthogonalAllocation,
+    queries: &[BatchQuery],
+    injector: &FaultInjector,
+    backoff: Micros,
+    reuse: ReusePolicy,
+    path: Path,
+    shards: usize,
+    layout: ArenaLayout,
+) -> PathRun {
+    let fused = matches!(path, Path::FusedBatch | Path::FusedServe);
+    let spec = SolverSpec::new(SolverKind::PushRelabelBinary)
+        .reuse(reuse)
+        .arena_layout(layout)
+        .batch_fuse(fused)
+        .parallelism(2);
+    let mut engine = Engine::builder(system, alloc)
+        .solver_spec(spec)
+        .shards(shards)
+        .build()
+        .with_fault_injector(injector.clone())
+        .with_retry_policy(RetryPolicy {
+            max_retries: 2,
+            backoff,
+        })
+        .with_degraded_mode(true);
+    let digests: Vec<Digest> = match path {
+        Path::Batch | Path::FusedBatch => engine.submit_batch(queries).iter().map(digest).collect(),
+        Path::Serve | Path::FusedServe => {
+            let mut config = ServeConfig::default().virtual_time();
+            if fused {
+                config = config
+                    .batch_window(std::time::Duration::from_millis(1))
+                    .batch_max(8);
+            }
+            let report = engine.serve(config, |h| {
+                queries
+                    .iter()
+                    .map(|q| {
+                        h.submit(
+                            QueryRequest::new(q.stream, q.buckets.clone()).arriving_at(q.arrival),
+                        )
+                        .expect("admitted")
+                    })
+                    .collect::<Vec<Ticket>>()
+            });
+            assert_eq!(report.stats.completed, queries.len() as u64);
+            let mut by_ticket: std::collections::HashMap<Ticket, Digest> = report
+                .unclaimed
+                .iter()
+                .map(|r| {
+                    let result = match &r.result {
+                        Ok(o) => Ok(o.clone()),
+                        Err(e) => Err(*e),
+                    };
+                    (r.ticket, digest(&result))
+                })
+                .collect();
+            report
+                .output
+                .iter()
+                .map(|t| by_ticket.remove(t).expect("every ticket resolves"))
+                .collect()
+        }
+    };
+    let s = engine.stats();
+    assert_eq!(s.fused_batches > 0, fused, "{path:?}: fused drains engaged");
+    let counters = [
+        s.errors,
+        s.retries,
+        s.degraded_solves,
+        s.dropped_buckets,
+        s.shard_failures,
+    ];
+    let mut counts = engine.trace_counts().to_vec();
+    counts[EventKind::ShardBatch as usize] = 0;
+    counts[EventKind::PlaneCheckout as usize] = 0;
+    (digests, counters, counts)
+}
+
+/// Runs `queries` under `reuse` through every path, shard count (1, 2,
+/// 4) and arena width, with a fifth of the disks offline for the middle
+/// third of the run; asserts every run equals the one-shard wide batch
+/// run and returns that baseline.
+fn every_path_agrees(queries: &[BatchQuery], reuse: ReusePolicy) -> PathRun {
     let system = paper_example();
     let alloc = OrthogonalAllocation::paper_7x7();
-    let queries = chaos_batch(0xC4A05, 120, 9);
     let horizon = queries.last().unwrap().arrival;
     let injector = FaultInjector::random_outages(
         0xFA21,
@@ -415,82 +501,19 @@ fn every_execution_path_agrees_on_results_counters_and_trace_counts() {
         horizon / 3,
         Some(horizon / 3),
     );
-
-    type Run = (Vec<Digest>, [u64; 5], Vec<u64>);
-    let run = |path: Path, shards: usize, layout: ArenaLayout| -> Run {
-        let fused = matches!(path, Path::FusedBatch | Path::FusedServe);
-        let spec = SolverSpec::new(SolverKind::PushRelabelBinary)
-            .reuse(ReusePolicy::warm())
-            .arena_layout(layout)
-            .batch_fuse(fused)
-            .parallelism(2);
-        let mut engine = Engine::builder(&system, &alloc)
-            .solver_spec(spec)
-            .shards(shards)
-            .build()
-            .with_fault_injector(injector.clone())
-            .with_retry_policy(RetryPolicy {
-                max_retries: 2,
-                backoff: horizon / 10,
-            })
-            .with_degraded_mode(true);
-        let digests: Vec<Digest> = match path {
-            Path::Batch | Path::FusedBatch => {
-                engine.submit_batch(&queries).iter().map(digest).collect()
-            }
-            Path::Serve | Path::FusedServe => {
-                let mut config = ServeConfig::default().virtual_time();
-                if fused {
-                    config = config
-                        .batch_window(std::time::Duration::from_millis(1))
-                        .batch_max(8);
-                }
-                let report = engine.serve(config, |h| {
-                    queries
-                        .iter()
-                        .map(|q| {
-                            h.submit(
-                                QueryRequest::new(q.stream, q.buckets.clone())
-                                    .arriving_at(q.arrival),
-                            )
-                            .expect("admitted")
-                        })
-                        .collect::<Vec<Ticket>>()
-                });
-                assert_eq!(report.stats.completed, queries.len() as u64);
-                let mut by_ticket: std::collections::HashMap<Ticket, Digest> = report
-                    .unclaimed
-                    .iter()
-                    .map(|r| {
-                        let result = match &r.result {
-                            Ok(o) => Ok(o.clone()),
-                            Err(e) => Err(*e),
-                        };
-                        (r.ticket, digest(&result))
-                    })
-                    .collect();
-                report
-                    .output
-                    .iter()
-                    .map(|t| by_ticket.remove(t).expect("every ticket resolves"))
-                    .collect()
-            }
-        };
-        let s = engine.stats();
-        assert_eq!(s.fused_batches > 0, fused, "{path:?}: fused drains engaged");
-        let counters = [
-            s.errors,
-            s.retries,
-            s.degraded_solves,
-            s.dropped_buckets,
-            s.shard_failures,
-        ];
-        let mut counts = engine.trace_counts().to_vec();
-        counts[EventKind::ShardBatch as usize] = 0;
-        counts[EventKind::PlaneCheckout as usize] = 0;
-        (digests, counters, counts)
+    let run = |path: Path, shards: usize, layout: ArenaLayout| {
+        run_path(
+            &system,
+            &alloc,
+            queries,
+            &injector,
+            horizon / 10,
+            reuse,
+            path,
+            shards,
+            layout,
+        )
     };
-
     let baseline = run(Path::Batch, 1, ArenaLayout::Wide);
     // The scenario must exercise every fault layer it claims to.
     let [_, retries, degraded, _, _] = baseline.1;
@@ -500,10 +523,6 @@ fn every_execution_path_agrees_on_results_counters_and_trace_counts() {
         .0
         .iter()
         .any(|d| matches!(d, Digest::Served { .. })));
-    assert!(
-        baseline.2[EventKind::DeltaPatch as usize] > 0,
-        "warm spec never patched"
-    );
     for layout in [ArenaLayout::Wide, ArenaLayout::Compact] {
         for path in [Path::Batch, Path::FusedBatch, Path::Serve, Path::FusedServe] {
             for shards in [1usize, 2, 4] {
@@ -515,4 +534,86 @@ fn every_execution_path_agrees_on_results_counters_and_trace_counts() {
             }
         }
     }
+    baseline
+}
+
+/// Cross-path differential: one seeded stream with random outages,
+/// replanning, degraded mode and a warm spec gives the same per-query
+/// digest (or the same typed error), the same fault counters and the same
+/// trace-event totals through `submit_batch` and the virtual-clock
+/// serving loop, serial and fused, on 1, 2 and 4 shards under both arena
+/// widths. `ShardBatch` and `PlaneCheckout` count drains and fused lane
+/// checkouts, so only those two kinds may differ.
+#[test]
+fn every_execution_path_agrees_on_results_counters_and_trace_counts() {
+    let queries = chaos_batch(0xC4A05, 120, 9);
+    let baseline = every_path_agrees(&queries, ReusePolicy::warm());
+    assert!(
+        baseline.2[EventKind::DeltaPatch as usize] > 0,
+        "warm spec never patched"
+    );
+}
+
+/// A cold mix over 9 streams: streams 6–8 first appear halfway through,
+/// and about a third of the queries repeat their stream's previous bucket
+/// set exactly.
+fn cold_mix(seed: u64, queries: usize) -> Vec<BatchQuery> {
+    let mut rng = SplitMix64::seed_from_u64(seed);
+    let mut last: Vec<Option<Vec<Bucket>>> = vec![None; 9];
+    let mut out = Vec::with_capacity(queries);
+    let mut t = 0u64;
+    for i in 0..queries {
+        t += rng.gen_range(0..2_000u64);
+        let streams: usize = if i < queries / 2 { 6 } else { 9 };
+        let stream = rng.gen_range(0..streams);
+        let buckets: Vec<Bucket> = match &last[stream] {
+            Some(prev) if rng.gen_range(0..3usize) == 0 => prev.clone(),
+            _ => RangeQuery::new(
+                rng.gen_range(0..GRID),
+                rng.gen_range(0..GRID),
+                rng.gen_range(1..4usize),
+                rng.gen_range(1..4usize),
+            )
+            .buckets(GRID),
+        };
+        last[stream] = Some(buckets.clone());
+        out.push(BatchQuery {
+            stream,
+            arrival: Micros::from_micros(t),
+            buckets,
+        });
+    }
+    out
+}
+
+/// The cold-spec sibling of the cross-path differential: no warm start
+/// and no schedule cache, so every query is a cold solve, including the
+/// exact repeats of a stream's previous bucket set (some before the
+/// outage, under unchanged health) and the first queries of streams that
+/// join mid-run. Every path, shard count and width must agree on digests,
+/// fault counters and trace counts.
+#[test]
+fn every_execution_path_agrees_under_a_cold_spec() {
+    let queries = cold_mix(0xC01D, 120);
+    let horizon = queries.last().unwrap().arrival;
+    let mut last: std::collections::HashMap<usize, (usize, &[Bucket])> = Default::default();
+    let (mut healthy_repeats, mut late_streams) = (0, 0);
+    for (i, q) in queries.iter().enumerate() {
+        match last.insert(q.stream, (i, &q.buckets)) {
+            Some((_, prev)) => {
+                healthy_repeats += (prev == q.buckets && q.arrival < horizon / 3) as usize
+            }
+            None => late_streams += (i >= queries.len() / 2) as usize,
+        }
+    }
+    assert!(
+        healthy_repeats > 0,
+        "no exact repeat under unchanged health"
+    );
+    assert_eq!(late_streams, 3, "streams 6-8 must first appear mid-run");
+
+    let baseline = every_path_agrees(&queries, ReusePolicy::default());
+    assert_eq!(baseline.2[EventKind::DeltaPatch as usize], 0);
+    assert_eq!(baseline.2[EventKind::CacheHit as usize], 0);
+    assert!(baseline.2[EventKind::Rebuild as usize] > 0);
 }
