@@ -7,7 +7,7 @@
 //! keep 8 of 10 buckets (80% overlap, the delta-patch case) and the
 //! window periodically revisits earlier positions after the disks have
 //! drained (the schedule-cache case). Both engines run the identical
-//! batch; the cold engine's instance cache still rebuilds per query, so
+//! batch; the cold engine rebuilds its shard's one network per query, so
 //! the ratio isolates what cross-query reuse buys. The two engines
 //! alternate round by round (ABBA) and `speedup` is the per-round paired
 //! ratio's median.

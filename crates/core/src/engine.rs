@@ -859,6 +859,10 @@ fn execute<A: ReplicaSource + ?Sized, S: RetrievalSolver + ?Sized>(
         run_one_core(ctx, q, st, workspace, health, deadline, &mut replans)
     });
     let solve_us = started.elapsed().as_micros() as u64;
+    // The item is done with the network it staged: a fused lane hands its
+    // topology plane back, so the network's next rebuild or patch writes
+    // in place.
+    workspace.release_plane();
     let (result, panicked) = match caught {
         Ok(result) => (result, false),
         Err(payload) => {
@@ -1168,20 +1172,27 @@ impl<'a, A: ReplicaSource + Sync, S: RetrievalSolver + Sync> Engine<'a, A, S> {
         &self.stats
     }
 
-    /// Arena allocation events summed over every shard workspace and
-    /// fused lane, monotone over the engine's lifetime. Flat between two
-    /// observations means the solves in between — including fused drains
-    /// checking capacity planes out of the lane free list — reused
-    /// existing buffers end to end.
+    /// Arena allocation events summed over every network the engine
+    /// holds — each shard workspace and fused lane with its cold streams'
+    /// network, and each warm stream's own — monotone over the engine's
+    /// lifetime (a contained panic discards a network with its count).
+    /// Flat between two observations means the solves in between —
+    /// including fused drains checking topology planes out of the
+    /// streams' networks — reused existing buffers end to end.
     pub fn arena_allocation_events(&self) -> u64 {
         self.shards
             .iter()
             .map(|s| {
-                s.workspace.arena_allocation_events()
-                    + s.lanes
-                        .iter()
-                        .map(|l| l.workspace.arena_allocation_events())
-                        .sum::<u64>()
+                let workspaces = std::iter::once(&s.workspace)
+                    .chain(s.lanes.iter().map(|l| &l.workspace))
+                    .map(Workspace::arena_allocation_events);
+                let streams = s
+                    .states
+                    .values()
+                    .flatten()
+                    .filter_map(SessionState::network)
+                    .map(|n| n.graph.arena().allocation_events());
+                workspaces.chain(streams).sum::<u64>()
             })
             .sum()
     }
@@ -1439,6 +1450,65 @@ mod tests {
         assert!(engine.stats().fused_queries > 0, "lanes solved the batch");
         let started = engine.trace_counts()[EventKind::SolveStart as usize];
         assert_eq!((engine.stats().workspace_solves, started), (8, 8));
+    }
+
+    /// Cold streams keep no network of their own: the workspace that
+    /// solves them, shard or fused lane, rebuilds its one network on every
+    /// miss, so once the workspaces have seen every window, never-seen
+    /// cold streams cost no arena allocation. Warm streams keep theirs,
+    /// whose edge ids their delta patches rely on.
+    #[test]
+    fn cold_streams_rebuild_into_their_workspace_network() {
+        let system = SystemConfig::homogeneous(CHEETAH, 5);
+        let alloc = OrthogonalAllocation::new(5, Placement::SingleSite);
+        // Stream `s`'s `k`-th query: nine in a row visit every 3x3 window.
+        let query = |s: usize, k: usize| BatchQuery {
+            stream: s,
+            arrival: Micros::from_millis(k as u64),
+            buckets: RangeQuery::new((s + k) % 3, (s + k) / 3 % 3, 3, 3).buckets(5),
+        };
+        let held = |e: &Engine<'_, OrthogonalAllocation, AnySolver>| {
+            e.shards
+                .iter()
+                .flat_map(|s| s.states.values().flatten())
+                .filter(|s| s.network().is_some())
+                .count()
+        };
+        for fuse in [false, true] {
+            for reuse in [ReusePolicy::default(), ReusePolicy::warm()] {
+                let spec = SolverSpec::new(SolverKind::PushRelabelBinary)
+                    .reuse(reuse)
+                    .batch_fuse(fuse);
+                let mut engine = Engine::builder(&system, &alloc)
+                    .solver_spec(spec)
+                    .shards(2)
+                    .build();
+                let warm_up: Vec<_> = (0..9)
+                    .flat_map(|k| (0..16).map(move |s| query(s, k)))
+                    .collect();
+                assert!(engine.submit_batch(&warm_up).iter().all(Result::is_ok));
+                if reuse.warm_start {
+                    assert_eq!(held(&engine), 16, "fuse={fuse}: warm streams keep theirs");
+                    continue;
+                }
+                assert_eq!(
+                    held(&engine),
+                    0,
+                    "fuse={fuse}: a cold stream kept a network"
+                );
+                let before = engine.arena_allocation_events();
+                for b in 0..16 {
+                    let fresh: Vec<_> = (0..16).map(|i| query(16 * (b + 1) + i, 0)).collect();
+                    assert!(engine.submit_batch(&fresh).iter().all(Result::is_ok));
+                }
+                assert_eq!(held(&engine), 0);
+                assert_eq!(
+                    engine.arena_allocation_events(),
+                    before,
+                    "fuse={fuse}: 256 new cold streams allocated arena memory"
+                );
+            }
+        }
     }
 
     /// A solver that panics whenever the query contains a poison bucket —

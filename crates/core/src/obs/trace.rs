@@ -147,8 +147,10 @@ pub enum TraceEvent {
         /// plane (steady state: the checkout copied only cap/flow values).
         shared: bool,
     },
-    /// A stream's cached instance network was rebuilt from scratch: no
-    /// repeat of the previous bucket set and no delta patch applied.
+    /// A stream's network was rebuilt in place: every cold cache miss
+    /// (the workspace's network), and a warm-start stream's own network
+    /// when neither a repeat of its previous bucket set nor a delta
+    /// patch applied.
     Rebuild {
         /// Buckets in the rebuilt network.
         buckets: u32,

@@ -12,13 +12,18 @@
 //! (monotone non-decreasing), so sessions are deterministic and
 //! simulation-friendly.
 //!
-//! Internally the session keeps one cached [`RetrievalInstance`] and one
-//! [`Workspace`]. Each submit patches the cached instance in place — only
-//! the per-disk initial loads when the bucket set repeats, a full
-//! [`RetrievalInstance::rebuild_in`] otherwise — so steady-state submits
-//! allocate nothing. The bookkeeping lives in [`SessionState`], a plain
-//! owned value, so the batch [`crate::engine::Engine`] can hold many
-//! sessions and move them across worker threads.
+//! Internally the session keeps one [`Workspace`]. A stream that resumes
+//! warm flows ([`ReusePolicy::warm_start`]) also keeps a
+//! [`RetrievalInstance`] of its own, patched or rebuilt in place per
+//! submit, because a delta patch aligns the stored flow with that
+//! network's edge ids. Every other stream keeps only its backlog, clock
+//! and schedule cache: each cache miss rebuilds the workspace's one
+//! network in place ([`RetrievalInstance::rebuild_in`]) and solves it
+//! there. Either way steady-state submits allocate nothing. The
+//! bookkeeping lives in [`SessionState`], a plain owned value, so the
+//! batch [`crate::engine::Engine`] can hold many sessions and move them
+//! across worker threads, while its shards and fused lanes each hold one
+//! network for all their cold streams.
 
 use crate::error::{SessionError, SolveError};
 use crate::fault::{self, HealthMap};
@@ -45,7 +50,8 @@ pub struct ReusePolicy {
     /// units, retarget capacities) instead of solving from scratch, when
     /// the consecutive queries are compatible (same query size, same
     /// health). Solvers without delta support transparently fall back to
-    /// a full rebuild per query.
+    /// a full rebuild per query. A warm-start stream keeps a network of
+    /// its own for the patches; a cold one rebuilds its workspace's.
     pub warm_start: bool,
     /// Entries in the per-stream schedule cache keyed by (query, health,
     /// load) fingerprints; `0` disables the cache.
@@ -177,7 +183,8 @@ impl SessionOutcome {
 }
 
 /// The owned, thread-movable bookkeeping of one query stream: disk
-/// busy-until times, virtual clock, and the cached retrieval instance.
+/// busy-until times, virtual clock, schedule cache and, for a warm-start
+/// stream, its retrieval network.
 ///
 /// [`RetrievalSession`] wraps one of these with its system/allocation
 /// references for the common single-stream case;
@@ -191,11 +198,13 @@ pub struct SessionState {
     now: Micros,
     /// Completed queries.
     served: u64,
-    /// Instance reused (patched or rebuilt in place) across submits.
+    /// A warm-start stream's network, patched or rebuilt in place across
+    /// submits. A cold stream keeps none: each of its misses rebuilds the
+    /// network of the [`Workspace`] that solves it.
     instance: Option<RetrievalInstance>,
-    /// Fingerprint of the [`HealthMap`] the cached instance was built
-    /// under — topology reuse requires it to match, since offline disks
-    /// change which replica edges exist.
+    /// Fingerprint of the [`HealthMap`] a warm-start stream's network was
+    /// built under — topology reuse requires it to match, since offline
+    /// disks change which replica edges exist.
     health_fp: u64,
     /// Fingerprint of the health this stream last *observed*, for
     /// [`crate::obs::trace::TraceEvent::HealthTransition`] emission by the
@@ -274,6 +283,12 @@ impl SessionState {
     /// now: the remaining busy time, 0 if idle.
     pub fn current_load(&self, j: usize) -> Micros {
         self.busy_until[j].saturating_sub(self.now)
+    }
+
+    /// The network this stream keeps: a warm-start stream's, once built;
+    /// always `None` for a cold stream, whose network is its workspace's.
+    pub(crate) fn network(&self) -> Option<&RetrievalInstance> {
+        self.instance.as_ref()
     }
 
     /// Submits a query arriving at `arrival` (must be ≥ the previous
@@ -394,8 +409,8 @@ impl SessionState {
 
         // Schedule cache: the outcome is fully determined by the target
         // buckets, the health map and the effective per-disk loads, all
-        // hashable without touching the cached instance. A hit skips the
-        // instance patching and the solve, but still charges the disks.
+        // hashable without touching any network. A hit skips the network
+        // update and the solve, but still charges the disks.
         let cache_key = (self.reuse.cache_capacity > 0).then(|| CacheKey {
             query_fp: hash_of(&target),
             health_fp: fp,
@@ -419,133 +434,147 @@ impl SessionState {
             self.counters.cache_misses += 1;
         }
 
-        // Bring the cached instance up to date. Three paths, cheapest
-        // first: the bucket set repeats under the same health (topology
-        // already right, only loads changed); the previous flow is warm
-        // and the new query is patch-compatible (delta surgery on the
-        // live network); otherwise rebuild the topology in place.
-        let topo_ok = self.health_fp == fp
-            && self
-                .instance
-                .as_ref()
-                .is_some_and(|inst| inst.num_disks() == system.num_disks());
-        let same_buckets = topo_ok
-            && self
-                .instance
-                .as_ref()
-                .is_some_and(|inst| inst.buckets == target);
-        let mut delta_ready = false;
-        if self.reuse.warm_start && self.warm.is_some() && topo_ok {
-            if same_buckets {
-                self.changed_scratch.clear();
-                delta_ready = true;
-            } else if self
-                .instance
-                .as_ref()
-                .is_some_and(|i| i.query_size() == target.len() && !i.needs_compaction())
-            {
-                let inst = self.instance.as_mut().expect("topo_ok");
-                match inst.patch_buckets(alloc, target, health, &mut self.changed_scratch) {
-                    Ok(()) => delta_ready = true,
-                    Err(_) => {
-                        // A new bucket lost every replica mid-patch; the
-                        // instance is unspecified. Fall through to a full
-                        // rebuild, which reports the infeasibility.
-                        ws.tracer.emit(TraceEvent::DeltaFallback {
-                            solver_declined: false,
-                        });
-                        self.instance = None;
-                        self.warm = None;
+        // A warm-start stream solves its own network, so that a delta patch
+        // can align the stored flow with its edge ids; every other stream
+        // rebuilds the one network of the workspace that solves it. The
+        // network is moved out for the solve and back afterwards.
+        let warm_start = self.reuse.warm_start;
+        let mut network = if warm_start {
+            self.instance.take()
+        } else {
+            ws.network.take()
+        };
+        let solved = 'solve: {
+            // Bring the network up to date. A cold stream rebuilds it on
+            // every miss. A warm stream's own network takes the cheapest of
+            // three paths: the bucket set repeats under the same health
+            // (topology already right, only loads changed); the previous
+            // flow is warm and the new query is patch-compatible (delta
+            // surgery on the live network); otherwise a rebuild in place.
+            let topo_ok = warm_start
+                && self.health_fp == fp
+                && network
+                    .as_ref()
+                    .is_some_and(|inst| inst.num_disks() == system.num_disks());
+            let same_buckets =
+                topo_ok && network.as_ref().is_some_and(|inst| inst.buckets == target);
+            let mut delta_ready = false;
+            if topo_ok && self.warm.is_some() {
+                if same_buckets {
+                    self.changed_scratch.clear();
+                    delta_ready = true;
+                } else if network
+                    .as_ref()
+                    .is_some_and(|i| i.query_size() == target.len() && !i.needs_compaction())
+                {
+                    let inst = network.as_mut().expect("topo_ok");
+                    match inst.patch_buckets(alloc, target, health, &mut self.changed_scratch) {
+                        Ok(()) => delta_ready = true,
+                        Err(_) => {
+                            // A new bucket lost every replica mid-patch; the
+                            // instance is unspecified. Fall through to a full
+                            // rebuild, which reports the infeasibility.
+                            ws.tracer.emit(TraceEvent::DeltaFallback {
+                                solver_declined: false,
+                            });
+                            network = None;
+                            self.warm = None;
+                        }
                     }
                 }
             }
-        }
-        if !same_buckets && !delta_ready {
-            ws.tracer.emit(TraceEvent::Rebuild {
-                buckets: target.len() as u32,
-            });
-            let rebuilt = match self.instance.as_mut() {
-                Some(inst) => inst.rebuild_with_health(system, alloc, target, health),
-                None => RetrievalInstance::build_with_health(system, alloc, target, health)
-                    .map(|inst| self.instance = Some(inst)),
+            if !same_buckets && !delta_ready {
+                ws.tracer.emit(TraceEvent::Rebuild {
+                    buckets: target.len() as u32,
+                });
+                let rebuilt = match network.as_mut() {
+                    Some(inst) => inst.rebuild_with_health(system, alloc, target, health),
+                    None => RetrievalInstance::build_with_health(system, alloc, target, health)
+                        .map(|inst| network = Some(inst)),
+                };
+                // `partition_by_health` already removed every dead bucket, so
+                // a rebuild can only fail if a bucket has no replica at all —
+                // surface that as infeasibility rather than panicking.
+                if let Err(u) = rebuilt {
+                    network = None;
+                    self.warm = None;
+                    break 'solve Err(SessionError::Solve(u.infeasible(buckets.len())));
+                }
+                self.health_fp = fp;
+                // Edge ids changed under the rebuild; the captured flow no
+                // longer maps onto the graph.
+                self.warm = None;
+            }
+            let inst = network.as_mut().expect("network built above");
+            // Degraded disks present their inflated configured load; the busy
+            // backlog from earlier queries is added unscaled (it is already
+            // measured in wall time).
+            for (j, d) in inst.disks.iter_mut().enumerate() {
+                let base = health.apply(j, system.disk(j));
+                d.initial_load = base.initial_load + self.busy_until[j].saturating_sub(arrival);
+            }
+
+            let solved = if delta_ready {
+                let warm = self.warm.as_ref().expect("delta_ready implies warm");
+                ws.stage_warm(&warm.flows, &warm.excess, &self.changed_scratch);
+                match solver.resume_in(inst, ws) {
+                    Ok(outcome) => {
+                        self.counters.delta_patches += 1;
+                        Ok(outcome)
+                    }
+                    Err(SolveError::DeltaUnsupported { .. }) => {
+                        // The declared fallback: the patched instance is a
+                        // valid cold instance (dead arcs carry zero capacity),
+                        // so re-solve it from scratch.
+                        self.counters.delta_fallbacks += 1;
+                        ws.tracer.emit(TraceEvent::DeltaFallback {
+                            solver_declined: true,
+                        });
+                        solver.solve_in(inst, ws)
+                    }
+                    Err(e) => Err(e),
+                }
+            } else {
+                solver.solve_in(inst, ws)
             };
-            // `partition_by_health` already removed every dead bucket, so
-            // a rebuild can only fail if a bucket has no replica at all —
-            // surface that as infeasibility rather than panicking.
-            if let Err(u) = rebuilt {
-                self.instance = None;
-                self.warm = None;
-                return Err(SessionError::Solve(u.infeasible(buckets.len())));
-            }
-            self.health_fp = fp;
-            // Edge ids changed under the rebuild; the captured flow no
-            // longer maps onto the graph.
-            self.warm = None;
-        }
-        let inst = self.instance.as_mut().expect("instance cached above");
-        // Degraded disks present their inflated configured load; the busy
-        // backlog from earlier queries is added unscaled (it is already
-        // measured in wall time).
-        for (j, d) in inst.disks.iter_mut().enumerate() {
-            let base = health.apply(j, system.disk(j));
-            d.initial_load = base.initial_load + self.busy_until[j].saturating_sub(arrival);
-        }
-
-        let solved = if delta_ready {
-            let warm = self.warm.as_ref().expect("delta_ready implies warm");
-            ws.stage_warm(&warm.flows, &warm.excess, &self.changed_scratch);
-            match solver.resume_in(inst, ws) {
-                Ok(outcome) => {
-                    self.counters.delta_patches += 1;
-                    Ok(outcome)
-                }
-                Err(SolveError::DeltaUnsupported { .. }) => {
-                    // The declared fallback: the patched instance is a
-                    // valid cold instance (dead arcs carry zero capacity),
-                    // so re-solve it from scratch.
-                    self.counters.delta_fallbacks += 1;
-                    ws.tracer.emit(TraceEvent::DeltaFallback {
-                        solver_declined: true,
-                    });
-                    solver.solve_in(inst, ws)
-                }
-                Err(e) => Err(e),
-            }
-        } else {
-            solver.solve_in(inst, ws)
-        };
-        let mut outcome = match solved {
-            Ok(outcome) => outcome,
-            Err(e) => {
-                // The workspace graph no longer matches any captured flow.
-                self.warm = None;
-                return Err(e.into());
-            }
-        };
-
-        // Refine before the warm capture and the cache insert, so the
-        // flow snapshot seeding the next delta solve and any replayed
-        // cache entry both carry the refined, load-balanced flow.
-        if let Err(e) = crate::refine::refine_in(self.objective, inst, ws, &mut outcome) {
-            self.warm = None;
-            return Err(e.into());
-        }
-
-        if self.reuse.warm_start {
-            // Capture the completed flow for the next submit. Every
-            // solver leaves its final flow in the workspace graph; the
-            // excess of a complete flow is zero everywhere but the sink.
-            let warm = self.warm.get_or_insert_with(WarmFlow::default);
-            // The snapshot is width-erased (`Vec<i64>`), so it survives the
-            // workspace switching arena widths between submits.
-            let vertices = on_graph!(ws, |g| {
-                g.store_flows_into(&mut warm.flows);
-                g.num_vertices()
+            // Refine before the warm capture and the cache insert, so the
+            // flow snapshot seeding the next delta solve and any replayed
+            // cache entry both carry the refined, load-balanced flow.
+            let outcome = solved.and_then(|mut outcome| {
+                crate::refine::refine_in(self.objective, inst, ws, &mut outcome)?;
+                Ok(outcome)
             });
-            warm.excess.clear();
-            warm.excess.resize(vertices, 0);
-            warm.excess[inst.sink()] = outcome.flow_value as i64;
+            let outcome = match outcome {
+                Ok(outcome) => outcome,
+                Err(e) => {
+                    // The workspace graph no longer matches any captured flow.
+                    self.warm = None;
+                    break 'solve Err(e.into());
+                }
+            };
+            if warm_start {
+                // Capture the completed flow for the next submit. Every
+                // solver leaves its final flow in the workspace graph; the
+                // excess of a complete flow is zero everywhere but the sink.
+                let warm = self.warm.get_or_insert_with(WarmFlow::default);
+                // The snapshot is width-erased (`Vec<i64>`), so it survives the
+                // workspace switching arena widths between submits.
+                let vertices = on_graph!(ws, |g| {
+                    g.store_flows_into(&mut warm.flows);
+                    g.num_vertices()
+                });
+                warm.excess.clear();
+                warm.excess.resize(vertices, 0);
+                warm.excess[inst.sink()] = outcome.flow_value as i64;
+            }
+            Ok(outcome)
+        };
+        if warm_start {
+            self.instance = network;
+        } else {
+            ws.network = network;
         }
+        let outcome = solved?;
         if let Some(key) = cache_key {
             // Stats are zeroed so a hit is byte-identical no matter how
             // often the entry is replayed.
@@ -992,29 +1021,34 @@ mod tests {
     }
 
     #[test]
-    fn repeated_bucket_set_reuses_cached_topology() {
+    fn repeated_bucket_sets_match_a_fresh_session() {
         // Alternate two bucket sets; results must match a fresh session
-        // fed the same sequence (exercises both the load-patch fast path
-        // and the rebuild path).
+        // fed the same sequence. A cold session rebuilds its workspace's
+        // network on every submit; a warm one keeps its own, so a repeat
+        // reuses its topology and a same-size change delta-patches it.
         let (system, alloc) = setup();
         let qa = RangeQuery::new(0, 0, 1, 5).buckets(5);
         let qb = RangeQuery::new(1, 0, 2, 2).buckets(5);
-        let mut cached = RetrievalSession::new(&system, &alloc, PushRelabelBinary);
-        let mut t = Micros::ZERO;
-        let mut results = Vec::new();
-        for i in 0..8 {
-            let b = if i % 3 == 0 { &qb } else { &qa };
-            results.push(cached.submit(t, b).unwrap().outcome.response_time);
-            t += Micros::from_millis(2);
-        }
-        // Replay into a brand-new session.
-        let mut fresh = RetrievalSession::new(&system, &alloc, PushRelabelBinary);
-        let mut t = Micros::ZERO;
-        for (i, want) in results.iter().enumerate() {
-            let b = if i % 3 == 0 { &qb } else { &qa };
-            let got = fresh.submit(t, b).unwrap().outcome.response_time;
-            assert_eq!(got, *want, "query {i}");
-            t += Micros::from_millis(2);
+        let query = |i: usize| if i.is_multiple_of(3) { &qb } else { &qa };
+        for reuse in [ReusePolicy::default(), ReusePolicy::warm()] {
+            let mut reused =
+                RetrievalSession::with_reuse(&system, &alloc, PushRelabelBinary, reuse);
+            let mut t = Micros::ZERO;
+            let mut results = Vec::new();
+            for i in 0..8 {
+                results.push(reused.submit(t, query(i)).unwrap().outcome.response_time);
+                t += Micros::from_millis(2);
+            }
+            assert_eq!(reused.state.network().is_some(), reuse.warm_start);
+            assert_eq!(reused.workspace.network.is_some(), !reuse.warm_start);
+            // Replay each query into a brand-new session at the same loads.
+            let mut t = Micros::ZERO;
+            let mut fresh = RetrievalSession::new(&system, &alloc, PushRelabelBinary);
+            for (i, want) in results.iter().enumerate() {
+                let got = fresh.submit(t, query(i)).unwrap().outcome.response_time;
+                assert_eq!(got, *want, "{reuse:?}: query {i}");
+                t += Micros::from_millis(2);
+            }
         }
     }
 }

@@ -13,6 +13,12 @@
 //! A workspace is not tied to a solver or an instance: the same one can
 //! serve different algorithms and differently-shaped queries back to
 //! back. Buffers only ever grow.
+//!
+//! A workspace also owns the one network of every cold stream it solves
+//! (a stream without warm start; see [`crate::session::SessionState`]):
+//! each cold miss rebuilds that network in place, then stages it like any
+//! instance. Streams that resume warm flows keep their own network, since
+//! the stored flow is aligned with that network's edge ids.
 
 use crate::error::SolveError;
 use crate::network::RetrievalInstance;
@@ -105,6 +111,9 @@ pub(crate) fn peak_edge_capacity(inst: &RetrievalInstance) -> (i64, usize) {
 /// Reusable buffers and engine state shared by all solvers.
 #[derive(Debug)]
 pub struct Workspace {
+    /// The network of the cold streams solved here, rebuilt in place by
+    /// each one's cache miss; `None` until the first.
+    pub(crate) network: Option<RetrievalInstance>,
     /// Scratch copy of the instance's flow network (wide layout).
     pub(crate) graph: FlowGraph,
     /// Compact (`i32`) scratch copy, staged instead of [`Workspace::graph`]
@@ -121,7 +130,10 @@ pub struct Workspace {
     /// the fused batch path ([`SolverSpec::batch_fuse`]
     /// (crate::spec::SolverSpec::batch_fuse)); off by default so the
     /// rebuild-per-query paths keep their zero-steady-state-allocation
-    /// contract without COW detaches.
+    /// contract without COW detaches. A fused lane hands the plane back
+    /// when its item finishes ([`Workspace::release_plane`]), so the
+    /// network it belongs to is private again for its next rebuild or
+    /// patch.
     plane_sharing: bool,
     /// Push-relabel engine (Algorithm 4) with its height, queue and
     /// excess arrays.
@@ -190,6 +202,7 @@ impl Workspace {
     /// Creates an empty workspace; all buffers grow on first use.
     pub fn new() -> Workspace {
         Workspace {
+            network: None,
             graph: FlowGraph::default(),
             graph32: FlowGraph::default(),
             active: ActiveWidth::Wide,
@@ -231,12 +244,30 @@ impl Workspace {
         self.plane_sharing = on;
     }
 
-    /// Allocation events across both scratch arenas (wide + compact),
-    /// monotone over the workspace's lifetime. Flat between two
-    /// observations means every solve in between reused existing plane
-    /// buffers — the steady-state contract benches pin.
+    /// Allocation events across both scratch arenas (wide + compact) and
+    /// the cold streams' network, monotone over the workspace's lifetime
+    /// (a solve that panics drops the network, and its count, with it).
+    /// Flat between two observations means every solve in between reused
+    /// existing buffers — the steady-state contract benches pin.
     pub fn arena_allocation_events(&self) -> u64 {
-        self.graph.arena().allocation_events() + self.graph32.arena().allocation_events()
+        self.graph.arena().allocation_events()
+            + self.graph32.arena().allocation_events()
+            + self
+                .network
+                .as_ref()
+                .map_or(0, |n| n.graph.arena().allocation_events())
+    }
+
+    /// Drops the scratch graphs' shares of the topology plane the last
+    /// staging checked out (see the `plane_sharing` field), so the
+    /// network it belongs to can be rebuilt or patched in place instead of
+    /// detaching a copy. Allocation-free in steady state; a no-op without
+    /// plane sharing. The staged graph is empty afterwards.
+    pub(crate) fn release_plane(&mut self) {
+        if self.plane_sharing {
+            self.graph.release_plane();
+            self.graph32.release_plane();
+        }
     }
 
     /// The width the last solve actually ran in — [`ArenaLayout::Compact`]

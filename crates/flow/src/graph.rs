@@ -237,6 +237,10 @@ pub struct GraphArena<W: ArenaIndex = i64> {
     /// The shared-or-private topology plane. `Clone` on the arena shares it
     /// (copy-on-write); deep copies go through [`FlowGraph::copy_from`].
     topo: std::sync::Arc<TopologyPlane>,
+    /// This graph's own private plane, parked while
+    /// [`FlowGraph::checkout_plane_from`] shares another graph's; the
+    /// graph falls back to it on [`FlowGraph::release_plane`].
+    parked: Option<std::sync::Arc<TopologyPlane>>,
     /// Capacity of the slot at each position. Reverse slots have capacity 0.
     cap: Vec<W>,
     /// Flow of the slot at each position; `flow[mate[p]] == -flow[p]`.
@@ -262,10 +266,12 @@ impl<W: ArenaIndex> GraphArena<W> {
     }
 
     /// Bytes currently reserved by the arena's buffers (the topology plane
-    /// is counted in full even when it is shared with other arenas).
+    /// is counted in full even when it is shared with other arenas, and so
+    /// is a parked one).
     pub fn reserved_bytes(&self) -> usize {
         use std::mem::size_of;
-        (self.topo.capacity() + self.cursor.capacity()) * size_of::<u32>()
+        let parked = self.parked.as_ref().map_or(0, |p| p.capacity());
+        (self.topo.capacity() + parked + self.cursor.capacity()) * size_of::<u32>()
             + (self.cap.capacity()
                 + self.flow.capacity()
                 + self.checkpoint.capacity()
@@ -351,6 +357,7 @@ impl<W: ArenaIndex> FlowGraph<W> {
                     id_at: Vec::with_capacity(2 * edges),
                     pos_of: Vec::with_capacity(2 * edges),
                 }),
+                parked: None,
                 cap: Vec::with_capacity(2 * edges),
                 flow: Vec::with_capacity(2 * edges),
                 checkpoint: Vec::new(),
@@ -871,13 +878,19 @@ impl<W: ArenaIndex> FlowGraph<W> {
         a.cap.clear();
         a.flow.clear();
         a.checkpoint.clear();
-        // A shared topology plane is about to be invalidated: detach to a
-        // fresh private plane instead of deep-cloning contents we would
-        // clear anyway. The detach (epoch invalidation) counts as a growth
-        // event; an unshared plane keeps its buffers as before.
+        // A shared topology plane is about to be invalidated: fall back to
+        // the parked private plane, or detach to a fresh one instead of
+        // deep-cloning contents we would clear anyway. A fresh plane (epoch
+        // invalidation) counts as a growth event; a private plane keeps its
+        // buffers as before.
         if std::sync::Arc::get_mut(&mut a.topo).is_none() {
-            a.topo = std::sync::Arc::new(TopologyPlane::default());
-            a.grows += 1;
+            a.topo = match a.parked.take() {
+                Some(own) if std::sync::Arc::strong_count(&own) == 1 => own,
+                _ => {
+                    a.grows += 1;
+                    std::sync::Arc::default()
+                }
+            };
         }
         let t = std::sync::Arc::get_mut(&mut a.topo).expect("plane is private here");
         t.target.clear();
@@ -1008,12 +1021,30 @@ impl<W: ArenaIndex> FlowGraph<W> {
         check_fits::<W, V>(other)?;
         let (a, b) = (&mut self.arena, &other.arena);
         if !std::sync::Arc::ptr_eq(&a.topo, &b.topo) {
-            a.topo = std::sync::Arc::clone(&b.topo);
+            let mut prev = std::mem::replace(&mut a.topo, std::sync::Arc::clone(&b.topo));
+            // Park a private plane for `release_plane`; a share of some
+            // other graph's plane is simply dropped.
+            if std::sync::Arc::get_mut(&mut prev).is_some() {
+                a.parked = Some(prev);
+            }
         }
         narrow_planes(a, b);
         self.n = other.n;
         self.dirty = false;
         Ok(())
+    }
+
+    /// Drops this graph's share of a topology plane checked out by
+    /// [`FlowGraph::checkout_plane_from`], so the graph it came from can
+    /// rebuild or patch that plane in place instead of detaching a copy.
+    /// The graph is left empty ([`FlowGraph::reset`] to zero vertices) on
+    /// the private plane it parked at checkout: allocation-free once that
+    /// plane has held one vertex. A graph whose plane is private is left
+    /// as it is.
+    pub fn release_plane(&mut self) {
+        if std::sync::Arc::get_mut(&mut self.arena.topo).is_none() {
+            self.reset(0);
+        }
     }
 }
 
@@ -1486,6 +1517,54 @@ mod tests {
             events,
             "re-checkout from the same epoch must not touch the allocator"
         );
+    }
+
+    #[test]
+    fn released_plane_lets_its_owner_rebuild_in_place() {
+        let build = |g: &mut FlowGraph| {
+            g.reset(4);
+            let mut app = g.appender();
+            for (u, v) in [(0, 1), (0, 2), (1, 3), (2, 3)] {
+                app.add_edge(u, v, 2);
+            }
+            g.finalize();
+        };
+        let mut src: FlowGraph = FlowGraph::new(0);
+        build(&mut src);
+        let mut ws: FlowGraph = FlowGraph::new(0);
+        // The first checkout sizes the cap/flow planes.
+        ws.checkout_plane_from(&src).unwrap();
+        ws.release_plane();
+        let events = (
+            src.arena().allocation_events(),
+            ws.arena().allocation_events(),
+        );
+        for _ in 0..3 {
+            ws.checkout_plane_from(&src).unwrap();
+            assert!(ws.shares_topology_with(&src));
+            ws.release_plane();
+            assert!(!ws.shares_topology_with(&src));
+            assert_eq!((ws.num_vertices(), ws.num_edges()), (0, 0));
+            // The owner's plane is private again: no copy-on-write detach.
+            build(&mut src);
+        }
+        assert_eq!(
+            (
+                src.arena().allocation_events(),
+                ws.arena().allocation_events()
+            ),
+            events,
+            "checkout, release and rebuild must not touch the allocator"
+        );
+        // Without the release, the owner's next rebuild starts a fresh
+        // plane and grows every buffer again.
+        ws.checkout_plane_from(&src).unwrap();
+        build(&mut src);
+        assert!(src.arena().allocation_events() > events.0);
+        // Releasing a private plane changes nothing.
+        let mut own = diamond();
+        own.release_plane();
+        assert_eq!(own.num_edges(), 4);
     }
 
     #[test]
