@@ -1175,7 +1175,7 @@ impl<'a, A: ReplicaSource + Sync, S: RetrievalSolver + Sync> Engine<'a, A, S> {
     /// Arena allocation events summed over every network the engine
     /// holds — each shard workspace and fused lane with its cold streams'
     /// network, and each warm stream's own — monotone over the engine's
-    /// lifetime (a contained panic discards a network with its count).
+    /// lifetime unless a contained panic discards a network and its count.
     /// Flat between two observations means the solves in between —
     /// including fused drains checking topology planes out of the
     /// streams' networks — reused existing buffers end to end.

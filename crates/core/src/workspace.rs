@@ -246,7 +246,7 @@ impl Workspace {
 
     /// Allocation events across both scratch arenas (wide + compact) and
     /// the cold streams' network, monotone over the workspace's lifetime
-    /// (a solve that panics drops the network, and its count, with it).
+    /// unless a solve panics, which drops the network and its count.
     /// Flat between two observations means every solve in between reused
     /// existing buffers — the steady-state contract benches pin.
     pub fn arena_allocation_events(&self) -> u64 {
